@@ -1,10 +1,13 @@
 """The hitting-time (inverse) process of the inverse Gaussian subordinator.
 
 The distribution function comes from the duality P(H(t) <= x) = P(G(x) >= t)
-and is exact; the pointwise density has two independent routes (an oscillatory
-integral representation and a Levy-tail convolution) that cross-validate each
-other; transforms, moments, tail bounds and boundary values complete the
-picture.  The stable hitting-time family E(t) lives here too.
+and is exact.  Production code evaluates the density in closed form
+(`hit_pdf_table`): H(t) is the running maximum of W_s + gamma*s over s <= t,
+divided by delta (Borodin & Salminen, Handbook of Brownian Motion, 2002,
+section 2.1).  The oscillatory integral representation and the Levy-tail
+convolution are independent routes kept as oracles for the verification
+report and the tests.  Transforms, moments, tail bounds and boundary values
+complete the picture.  The stable hitting-time family E(t) lives here too.
 
 Density prefactor: the integral representation is evaluated with
 exp(delta*gamma*x - t*gamma^2/2).  The variant with exp(-gamma^2/2) in place
@@ -24,20 +27,18 @@ from .errors import DomainError, NonConvergence
 from .numerics import (
     DEFAULT_SPEC,
     NumericSpec,
-    composite_gauss,
+    _period_edges,
     erf,
-    erfc,
     erfcx,
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
-    norm_cdf,
 )
 from .subordinators import (
     IGParams,
     IGSubordinator,
     SamplePath,
-    ig_cdf,
+    _ig_cdf,
     ig_levy_tail,
     ig_psi,
     stable_cdf,
@@ -45,6 +46,16 @@ from .subordinators import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _check_x(x) -> None:
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x must be finite")
+
+
+def _check_t(t) -> None:
+    if not np.all(np.isfinite(t) & (np.asarray(t) > 0)):
+        raise DomainError("t must be finite and positive")
 
 
 def _osc_noise_estimate(log_pref: float, delta: float) -> float:
@@ -84,8 +95,8 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     cells follow the oscillation half-periods up to the truncation point
     omega_max = sqrt(-ln(truncation_eps)/t).
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_x(x)
+    _check_t(t)
     if x < 0:
         raise DomainError("x must be nonnegative")
     if x == 0.0:
@@ -116,58 +127,42 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     inner_abs = max(spec.abs_tol * math.exp(min(0.0, -log_pref)) * math.pi / p.delta,
                     floor)
     inner_spec = spec.with_(abs_tol=inner_abs)
-    period = math.pi / kappa if kappa > 0 else None
-    val = integrate_semi_infinite(integrand, inner_spec, cutoff=omega_max, period=period)
+    # one cell per oscillation half-period, plus a geometric ladder resolving
+    # the width-gamma/sqrt(2) peak of 1/(w^2 + gamma^2/2) for small gamma
+    edges = _period_edges(0.0, omega_max, math.pi / kappa, inner_spec)
+    if edges is None:
+        edges = np.array([0.0, omega_max])
+    if p.gamma > 0:
+        peak = p.gamma / SQRT2
+        edges = np.concatenate([edges, peak * np.geomspace(0.1, min(1e4, omega_max / peak), 11)])
+    val = integrate_interval(integrand, 0.0, omega_max, inner_spec, edges=edges)
     h = p.delta / math.pi * math.exp(log_pref) * val
     if h < 0 and abs(h) <= 10.0 * max(spec.abs_tol, floor * math.exp(log_pref)):
         return 0.0
     return h
 
 
-def hit_pdf_table(xs, t: float, ev: HittingDensityEval,
-                  nodes_per_cell: int = 16, batch: int = 256) -> np.ndarray:
-    """Vectorised h(x, t) on an array of x sharing one quadrature grid.
+def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
+    """h(x, t) in closed form, broadcast over arrays of x and t.
 
-    A fixed composite Gauss grid sized for the fastest oscillation present
-    keeps the tabulation error a smooth function of x, which finite-difference
-    stencils then cancel instead of amplifying.
+    H(t) is the running maximum of W_s + gamma*s over s <= t, divided by
+    delta, so with a = (delta x - gamma t)/sqrt(t), v = (delta x + gamma t)/sqrt(t)
+    h(x, t) = delta e^(-a^2/2) [sqrt(2/(pi t)) - gamma erfcx(v/sqrt(2))]
+    (Borodin & Salminen, Handbook of Brownian Motion, 2002, section 2.1).
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
     xs = np.asarray(xs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    _check_x(xs)
+    _check_t(t)
     if np.any(xs < 0):
         raise DomainError("x must be nonnegative")
-    p = ev.params
-    spec = ev.spec
-    omega_max = math.sqrt(-math.log(spec.truncation_eps) / t)
-    kappa_max = p.delta * SQRT2 * float(xs.max(initial=0.0))
-    n_cells = max(16, int(math.ceil(2.0 * kappa_max * omega_max / math.pi)))
-    if n_cells > 20000:
-        raise NonConvergence("oscillation grid too large for tabulation")
-    pts, wts = composite_gauss(np.linspace(0.0, omega_max, n_cells + 1), nodes_per_cell)
-    w2 = pts * pts
-    common = np.exp(-t * w2) / (w2 + 0.5 * p.gamma ** 2)
-    sin_w = 2.0 * p.gamma * pts * common * wts
-    cos_w = 2.0 * SQRT2 * w2 * common * wts
-    out = np.empty_like(xs)
-    flat = xs.ravel()
-    out_flat = out.ravel()
-    for start in range(0, flat.size, batch):
-        chunk = flat[start:start + batch]
-        phase = np.outer(chunk, p.delta * SQRT2 * pts)
-        vals = np.sin(phase) @ sin_w + np.cos(phase) @ cos_w
-        out_flat[start:start + batch] = vals
-    out_flat *= p.delta / math.pi
-    log_pref = np.asarray(ev.log_prefactor(flat, t), dtype=float)
-    out_flat *= np.exp(log_pref)
-    zero = flat == 0.0
-    if zero.any():
-        out_flat[zero] = hit_boundary_value(t, p, mode=ev.prefactor_mode)
-    # points beyond the oscillatory conditioning limit go through the scalar
-    # evaluator, which delegates to the convolution form there
-    bad = (np.exp(log_pref) * p.delta / math.pi * 2e-16 > 0.25 * spec.abs_tol) & (flat > 0)
-    for idx in np.argwhere(bad).ravel():
-        out_flat[idx] = hit_pdf_integral(float(flat[idx]), t, ev)
+    d, g = ev.params.delta, ev.params.gamma
+    sq = np.sqrt(t)
+    a = (d * xs - g * t) / sq
+    v = (d * xs + g * t) / sq
+    out = d * np.exp(-0.5 * a * a) * (np.sqrt(2.0 / (math.pi * t)) - g * erfcx(v / SQRT2))
+    if ev.prefactor_mode == "literal":
+        out = out * np.exp(0.5 * g * g * (t - 1.0))
     return out
 
 
@@ -209,42 +204,31 @@ def hit_pdf_convolution(x: float, t: float, model,
 # Distribution function by duality (exact)
 # ---------------------------------------------------------------------------
 
-def _ig_cdf_at(t: float, a, b: float):
-    """IG(a, b) distribution function at t, vectorised over the a parameter."""
-    a_arr = np.asarray(a, dtype=float)
-    sq = math.sqrt(t)
-    u = b * sq - a_arr / sq
-    v = b * sq + a_arr / sq
-    with np.errstate(over="ignore"):
-        small = 2.0 * a_arr * b <= 30.0
-        plain = norm_cdf(u) + np.where(small, np.exp(2.0 * a_arr * b), 0.0) * norm_cdf(-v)
-        stable = norm_cdf(u) + 0.5 * np.exp(-0.5 * u * u) * erfcx(v / SQRT2)
-    return np.clip(np.where(small, plain, stable), 0.0, 1.0)
-
-
 def hit_cdf(x, t: float, params: IGParams):
     """P(H(t) <= x) = P(G(x) >= t), exact through the IG distribution function."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     x_arr = np.asarray(x, dtype=float)
+    _check_x(x_arr)
     scalar = x_arr.ndim == 0
     if np.any(x_arr < 0):
         raise DomainError("x must be nonnegative")
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     if pos.any():
-        out[pos] = 1.0 - _ig_cdf_at(t, params.delta * x_arr[pos], params.gamma)
+        out[pos] = 1.0 - _ig_cdf(t, params.delta * x_arr[pos], params.gamma)
     return float(out) if scalar else out
 
 
 def hit_survival(x, t: float, params: IGParams):
     """P(H(t) > x) = P(G(x) < t); the duality route used by tail reports."""
+    _check_t(t)
     x_arr = np.asarray(x, dtype=float)
+    _check_x(x_arr)
     scalar = x_arr.ndim == 0
     out = np.ones_like(x_arr)
     pos = x_arr > 0
     if pos.any():
-        out[pos] = _ig_cdf_at(t, params.delta * x_arr[pos], params.gamma)
+        out[pos] = _ig_cdf(t, params.delta * x_arr[pos], params.gamma)
     return float(out) if scalar else out
 
 
@@ -325,20 +309,23 @@ def hit_second_moment(t: float, params: IGParams) -> float:
 
     Half of the widely printed closed form; the halved version is the one that
     matches density quadrature, transform inversion and Monte Carlo, and whose
-    driftless special case t (not 2t) agrees with the half-normal law.
+    driftless special case t (not 2t) agrees with the half-normal law.  Written
+    in y = gamma sqrt(t/2) as (t/delta^2) [1 + y^2 + (1+y^2) erf y
+    + y e^(-y^2)/sqrt(pi) - P(y)/(4y^2)], P(y) = erf y - 2y e^(-y^2)/sqrt(pi);
+    below y = 0.5 the cancelling P(y)/(4y^2) comes from its alternating series.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    d, g = params.delta, params.gamma
-    if g == 0.0:
-        return t / d ** 2
-    e = erf(g * math.sqrt(0.5 * t))
-    x = math.exp(-0.5 * g * g * t)
-    bracket = (x * (g * math.sqrt(2.0 * t) + g ** 3 * SQRT2 * t ** 1.5)
-               + math.sqrt(math.pi) * (2.0 * g * g * t + g ** 4 * t * t - 1.0) * e)
-    return (0.5 * g * g * t * t / d ** 2
-            + t / d ** 2
-            + bracket / (2.0 * d ** 2 * g ** 2 * math.sqrt(math.pi)))
+    _check_t(t)
+    y = params.gamma * math.sqrt(0.5 * t)
+    erf_y = erf(y)
+    gauss = math.exp(-y * y) / math.sqrt(math.pi)
+    if y < 0.5:
+        # the alternating series of P(y)/(4y^2); 13 terms reach double precision
+        p_term = sum((-1) ** (n + 1) * n * y ** (2 * n - 1)
+                     / (math.factorial(n) * (2 * n + 1)) for n in range(1, 14))
+        p_term /= math.sqrt(math.pi)
+    else:
+        p_term = (erf_y - 2.0 * y * gauss) / (4.0 * y * y)
+    return t / params.delta ** 2 * (1.0 + y * y + (1.0 + y * y) * erf_y + y * gauss - p_term)
 
 
 def hit_variance(t: float, params: IGParams) -> float:
@@ -347,36 +334,22 @@ def hit_variance(t: float, params: IGParams) -> float:
 
 def density_support_cutoff(t: float, params: IGParams, weight_power: float = 0.0,
                            tail_tol: float = 1e-9) -> float:
-    """Smallest power-of-two x beyond which x^q * P(H(t) > x) < tail_tol.
+    """First x = max(1, 2 gamma t/delta) * 2^k with x^q * P(H(t) > x) < tail_tol.
 
     Used to truncate quadratures of the density: the exact survival only picks
     the truncation point, it never enters the integral value.
     """
-    def small_enough(x):
-        return x ** weight_power * hit_survival(x, t, params) < tail_tol
-
-    hi = max(1.0, 2.0 * params.gamma * t / params.delta)
+    x = max(1.0, 2.0 * params.gamma * t / params.delta)
     for _ in range(60):
-        if small_enough(hi):
-            break
-        hi *= 2.0
-    else:
-        raise NonConvergence("could not locate a density support cutoff")
-    lo = hi / 2.0
-    # bisect so the cutoff does not overshoot into the exp(delta*gamma*x)
-    # region where the oscillatory representation loses absolute accuracy
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if small_enough(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 1.05 * hi
+        if x ** weight_power * hit_survival(x, t, params) < tail_tol:
+            return x
+        x *= 2.0
+    raise NonConvergence("could not locate a density support cutoff")
 
 
 def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval,
                           tail_tol: float = 1e-10) -> float:
-    """E H(t)^q by direct quadrature of the integral-route density (q = 0: mass)."""
+    """E H(t)^q by direct quadrature of the closed-form density (q = 0: mass)."""
     x_max = density_support_cutoff(t, ev.params, weight_power=q, tail_tol=tail_tol)
 
     def f(xs):

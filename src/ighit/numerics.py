@@ -36,8 +36,9 @@ class NumericSpec:
     ilt_method: str = "gaver_stehfest"
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.truncation_eps > 0):
-            raise DomainError("tolerances must be positive")
+        tols = (self.abs_tol, self.rel_tol, self.truncation_eps)
+        if not all(math.isfinite(v) and v > 0 for v in tols):
+            raise DomainError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
         if self.ilt_method not in ("gaver_stehfest", "fixed_talbot"):

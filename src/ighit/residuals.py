@@ -186,9 +186,7 @@ def residual_hitting_pde(params: IGParams, box: GridBox,
     def run(dx, dt):
         xs = _grid(box.x0, box.x1, dx, 1)
         ts = _grid(box.t0, box.t1, dt, 1)
-        F = np.empty((xs.size, ts.size))
-        for j, t in enumerate(ts):
-            F[:, j] = hit_pdf_table(xs, float(t), ev)
+        F = hit_pdf_table(xs[:, None], ts[None, :], ev)
         if perturb is not None:
             X, T = np.meshgrid(xs, ts, indexing="ij")
             F = perturb(X, T, F)
@@ -331,8 +329,7 @@ def residual_frac_hitting(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *,
         nt = int(round(box.t1 / dt))
         ts = dt * np.arange(nt + 1)
         F = np.zeros((xs.size, ts.size))
-        for j in range(1, ts.size):
-            F[:, j] = hit_pdf_table(xs, float(ts[j]), ev)
+        F[:, 1:] = hit_pdf_table(xs[:, None], ts[None, 1:], ev)
         if perturb is not None:
             X, T = np.meshgrid(xs, ts, indexing="ij")
             F = perturb(X, T, F)
@@ -434,8 +431,7 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid,
 
     def transform_numeric(x, s):
         def f(ts):
-            dens = np.array([hit_pdf_table(np.array([x]), float(t), ev)[0] for t in ts])
-            return np.exp(-s * ts) * dens
+            return np.exp(-s * ts) * hit_pdf_table(x, ts, ev)
         return integrate_semi_infinite(f, spec.with_(abs_tol=1e-12, rel_tol=1e-10))
 
     def run_level(step):

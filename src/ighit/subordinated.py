@@ -64,8 +64,7 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     return SQRT_2_OVER_PI * val
 
 
-def sub_pdf_table(xs, t: float, ev: SubordinatedEval,
-                  n_panels: int = 96, nodes_per_panel: int = 12) -> np.ndarray:
+def sub_pdf_table(xs, t: float, ev: SubordinatedEval) -> np.ndarray:
     """Vectorised density on an array of x sharing one v-quadrature grid.
 
     Shared nodes keep the tabulation error smooth in x, so high-order
@@ -78,9 +77,9 @@ def sub_pdf_table(xs, t: float, ev: SubordinatedEval,
     v_max = _v_cutoff(t, ev)
     edges = np.unique(np.concatenate([
         [0.0],
-        np.geomspace(v_max * 1e-4, v_max, n_panels),
+        np.geomspace(v_max * 1e-4, v_max, 96),
     ]))
-    pts, wts = composite_gauss(edges, nodes_per_panel)
+    pts, wts = composite_gauss(edges, 12)
     h_vals = hit_pdf_table(pts * pts, t, ev.hitting_eval())
     weights = wts * h_vals
     out = np.empty_like(xs)

@@ -40,10 +40,10 @@ class IGParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise DomainError("delta must be positive")
-        if self.gamma < 0:
-            raise DomainError("gamma must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise DomainError("delta must be finite and positive")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise DomainError("gamma must be finite and nonnegative")
 
     def marginal(self, t: float) -> "IGMarginal":
         """Marginal law of the process increment over an interval of length t."""
@@ -58,10 +58,10 @@ class IGMarginal:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError("a must be positive")
-        if self.b < 0:
-            raise DomainError("b must be nonnegative")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise DomainError("a must be finite and positive")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise DomainError("b must be finite and nonnegative")
 
     @property
     def mean(self) -> float:
@@ -88,27 +88,31 @@ def ig_pdf(x, m: IGMarginal):
     return float(out) if scalar else out
 
 
-def ig_cdf(x, m: IGMarginal):
-    """IG(a, b) distribution function, overflow-safe for large ab.
+def _ig_cdf(x, a, b: float):
+    """IG(a, b) distribution function at x > 0, broadcast over x and a.
 
     Plain form Phi(b sqrt(x) - a/sqrt(x)) + e^(2ab) Phi(-b sqrt(x) - a/sqrt(x))
     for moderate ab; for 2ab > 30 the second term is evaluated through erfcx
     so the e^(2ab) factor never materialises.
     """
+    sq = np.sqrt(x)
+    u = b * sq - a / sq
+    v = b * sq + a / sq
+    with np.errstate(over="ignore"):
+        small = 2.0 * a * b <= 30.0
+        plain = norm_cdf(u) + np.where(small, np.exp(2.0 * a * b), 0.0) * norm_cdf(-v)
+        stable = norm_cdf(u) + 0.5 * np.exp(-0.5 * u * u) * erfcx(v / math.sqrt(2.0))
+    return np.clip(np.where(small, plain, stable), 0.0, 1.0)
+
+
+def ig_cdf(x, m: IGMarginal):
+    """IG(a, b) distribution function, overflow-safe for large ab; 0 at x <= 0."""
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     if pos.any():
-        xp = x_arr[pos]
-        sq = np.sqrt(xp)
-        u = m.b * sq - m.a / sq
-        v = m.b * sq + m.a / sq
-        if 2.0 * m.a * m.b <= 30.0:
-            vals = norm_cdf(u) + math.exp(2.0 * m.a * m.b) * norm_cdf(-v)
-        else:
-            vals = norm_cdf(u) + 0.5 * np.exp(-0.5 * u * u) * erfcx(v / math.sqrt(2.0))
-        out[pos] = np.clip(vals, 0.0, 1.0)
+        out[pos] = _ig_cdf(x_arr[pos], m.a, m.b)
     return float(out) if scalar else out
 
 

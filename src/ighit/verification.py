@@ -213,7 +213,7 @@ def _rec_lt_time_inversion() -> VerificationRecord:
         _verdict(worst, worst, tol), tol, worst, {"x": 0.7})
 
 
-def _rec_spatial_lt() -> VerificationRecord:
+def _rec_spatial_lt_prefactor() -> VerificationRecord:
     params = IGParams(1.0, 0.5)
     ev = HittingDensityEval(params)
     mu, t = 1.0, 2.0
@@ -300,7 +300,7 @@ def _rec_tail_bound() -> VerificationRecord:
          "stated_rate": 0.25, "duality_rate": 0.5})
 
 
-def _rec_variance_asymptote() -> VerificationRecord:
+def _rec_variance_large_t() -> VerificationRecord:
     ts = np.array([100.0, 200.0, 400.0, 800.0])
     vs = np.array([hit_variance(float(t), P11) for t in ts])
     fitted_exponent = float(np.polyfit(np.log(ts), np.log(vs), 1)[0])
@@ -346,7 +346,7 @@ def _rec_stable_hit_density() -> VerificationRecord:
         _verdict(worst, worst, tol), tol, worst, {"mass": mass})
 
 
-def _rec_stable_hit_tail() -> VerificationRecord:
+def _rec_stable_hit_tail_rate() -> VerificationRecord:
     rep = stable_hit_tail_report(1.0, 0.5, np.linspace(8.0, 16.0, 17))
     target = rep.extra["rate_n"]
     disc = abs(rep.fitted_gaussian_rate - target) / target
@@ -398,7 +398,7 @@ def _rec_pde_ts_n2() -> VerificationRecord:
                        "hitting density (index 1/2)", rep)
 
 
-def _rec_pde_ts_n3() -> VerificationRecord:
+def _rec_pde_ts_n3_sign() -> VerificationRecord:
     box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
     rep = residual_ts_pde(3, 1.0, box)
     rep_flip = residual_ts_pde(3, 1.0, box, sign="flipped")
@@ -474,19 +474,19 @@ _BUILDERS = [
     _rec_second_moment_m2,
     _rec_moment_lt_numerator,
     _rec_lt_time_inversion,
-    _rec_spatial_lt,
+    _rec_spatial_lt_prefactor,
     _rec_llt,
     _rec_boundary_value,
     _rec_boundary_slope,
     _rec_tail_bound,
-    _rec_variance_asymptote,
+    _rec_variance_large_t,
     _rec_nonlevy_witness,
     _rec_stable_hit_density,
-    _rec_stable_hit_tail,
+    _rec_stable_hit_tail_rate,
     _rec_pde_hitting,
     _rec_pde_ig,
     _rec_pde_ts_n2,
-    _rec_pde_ts_n3,
+    _rec_pde_ts_n3_sign,
     _rec_pde_pseudo_lt,
     _rec_pde_frac_hitting,
     _rec_pde_frac_ig,

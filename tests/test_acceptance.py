@@ -53,6 +53,7 @@ from ighit.subordinators import (
     ig_sample,
     stable_sample,
 )
+from ighit.verification import builder_ids
 
 PARAM_SET = (IGParams(1.0, 1.0), IGParams(2.0, 0.5), IGParams(0.5, 2.0))
 
@@ -347,6 +348,7 @@ def test_criterion_16_verify_command(tmp_path):
         os.chdir(cwd)
     assert code == 0
     obj = json.loads((tmp_path / "verification.json").read_text())
+    assert [r["id"] for r in obj["records"]] == builder_ids()
     verdicts = {r["id"]: r["verdict"] for r in obj["records"]}
     assert verdicts["density_prefactor"] == "corrected"
     assert verdicts["second_moment_m2"] == "corrected"

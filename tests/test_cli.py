@@ -54,6 +54,15 @@ class TestDensityCommand:
         closed = np.sqrt(2.0 / math.pi) * np.exp(-xs ** 2 / 2.0)
         assert np.max(np.abs(dens - closed)) < 1e-9
 
+    def test_small_gamma_table(self, tmp_path):
+        assert run_in(tmp_path, ["density", "--delta", "1", "--gamma", "0.001",
+                                 "--t", "1", "--x", "0:3:0.5"]) == 0
+        cols = read_csv(tmp_path / "density.csv")
+        assert float(cols["x"][2]) == 1.0
+        # running maximum of W_s + 0.001 s at 1, in 30-digit arithmetic
+        assert float(cols["hitting_density"][2]) == pytest.approx(0.48410792922989326,
+                                                                  rel=1e-12)
+
     def test_json_format(self, tmp_path):
         assert run_in(tmp_path, ["density", "--t", "1", "--x", "0:1:0.5",
                                  "--format", "json", "--out", "d.json"]) == 0

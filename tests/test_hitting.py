@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ighit.errors import DomainError
-from ighit.numerics import DEFAULT_SPEC, erfcx, integrate_semi_infinite, invert_laplace
+from ighit.numerics import (
+    DEFAULT_SPEC,
+    NumericSpec,
+    erfcx,
+    integrate_semi_infinite,
+    invert_laplace,
+)
 from ighit.hitting import (
     HittingDensityEval,
     TailBoundReport,
@@ -35,6 +41,7 @@ from ighit.hitting import (
     tail_report,
 )
 from ighit.subordinators import (
+    IGMarginal,
     IGParams,
     IGSubordinator,
     SamplePath,
@@ -45,6 +52,16 @@ from ighit.subordinators import (
 
 def half_normal_pdf(x, t):
     return math.sqrt(2.0 / (math.pi * t)) * math.exp(-x * x / (2.0 * t))
+
+
+def assert_density_close(value, closed):
+    # the package's default quadrature tolerances: abs 1e-10, rel 1e-8
+    assert abs(value - closed) <= max(1e-10, 1e-8 * abs(closed))
+
+
+P11 = IGParams(1.0, 1.0)
+EV11 = HittingDensityEval(P11)
+NAN, INF = math.nan, math.inf
 
 
 class TestDensityRoutes:
@@ -100,6 +117,48 @@ class TestDensityRoutes:
         scal = np.array([hit_pdf_integral(float(x), 1.0, ev) for x in xs])
         assert np.max(np.abs(tab - scal)) < 1e-11
 
+    @settings(max_examples=60, deadline=None)
+    @given(delta=st.floats(0.3, 3.0),
+           gamma=st.one_of(st.just(0.0),
+                           st.floats(math.log(1e-9), math.log(3.0)).map(math.exp)),
+           t=st.floats(0.05, 8.0),
+           frac=st.floats(0.01, 1.0))
+    # v/sqrt(2) > 4 puts erfcx in its large-argument branch; at delta=gamma=3
+    # the exp(delta*gamma*x) prefactor sends hit_pdf_integral to the convolution
+    @example(delta=0.3, gamma=1e-9, t=8.0, frac=1.0)
+    @example(delta=3.0, gamma=3.0, t=1.0, frac=1.0)
+    def test_closed_form_matches_both_oracles(self, delta, gamma, t, frac):
+        params = IGParams(delta, gamma)
+        ev = HittingDensityEval(params)
+        x = frac * (gamma * t + 6.0 * math.sqrt(t)) / delta
+        closed = float(hit_pdf_table(x, t, ev))
+        assert_density_close(hit_pdf_integral(x, t, ev), closed)
+        assert_density_close(hit_pdf_convolution(x, t, IGSubordinator(params)), closed)
+
+    @pytest.mark.parametrize("delta,gamma,t,x", [
+        (1.0, 1e-9, 1.0, 1.0),
+        (1.0, 1e-6, 1.0, 1.0),
+        (1.0, 1e-5, 1.0, 1.0),
+        # a moderate-gamma point where the error estimate of the half-period
+        # cells alone was fooled by the peak of 1/(w^2 + gamma^2/2)
+        (1.800922532974708, 0.17343985951489324, 1.0735234377212077, 0.1342961070399304),
+    ])
+    def test_integral_route_resolves_small_gamma_peak(self, delta, gamma, t, x):
+        ev = HittingDensityEval(IGParams(delta, gamma))
+        closed = float(hit_pdf_table(x, t, ev))
+        assert hit_pdf_integral(x, t, ev) == pytest.approx(closed, rel=1e-8)
+
+    def test_table_broadcasts_over_x_and_t(self, params_11):
+        ev = HittingDensityEval(params_11, prefactor_mode="literal")
+        xs = np.linspace(0.0, 3.0, 7)
+        ts = np.array([0.5, 1.0, 2.0])
+        grid = hit_pdf_table(xs[:, None], ts[None, :], ev)
+        assert grid.shape == (7, 3)
+        for j, t in enumerate(ts):
+            assert np.array_equal(grid[:, j], hit_pdf_table(xs, t, ev))
+        assert grid[0, 2] == pytest.approx(hit_boundary_value(2.0, params_11, "literal"),
+                                           rel=1e-14)
+
     def test_domain_errors(self, params_11):
         ev = HittingDensityEval(params_11)
         with pytest.raises(DomainError):
@@ -108,6 +167,35 @@ class TestDensityRoutes:
             hit_pdf_integral(1.0, 0.0, ev)
         with pytest.raises(DomainError):
             HittingDensityEval(params_11, prefactor_mode="bogus")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: IGParams(NAN, 1.0),
+    lambda: IGParams(INF, 1.0),
+    lambda: IGParams(1.0, NAN),
+    lambda: IGParams(1.0, INF),
+    lambda: IGMarginal(NAN, 1.0),
+    lambda: IGMarginal(1.0, NAN),
+    lambda: NumericSpec(abs_tol=NAN),
+    lambda: NumericSpec(rel_tol=INF),
+    lambda: NumericSpec(truncation_eps=NAN),
+    lambda: hit_pdf_table(np.array([0.5, NAN]), 1.0, EV11),
+    lambda: hit_pdf_table(0.5, NAN, EV11),
+    lambda: hit_pdf_table(0.5, np.array([1.0, INF]), EV11),
+    lambda: hit_pdf_integral(NAN, 1.0, EV11),
+    lambda: hit_pdf_integral(0.5, INF, EV11),
+    lambda: hit_cdf(NAN, 1.0, P11),
+    lambda: hit_cdf(0.5, NAN, P11),
+    lambda: hit_cdf(INF, 1.0, P11),
+    lambda: hit_survival(np.array([0.5, NAN]), 1.0, P11),
+    lambda: hit_survival(0.5, INF, P11),
+], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
+        "abs_tol_nan", "rel_tol_inf", "truncation_eps_nan", "table_x_nan", "table_t_nan",
+        "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
+        "survival_x_nan", "survival_t_inf"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestDistributionFunction:
@@ -219,6 +307,12 @@ class TestMoments:
         for params in (params_11, params_205):
             quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(params))
             assert hit_second_moment(1.0, params) == pytest.approx(quad, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-10, 1e-12])
+    def test_second_moment_stable_as_gamma_vanishes(self, gamma):
+        params = IGParams(1.0, gamma)
+        quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(params))
+        assert hit_second_moment(1.0, params) == pytest.approx(quad, rel=1e-10)
 
     def test_driftless_second_moment_is_t(self, params_10):
         # the half-normal second moment; the often-quoted 2t fails this
