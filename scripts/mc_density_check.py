@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Histogram of simulated hitting times against the evaluated density.
 
-Simulates H(t) by inverting grid subordinator paths, bins the draws, and
-writes a CSV comparing bin heights with the density table plus the
-Kolmogorov-Smirnov distance of the sample against the duality CDF.
+Draws H(t) rounded up to the step dt with `sample_hitting_times` (the exact
+running-maximum construction), bins the draws, and writes a CSV comparing bin
+heights with the density table plus the Kolmogorov-Smirnov distance of the
+sample against the duality CDF.
 """
 
 import argparse

@@ -36,6 +36,7 @@ from .subordinators import (
     ig_psi,
     ig_sample,
     simulate_path,
+    simulate_until,
     stable_cdf,
     stable_pdf,
     stable_sample,

@@ -43,7 +43,7 @@ from .subordinators import (
     IGSubordinator,
     StableSubordinator,
     TemperedStableSubordinator,
-    simulate_path,
+    simulate_until,
 )
 from .residuals import (
     GridBox,
@@ -248,15 +248,9 @@ def _model_from(args):
 def cmd_paths(args) -> int:
     model = _model_from(args)
     rng = np.random.default_rng(args.seed)
-    horizon = args.T * max(args.gamma / args.delta, 1.0) * 2.0 if args.model == "ig" \
+    chunk = args.T * max(args.gamma / args.delta, 1.0) * 2.0 if args.model == "ig" \
         else 2.0 * args.T
-    horizon = max(horizon, 4.0 * args.dt)
-    g_path = simulate_path(model, horizon, args.dt, rng)
-    while g_path.values[-1] <= args.T:
-        ext = simulate_path(model, horizon, args.dt, rng)
-        g_path = type(g_path)(
-            np.concatenate([g_path.times, g_path.times[-1] + ext.times[1:]]),
-            np.concatenate([g_path.values, g_path.values[-1] + ext.values[1:]]))
+    g_path = simulate_until(model, args.T, max(chunk, 4.0 * args.dt), args.dt, rng)
     t_grid = args.dt * np.arange(int(round(args.T / args.dt)) + 1)
     h_path = invert_path(g_path, t_grid)
     base = args.out or "paths"

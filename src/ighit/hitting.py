@@ -6,8 +6,10 @@ and is exact.  Production code evaluates the density in closed form
 divided by delta (Borodin & Salminen, Handbook of Brownian Motion, 2002,
 section 2.1).  The oscillatory integral representation and the Levy-tail
 convolution are independent routes kept as oracles for the verification
-report and the tests.  Transforms, moments, tail bounds and boundary values
-complete the picture.  The stable hitting-time family E(t) lives here too.
+report and the tests.  `sample_hitting_times` draws the same running maximum
+exactly from a Gaussian endpoint and an exponential, rounded up to the grid.
+Transforms, moments, tail bounds and boundary values complete the picture.
+The stable hitting-time family E(t) lives here too.
 
 Density prefactor: the integral representation is evaluated with
 exp(delta*gamma*x - t*gamma^2/2).  The variant with exp(-gamma^2/2) in place
@@ -494,48 +496,29 @@ def invert_path(g_path: SamplePath, t_grid) -> SamplePath:
 
 
 def sample_hitting_times(t_eval: float, n: int, params: IGParams, dt: float,
-                         seed: int, batch_size: int = 20000,
-                         block_steps: int = 2048) -> np.ndarray:
-    """n independent samples of H(t_eval) from grid paths of G at step dt.
+                         seed: int) -> np.ndarray:
+    """n independent samples of the grid hitting time S = dt (floor(H/dt) + 1).
 
-    Each batch derives its own substream from (seed, batch index) and batches
-    are filled in fixed order, so results are reproducible regardless of how
-    the work would be scheduled.  Returned values are the grid version of the
-    inverse: the first grid time at which the simulated G exceeds t_eval.
+    H(t) is the running maximum of W_s + gamma*s over s <= t, divided by
+    delta (Borodin & Salminen, Handbook of Brownian Motion, 2002, section
+    2.1).  Given the endpoint Y = W_t + gamma*t ~ N(gamma t, t), that maximum
+    is (Y + sqrt(Y^2 + 2tE))/2 with E ~ Exp(1) (Glasserman, Monte Carlo
+    Methods in Financial Engineering, 2004, section 6.4).  G has no drift, so
+    G(k dt) > t exactly when k dt > H(t): S is the first grid time at which a
+    path of G at step dt exceeds t_eval, the law `invert_path` gives on a
+    path from `simulate_path`.  The draws come from the substream (seed, 0).
     """
-    if t_eval <= 0 or dt <= 0 or n <= 0:
-        raise DomainError("t_eval, dt and n must be positive")
-    from .subordinators import ig_sample
-    marg = params.marginal(dt)
-    g = params.gamma
-    u_typical = t_eval * g / params.delta + math.sqrt(t_eval) / params.delta
-    max_steps = int(64 * max(1.0, u_typical) / dt)
-    out = np.empty(n)
-    pos = 0
-    n_batches = (n + batch_size - 1) // batch_size
-    for b in range(n_batches):
-        m = min(batch_size, n - pos)
-        rng = np.random.default_rng([seed, b])
-        result_steps = np.zeros(m, dtype=np.int64)
-        offsets = np.zeros(m)
-        steps_base = np.zeros(m, dtype=np.int64)
-        active = np.arange(m)
-        while active.size:
-            incs = ig_sample(marg, rng, size=(active.size, block_steps))
-            paths = offsets[active, None] + np.cumsum(incs, axis=1)
-            crossed = paths[:, -1] > t_eval
-            first = np.argmax(paths > t_eval, axis=1)
-            rows = active[crossed]
-            result_steps[rows] = steps_base[rows] + first[crossed] + 1
-            stay = active[~crossed]
-            offsets[stay] = paths[~crossed, -1]
-            steps_base[stay] += block_steps
-            active = stay
-            if active.size and steps_base[active].min() > max_steps:
-                raise NonConvergence("paths failed to cross the level; check parameters")
-        out[pos:pos + m] = result_steps * dt
-        pos += m
-    return out
+    _check_t(t_eval)
+    _check_t(dt)
+    if n <= 0:
+        raise DomainError("n must be positive")
+    rng = np.random.default_rng([seed, 0])
+    y = rng.normal(params.gamma * t_eval, math.sqrt(t_eval), n)
+    te = t_eval * rng.standard_exponential(n)
+    r = np.sqrt(y * y + 2.0 * te)
+    # where y < 0, (y + r)/2 cancels; te/(r - y) = te/(r + |y|) is the same number
+    h = np.where(y >= 0, 0.5 * (y + r), te / (r + np.abs(y))) / params.delta
+    return (np.floor(h / dt).astype(np.int64) + 1) * dt
 
 
 # ---------------------------------------------------------------------------

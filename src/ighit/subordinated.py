@@ -23,7 +23,7 @@ from .hitting import (
     invert_path,
     sample_hitting_times,
 )
-from .subordinators import IGParams, IGSubordinator, SamplePath, simulate_path
+from .subordinators import IGParams, IGSubordinator, SamplePath, simulate_until
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -145,14 +145,8 @@ def sub_sample_path(params: IGParams, horizon: float, dt: float,
     """
     if horizon <= 0 or not 0 < dt <= horizon:
         raise DomainError("need horizon > 0 and 0 < dt <= horizon")
-    model = IGSubordinator(params)
-    g_horizon = max(2.0 * horizon * max(params.gamma / params.delta, 1.0), 4.0 * dt)
-    g_path = simulate_path(model, g_horizon, dt, rng)
-    while g_path.values[-1] <= horizon:
-        extension = simulate_path(model, g_horizon, dt, rng)
-        g_path = SamplePath(
-            np.concatenate([g_path.times, g_path.times[-1] + extension.times[1:]]),
-            np.concatenate([g_path.values, g_path.values[-1] + extension.values[1:]]))
+    chunk = max(2.0 * horizon * max(params.gamma / params.delta, 1.0), 4.0 * dt)
+    g_path = simulate_until(IGSubordinator(params), horizon, chunk, dt, rng)
     n_steps = int(round(horizon / dt))
     t_grid = dt * np.arange(n_steps + 1)
     h_path = invert_path(g_path, t_grid)

@@ -493,3 +493,18 @@ def simulate_path(model, horizon: float, dt: float, rng: np.random.Generator) ->
     increments = model.sample_increment(dt, rng, size=n_steps)
     values = np.concatenate([[0.0], np.cumsum(increments)])
     return SamplePath(times, values)
+
+
+def simulate_until(model, level: float, chunk: float, dt: float,
+                   rng: np.random.Generator) -> SamplePath:
+    """Grid path built from `simulate_path` pieces of length `chunk` until it exceeds `level`.
+
+    Each piece continues from the end of the last, so the result is one path
+    at step dt whose final value lies above `level`, as `invert_path` needs.
+    """
+    path = simulate_path(model, chunk, dt, rng)
+    while path.values[-1] <= level:
+        ext = simulate_path(model, chunk, dt, rng)
+        path = SamplePath(np.concatenate([path.times, path.times[-1] + ext.times[1:]]),
+                          np.concatenate([path.values, path.values[-1] + ext.values[1:]]))
+    return path

@@ -27,15 +27,13 @@ def params_205():
 @pytest.fixture(scope="session")
 def h1_samples_11(params_11):
     """10^5 grid samples of H(1) at delta=gamma=1, dt = 1/1024."""
-    return sample_hitting_times(1.0, 100_000, params_11, 1.0 / 1024, SEED_H11,
-                                batch_size=10_000)
+    return sample_hitting_times(1.0, 100_000, params_11, 1.0 / 1024, SEED_H11)
 
 
 @pytest.fixture(scope="session")
 def h1_samples_10(params_10):
     """2*10^5 grid samples of H(1) in the driftless case, dt = 1/2048."""
-    return sample_hitting_times(1.0, 200_000, params_10, 1.0 / 2048, SEED_H10,
-                                batch_size=10_000)
+    return sample_hitting_times(1.0, 200_000, params_10, 1.0 / 2048, SEED_H10)
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from ighit.hitting import (
     stable_hit_tail_report,
     tail_report,
 )
+from ighit.montecarlo import ks_critical_1pct
 from ighit.subordinators import (
     IGMarginal,
     IGParams,
@@ -47,6 +48,7 @@ from ighit.subordinators import (
     SamplePath,
     TemperedStableSubordinator,
     ig_levy_tail,
+    simulate_until,
 )
 
 
@@ -189,10 +191,15 @@ class TestDensityRoutes:
     lambda: hit_cdf(INF, 1.0, P11),
     lambda: hit_survival(np.array([0.5, NAN]), 1.0, P11),
     lambda: hit_survival(0.5, INF, P11),
+    lambda: sample_hitting_times(NAN, 5, P11, 1 / 64, 0),
+    lambda: sample_hitting_times(INF, 5, P11, 1 / 64, 0),
+    lambda: sample_hitting_times(1.0, 5, P11, NAN, 0),
+    lambda: sample_hitting_times(1.0, 5, P11, INF, 0),
 ], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
         "abs_tol_nan", "rel_tol_inf", "truncation_eps_nan", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
-        "survival_x_nan", "survival_t_inf"])
+        "survival_x_nan", "survival_t_inf", "sample_t_nan", "sample_t_inf", "sample_dt_nan",
+        "sample_dt_inf"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -438,13 +445,26 @@ class TestPathInversion:
         assert idx == 0 or values[idx - 1] <= t
 
     def test_sampler_matches_path_route(self, params_11):
-        # the batched sampler is the same construction as invert_path applied
-        # to a simulated path: both laws agree at grid resolution
-        hs = sample_hitting_times(1.0, 4000, params_11, 1 / 64, seed=33)
-        assert np.all(hs > 0)
-        assert np.all((hs / (1 / 64)) % 1 == 0)
-        # direct comparison of means against the closed form
-        assert abs(hs.mean() - hit_mean(1.0, params_11)) < 5.0 * hs.std() / 63.0
+        # invert_path over simulated paths of G and the running-maximum sampler
+        # both draw S = dt (floor(H/dt) + 1), whose law is exact on the grid:
+        # P(S <= k dt) = P(H(t) < k dt) = hit_cdf(k dt, t)
+        n, dt = 4000, 1 / 64
+        rng = np.random.default_rng(33)
+        model = IGSubordinator(params_11)
+        paths = np.array([invert_path(simulate_until(model, 1.0, 2.0, dt, rng), [1.0]).values[0]
+                          for _ in range(n)])
+        sampled = sample_hitting_times(1.0, n, params_11, dt, seed=33)
+        k = np.arange(1, 641)  # P(H(1) > 10) is below 1e-15
+        cdf = hit_cdf(k * dt, 1.0, params_11)
+        grid_mean = dt * (1.0 + np.sum(1.0 - cdf))
+        for draws in (paths, sampled):
+            steps = np.rint(draws / dt).astype(np.int64)
+            assert np.array_equal(steps * dt, draws)
+            assert steps.min() >= 1 and steps.max() <= k[-1]
+            # ties make ecdf_ks's left limits meaningless; compare at the atoms
+            ecdf = np.searchsorted(np.sort(steps), k, side="right") / n
+            assert np.max(np.abs(ecdf - cdf)) < ks_critical_1pct(n)
+            assert abs(draws.mean() - grid_mean) < 5.0 * draws.std() / math.sqrt(n)
 
 
 class TestStableHitting:

@@ -14,7 +14,7 @@ from ighit.subordinated import (
     sub_sample_path,
     sub_sample_values,
 )
-from ighit.subordinators import IGParams, IGSubordinator, SamplePath, simulate_path
+from ighit.subordinators import IGParams, IGSubordinator, simulate_until
 
 
 class TestDensity:
@@ -66,15 +66,8 @@ class TestPaths:
         x_path = sub_sample_path(params_11, 1.0, dt, np.random.default_rng(seed))
         # rebuild the driving subordinator path with the same stream to locate
         # the clock plateaus
-        rng = np.random.default_rng(seed)
-        model = IGSubordinator(params_11)
-        horizon = max(2.0, 4.0 * dt)
-        g_path = simulate_path(model, horizon, dt, rng)
-        while g_path.values[-1] <= 1.0:
-            ext = simulate_path(model, horizon, dt, rng)
-            g_path = SamplePath(
-                np.concatenate([g_path.times, g_path.times[-1] + ext.times[1:]]),
-                np.concatenate([g_path.values, g_path.values[-1] + ext.values[1:]]))
+        g_path = simulate_until(IGSubordinator(params_11), 1.0, max(2.0, 4.0 * dt), dt,
+                                np.random.default_rng(seed))
         h_path = invert_path(g_path, x_path.times)
         dh = np.diff(h_path.values)
         dx = np.diff(x_path.values)

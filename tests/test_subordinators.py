@@ -22,6 +22,7 @@ from ighit.subordinators import (
     ig_psi,
     ig_sample,
     simulate_path,
+    simulate_until,
     stable_cdf,
     stable_pdf,
     stable_sample,
@@ -361,6 +362,20 @@ class TestPaths:
         assert np.array_equal(parsed[:, 1], path.values)
         meta = json.loads(json_file.read_text())
         assert meta["seed"] == 15
+
+    def test_simulate_until_extends_past_level(self):
+        # at seed 1 the first 2-long piece of this tempered stable path stays
+        # below the level, so the path must be extended
+        model = TemperedStableSubordinator(0.5, 1.0)
+        dt = 1 / 100
+        first = simulate_path(model, 2.0, dt, np.random.default_rng(1))
+        assert first.values[-1] <= 2.0
+        path = simulate_until(model, 2.0, 2.0, dt, np.random.default_rng(1))
+        assert path.values[-1] > 2.0
+        assert path.times.size > first.times.size
+        assert np.array_equal(path.values[:first.values.size], first.values)
+        assert np.allclose(np.diff(path.times), dt, rtol=1e-9, atol=0)
+        assert path.is_nondecreasing
 
     def test_bad_grid_rejected(self):
         with pytest.raises(DomainError):
