@@ -352,6 +352,8 @@ def cmd_pde_check(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_verification(only=args.only, seed=args.seed)
+    for r in report.records:
+        print(f"{r.id}  {r.elapsed:.3f}", file=sys.stderr)
     out = args.out or "verification.json"
     report.to_json(out)
     for line in report.summary_lines():

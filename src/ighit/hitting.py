@@ -240,6 +240,7 @@ def hit_survival(x, t: float, params: IGParams):
 
 def hit_lt_time(x: float, s, params: IGParams):
     """Time-Laplace transform of h(x, .): (delta/s) Psi-part e^(-x Psi) closed form."""
+    _check_x(x)
     if x < 0:
         raise DomainError("x must be nonnegative")
     s_arr = np.asarray(s)
@@ -295,8 +296,7 @@ def hit_lt_space(mu: float, t: float, params: IGParams,
 
 def hit_mean(t: float, params: IGParams) -> float:
     """Mean of H(t) in closed form (driftless branch sqrt(2t/pi)/delta)."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     d, g = params.delta, params.gamma
     if g == 0.0:
         return math.sqrt(2.0 * t / math.pi) / d
@@ -372,8 +372,7 @@ def hit_moment(q: float, t: float, params: IGParams,
     """
     if q <= 0:
         raise DomainError("q must be positive")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     gamma_factor = math.gamma(1.0 + q)
 
     def transform(s):
@@ -402,8 +401,7 @@ def hit_mean_asymptote(t: float, params: IGParams, regime: str) -> float:
 
 def hit_boundary_value(t: float, params: IGParams, mode: str = "corrected") -> float:
     """h(0+, t); with the corrected prefactor this equals the Levy tail at t."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     base = ig_levy_tail(t, params)
     if mode == "corrected":
         return base
@@ -533,9 +531,9 @@ def stable_hit_pdf(x, t: float, beta: float,
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     x_arr = np.asarray(x, dtype=float)
+    _check_x(x_arr)
     scalar = x_arr.ndim == 0
     if np.any(x_arr <= 0):
         raise DomainError("x must be positive")

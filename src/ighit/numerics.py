@@ -230,50 +230,66 @@ def norm_cdf(z):
 # Incomplete gamma (upper), valid for real a including negative non-integers
 # ---------------------------------------------------------------------------
 
-def upper_gamma(a: float, x: float) -> float:
+def upper_gamma(a: float, x):
     """Upper incomplete gamma integral of t^(a-1) e^(-t) over (x, inf), x > 0.
 
-    Continued fraction for x >= max(1, a+1), series otherwise; handles the
-    a < 0 case needed for tempered-stable tail integrals.
+    Vectorised over x: a scalar x gives a float, an array gives an array of
+    its shape.  Continued fraction where x >= max(1, a+1), series elsewhere,
+    each run over all of its elements at once until every one has converged;
+    handles the a < 0 case needed for tempered-stable tail integrals.
     """
-    if x <= 0.0:
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x_arr)):
+        raise DomainError("upper_gamma requires finite x")
+    if np.any(x_arr <= 0.0):
         raise DomainError("upper_gamma requires x > 0")
-    if x >= max(1.0, a + 1.0):
-        return math.exp(-x + a * math.log(x)) * _gamma_cf(a, x)
-    return math.gamma(a) - _lower_gamma_series(a, x)
+    flat = x_arr.ravel()
+    out = np.empty_like(flat)
+    cf = flat >= max(1.0, a + 1.0)
+    if cf.any():
+        xc = flat[cf]
+        out[cf] = np.exp(-xc + a * np.log(xc)) * _gamma_cf(a, xc)
+    if not cf.all():
+        out[~cf] = math.gamma(a) - _lower_gamma_series(a, flat[~cf])
+    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
-def _gamma_cf(a: float, x: float, eps: float = 1e-15, max_iter: int = 400) -> float:
+def _gamma_cf(a: float, x: np.ndarray, eps: float = 1e-15,
+              max_iter: int = 400) -> np.ndarray:
+    # modified Lentz; each h freezes once its own delta is within eps of 1
     tiny = 1e-300
     b = x + 1.0 - a
-    c = 1.0 / tiny
+    c = np.full_like(b, 1.0 / tiny)
     d = 1.0 / b
-    h = d
+    h = d.copy()
+    done = np.zeros(b.shape, dtype=bool)
     for i in range(1, max_iter + 1):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < eps
+        if done.all():
             return h
     raise NonConvergence("continued fraction for upper_gamma did not converge")
 
 
-def _lower_gamma_series(a: float, x: float, eps: float = 1e-16, max_iter: int = 500) -> float:
-    term = 1.0 / a
-    total = term
+def _lower_gamma_series(a: float, x: np.ndarray, eps: float = 1e-16,
+                        max_iter: int = 500) -> np.ndarray:
+    term = np.full_like(x, 1.0 / a)
+    total = term.copy()
+    done = np.zeros(x.shape, dtype=bool)
     for n in range(1, max_iter + 1):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * eps:
-            return total * math.exp(-x + a * math.log(x))
+        term = term * (x / (a + n))
+        total = np.where(done, total, total + term)
+        done |= np.abs(term) < np.abs(total) * eps
+        if done.all():
+            return total * np.exp(-x + a * np.log(x))
     raise NonConvergence("series for lower incomplete gamma did not converge")
 
 

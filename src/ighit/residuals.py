@@ -150,10 +150,15 @@ def _norms(residual: np.ndarray, terms: list[np.ndarray]) -> dict:
             "max_rel": max_abs / scale if scale > 0 else math.inf}
 
 
+def _levels(run, box: GridBox, refine: int) -> list:
+    return [run(box.dx / 2 ** lev, box.dt / 2 ** lev) for lev in range(refine)]
+
+
 def _two_level(run, box: GridBox, refine: int, label: str, extra: dict) -> ResidualReport:
-    levels = []
-    for lev in range(refine):
-        levels.append(run(box.dx / 2 ** lev, box.dt / 2 ** lev))
+    return _report(_levels(run, box, refine), label, extra)
+
+
+def _report(levels: list, label: str, extra: dict) -> ResidualReport:
     coarse = levels[-2]
     fine = levels[-1]
     ratio = coarse["norms"]["max_abs"] / fine["norms"]["max_abs"] \
@@ -229,6 +234,9 @@ def residual_ig_pde(params: IGParams, box: GridBox,
     return _two_level(run, box, refine, "ig_pde", {"delta": d, "gamma": g})
 
 
+_TS_SIGNS = ("as_printed", "flipped")
+
+
 def residual_ts_pde(n: int, mu: float, box: GridBox,
                     spec: NumericSpec = DEFAULT_SPEC, *,
                     sign: str = "as_printed", perturb=None,
@@ -240,10 +248,19 @@ def residual_ts_pde(n: int, mu: float, box: GridBox,
     n = 3 are supported.  sign='flipped' negates the time-derivative side and
     exists as the negative control for the sign-convention check.
     """
+    if sign not in _TS_SIGNS:
+        raise DomainError("sign must be 'as_printed' or 'flipped'")
+    reports = _residual_ts_pde_signs(n, mu, box, spec, perturb=perturb, refine=refine)
+    return reports[_TS_SIGNS.index(sign)]
+
+
+def _residual_ts_pde_signs(n: int, mu: float, box: GridBox,
+                           spec: NumericSpec = DEFAULT_SPEC, *, perturb=None,
+                           refine: int = 2) -> tuple[ResidualReport, ResidualReport]:
+    """`residual_ts_pde` for both signs, in `_TS_SIGNS` order, from one
+    tabulation of the density per refinement level."""
     if n not in (2, 3):
         raise DomainError("n must be 2 or 3")
-    if sign not in ("as_printed", "flipped"):
-        raise DomainError("sign must be 'as_printed' or 'flipped'")
     beta = 1.0 / n
     model = TemperedStableSubordinator(beta, mu, spec)
     mx = 1 if n == 2 else 2
@@ -269,15 +286,14 @@ def residual_ts_pde(n: int, mu: float, box: GridBox,
             d3 = _trim(_d3(F, dx, 0), 0, 1)
             space = -d3 + 3.0 * mu ** (1.0 / 3.0) * d2 - 3.0 * mu ** (2.0 / 3.0) * d1
             terms = [d3, 3.0 * mu ** (1.0 / 3.0) * d2, 3.0 * mu ** (2.0 / 3.0) * d1, term_t]
-        if sign == "as_printed":
-            residual = space - term_t
-        else:
-            residual = space + term_t
-        return {"x": xs[mx:-mx], "t": ts[1:-1], "residual": residual,
-                "norms": _norms(residual, terms), "steps": (dx, dt)}
+        return tuple({"x": xs[mx:-mx], "t": ts[1:-1], "residual": residual,
+                      "norms": _norms(residual, terms), "steps": (dx, dt)}
+                     for residual in (space - term_t, space + term_t))
 
-    return _two_level(run, box, refine, f"ts_pde_n{n}",
-                      {"beta": beta, "mu": mu, "sign": sign})
+    levels = _levels(run, box, refine)
+    return tuple(_report([level[k] for level in levels], f"ts_pde_n{n}",
+                         {"beta": beta, "mu": mu, "sign": sign})
+                 for k, sign in enumerate(_TS_SIGNS))
 
 
 def residual_subordinated(params: IGParams, box: GridBox,

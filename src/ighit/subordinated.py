@@ -18,6 +18,8 @@ from .errors import DomainError
 from .numerics import DEFAULT_SPEC, NumericSpec, composite_gauss, integrate_interval
 from .hitting import (
     HittingDensityEval,
+    _check_t,
+    _check_x,
     density_support_cutoff,
     hit_pdf_table,
     invert_path,
@@ -45,8 +47,8 @@ def _v_cutoff(t: float, ev: SubordinatedEval) -> float:
 
 def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     """Density of X(t) at x; even in x, finite at x = 0."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_x(x)
+    _check_t(t)
     v_max = _v_cutoff(t, ev)
     hev = ev.hitting_eval()
     x2 = x * x
@@ -71,9 +73,9 @@ def sub_pdf_table(xs, t: float, ev: SubordinatedEval) -> np.ndarray:
     finite-difference stencils applied to the table see discretisation error
     rather than amplified point noise.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     xs = np.asarray(xs, dtype=float)
+    _check_x(xs)
     v_max = _v_cutoff(t, ev)
     edges = np.unique(np.concatenate([
         [0.0],

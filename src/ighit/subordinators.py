@@ -285,9 +285,8 @@ def ts_levy_tail(u, beta: float, mu: float):
         gam = 2.0 * (np.exp(-z) / sq - math.sqrt(math.pi) * erfc(sq))
         out = c * math.sqrt(mu) * gam
         return float(out) if scalar else out
-    flat = np.atleast_1d(u_arr)
-    vals = np.array([c * mu ** beta * upper_gamma(-beta, mu * ui) for ui in flat])
-    return float(vals[0]) if scalar else vals.reshape(u_arr.shape)
+    out = c * mu ** beta * upper_gamma(-beta, mu * u_arr)
+    return float(out) if scalar else out
 
 
 def ts_psi(s, beta: float, mu: float):

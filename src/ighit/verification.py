@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .hitting import (
 from .numerics import integrate_interval, integrate_semi_infinite
 from .residuals import (
     GridBox,
+    _residual_ts_pde_signs,
     residual_frac_hitting,
     residual_frac_ig,
     residual_hitting_pde,
@@ -70,6 +72,8 @@ class VerificationRecord:
     tolerance: float
     discrepancy: float
     values: dict = field(default_factory=dict)
+    # wall-clock seconds of the builder; kept out of to_dict so reports stay deterministic
+    elapsed: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {"id": self.id, "claim": self.claim, "verdict": self.verdict,
@@ -400,8 +404,7 @@ def _rec_pde_ts_n2() -> VerificationRecord:
 
 def _rec_pde_ts_n3_sign() -> VerificationRecord:
     box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
-    rep = residual_ts_pde(3, 1.0, box)
-    rep_flip = residual_ts_pde(3, 1.0, box, sign="flipped")
+    rep, rep_flip = _residual_ts_pde_signs(3, 1.0, box)
     ok = (3.0 <= rep.refinement_ratio <= 5.0
           and rep.norms["max_rel"] < 0.05
           and rep_flip.norms["max_rel"] > 10.0 * rep.norms["max_rel"])
@@ -506,11 +509,13 @@ def run_verification(only: str | None = None, seed: int = 20260808) -> Verificat
         rec_id = builder.__name__[5:]
         if only is not None and only.lower() not in rec_id.lower():
             continue
+        start = time.perf_counter()
         try:
-            records.append(builder())
+            record = builder()
         except (NonConvergence, NumericalInstability) as exc:
             # keep going: the report stays partial but is still written
-            records.append(VerificationRecord(
+            record = VerificationRecord(
                 rec_id, "oracle evaluation aborted", "failed", math.nan,
-                math.inf, {"error": f"{type(exc).__name__}: {exc}"}))
+                math.inf, {"error": f"{type(exc).__name__}: {exc}"})
+        records.append(replace(record, elapsed=time.perf_counter() - start))
     return VerificationReport(tuple(records), seed)

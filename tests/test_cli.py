@@ -191,3 +191,13 @@ class TestVerifyCommand:
         report = VerificationReport.from_json(tmp_path / "r.json")
         report.to_json(tmp_path / "r2.json")
         assert (tmp_path / "r2.json").read_bytes() == first
+
+    def test_record_times_on_stderr(self, tmp_path, capsys):
+        assert run_in(tmp_path, ["verify", "--only", "boundary"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert [line.split()[0] for line in lines] == ["boundary_value", "boundary_slope"]
+        assert all(float(line.split()[1]) >= 0.0 for line in lines)
+        # stdout keeps only the summary lines and the report path
+        assert len(captured.out.strip().split("\n")) == 3
+        assert "elapsed" not in (tmp_path / "verification.json").read_text()

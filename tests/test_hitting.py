@@ -195,11 +195,19 @@ class TestDensityRoutes:
     lambda: sample_hitting_times(INF, 5, P11, 1 / 64, 0),
     lambda: sample_hitting_times(1.0, 5, P11, NAN, 0),
     lambda: sample_hitting_times(1.0, 5, P11, INF, 0),
+    lambda: hit_mean(NAN, P11),
+    lambda: hit_mean(INF, P11),
+    lambda: hit_boundary_value(NAN, P11),
+    lambda: hit_moment(0.5, NAN, P11),
+    lambda: hit_lt_time(NAN, 1.0, P11),
+    lambda: stable_hit_pdf(1.0, NAN, 0.5),
+    lambda: stable_hit_pdf(np.array([1.0, NAN]), 1.0, 0.5),
 ], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
         "abs_tol_nan", "rel_tol_inf", "truncation_eps_nan", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
         "survival_x_nan", "survival_t_inf", "sample_t_nan", "sample_t_inf", "sample_dt_nan",
-        "sample_dt_inf"])
+        "sample_dt_inf", "mean_t_nan", "mean_t_inf", "boundary_t_nan", "moment_t_nan",
+        "lt_time_x_nan", "stable_hit_t_nan", "stable_hit_x_nan"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()

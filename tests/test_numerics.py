@@ -91,6 +91,41 @@ class TestIncompleteGammaAndBessel:
         with pytest.raises(DomainError):
             upper_gamma(-0.5, 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                                   np.array([0.5, math.nan]), np.array([2.0, math.inf])])
+    def test_upper_gamma_non_finite(self, x):
+        with pytest.raises(DomainError):
+            upper_gamma(-1.0 / 3.0, x)
+
+    @pytest.mark.parametrize("a", [-0.9, -1.0 / 3.0, 0.5, 2.5])
+    def test_upper_gamma_array_matches_scalar(self, a):
+        # both branches, the switch at max(1, a+1) and x = 1 itself
+        x = np.concatenate([np.geomspace(1e-8, 300.0, 61), [1.0, a + 1.0 if a > 0 else 1.0]])
+        out = upper_gamma(a, x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        expected = np.array([upper_gamma(a, float(xi)) for xi in x])
+        assert np.array_equal(out, expected)
+
+    def test_upper_gamma_shapes(self):
+        scalar = upper_gamma(-1.0 / 3.0, 0.7)
+        assert type(scalar) is float
+        assert type(upper_gamma(-1.0 / 3.0, np.float64(0.7))) is float
+        assert upper_gamma(-1.0 / 3.0, np.array(0.7)) == scalar
+        grid = np.array([[0.1, 0.7, 1.0], [2.0, 5.0, 40.0]])
+        out = upper_gamma(-1.0 / 3.0, grid)
+        assert out.shape == (2, 3)
+        assert out[0, 1] == scalar
+        assert np.array_equal(out.ravel(), upper_gamma(-1.0 / 3.0, grid.ravel()))
+
+    def test_upper_gamma_recurrence(self):
+        # Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x; at a = -1/3 the left side
+        # and the right side switch branches at different x
+        a = -1.0 / 3.0
+        x = np.concatenate([np.geomspace(1e-6, 50.0, 81), [1.0]])
+        lhs = upper_gamma(a + 1.0, x)
+        rhs = a * upper_gamma(a, x) + x ** a * np.exp(-x)
+        assert np.allclose(lhs, rhs, rtol=1e-13, atol=0.0)
+
     def test_bessel_k_half_integer_closed_forms(self):
         zs = np.array([0.05, 0.3, 1.0, 5.0, 50.0])
         k_half = np.sqrt(math.pi / 2.0 / zs) * np.exp(-zs)

@@ -17,10 +17,18 @@ from ighit.residuals import (
     residual_subordinated_frac,
     residual_ts_pde,
 )
+from ighit.verification import _rec_pde_ts_n3_sign
 
 
 def perturb(x, t, values):
     return values * (1.0 + 0.01 * x)
+
+
+@pytest.fixture(scope="module")
+def ts_n3_signs():
+    """The order-3 residual on the verify record's box, one call per sign."""
+    box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
+    return residual_ts_pde(3, 1.0, box), residual_ts_pde(3, 1.0, box, sign="flipped")
 
 
 class TestCaputo:
@@ -114,13 +122,20 @@ class TestSecondOrderResiduals:
         assert 3.5 <= rep.refinement_ratio <= 4.5
         assert rep.norms["max_rel"] < 5e-3
 
-    def test_ts_n3_sign_arbitration(self):
-        box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
-        printed = residual_ts_pde(3, 1.0, box)
-        flipped = residual_ts_pde(3, 1.0, box, sign="flipped")
+    def test_ts_n3_sign_arbitration(self, ts_n3_signs):
+        printed, flipped = ts_n3_signs
         assert 3.0 <= printed.refinement_ratio <= 5.0
         assert flipped.norms["max_rel"] > 10.0 * printed.norms["max_rel"]
         assert flipped.refinement_ratio < 1.5
+
+    def test_ts_n3_record_matches_separate_calls(self, ts_n3_signs):
+        # the verify record tabulates F once for both signs
+        printed, flipped = ts_n3_signs
+        assert printed.extra["sign"] == "as_printed" and flipped.extra["sign"] == "flipped"
+        assert _rec_pde_ts_n3_sign().values == {
+            "printed_max_rel": printed.norms["max_rel"],
+            "printed_ratio": printed.refinement_ratio,
+            "flipped_max_rel": flipped.norms["max_rel"]}
 
     def test_subordinated_fourth_order(self, params_11):
         rep = residual_subordinated(params_11, GridBox(0.3, 1.5, 0.5, 1.0, 1 / 24, 1 / 24))

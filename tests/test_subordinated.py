@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ighit.errors import DomainError
 from ighit.hitting import hit_mean, invert_path
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinated import (
@@ -25,6 +26,18 @@ class TestDensity:
         tab = sub_pdf_table(xs, 1.0, ev)
         assert tab[0] == pytest.approx(tab[3], rel=1e-12)
         assert tab[1] == pytest.approx(tab[2], rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda ev: sub_pdf(math.nan, 1.0, ev),
+        lambda ev: sub_pdf(math.inf, 1.0, ev),
+        lambda ev: sub_pdf(0.5, math.nan, ev),
+        lambda ev: sub_pdf(0.5, math.inf, ev),
+        lambda ev: sub_pdf_table(np.array([0.5, math.nan]), 1.0, ev),
+        lambda ev: sub_pdf_table(np.array([0.5, 1.0]), math.nan, ev),
+    ], ids=["pdf_x_nan", "pdf_x_inf", "pdf_t_nan", "pdf_t_inf", "table_x_nan", "table_t_nan"])
+    def test_non_finite_input_rejected(self, params_11, call):
+        with pytest.raises(DomainError):
+            call(SubordinatedEval(params_11))
 
     @pytest.mark.parametrize("delta,gamma", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
     @pytest.mark.parametrize("t", [0.5, 1.0])

@@ -283,6 +283,19 @@ class TestStableFamily:
             DEFAULT_SPEC)
         assert ts_levy_tail(0.5, beta, mu) == pytest.approx(quad, rel=1e-8)
 
+    def test_ts_levy_tail_array_matches_points(self):
+        # mu * u spans both upper_gamma branches
+        u = np.array([[1e-6, 0.01, 0.3], [0.9, 1.25, 1.3], [2.0, 7.5, 40.0]])
+        out = ts_levy_tail(u, 1.0 / 3.0, 0.8)
+        assert out.shape == u.shape
+        points = np.array([[ts_levy_tail(float(ui), 1.0 / 3.0, 0.8) for ui in row] for row in u])
+        assert np.array_equal(out, points)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, np.array([0.5, math.nan])])
+    def test_ts_levy_tail_non_finite(self, u):
+        with pytest.raises(DomainError):
+            ts_levy_tail(u, 1.0 / 3.0, 0.8)
+
 
 class TestSamplers:
     def test_stable_laplace_convention(self):
