@@ -40,6 +40,7 @@ from .subordinators import (
     stable_cdf,
     stable_pdf,
     stable_sample,
+    ts_half_ig_params,
     ts_levy_tail,
     ts_pdf,
     ts_psi,
@@ -52,6 +53,7 @@ from .hitting import (
     hit_boundary_value,
     hit_cdf,
     hit_lt_space,
+    hit_lt_space_closed,
     hit_lt_time,
     hit_llt,
     hit_mean,
@@ -59,6 +61,7 @@ from .hitting import (
     hit_moment,
     hit_moment_quadrature,
     hit_pdf_convolution,
+    hit_pdf_convolution_table,
     hit_pdf_integral,
     hit_pdf_table,
     hit_second_moment,

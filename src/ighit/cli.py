@@ -24,7 +24,7 @@ from .numerics import DEFAULT_SPEC, NumericSpec
 from .hitting import (
     HittingDensityEval,
     hit_cdf,
-    hit_lt_space,
+    hit_lt_space_closed,
     hit_lt_time,
     hit_llt,
     hit_mean,
@@ -218,15 +218,14 @@ def cmd_tail(args) -> int:
 
 def cmd_lt(args) -> int:
     params = _params_from(args)
-    spec = _spec_from(args)
     if args.which == "time":
         ss = args.s
         vals = [hit_lt_time(args.x, float(s), params) for s in ss]
         cols = {"s": ss, "lt_time": vals}
     elif args.which == "space":
         mus = args.mu
-        vals = [hit_lt_space(float(m), args.t, params, spec) for m in mus]
-        cols = {"mu": mus, "lt_space": vals}
+        vals = hit_lt_space_closed(np.asarray(mus, dtype=float), args.t, params)
+        cols = {"mu": mus, "lt_space": list(vals)}
     else:
         ss = args.s
         vals = [hit_llt(args.u, float(s), params) for s in ss]

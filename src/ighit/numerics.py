@@ -293,28 +293,35 @@ def _lower_gamma_series(a: float, x: np.ndarray, eps: float = 1e-16,
     raise NonConvergence("series for lower incomplete gamma did not converge")
 
 
+_BESSEL_CHUNK = 256
+
+
 def bessel_k(nu: float, z) -> np.ndarray:
     """Modified Bessel function K_nu(z) for z > 0 via the cosh integral.
 
     K_nu(z) = integral over tau in (0, inf) of e^(-z cosh tau) cosh(nu tau);
-    evaluated on a shared composite Gauss grid truncated where the integrand
-    falls below 1e-20 of its z-dependent scale.  Vectorised over z.
+    evaluated on a composite Gauss grid truncated where the integrand falls
+    below 1e-20 of its z-dependent scale.  Vectorised over z: up to 256 values
+    share one grid; larger arrays run in ascending chunks of 256, each with
+    the grid its own smallest z needs, so memory stays bounded.
     """
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
-    flat = np.atleast_1d(z_arr).astype(float)
+    flat = z_arr.ravel()
     if np.any(flat <= 0):
         raise DomainError("bessel_k requires z > 0")
     out = np.zeros_like(flat)
-    live = flat * 1.0 < 700.0
-    if live.any():
-        z_min = float(flat[live].min())
-        tau_max = math.acosh(1.0 + (50.0 + 5.0 * abs(nu)) / z_min)
+    live = np.flatnonzero(flat < 700.0)
+    if live.size > _BESSEL_CHUNK:
+        live = live[np.argsort(flat[live], kind="stable")]
+    for lo in range(0, live.size, _BESSEL_CHUNK):
+        idx = live[lo:lo + _BESSEL_CHUNK]
+        zs = flat[idx]
+        tau_max = math.acosh(1.0 + (50.0 + 5.0 * abs(nu)) / float(zs.min()))
         n_panels = max(24, int(8 * tau_max))
         pts, wts = composite_gauss(np.linspace(0.0, tau_max, n_panels + 1), 10)
-        ch = np.cosh(pts)
         kernel = np.cosh(nu * pts) * wts
-        out[live] = np.exp(-np.outer(flat[live], ch)) @ kernel
+        out[idx] = np.exp(-np.outer(zs, np.cosh(pts))) @ kernel
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
 

@@ -17,9 +17,20 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import DEFAULT_SPEC, NumericSpec, integrate_semi_infinite
-from .hitting import HittingDensityEval, hit_lt_time, hit_pdf_convolution, hit_pdf_table
+from .hitting import (
+    HittingDensityEval,
+    hit_lt_time,
+    hit_pdf_convolution_table,
+    hit_pdf_table,
+)
 from .subordinated import SubordinatedEval, sub_pdf_table
-from .subordinators import IGParams, TemperedStableSubordinator, ig_pdf, ig_psi
+from .subordinators import (
+    IGParams,
+    TemperedStableSubordinator,
+    ig_pdf,
+    ig_psi,
+    ts_half_ig_params,
+)
 
 
 @dataclass(frozen=True)
@@ -247,6 +258,13 @@ def residual_ts_pde(n: int, mu: float, box: GridBox,
     applied to the hitting density, equated to its time derivative.  n = 2 and
     n = 3 are supported.  sign='flipped' negates the time-derivative side and
     exists as the negative control for the sign-convention check.
+
+    The density is tabulated on the whole grid at once.  At n = 2 the
+    subordinator is the IG process of `ts_half_ig_params(mu)`, so its hitting
+    density is the closed form `hit_pdf_table`.  At n = 3 it is the Levy-tail
+    convolution `hit_pdf_convolution_table`, one fixed graded Gauss rule per t
+    shared by every x.  The scalar adaptive `hit_pdf_convolution` stays the
+    oracle of both.
     """
     if sign not in _TS_SIGNS:
         raise DomainError("sign must be 'as_printed' or 'flipped'")
@@ -262,16 +280,19 @@ def _residual_ts_pde_signs(n: int, mu: float, box: GridBox,
     if n not in (2, 3):
         raise DomainError("n must be 2 or 3")
     beta = 1.0 / n
-    model = TemperedStableSubordinator(beta, mu, spec)
     mx = 1 if n == 2 else 2
+    if n == 2:
+        ev = HittingDensityEval(ts_half_ig_params(mu), spec)
+    else:
+        model = TemperedStableSubordinator(beta, mu, spec)
 
     def run(dx, dt):
         xs = _grid(box.x0, box.x1, dx, mx)
         ts = _grid(box.t0, box.t1, dt, 1)
-        F = np.empty((xs.size, ts.size))
-        for i, x in enumerate(xs):
-            for j, t in enumerate(ts):
-                F[i, j] = hit_pdf_convolution(float(x), float(t), model, spec)
+        if n == 2:
+            F = hit_pdf_table(xs[:, None], ts[None, :], ev)
+        else:
+            F = hit_pdf_convolution_table(xs, ts, model)
         if perturb is not None:
             X, T = np.meshgrid(xs, ts, indexing="ij")
             F = perturb(X, T, F)

@@ -28,6 +28,14 @@ from .numerics import (
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _finite_positive(value, what: str) -> np.ndarray:
+    """`value` as a float array; DomainError unless every entry is finite and > 0."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise DomainError(f"{what} must be finite and positive")
+    return arr
+
+
 @dataclass(frozen=True)
 class IGParams:
     """Barrier slope delta and Brownian drift gamma of the inverse Gaussian process.
@@ -78,10 +86,8 @@ class IGMarginal:
 
 def ig_pdf(x, m: IGMarginal):
     """IG(a, b) density a x^(-3/2) exp(ab - (a^2/x + b^2 x)/2) / sqrt(2 pi)."""
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _finite_positive(x, "ig_pdf: x")
     scalar = x_arr.ndim == 0
-    if np.any(x_arr <= 0):
-        raise DomainError("ig_pdf requires x > 0")
     log_pdf = (math.log(m.a) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(x_arr)
                + m.a * m.b - 0.5 * (m.a ** 2 / x_arr + m.b ** 2 * x_arr))
     out = np.exp(log_pdf)
@@ -145,10 +151,8 @@ def ig_levy_tail(u, p: IGParams):
     evaluated as e^(-gamma^2 u/2) * (sqrt(2/(pi u)) - gamma erfcx(...)) so both
     factors stay bounded for large gamma^2 u.
     """
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _finite_positive(u, "ig_levy_tail: u")
     scalar = u_arr.ndim == 0
-    if np.any(u_arr <= 0):
-        raise DomainError("ig_levy_tail requires u > 0")
     g = p.gamma
     bracket = np.sqrt(2.0 / (math.pi * u_arr))
     if g > 0:
@@ -176,33 +180,36 @@ def ig_psi(s, p: IGParams):
 # transforms; Monte Carlo tests assert the convention.
 # ---------------------------------------------------------------------------
 
-def stable_pdf(u, t: float, beta: float, spec: NumericSpec = DEFAULT_SPEC):
+def stable_pdf(u, t, beta: float, spec: NumericSpec = DEFAULT_SPEC):
     """Density of the beta-stable subordinator D(t) at u.
 
     beta = 1/2 uses the closed form t u^(-3/2) e^(-t^2/(4u)) / (2 sqrt(pi));
-    beta = 1/3 the exact Bessel-K form.  Other beta invert e^(-t s^beta)
-    numerically: a deliberately low-accuracy route (roughly percent-level in
-    the bulk) whose instability detector raises rather than return garbage in
-    the steep left onset.  Note IG(a, 0) coincides with this density at
-    beta = 1/2 under t = a sqrt(2): both transforms equal e^(-a sqrt(2 s)).
+    beta = 1/3 the exact Bessel-K form.  At these two indices u and t
+    broadcast against each other.  Other beta take a scalar t and invert
+    e^(-t s^beta) numerically: a deliberately low-accuracy route (roughly
+    percent-level in the bulk) whose instability detector raises rather than
+    return garbage in the steep left onset.  Note IG(a, 0) coincides with this
+    density at beta = 1/2 under t = a sqrt(2): both transforms equal
+    e^(-a sqrt(2 s)).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
-    if t <= 0:
-        raise DomainError("t must be positive")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    if np.any(u_arr <= 0):
-        raise DomainError("stable_pdf requires u > 0")
+    t_arr = _finite_positive(t, "stable_pdf: t")
+    u_arr = _finite_positive(u, "stable_pdf: u")
+    # a scalar t stays a Python float, so scalar calls round as they always have
+    t = float(t_arr) if t_arr.ndim == 0 else t_arr
     if beta == 0.5:
         out = t / (2.0 * math.sqrt(math.pi)) * u_arr ** -1.5 * np.exp(-t * t / (4.0 * u_arr))
-        return float(out) if scalar else out
+        return float(out) if np.ndim(out) == 0 else out
     if beta == 1.0 / 3.0:
         # closed Bessel form: density of the unit 1/3-stable law at w is
         # (1/(3 pi)) w^(-3/2) K_(1/3)(2 / sqrt(27 w)); scaled by t^(1/beta)
         arg = 2.0 / math.sqrt(27.0) * t ** 1.5 / np.sqrt(u_arr)
         out = t ** 1.5 / (3.0 * math.pi) * u_arr ** -1.5 * bessel_k(1.0 / 3.0, arg)
-        return float(out) if scalar else out
+        return float(out) if np.ndim(out) == 0 else out
+    if t_arr.ndim != 0:
+        raise DomainError("stable_pdf broadcasts over t only at beta = 1/2 and 1/3")
+    scalar = u_arr.ndim == 0
     flat = np.atleast_1d(u_arr)
     # left tail decays like exp(-(1-beta)(w/beta)^(-beta/(1-beta))) in the
     # scaled variable w = u t^(-1/beta); below ~e^-30 of that bound the value
@@ -238,25 +245,25 @@ def stable_cdf(x, t: float, beta: float, spec: NumericSpec = DEFAULT_SPEC):
 
 def stable_levy_tail(u, beta: float):
     """Levy tail u^(-beta) / Gamma(1 - beta) of the stable subordinator."""
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _finite_positive(u, "stable_levy_tail: u")
     scalar = u_arr.ndim == 0
-    if np.any(u_arr <= 0):
-        raise DomainError("stable_levy_tail requires u > 0")
     out = u_arr ** (-beta) / math.gamma(1.0 - beta)
     return float(out) if scalar else out
 
 
-def ts_pdf(u, t: float, beta: float, mu: float, spec: NumericSpec = DEFAULT_SPEC):
-    """Tempered stable density e^(-mu u + mu^beta t) * stable density."""
+def ts_pdf(u, t, beta: float, mu: float, spec: NumericSpec = DEFAULT_SPEC):
+    """Tempered stable density e^(-mu u + mu^beta t) * stable density.
+
+    u and t broadcast against each other where `stable_pdf` allows it.
+    """
     if mu < 0:
         raise DomainError("mu must be nonnegative")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    if np.any(u_arr <= 0):
-        raise DomainError("ts_pdf requires u > 0")
+    u_arr = _finite_positive(u, "ts_pdf: u")
+    t_arr = _finite_positive(t, "ts_pdf: t")
+    t = float(t_arr) if t_arr.ndim == 0 else t_arr
     tilt = np.exp(-mu * u_arr + mu ** beta * t)
     out = tilt * stable_pdf(u_arr, t, beta, spec)
-    return float(out) if scalar else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def ts_levy_tail(u, beta: float, mu: float):
@@ -269,10 +276,8 @@ def ts_levy_tail(u, beta: float, mu: float):
         raise DomainError("beta must lie in (0, 1)")
     if mu < 0:
         raise DomainError("mu must be nonnegative")
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _finite_positive(u, "ts_levy_tail: u")
     scalar = u_arr.ndim == 0
-    if np.any(u_arr <= 0):
-        raise DomainError("ts_levy_tail requires u > 0")
     c = beta / math.gamma(1.0 - beta)
     if mu == 0.0:
         out = (c / beta) * u_arr ** (-beta)
@@ -294,6 +299,18 @@ def ts_psi(s, beta: float, mu: float):
     s_arr = np.asarray(s)
     out = (s_arr + mu) ** beta - mu ** beta
     return out.item() if np.ndim(s) == 0 else out
+
+
+def ts_half_ig_params(mu: float) -> IGParams:
+    """The IG process that is the tempered 1/2-stable subordinator at mu.
+
+    sqrt(s + mu) - sqrt(mu) = delta (sqrt(2 s + gamma^2) - gamma) at
+    delta = 1/sqrt(2), gamma = sqrt(2 mu): one Laplace exponent, so one law
+    and one hitting time.
+    """
+    if not (math.isfinite(mu) and mu >= 0):
+        raise DomainError("mu must be finite and nonnegative")
+    return IGParams(1.0 / math.sqrt(2.0), math.sqrt(2.0 * mu))
 
 
 def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):

@@ -21,13 +21,16 @@ from ighit.hitting import (
     hit_boundary_value,
     hit_cdf,
     hit_lt_space,
+    hit_lt_space_closed,
     hit_lt_time,
     hit_llt,
     hit_mean,
     hit_mean_asymptote,
     hit_moment,
     hit_moment_quadrature,
+    _convolution_column,
     hit_pdf_convolution,
+    hit_pdf_convolution_table,
     hit_pdf_integral,
     hit_pdf_table,
     hit_second_moment,
@@ -49,7 +52,9 @@ from ighit.subordinators import (
     TemperedStableSubordinator,
     ig_levy_tail,
     simulate_until,
+    ts_half_ig_params,
 )
+from ighit.residuals import GridBox, _grid
 
 
 def half_normal_pdf(x, t):
@@ -64,6 +69,8 @@ def assert_density_close(value, closed):
 P11 = IGParams(1.0, 1.0)
 EV11 = HittingDensityEval(P11)
 NAN, INF = math.nan, math.inf
+# the integral oracles at tolerances below the closed forms' rounding
+TIGHT = DEFAULT_SPEC.with_(abs_tol=1e-16, rel_tol=1e-14)
 
 
 class TestDensityRoutes:
@@ -202,15 +209,64 @@ class TestDensityRoutes:
     lambda: hit_lt_time(NAN, 1.0, P11),
     lambda: stable_hit_pdf(1.0, NAN, 0.5),
     lambda: stable_hit_pdf(np.array([1.0, NAN]), 1.0, 0.5),
+    lambda: hit_pdf_convolution(1.0, NAN, IGSubordinator(P11)),
+    lambda: hit_pdf_convolution(1.0, INF, TemperedStableSubordinator(1.0 / 3.0, 1.0)),
+    lambda: hit_lt_space(NAN, 1.0, P11),
+    lambda: hit_lt_space(2.0, INF, P11),
 ], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
         "abs_tol_nan", "rel_tol_inf", "truncation_eps_nan", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
         "survival_x_nan", "survival_t_inf", "sample_t_nan", "sample_t_inf", "sample_dt_nan",
         "sample_dt_inf", "mean_t_nan", "mean_t_inf", "boundary_t_nan", "moment_t_nan",
-        "lt_time_x_nan", "stable_hit_t_nan", "stable_hit_x_nan"])
+        "lt_time_x_nan", "stable_hit_t_nan", "stable_hit_x_nan", "convolution_t_nan",
+        "convolution_t_inf", "lt_space_mu_nan", "lt_space_t_inf"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+class TestTemperedStableTables:
+    """The two whole-grid routes of the tempered stable hitting density."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0])
+    def test_index_half_is_the_ig_closed_form(self, mu):
+        ev = HittingDensityEval(ts_half_ig_params(mu))
+        model = TemperedStableSubordinator(0.5, mu)
+        for x, t in ((0.3, 0.6), (0.8, 1.0), (1.6, 0.9), (0.5, 2.0)):
+            assert float(hit_pdf_table(x, t, ev)) == pytest.approx(
+                hit_pdf_convolution(x, t, model), rel=1e-8)
+
+    @staticmethod
+    def _levels():
+        # both refinement levels of the pde_ts_n3_sign record's grid
+        box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
+        for lev in range(2):
+            yield (_grid(box.x0, box.x1, box.dx / 2 ** lev, 2),
+                   _grid(box.t0, box.t1, box.dt / 2 ** lev, 1))
+
+    def test_index_third_grid_matches_adaptive_convolution(self):
+        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
+        rng = np.random.default_rng(5)
+        for xs, ts in self._levels():
+            table = hit_pdf_convolution_table(xs, ts, model)
+            for i, j in zip(rng.integers(xs.size, size=8), rng.integers(ts.size, size=8)):
+                assert table[i, j] == pytest.approx(
+                    hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
+
+    def test_index_third_grid_is_converged(self):
+        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
+        for xs, ts in self._levels():
+            table = hit_pdf_convolution_table(xs, ts, model)
+            doubled = np.stack([_convolution_column(xs, float(t), model, (20, 20, 12))
+                                for t in ts], axis=1)
+            assert np.max(np.abs(table - doubled) / doubled) <= 1e-10
+
+    def test_table_domain(self):
+        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
+        with pytest.raises(DomainError):
+            hit_pdf_convolution_table(np.array([0.5, NAN]), np.array([1.0]), model)
+        with pytest.raises(DomainError):
+            hit_pdf_convolution_table(np.array([0.5]), np.array([0.0]), model)
 
 
 class TestDistributionFunction:
@@ -293,6 +349,40 @@ class TestTransforms:
             hit_lt_space(1.0, 1.0, params_11)   # mu = delta * gamma diverges
         with pytest.raises(DomainError):
             hit_lt_space(0.5, 1.0, params_11)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.0])
+    def test_space_transform_closed_form_at_removable_point(self, offset, t):
+        # mu = 2 delta gamma, where the divided difference is 0/0
+        params = IGParams(1.0, 0.5)
+        mu = 1.0 + offset
+        assert hit_lt_space_closed(mu, t, params) == pytest.approx(
+            hit_lt_space(mu, t, params, TIGHT), rel=1e-12)
+
+    @pytest.mark.parametrize("delta,gamma,mu,t", [
+        (1.0, 0.0, 1.0, 1.0), (1.0, 0.5, 0.8, 1.0), (1.0, 0.5, 1.02, 2.0),
+        (2.0, 0.7, 3.0, 0.4), (0.5, 2.0, 2.0, 1.5), (1.0, 1.0, 5.0, 0.05),
+        (1.5, 0.3, 0.46, 4.0)])
+    def test_space_transform_closed_form_matches_integral(self, delta, gamma, mu, t):
+        params = IGParams(delta, gamma)
+        assert hit_lt_space_closed(mu, t, params) == pytest.approx(
+            hit_lt_space(mu, t, params, TIGHT), rel=1e-12)
+
+    def test_space_transform_closed_form_broadcasts(self):
+        params = IGParams(1.0, 0.5)
+        mus = np.array([[0.6], [1.0], [1.0 + 1e-9], [3.0]])
+        ts = np.array([0.2, 1.0, 2.5])
+        table = hit_lt_space_closed(mus, ts, params)
+        assert table.shape == (4, 3)
+        points = np.array([[hit_lt_space_closed(float(m), float(t), params) for t in ts]
+                           for m in mus[:, 0]])
+        assert np.array_equal(table, points)
+        assert isinstance(hit_lt_space_closed(1.0, 1.0, params), float)
+
+    def test_space_transform_closed_form_domain(self, params_11):
+        for mu, t in ((1.0, 1.0), (0.5, 1.0), (NAN, 1.0), (2.0, INF), (2.0, 0.0)):
+            with pytest.raises(DomainError):
+                hit_lt_space_closed(mu, t, params_11)
 
     def test_forward_lt_of_density_matches_closed_form(self, params_11):
         # numerically transforming the tabulated density over t recovers the

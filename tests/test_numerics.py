@@ -133,6 +133,21 @@ class TestIncompleteGammaAndBessel:
         k_3half = k_half * (1.0 + 1.0 / zs)
         assert np.allclose(bessel_k(1.5, zs), k_3half, rtol=1e-12)
 
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "unsorted"])
+    def test_bessel_k_chunks_match_pointwise(self, shuffle):
+        # 700 points run as three chunks of ascending z, each with its own grid
+        zs = np.geomspace(1e-3, 800.0, 700)
+        if shuffle:
+            zs = np.random.default_rng(3).permutation(zs)
+        out = bessel_k(1.0 / 3.0, zs)
+        points = np.array([bessel_k(1.0 / 3.0, float(z)) for z in zs])
+        assert np.allclose(out, points, rtol=1e-13, atol=0.0)
+        assert np.all(out[zs >= 700.0] == 0.0)
+        # the chunks depend on the values only, not on their order or shape
+        order = np.argsort(zs)
+        assert np.array_equal(out[order], bessel_k(1.0 / 3.0, zs[order]))
+        assert np.array_equal(bessel_k(1.0 / 3.0, zs.reshape(20, 35)), out.reshape(20, 35))
+
 
 class TestQuadrature:
     def test_exponential(self):

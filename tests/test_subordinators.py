@@ -24,6 +24,7 @@ from ighit.subordinators import (
     simulate_path,
     simulate_until,
     stable_cdf,
+    stable_levy_tail,
     stable_pdf,
     stable_sample,
     ts_levy_tail,
@@ -295,6 +296,49 @@ class TestStableFamily:
     def test_ts_levy_tail_non_finite(self, u):
         with pytest.raises(DomainError):
             ts_levy_tail(u, 1.0 / 3.0, 0.8)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0], ids=["half", "third"])
+    def test_densities_broadcast_over_time(self, beta):
+        # one call over (x, u) pairs, as the grid convolution makes it, with
+        # more than 256 pairs so bessel_k runs in chunks
+        us = np.geomspace(1e-3, 3.0, 40)
+        xs = np.linspace(0.25, 2.0, 8)
+        for fn in (lambda u, t: stable_pdf(u, t, beta),
+                   lambda u, t: ts_pdf(u, t, beta, 0.8)):
+            table = fn(us[None, :], xs[:, None])
+            assert table.shape == (xs.size, us.size)
+            rows = np.array([fn(us, float(x)) for x in xs])
+            assert np.allclose(table, rows, rtol=1e-13, atol=0.0)
+        assert ts_pdf(0.7, np.array([1.3]), beta, 0.8) == pytest.approx(
+            ts_pdf(0.7, 1.3, beta, 0.8), rel=1e-15)
+
+    def test_inverted_density_needs_scalar_time(self):
+        with pytest.raises(DomainError):
+            stable_pdf(0.5, np.array([1.0, 2.0]), 0.75)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ig_levy_tail(NAN, IGParams(1.0, 1.0)),
+    lambda: ig_levy_tail(np.array([0.5, math.inf]), IGParams(1.0, 1.0)),
+    lambda: ig_pdf(NAN, IGMarginal(1.0, 1.0)),
+    lambda: stable_levy_tail(NAN, 0.5),
+    lambda: ts_levy_tail(NAN, 0.5, 1.0),
+    lambda: ts_levy_tail(NAN, 1.0 / 3.0, 0.0),
+    lambda: ts_pdf(NAN, 1.0, 1.0 / 3.0, 1.0),
+    lambda: ts_pdf(1.0, NAN, 1.0 / 3.0, 1.0),
+    lambda: ts_pdf(1.0, np.array([1.0, math.inf]), 0.5, 1.0),
+    lambda: stable_pdf(NAN, 1.0, 1.0 / 3.0),
+    lambda: stable_pdf(1.0, NAN, 0.5),
+    lambda: stable_pdf(NAN, 1.0, 0.75),
+], ids=["ig_tail_u_nan", "ig_tail_u_inf", "ig_pdf_x_nan", "stable_tail_u_nan",
+        "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
+        "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestSamplers:

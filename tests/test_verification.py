@@ -50,3 +50,10 @@ class TestReportMechanics:
         rep = VerificationReport((rec,), seed=1)
         lines = list(rep.summary_lines())
         assert len(lines) == 1 and "confirmed" in lines[0]
+
+
+class TestRecordOracles:
+    def test_pde_ts_n2_checks_closed_form_against_convolution(self):
+        rec = run_verification(only="pde_ts_n2").records[0]
+        assert rec.verdict == "confirmed"
+        assert 0.0 <= rec.values["closed_vs_convolution_max_rel"] <= 1e-8
