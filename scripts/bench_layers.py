@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Layer microbenchmark: sampler and special-function throughput at fixed sizes.
+
+    python scripts/bench_layers.py [--src DIR]
+    python scripts/bench_layers.py --baseline ROOT --out BENCH_N.json
+
+The first form times each layer in LAYERS for the ighit under --src (default:
+this checkout's src/) and prints one JSON object: per layer its item count,
+the median and every one of REPEAT timed calls after one warm-up call, and
+items per second at the median.  The process uses one core and one BLAS
+thread, as bench/run.py does.
+
+The second form compares this checkout with another one at ROOT (for example
+a clone of the commit before a change).  For each of PAIRS pairs, with the
+order of the two sides alternating, it runs the first form for both
+checkouts in fresh interpreters, then `bench/run.py --workload W --seed
+101+pair --seconds S` in each checkout for every workload W and the run
+length S that BENCHMARK.json declares.  It writes one JSON file with the
+host's core count and Python and numpy versions, every layer timing, every
+benchmark run (its last standard-output line and its standard-error detail
+line), and per side the median and quartiles of each metric.  A comparison
+takes about 25 minutes on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5
+PAIRS = 10
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+# name, items per call, call(ig, np, rng, n)
+LAYERS = (
+    ("ts_sample_third_mu1", 1 << 20,
+     lambda ig, np, rng, n: ig.ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=n)),
+    ("stable_sample_half", 1 << 20,
+     lambda ig, np, rng, n: ig.stable_sample(1.0, 0.5, rng, size=n)),
+    ("stable_sample_third", 1 << 20,
+     lambda ig, np, rng, n: ig.stable_sample(1.0, 1.0 / 3.0, rng, size=n)),
+    ("stable_sample_0.7", 1 << 20,
+     lambda ig, np, rng, n: ig.stable_sample(1.0, 0.7, rng, size=n)),
+    ("sample_hitting_times", 10 ** 6,
+     lambda ig, np, rng, n: ig.sample_hitting_times(1.0, n, ig.IGParams(1.0, 1.0),
+                                                    1.0 / 1024.0, int(rng.integers(1 << 30)))),
+    ("erfcx", 10 ** 6,
+     lambda ig, np, rng, n: ig.erfcx(np.linspace(-5.0, 30.0, n))),
+    ("ig_cdf", 10 ** 6,
+     lambda ig, np, rng, n: ig.ig_cdf(np.linspace(1e-3, 10.0, n), ig.IGMarginal(1.0, 1.0))),
+)
+
+
+def one_core() -> None:
+    """Run this process, and the BLAS pools numpy starts, on a single core."""
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def time_layers(src: Path) -> dict:
+    one_core()
+    sys.path.insert(0, str(src))
+    import numpy as np
+    import ighit as ig
+    if not Path(ig.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"bench_layers: imported ighit from {ig.__file__}, not from {src}")
+
+    out = {}
+    for name, n, call in LAYERS:
+        rng = np.random.default_rng(2024)
+        call(ig, np, rng, n)
+        runs = []
+        for _ in range(REPEAT):
+            start = time.perf_counter()
+            call(ig, np, rng, n)
+            runs.append(time.perf_counter() - start)
+        median = statistics.median(runs)
+        out[name] = {"items": n, "median_s": median, "runs_s": runs, "per_s": n / median}
+    return out
+
+
+def host() -> dict:
+    import numpy as np
+    return {"cores": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def compare(baseline: Path) -> dict:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
+    sides = {"baseline": baseline.resolve(), "current": ROOT}
+    layers = {side: [] for side in sides}
+    runs = {w: {side: [] for side in sides} for w in workloads}
+    for pair in range(PAIRS):
+        order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
+        seed = 101 + pair
+        for side in order:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--src", str(sides[side] / "src")],
+                capture_output=True, text=True, check=True)
+            layers[side].append(json.loads(proc.stdout))
+        for workload in workloads:
+            for side in order:
+                proc = subprocess.run(
+                    [sys.executable, "bench/run.py", "--workload", workload,
+                     "--seed", str(seed), "--seconds", str(seconds)],
+                    cwd=sides[side], capture_output=True, text=True, check=True)
+                runs[workload][side].append({
+                    "seed": seed, "first": side == order[0],
+                    "result": json.loads(proc.stdout.strip().splitlines()[-1]),
+                    "detail": json.loads(proc.stderr.strip().splitlines()[-1])})
+                print(workload, seed, side,
+                      runs[workload][side][-1]["result"]["metrics"]["round_s"]["value"],
+                      file=sys.stderr)
+    summary = {}
+    for workload, by_side in runs.items():
+        metrics = by_side["baseline"][0]["result"]["metrics"]
+        summary[workload] = {name: {side: quartiles([r["result"]["metrics"][name]["value"]
+                                                     for r in by_side[side]])
+                                    for side in sides}
+                             for name in metrics}
+        summary[workload]["round_s_lower_pairs"] = sum(
+            c["result"]["metrics"]["round_s"]["value"] < b["result"]["metrics"]["round_s"]["value"]
+            for b, c in zip(by_side["baseline"], by_side["current"]))
+        summary[workload]["all_correct"] = all(
+            r["result"]["correct"] and r["result"]["failed"] == 0
+            for side in sides for r in by_side[side])
+    layer_summary = {side: {name: quartiles([run[name]["median_s"] for run in layers[side]])
+                            for name, _, _ in LAYERS}
+                     for side in sides}
+    return {"host": host(), "pairs": PAIRS, "seconds": seconds,
+            "layers": {"summary_s": layer_summary, "runs": layers},
+            "workloads": {"summary": summary, "runs": runs}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--baseline", type=Path)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.baseline is None:
+        print(json.dumps(time_layers(args.src)))
+        return 0
+    if args.out is None:
+        parser.error("--baseline needs --out")
+    report = compare(args.baseline)
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,6 +36,14 @@ def _finite_positive(value, what: str) -> np.ndarray:
     return arr
 
 
+def _finite_nonnegative(value, what: str) -> float:
+    """`value` as a float; DomainError unless it is finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{what} must be finite and nonnegative")
+    return value
+
+
 @dataclass(frozen=True)
 class IGParams:
     """Barrier slope delta and Brownian drift gamma of the inverse Gaussian process.
@@ -226,11 +234,17 @@ def stable_pdf(u, t, beta: float, spec: NumericSpec = DEFAULT_SPEC):
 
 
 def stable_cdf(x, t: float, beta: float, spec: NumericSpec = DEFAULT_SPEC):
-    """P(D(t) <= x); closed erfc form at beta = 1/2, quadrature otherwise."""
+    """P(D(t) <= x); closed erfc form at beta = 1/2, quadrature otherwise.
+
+    0 for x <= 0 and 1 at x = inf; NaN x raises DomainError.
+    """
+    _finite_positive(t, "stable_cdf: t")
     x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError("stable_cdf: x must not be NaN")
     scalar = x_arr.ndim == 0
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0
+    out = np.where(x_arr == math.inf, 1.0, 0.0)
+    pos = (x_arr > 0) & (x_arr < math.inf)
     if beta == 0.5:
         from .numerics import erfc
         out[pos] = erfc(t / (2.0 * np.sqrt(x_arr[pos])))
@@ -256,8 +270,7 @@ def ts_pdf(u, t, beta: float, mu: float, spec: NumericSpec = DEFAULT_SPEC):
 
     u and t broadcast against each other where `stable_pdf` allows it.
     """
-    if mu < 0:
-        raise DomainError("mu must be nonnegative")
+    mu = _finite_nonnegative(mu, "ts_pdf: mu")
     u_arr = _finite_positive(u, "ts_pdf: u")
     t_arr = _finite_positive(t, "ts_pdf: t")
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
@@ -274,8 +287,7 @@ def ts_levy_tail(u, beta: float, mu: float):
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
-    if mu < 0:
-        raise DomainError("mu must be nonnegative")
+    mu = _finite_nonnegative(mu, "ts_levy_tail: mu")
     u_arr = _finite_positive(u, "ts_levy_tail: u")
     scalar = u_arr.ndim == 0
     c = beta / math.gamma(1.0 - beta)
@@ -296,6 +308,7 @@ def ts_levy_tail(u, beta: float, mu: float):
 
 def ts_psi(s, beta: float, mu: float):
     """Laplace exponent (s + mu)^beta - mu^beta of the tempered stable process."""
+    mu = _finite_nonnegative(mu, "ts_psi: mu")
     s_arr = np.asarray(s)
     out = (s_arr + mu) ** beta - mu ** beta
     return out.item() if np.ndim(s) == 0 else out
@@ -308,8 +321,7 @@ def ts_half_ig_params(mu: float) -> IGParams:
     delta = 1/sqrt(2), gamma = sqrt(2 mu): one Laplace exponent, so one law
     and one hitting time.
     """
-    if not (math.isfinite(mu) and mu >= 0):
-        raise DomainError("mu must be finite and nonnegative")
+    mu = _finite_nonnegative(mu, "ts_half_ig_params: mu")
     return IGParams(1.0 / math.sqrt(2.0), math.sqrt(2.0 * mu))
 
 
@@ -319,18 +331,36 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     Kanter's representation: with U uniform on (0, pi) and E standard
     exponential, sin(beta U) sin((1-beta) U)^((1-beta)/beta) /
     (sin(U)^(1/beta) E^((1-beta)/beta)) has transform e^(-s^beta); the result
-    scales by t^(1/beta).
+    scales by t^(1/beta).  Two indices take closed forms of the U factor:
+
+    - beta = 1/3: sin(U/3) sin(2U/3)^2 / sin(U)^3 = 4c^2 / (4c^2 - 1)^3 with
+      c = cos(U/3), so a draw is t^3 4c^2 / ((4c^2 - 1)^3 E^2);
+    - beta = 1/2: sin(U/2)^2 / sin(U)^2 = 1 / (4 cos(U/2)^2), so a draw is
+      t^2 / (4 cos(U/2)^2 E).
+
+    Both are exact.  As U -> pi, 4c^2 - 1 -> 0 and its relative rounding error
+    grows like eps / (pi - U), but it is backward stable: the computed value
+    is the exact factor at a U within about an ulp of the drawn one, which is
+    as good as the general formula's sin(U) there.  Every index draws the same
+    U and E, in the same order.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _finite_positive(t, "stable_sample: t")
     shape = () if size is None else size
-    u = rng.uniform(0.0, math.pi, shape)
+    # pi * random() equals uniform(0, pi) value for value, and is drawn faster
+    u = math.pi * rng.random(shape)
     e = rng.standard_exponential(shape)
-    ratio = (1.0 - beta) / beta
-    s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
-         / (np.sin(u) ** (1.0 / beta) * e ** ratio))
+    if beta == 1.0 / 3.0:
+        q = 4.0 * np.cos(beta * u) ** 2
+        s = q / ((q - 1.0) ** 3 * (e * e))
+    elif beta == 0.5:
+        c = np.cos(beta * u)
+        s = 1.0 / (4.0 * c * c * e)
+    else:
+        ratio = (1.0 - beta) / beta
+        s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
+             / (np.sin(u) ** (1.0 / beta) * e ** ratio))
     out = t ** (1.0 / beta) * s
     return float(out) if size is None else out
 
@@ -340,20 +370,26 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
     """Tempered stable draws by exponential-tilting rejection.
 
     Stable proposals are accepted with probability e^(-mu x); the expected
-    trial count is e^(mu^beta t).  A loop exceeding trial_cap total passes
-    raises BudgetExceeded (mu^beta t too large for naive tilting).
+    trial count is e^(mu^beta t).  Each pass proposes as many draws as are
+    still missing and appends the accepted ones, so an array comes back in
+    order of acceptance; the draws are i.i.d., so the law is the same as for
+    any fixed order.  A loop exceeding trial_cap total passes raises
+    BudgetExceeded (mu^beta t too large for naive tilting).
     """
-    if mu < 0:
-        raise DomainError("mu must be nonnegative")
+    _finite_positive(t, "ts_sample: t")
+    mu = _finite_nonnegative(mu, "ts_sample: mu")
     n = 1 if size is None else int(np.prod(size))
     out = np.empty(n)
-    pending = np.arange(n)
+    filled = 0
     for _ in range(trial_cap):
-        draws = stable_sample(t, beta, rng, size=pending.size)
-        accept = rng.uniform(size=pending.size) <= np.exp(-mu * draws)
-        out[pending[accept]] = draws[accept]
-        pending = pending[~accept]
-        if pending.size == 0:
+        m = n - filled
+        draws = stable_sample(t, beta, rng, size=m)
+        # random(m) equals uniform(size=m) value for value
+        accept = rng.random(m) <= np.exp(-mu * draws)
+        k = np.count_nonzero(accept)
+        np.compress(accept, draws, out=out[filled:filled + k])
+        filled += k
+        if filled == n:
             if size is None:
                 return float(out[0])
             return out.reshape(size)
@@ -474,8 +510,7 @@ class TemperedStableSubordinator:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise DomainError("beta must lie in (0, 1)")
-        if self.mu < 0:
-            raise DomainError("mu must be nonnegative")
+        _finite_nonnegative(self.mu, "mu")
 
     @property
     def tail_exponent(self) -> float:

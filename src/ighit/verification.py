@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import NonConvergence, NumericalInstability
+from .errors import DomainError, NonConvergence, NumericalInstability
 from .numerics import DEFAULT_SPEC, erfcx, invert_laplace
 from .hitting import (
     HittingDensityEval,
@@ -521,10 +521,15 @@ def builder_ids() -> list:
 
 
 def run_verification(only: str | None = None, seed: int = 20260808) -> VerificationReport:
-    """Run the oracle battery; `only` filters record ids by substring."""
+    """Run the oracle battery; `only` filters record ids by substring.
+
+    An `only` that matches no id raises DomainError naming the valid ids.
+    """
+    ids = builder_ids()
+    if only is not None and not any(only.lower() in rec_id.lower() for rec_id in ids):
+        raise DomainError(f"{only!r} matches no record id; valid ids: {', '.join(ids)}")
     records = []
-    for builder in _BUILDERS:
-        rec_id = builder.__name__[5:]
+    for builder, rec_id in zip(_BUILDERS, ids):
         if only is not None and only.lower() not in rec_id.lower():
             continue
         start = time.perf_counter()

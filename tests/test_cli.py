@@ -183,6 +183,14 @@ class TestVerifyCommand:
         assert obj["records"][0]["id"] == "mean_m1"
         assert obj["records"][0]["verdict"] == "confirmed"
 
+    def test_unmatched_only_is_usage_error(self, tmp_path, capsys):
+        from ighit.verification import builder_ids
+        assert run_in(tmp_path, ["verify", "--only", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert all(rec_id in err for rec_id in builder_ids())
+        assert not (tmp_path / "verification.json").exists()
+
     def test_report_roundtrip_bytes(self, tmp_path):
         from ighit.verification import VerificationReport
         assert run_in(tmp_path, ["verify", "--only", "nonlevy",

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -333,12 +334,54 @@ NAN = math.nan
     lambda: stable_pdf(NAN, 1.0, 1.0 / 3.0),
     lambda: stable_pdf(1.0, NAN, 0.5),
     lambda: stable_pdf(NAN, 1.0, 0.75),
+    lambda: stable_sample(NAN, 1.0 / 3.0, np.random.default_rng(0), size=3),
+    lambda: stable_sample(math.inf, 1.0 / 3.0, np.random.default_rng(0), size=3),
+    lambda: ts_sample(1.0, 1.0 / 3.0, NAN, np.random.default_rng(0), size=3),
+    lambda: ts_sample(NAN, 1.0 / 3.0, 1.0, np.random.default_rng(0), size=3),
+    lambda: ts_sample(1.0, 1.0 / 3.0, math.inf, np.random.default_rng(0), size=3),
+    lambda: TemperedStableSubordinator(0.5, NAN),
+    lambda: TemperedStableSubordinator(0.5, math.inf),
+    lambda: ts_pdf(1.0, 1.0, 1.0 / 3.0, NAN),
+    lambda: ts_psi(1.0, 1.0 / 3.0, NAN),
+    lambda: ts_levy_tail(1.0, 1.0 / 3.0, NAN),
+    lambda: stable_cdf(NAN, 1.0, 0.5),
+    lambda: stable_cdf(1.0, NAN, 0.5),
 ], ids=["ig_tail_u_nan", "ig_tail_u_inf", "ig_pdf_x_nan", "stable_tail_u_nan",
         "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
-        "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan"])
+        "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan",
+        "stable_sample_t_nan", "stable_sample_t_inf", "ts_sample_mu_nan", "ts_sample_t_nan",
+        "ts_sample_mu_inf", "ts_model_mu_nan", "ts_model_mu_inf", "ts_pdf_mu_nan",
+        "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: stable_sample(math.inf, 0.5, rng, size=3),
+    lambda rng: ts_sample(NAN, 1.0 / 3.0, 1.0, rng, size=3),
+    lambda rng: ts_sample(1.0, 1.0 / 3.0, math.inf, rng, size=3),
+], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf"])
+def test_samplers_reject_before_drawing(draw):
+    rng = np.random.default_rng(10)
+    with pytest.raises(DomainError):
+        draw(rng)
+    assert rng.random() == np.random.default_rng(10).random()
+
+
+def _kanter(t, beta, u, e):
+    """The general Kanter formula on given uniforms u in (0, pi) and exponentials e."""
+    ratio = (1.0 - beta) / beta
+    return t ** (1.0 / beta) * (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
+                                / (np.sin(u) ** (1.0 / beta) * e ** ratio))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.7], ids=["half", "third", "inverted"])
+def test_stable_cdf_limits(beta):
+    # the quadrature routes integrate up to x, so x = inf must not reach them
+    assert stable_cdf(math.inf, 1.0, beta) == 1.0
+    assert np.array_equal(stable_cdf(np.array([-1.0, 0.0, math.inf]), 1.0, beta),
+                          [0.0, 0.0, 1.0])
 
 
 class TestSamplers:
@@ -363,6 +406,61 @@ class TestSamplers:
         target = math.exp(-(math.sqrt(2.0) - 1.0))
         assert abs(vals.mean() - target) < 4.0 * se
         assert target == pytest.approx(math.exp(-0.414214), abs=1e-6)
+
+    @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5, 0.7], ids=["third", "half", "general"])
+    def test_stable_closed_forms_match_kanter(self, beta):
+        # the same (U, E) from a cloned generator: the closed forms at 1/3
+        # and 1/2 draw the same random numbers, in the same order, as the
+        # general formula, and agree with it to rounding
+        rng = np.random.default_rng(20)
+        clone = copy.deepcopy(rng)
+        d = stable_sample(1.3, beta, rng, size=10 ** 6)
+        u = clone.uniform(0.0, math.pi, d.size)
+        general = _kanter(1.3, beta, u, clone.standard_exponential(d.size))
+        rel = np.abs(d / general - 1.0)
+        if beta == 1.0 / 3.0:
+            # 4c^2 - 1 loses relative accuracy like eps / (pi - u) near u = pi
+            assert np.all(rel <= 1e-13 * np.maximum(1.0, 1.0 / (math.pi - u)))
+        elif beta == 0.5:
+            assert np.all(rel <= 1e-14)
+        else:
+            assert np.array_equal(d, general)
+        assert rng.random() == clone.random()
+        one = stable_sample(1.3, beta, np.random.default_rng(20))
+        again = np.random.default_rng(20)
+        assert type(one) is float
+        assert one == pytest.approx(_kanter(1.3, beta, again.uniform(0.0, math.pi),
+                                            again.standard_exponential()), rel=1e-13)
+
+    @pytest.mark.parametrize("mu", [1.0, 0.0], ids=["tempered", "untempered"])
+    def test_ts_third_laplace_values(self, mu):
+        # the benchmark's case: e^(-t ((s + mu)^beta - mu^beta)) at t = 1
+        beta = 1.0 / 3.0
+        d = ts_sample(1.0, beta, mu, np.random.default_rng(22), size=2 * 10 ** 5)
+        for s in (0.5, 2.0):
+            vals = np.exp(-s * d)
+            se = vals.std() / math.sqrt(vals.size)
+            target = math.exp(-((s + mu) ** beta - mu ** beta))
+            assert abs(vals.mean() - target) < 4.0 * se
+
+    def test_ts_appends_in_order_of_acceptance(self):
+        # the first pass proposes every slot; its accepted draws lead the output
+        rng = np.random.default_rng(23)
+        clone = copy.deepcopy(rng)
+        d = ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=1000)
+        first = stable_sample(1.0, 1.0 / 3.0, clone, size=1000)
+        kept = first[clone.uniform(size=1000) <= np.exp(-first)]
+        assert 0 < kept.size < d.size
+        assert np.array_equal(d[:kept.size], kept)
+
+    def test_ts_sample_shapes(self):
+        rng = np.random.default_rng(24)
+        one = ts_sample(1.0, 1.0 / 3.0, 1.0, rng)
+        assert type(one) is float and one > 0
+        grid = ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=(3, 4))
+        assert grid.shape == (3, 4) and np.all(grid > 0)
+        empty = ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=0)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
     def test_ts_budget_exceeded(self):
         rng = np.random.default_rng(9)
