@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer microbenchmark: sampler and special-function throughput at fixed sizes.
+"""Layer microbenchmark: sampler, special-function, table and residual throughput at fixed sizes.
 
     python scripts/bench_layers.py [--src DIR]
     python scripts/bench_layers.py --baseline ROOT --out BENCH_N.json
@@ -57,6 +57,16 @@ LAYERS = (
      lambda ig, np, rng, n: ig.erfcx(np.linspace(-5.0, 30.0, n))),
     ("ig_cdf", 10 ** 6,
      lambda ig, np, rng, n: ig.ig_cdf(np.linspace(1e-3, 10.0, n), ig.IGMarginal(1.0, 1.0))),
+    ("hit_pdf_table", 256,
+     lambda ig, np, rng, n: ig.hit_pdf_table(np.linspace(0.0, 4.0, n), 1.0,
+                                             ig.HittingDensityEval(ig.IGParams(1.0, 1.0)))),
+    ("sub_pdf_table", 256,
+     lambda ig, np, rng, n: ig.sub_pdf_table(np.linspace(-4.0, 4.0, n), 1.0,
+                                             ig.SubordinatedEval(ig.IGParams(1.0, 1.0)))),
+    # the grid of the pde_frac_subordinated record of `ighit verify`: one residual
+    ("residual_subordinated_frac", 1,
+     lambda ig, np, rng, n: ig.residual_subordinated_frac(
+         ig.GridBox(0.25, 1.25, 0.3, 0.75, 1.0 / 128.0, 1.0 / 64.0))),
 )
 
 

@@ -435,19 +435,28 @@ def hit_variance(t: float, params: IGParams) -> float:
     return hit_second_moment(t, params) - hit_mean(t, params) ** 2
 
 
-def density_support_cutoff(t: float, params: IGParams, weight_power: float = 0.0,
-                           tail_tol: float = 1e-9) -> float:
-    """First x = max(1, 2 gamma t/delta) * 2^k with x^q * P(H(t) > x) < tail_tol.
+_DOUBLINGS = 2.0 ** np.arange(60)
 
-    Used to truncate quadratures of the density: the exact survival only picks
-    the truncation point, it never enters the integral value.
+
+def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
+                           tail_tol: float = 1e-9):
+    """First x = max(1, 2 gamma t/delta) * 2^k, k < 60, with x^q * P(H(t) > x) < tail_tol.
+
+    Broadcast over t: all 60 candidates of every t go through one
+    `_ig_cdf` call, the duality route of `hit_survival`.  Used to truncate
+    quadratures of the density: the exact survival only picks the truncation
+    point, it never enters the integral value.
     """
-    x = max(1.0, 2.0 * params.gamma * t / params.delta)
-    for _ in range(60):
-        if x ** weight_power * hit_survival(x, t, params) < tail_tol:
-            return x
-        x *= 2.0
-    raise NonConvergence("could not locate a density support cutoff")
+    _check_t(t)
+    t_arr = np.asarray(t, dtype=float)
+    x0 = np.maximum(1.0, 2.0 * params.gamma * t_arr / params.delta)
+    xs = x0[..., None] * _DOUBLINGS
+    tail = xs ** weight_power * _ig_cdf(t_arr[..., None], params.delta * xs, params.gamma)
+    below = tail < tail_tol
+    if not below.any(axis=-1).all():
+        raise NonConvergence("could not locate a density support cutoff")
+    cut = np.take_along_axis(xs, below.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return float(cut) if t_arr.ndim == 0 else cut
 
 
 def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval,

@@ -328,9 +328,7 @@ def residual_subordinated(params: IGParams, box: GridBox,
     def run(dx, dt):
         xs = _grid(box.x0, box.x1, dx, 2)
         ts = _grid(box.t0, box.t1, dt, 1)
-        F = np.empty((xs.size, ts.size))
-        for j, t in enumerate(ts):
-            F[:, j] = sub_pdf_table(xs, float(t), ev)
+        F = sub_pdf_table(xs, ts, ev)
         if perturb is not None:
             X, T = np.meshgrid(xs, ts, indexing="ij")
             F = perturb(X, T, F)
@@ -426,8 +424,7 @@ def residual_subordinated_frac(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *
         nt = int(round(box.t1 / dt))
         ts = dt * np.arange(nt + 1)
         F = np.zeros((xs.size, ts.size))
-        for j in range(1, ts.size):
-            F[:, j] = sub_pdf_table(xs, float(ts[j]), ev)
+        F[:, 1:] = sub_pdf_table(xs, ts[1:], ev)
         if perturb is not None:
             X, T = np.meshgrid(xs, ts, indexing="ij")
             F = perturb(X, T, F)

@@ -41,15 +41,16 @@ class SubordinatedEval:
         return HittingDensityEval(self.params, self.spec)
 
 
-def _v_cutoff(t: float, ev: SubordinatedEval) -> float:
-    return math.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
+def _v_cutoff(t, ev: SubordinatedEval):
+    """Upper end of the v-range of the mixture, broadcast over t."""
+    return np.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
 
 
 def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     """Density of X(t) at x; even in x, finite at x = 0."""
     _check_x(x)
     _check_t(t)
-    v_max = _v_cutoff(t, ev)
+    v_max = float(_v_cutoff(t, ev))
     hev = ev.hitting_eval()
     x2 = x * x
 
@@ -66,40 +67,52 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     return SQRT_2_OVER_PI * val
 
 
-def sub_pdf_table(xs, t: float, ev: SubordinatedEval) -> np.ndarray:
-    """Vectorised density on an array of x sharing one v-quadrature grid.
+def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
+    """Vectorised density on an array of x, broadcast over an array of t.
 
-    Shared nodes keep the tabulation error smooth in x, so high-order
-    finite-difference stencils applied to the table see discretisation error
-    rather than amplified point noise.
+    The result has shape xs.shape + t.shape.  Each t shares one v-quadrature
+    grid across x: shared nodes keep the tabulation error smooth in x, so
+    high-order finite-difference stencils applied to the table see
+    discretisation error rather than amplified point noise.  The v-rule and
+    the Gauss kernel e^(-x^2/2v^2) depend on t only through the cutoff
+    v_max(t), so times with one cutoff share one kernel, and each time adds a
+    single kernel-times-weights product per batch of x.
     """
     _check_t(t)
     xs = np.asarray(xs, dtype=float)
     _check_x(xs)
-    v_max = _v_cutoff(t, ev)
-    edges = np.unique(np.concatenate([
-        [0.0],
-        np.geomspace(v_max * 1e-4, v_max, 96),
-    ]))
-    pts, wts = composite_gauss(edges, 12)
-    h_vals = hit_pdf_table(pts * pts, t, ev.hitting_eval())
-    weights = wts * h_vals
-    out = np.empty_like(xs)
+    t_arr = np.asarray(t, dtype=float)
+    ts = t_arr.ravel()
+    v_maxes, rule_of = np.unique(_v_cutoff(ts, ev), return_inverse=True)
+    hev = ev.hitting_eval()
     flat = xs.ravel()
-    out_flat = out.ravel()
-    inv_2v2 = 1.0 / (2.0 * pts * pts)
+    out = np.empty((flat.size, ts.size))
     batch = 256
-    for start in range(0, flat.size, batch):
-        chunk = flat[start:start + batch]
-        gauss = np.exp(-np.outer(chunk * chunk, inv_2v2))
-        out_flat[start:start + batch] = gauss @ weights
-    out_flat *= SQRT_2_OVER_PI
-    return out
+    for k, v_max in enumerate(v_maxes):
+        cols = np.flatnonzero(rule_of == k)
+        edges = np.unique(np.concatenate([
+            [0.0],
+            np.geomspace(v_max * 1e-4, v_max, 96),
+        ]))
+        pts, wts = composite_gauss(edges, 12)
+        v2 = pts * pts
+        weights = [wts * hit_pdf_table(v2, ts[j], hev) for j in cols]
+        inv_2v2 = 1.0 / (2.0 * v2)
+        for start in range(0, flat.size, batch):
+            chunk = flat[start:start + batch]
+            gauss = np.outer(chunk * chunk, inv_2v2)
+            np.negative(gauss, out=gauss)
+            np.exp(gauss, out=gauss)
+            for j, w in zip(cols, weights):
+                out[start:start + batch, j] = gauss @ w
+            del gauss  # one kernel alive at a time keeps peak memory flat
+    out *= SQRT_2_OVER_PI
+    return out.reshape(xs.shape + t_arr.shape)
 
 
 def sub_mass_and_second_moment(t: float, ev: SubordinatedEval) -> tuple[float, float]:
     """(integral of u, integral of x^2 u) over the real line by x-quadrature."""
-    v_max = _v_cutoff(t, ev)
+    v_max = float(_v_cutoff(t, ev))
     x_max = 8.0 * v_max
 
     def mass_f(xs):
@@ -118,7 +131,7 @@ def sub_cdf_interpolant(t: float, ev: SubordinatedEval, x_max: float | None = No
                         n_grid: int = 4001):
     """Distribution function of X(t) as a callable built from a dense table."""
     if x_max is None:
-        x_max = 8.0 * _v_cutoff(t, ev)
+        x_max = 8.0 * float(_v_cutoff(t, ev))
     xs = np.linspace(0.0, x_max, n_grid)
     dens = sub_pdf_table(xs, t, ev)
     # cumulative composite Simpson on the uniform half-grid

@@ -44,6 +44,20 @@ def _finite_nonnegative(value, what: str) -> float:
     return value
 
 
+def _laplace_arg(s, lower: float, what: str) -> np.ndarray:
+    """`s` as an array; DomainError unless finite and, on the real axis, >= lower.
+
+    Complex s off the real axis passes: the fixed-Talbot contour evaluates
+    Laplace exponents there.
+    """
+    s_arr = np.asarray(s)
+    if not np.all(np.isfinite(s_arr)):
+        raise DomainError(f"{what}: s must be finite")
+    if np.any((s_arr.imag == 0) & (s_arr.real < lower)):
+        raise DomainError(f"{what}: real s must be >= {lower:g}")
+    return s_arr
+
+
 @dataclass(frozen=True)
 class IGParams:
     """Barrier slope delta and Brownian drift gamma of the inverse Gaussian process.
@@ -120,11 +134,13 @@ def _ig_cdf(x, a, b: float):
 
 
 def ig_cdf(x, m: IGMarginal):
-    """IG(a, b) distribution function, overflow-safe for large ab; 0 at x <= 0."""
+    """IG(a, b) distribution function, overflow-safe for large ab; 0 at x <= 0, 1 at x = inf."""
     x_arr = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x_arr)):
+        raise DomainError("ig_cdf: x must not be NaN")
     scalar = x_arr.ndim == 0
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0
+    out = np.where(x_arr == math.inf, 1.0, 0.0)
+    pos = (x_arr > 0) & (x_arr < math.inf)
     if pos.any():
         out[pos] = _ig_cdf(x_arr[pos], m.a, m.b)
     return float(out) if scalar else out
@@ -171,7 +187,7 @@ def ig_levy_tail(u, p: IGParams):
 
 def ig_psi(s, p: IGParams):
     """Laplace exponent delta (sqrt(gamma^2 + 2 s) - gamma) of the IG process."""
-    s_arr = np.asarray(s)
+    s_arr = _laplace_arg(s, -0.5 * p.gamma ** 2, "ig_psi")
     scalar = np.ndim(s) == 0
     out = p.delta * (np.sqrt(p.gamma ** 2 + 2.0 * s_arr) - p.gamma)
     if scalar:
@@ -309,7 +325,7 @@ def ts_levy_tail(u, beta: float, mu: float):
 def ts_psi(s, beta: float, mu: float):
     """Laplace exponent (s + mu)^beta - mu^beta of the tempered stable process."""
     mu = _finite_nonnegative(mu, "ts_psi: mu")
-    s_arr = np.asarray(s)
+    s_arr = _laplace_arg(s, -mu, "ts_psi")
     out = (s_arr + mu) ** beta - mu ** beta
     return out.item() if np.ndim(s) == 0 else out
 
@@ -482,7 +498,7 @@ class StableSubordinator:
         return self.beta
 
     def psi(self, s):
-        s_arr = np.asarray(s)
+        s_arr = _laplace_arg(s, 0.0, "stable psi")
         out = s_arr ** self.beta
         return out.item() if np.ndim(s) == 0 else out
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ighit.errors import DomainError
+from ighit.errors import DomainError, NonConvergence
 from ighit.numerics import (
     DEFAULT_SPEC,
+    LaplaceFunction,
     NumericSpec,
     erfcx,
     integrate_semi_infinite,
@@ -304,6 +305,17 @@ class TestTransforms:
             val = invert_laplace(lambda s: hit_lt_time(0.7, s, params_11), t)
             assert val == pytest.approx(hit_pdf_integral(0.7, t, ev), rel=1e-4)
 
+    def test_time_transform_talbot_cross_check(self, params_11):
+        # the fixed-Talbot contour evaluates Psi off the real axis
+        transform = LaplaceFunction(lambda s: hit_lt_time(0.7, s, params_11),
+                                    supports_complex=True)
+        talbot = DEFAULT_SPEC.with_(ilt_method="fixed_talbot", ilt_terms=24)
+        ev = HittingDensityEval(params_11)
+        for t in (0.5, 1.0, 2.0):
+            tb = invert_laplace(transform, t, talbot)
+            assert tb == pytest.approx(float(hit_pdf_table(0.7, t, ev)), rel=1e-11)
+            assert invert_laplace(transform, t) == pytest.approx(tb, rel=1e-4)
+
     def test_llt_total_mass_limit(self, params_11):
         # s * double-transform tends to 1 as the space variable vanishes
         for s in (0.5, 1.0, 2.0):
@@ -396,6 +408,47 @@ class TestTransforms:
             val = integrate_semi_infinite(f, DEFAULT_SPEC.with_(abs_tol=1e-11,
                                                                 rel_tol=1e-9))
             assert val == pytest.approx(hit_lt_time(x, s, params_11), abs=1e-5)
+
+
+def _cutoff_by_doubling(t, params, weight_power):
+    """The support cutoff as a scalar walk over hit_survival, one doubling at a time."""
+    x = max(1.0, 2.0 * params.gamma * t / params.delta)
+    while x ** weight_power * hit_survival(x, t, params) >= 1e-9:
+        x *= 2.0
+    return x
+
+
+class TestSupportCutoff:
+    @pytest.mark.parametrize("weight_power", [0.0, 2.7])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
+    def test_array_matches_scalar_calls(self, gamma, weight_power):
+        params = IGParams(1.0, gamma)
+        ts = np.geomspace(1e-3, 50.0, 200)
+        cut = density_support_cutoff(ts, params, weight_power=weight_power)
+        scalar = [density_support_cutoff(float(t), params, weight_power=weight_power)
+                  for t in ts]
+        assert all(isinstance(x, float) for x in scalar)
+        assert np.array_equal(cut, scalar)
+        walk = [_cutoff_by_doubling(float(t), params, weight_power) for t in ts[::20]]
+        assert np.array_equal(cut[::20], walk)
+
+    def test_shape_follows_t(self):
+        ts = np.array([[0.5, 1.0], [2.0, 4.0]])
+        cut = density_support_cutoff(ts, P11)
+        assert cut.shape == (2, 2)
+        assert cut[1, 0] == density_support_cutoff(2.0, P11)
+
+    def test_no_qualifying_candidate(self):
+        # no tail is negative, so no doubling can qualify
+        with pytest.raises(NonConvergence):
+            density_support_cutoff(1.0, P11, tail_tol=0.0)
+        with pytest.raises(NonConvergence):
+            density_support_cutoff(np.array([0.5, 1.0]), P11, tail_tol=0.0)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_t_rejected(self, bad):
+        with pytest.raises(DomainError):
+            density_support_cutoff(np.array([0.5, bad, 1.0]), P11)
 
 
 class TestMoments:

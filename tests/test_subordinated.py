@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ighit.errors import DomainError
-from ighit.hitting import hit_mean, invert_path
+from ighit.hitting import density_support_cutoff, hit_mean, hit_pdf_table, invert_path
+from ighit.numerics import composite_gauss
+from ighit.residuals import _grid
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinated import (
     SubordinatedEval,
@@ -16,6 +18,20 @@ from ighit.subordinated import (
     sub_sample_values,
 )
 from ighit.subordinators import IGParams, IGSubordinator, simulate_until
+
+
+def _table_at_one_time(xs, t, ev):
+    """The one-time tabulation as a loop over batches of x, kernel built afresh."""
+    v_max = math.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
+    edges = np.unique(np.concatenate([[0.0], np.geomspace(v_max * 1e-4, v_max, 96)]))
+    pts, wts = composite_gauss(edges, 12)
+    weights = wts * hit_pdf_table(pts * pts, t, ev.hitting_eval())
+    inv_2v2 = 1.0 / (2.0 * pts * pts)
+    out = np.empty_like(xs)
+    for start in range(0, xs.size, 256):
+        chunk = xs[start:start + 256]
+        out[start:start + 256] = np.exp(-np.outer(chunk * chunk, inv_2v2)) @ weights
+    return out * math.sqrt(2.0 / math.pi)
 
 
 class TestDensity:
@@ -61,6 +77,38 @@ class TestDensity:
         tab = sub_pdf_table(xs, 1.0, ev)
         scal = np.array([sub_pdf(float(x), 1.0, ev) for x in xs])
         assert np.max(np.abs(tab - scal)) < 1e-10
+
+    @pytest.mark.parametrize("gamma,xs,ts", [
+        # the finer grids of the pde_frac_subordinated and pde_subordinated records
+        (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128),
+        (1.0, _grid(0.3, 1.5, 1 / 48, 2), _grid(0.5, 1.0, 1 / 48, 1)),
+        # several batches of x, repeated times
+        (0.5, np.linspace(-6.0, 6.0, 600), np.array([2.0, 0.3, 1.0, 0.3])),
+    ], ids=["frac_box", "pde_box", "batches"])
+    def test_grid_columns_match_per_t_calls(self, gamma, xs, ts):
+        ev = SubordinatedEval(IGParams(1.0, gamma))
+        grid = sub_pdf_table(xs, ts, ev)
+        assert grid.shape == (xs.size, ts.size)
+        for j, t in enumerate(ts):
+            assert np.array_equal(grid[:, j], sub_pdf_table(xs, float(t), ev))
+            assert np.array_equal(grid[:, j], _table_at_one_time(xs, float(t), ev))
+
+    def test_grid_shape_and_scalar_oracle(self, params_11):
+        ev = SubordinatedEval(params_11)
+        xs = np.array([[0.0, 0.4], [1.1, 2.6]])
+        ts = np.array([0.5, 1.0, 1.7])
+        grid = sub_pdf_table(xs, ts, ev)
+        assert grid.shape == (2, 2, 3)
+        assert sub_pdf_table(xs, 1.0, ev).shape == (2, 2)
+        scal = np.array([[sub_pdf(float(x), float(t), ev) for t in ts] for x in xs.ravel()])
+        assert np.max(np.abs(grid.reshape(4, 3) - scal)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_grid_rejects_non_finite_t(self, params_11, bad):
+        with pytest.raises(DomainError):
+            sub_pdf_table(np.array([0.5, 1.0]), np.array([0.5, bad]),
+                          SubordinatedEval(params_11))
 
     def test_cdf_interpolant(self, params_11):
         cdf = sub_cdf_interpolant(1.0, SubordinatedEval(params_11))

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestIGDistribution:
         assert ig_cdf(0.0, m) == 0.0
         assert ig_cdf(-3.0, m) == 0.0
         assert ig_cdf(1e9, m) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cdf_infinite_limits(self):
+        m = IGMarginal(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ig_cdf(math.inf, m) == 1.0
+            assert ig_cdf(-math.inf, m) == 0.0
+            assert np.array_equal(ig_cdf(np.array([-math.inf, 0.0, math.inf]), m),
+                                  [0.0, 0.0, 1.0])
+        assert isinstance(ig_cdf(math.inf, m), float)
 
     def test_cdf_matches_quadrature(self):
         m = IGMarginal(2.0, 0.5)
@@ -127,6 +138,38 @@ class TestLevyTailAndExponent:
     def test_psi_basics(self):
         assert ig_psi(0.0, IGParams(1.0, 1.0)) == 0.0
         assert ig_psi(2.0, IGParams(1.0, 0.0)) == pytest.approx(2.0, rel=1e-14)
+
+    def test_psi_domain_edges(self):
+        # the branch points themselves are admitted: s = -gamma^2/2, -mu, 0
+        assert ig_psi(-0.5, IGParams(2.0, 1.0)) == -2.0
+        assert ts_psi(-1.0, 0.5, 1.0) == -1.0
+        assert StableSubordinator(0.5).psi(0.0) == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: ig_psi(-0.5 - 1e-9, IGParams(1.0, 1.0)),
+        lambda: ig_psi(np.array([1.0, -1e-12]), IGParams(1.0, 0.0)),
+        lambda: ts_psi(-2.0, 0.5, 1.0),
+        lambda: ts_psi(-1e-12, 1.0 / 3.0, 0.0),
+        lambda: StableSubordinator(0.5).psi(-1.0),
+        lambda: TemperedStableSubordinator(0.5, 1.0).psi(np.array([0.0, -1.5])),
+        lambda: IGSubordinator(IGParams(1.0, 1.0)).psi(complex(-1.0, 0.0)),
+    ], ids=["ig", "ig_driftless_array", "ts", "ts_untempered", "stable", "ts_model",
+            "ig_model_on_cut"])
+    def test_psi_rejects_real_s_below_domain(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_psi_on_talbot_contour_unchanged(self):
+        # the fixed-Talbot nodes: one on the positive real axis, the rest above it
+        m, t = 24, 0.7
+        r = 2.0 * m / (5.0 * t)
+        theta = np.arange(1, m) * math.pi / m
+        s = np.concatenate([[complex(r)], r * theta * (1.0 / np.tan(theta) + 1j)])
+        p = IGParams(1.0, 1.0)
+        assert np.array_equal(ig_psi(s, p), p.delta * (np.sqrt(p.gamma ** 2 + 2.0 * s) - p.gamma))
+        assert np.array_equal(ts_psi(s, 0.5, 1.0), (s + 1.0) ** 0.5 - 1.0)
+        assert np.array_equal(StableSubordinator(1.0 / 3.0).psi(s), s ** (1.0 / 3.0))
+        assert ig_psi(complex(0.3, -2.0), p) == p.delta * (np.sqrt(complex(1.6, -4.0)) - 1.0)
 
     def test_psi_increasing_and_concave(self):
         ss = np.linspace(0.0, 8.0, 200)
@@ -346,12 +389,24 @@ NAN = math.nan
     lambda: ts_levy_tail(1.0, 1.0 / 3.0, NAN),
     lambda: stable_cdf(NAN, 1.0, 0.5),
     lambda: stable_cdf(1.0, NAN, 0.5),
+    lambda: ig_cdf(NAN, IGMarginal(1.0, 1.0)),
+    lambda: ig_cdf(np.array([0.5, NAN, math.inf]), IGMarginal(1.0, 1.0)),
+    lambda: ig_psi(NAN, IGParams(1.0, 1.0)),
+    lambda: ig_psi(np.array([1.0, math.inf]), IGParams(1.0, 1.0)),
+    lambda: ig_psi(complex(NAN, 1.0), IGParams(1.0, 1.0)),
+    lambda: ts_psi(NAN, 0.5, 1.0),
+    lambda: ts_psi(-math.inf, 0.5, 1.0),
+    lambda: StableSubordinator(0.5).psi(NAN),
+    lambda: TemperedStableSubordinator(0.5, 1.0).psi(math.inf),
 ], ids=["ig_tail_u_nan", "ig_tail_u_inf", "ig_pdf_x_nan", "stable_tail_u_nan",
         "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
         "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan",
         "stable_sample_t_nan", "stable_sample_t_inf", "ts_sample_mu_nan", "ts_sample_t_nan",
         "ts_sample_mu_inf", "ts_model_mu_nan", "ts_model_mu_inf", "ts_pdf_mu_nan",
-        "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan"])
+        "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan",
+        "ig_cdf_x_nan", "ig_cdf_x_array_nan", "ig_psi_s_nan", "ig_psi_s_inf",
+        "ig_psi_s_complex_nan", "ts_psi_s_nan", "ts_psi_s_minus_inf", "stable_psi_s_nan",
+        "ts_model_psi_s_inf"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()

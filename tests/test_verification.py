@@ -57,3 +57,9 @@ class TestRecordOracles:
         rec = run_verification(only="pde_ts_n2").records[0]
         assert rec.verdict == "confirmed"
         assert 0.0 <= rec.values["closed_vs_convolution_max_rel"] <= 1e-8
+
+    def test_lt_time_inversion_record(self):
+        # Gaver-Stehfest on the real axis; checking the argument of Psi leaves it as it was
+        rec = run_verification(only="lt_time_inversion").records[0]
+        assert rec.verdict == "confirmed"
+        assert rec.discrepancy == pytest.approx(4.2937693936456866e-05, rel=1e-9)
