@@ -57,6 +57,12 @@ LAYERS = (
      lambda ig, np, rng, n: ig.erfcx(np.linspace(-5.0, 30.0, n))),
     ("ig_cdf", 10 ** 6,
      lambda ig, np, rng, n: ig.ig_cdf(np.linspace(1e-3, 10.0, n), ig.IGMarginal(1.0, 1.0))),
+    # the kernels of the index-1/3 tempered-stable Levy tail (upper_gamma: the
+    # series below x = 1, the continued fraction above) and stable density
+    ("upper_gamma_minus_third", 10 ** 4,
+     lambda ig, np, rng, n: ig.upper_gamma(-1.0 / 3.0, np.logspace(-3.0, 2.0, n))),
+    ("bessel_k_third", 10 ** 3,
+     lambda ig, np, rng, n: ig.bessel_k(1.0 / 3.0, np.logspace(-3.0, 2.0, n))),
     ("hit_pdf_table", 256,
      lambda ig, np, rng, n: ig.hit_pdf_table(np.linspace(0.0, 4.0, n), 1.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 1.0)))),

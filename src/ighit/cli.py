@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
-from .numerics import DEFAULT_SPEC, NumericSpec
 from .hitting import (
     HittingDensityEval,
     hit_cdf,
@@ -46,6 +44,7 @@ from .subordinators import (
     simulate_until,
 )
 from .residuals import (
+    PDE_BOXES,
     GridBox,
     residual_frac_hitting,
     residual_frac_ig,
@@ -58,13 +57,6 @@ from .residuals import (
 )
 from .tables import write_csv, write_json, write_svg_lines
 from .verification import run_verification
-
-SPEC_PROFILES = {
-    "default": DEFAULT_SPEC,
-    "fast": NumericSpec(abs_tol=1e-8, rel_tol=1e-6, max_subdivisions=1000),
-    "strict": NumericSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=16000),
-}
-
 
 def positive_float(text: str) -> float:
     try:
@@ -108,20 +100,6 @@ def float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
 
 
-def _spec_from(args) -> NumericSpec:
-    profile = os.environ.get("IGHIT_PROFILE", "default")
-    if profile not in SPEC_PROFILES:
-        raise DomainError(f"IGHIT_PROFILE must be one of {sorted(SPEC_PROFILES)}")
-    spec = SPEC_PROFILES[profile]
-    overrides = {}
-    for flag, name in (("abs_tol", "abs_tol"), ("rel_tol", "rel_tol"),
-                       ("ilt_terms", "ilt_terms"), ("ilt_method", "ilt_method")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    return spec.with_(**overrides) if overrides else spec
-
-
 def _params_from(args) -> IGParams:
     return IGParams(args.delta, args.gamma)
 
@@ -148,16 +126,11 @@ def _add_common(p, with_params=True):
                        help="drift of the underlying Brownian motion (>= 0)")
     p.add_argument("--out", help="output path (command-specific default)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--abs-tol", dest="abs_tol", type=positive_float, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=positive_float, default=None)
-    p.add_argument("--ilt-terms", dest="ilt_terms", type=int, default=None)
-    p.add_argument("--ilt-method", dest="ilt_method",
-                   choices=("gaver_stehfest", "fixed_talbot"), default=None)
 
 
 def cmd_density(args) -> int:
     params = _params_from(args)
-    ev = HittingDensityEval(params, _spec_from(args), prefactor_mode=args.mode)
+    ev = HittingDensityEval(params, prefactor_mode=args.mode)
     xs = args.x
     dens = hit_pdf_table(xs, args.t, ev)
     meta = {"command": "density", "delta": params.delta, "gamma": params.gamma,
@@ -178,7 +151,6 @@ def cmd_cdf(args) -> int:
 
 def cmd_moments(args) -> int:
     params = _params_from(args)
-    spec = _spec_from(args)
     rows_t, rows_q, rows_v, rows_m = [], [], [], []
     for t in args.t:
         for q in args.q:
@@ -187,7 +159,7 @@ def cmd_moments(args) -> int:
             elif q == 2.0:
                 value, method = hit_second_moment(t, params), "closed_form"
             else:
-                value, method = hit_moment(q, t, params, spec), "laplace_inversion"
+                value, method = hit_moment(q, t, params), "laplace_inversion"
             rows_t.append(t)
             rows_q.append(q)
             rows_v.append(value)
@@ -271,7 +243,7 @@ def cmd_paths(args) -> int:
 
 def cmd_subordinated(args) -> int:
     params = _params_from(args)
-    ev = SubordinatedEval(params, _spec_from(args))
+    ev = SubordinatedEval(params)
     xs = args.x
     dens = sub_pdf_table(xs, args.t, ev)
     meta = {"command": "subordinated", "delta": params.delta,
@@ -289,7 +261,7 @@ def cmd_subordinated(args) -> int:
 
 def cmd_stable(args) -> int:
     xs = args.x
-    dens = stable_hit_pdf(xs, args.t, args.beta, _spec_from(args))
+    dens = stable_hit_pdf(xs, args.t, args.beta)
     meta = {"command": "stable", "beta": args.beta, "t": args.t,
             "version": __version__}
     _emit_table(args, {"x": xs, "stable_hitting_density": dens}, meta,
@@ -302,44 +274,31 @@ def cmd_stable(args) -> int:
     return 0
 
 
-_PDE_DEFAULTS = {
-    "hitting": GridBox(0.4, 1.6, 0.5, 1.5, 1 / 32, 1 / 32),
-    "ig": GridBox(0.5, 2.5, 0.5, 1.5, 1 / 32, 1 / 32),
-    "ts2": GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16),
-    "ts3": GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8),
-    "subordinated": GridBox(0.3, 1.5, 0.5, 1.0, 1 / 24, 1 / 24),
-    "frac-hitting": GridBox(0.25, 1.5, 0.3, 1.0, 1 / 256, 1 / 64),
-    "frac-ig": GridBox(0.3, 1.5, 0.5, 1.0, 1 / 64, 1 / 256),
-    "frac-subordinated": GridBox(0.25, 1.25, 0.3, 0.75, 1 / 128, 1 / 64),
-}
-
-
 def cmd_pde_check(args) -> int:
     params = _params_from(args)
-    spec = _spec_from(args)
-    box = _PDE_DEFAULTS.get(args.pde)
+    box = PDE_BOXES.get(args.pde)
     if box is not None and args.dx is not None:
         box = GridBox(box.x0, box.x1, box.t0, box.t1, args.dx, args.dt or args.dx)
     refine = args.refine
     if args.pde == "hitting":
-        rep = residual_hitting_pde(params, box, spec, mode=args.mode, refine=refine)
+        rep = residual_hitting_pde(params, box, mode=args.mode, refine=refine)
     elif args.pde == "ig":
-        rep = residual_ig_pde(params, box, spec, refine=refine)
+        rep = residual_ig_pde(params, box, refine=refine)
     elif args.pde == "ts2":
-        rep = residual_ts_pde(2, args.mu, box, spec, refine=refine)
+        rep = residual_ts_pde(2, args.mu, box, refine=refine)
     elif args.pde == "ts3":
-        rep = residual_ts_pde(3, args.mu, box, spec, sign=args.sign, refine=refine)
+        rep = residual_ts_pde(3, args.mu, box, sign=args.sign, refine=refine)
     elif args.pde == "subordinated":
-        rep = residual_subordinated(params, box, spec, refine=refine)
+        rep = residual_subordinated(params, box, refine=refine)
     elif args.pde == "frac-hitting":
-        rep = residual_frac_hitting(box, spec, refine=refine)
+        rep = residual_frac_hitting(box, refine=refine)
     elif args.pde == "frac-ig":
-        rep = residual_frac_ig(box, spec, refine=refine)
+        rep = residual_frac_ig(box, refine=refine)
     elif args.pde == "frac-subordinated":
-        rep = residual_subordinated_frac(box, spec, refine=refine)
+        rep = residual_subordinated_frac(box, refine=refine)
     else:
         rep = residual_pseudo_lt(params, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
-                                 spec, source=args.source)
+                                 source=args.source)
     out = args.out or f"pde_{args.pde.replace('-', '_')}.json"
     rep.to_json(out)
     if args.residual_csv:
@@ -443,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pde-check", help="finite-difference residual of a "
                                           "differential identity")
     _add_common(p)
-    p.add_argument("--pde", choices=sorted(list(_PDE_DEFAULTS) + ["pseudo-lt"]),
+    p.add_argument("--pde", choices=sorted(list(PDE_BOXES) + ["pseudo-lt"]),
                    required=True)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--mu", type=nonneg_float, default=1.0)

@@ -291,25 +291,51 @@ def hit_survival(x, t: float, params: IGParams):
 # Transforms
 # ---------------------------------------------------------------------------
 
+def _zero_s(s_arr: np.ndarray, params: IGParams) -> np.ndarray:
+    """Mask of s = 0, where Psi(s)/s is 0/0 and takes its limit Psi'(0) = delta/gamma.
+
+    For gamma = 0 that limit is infinite, as is the time integral of the
+    density, so s = 0 raises DomainError.
+    """
+    at_zero = s_arr == 0
+    if params.gamma == 0 and at_zero.any():
+        raise DomainError("the time transform diverges at s = 0 when gamma = 0")
+    return at_zero
+
+
 def hit_lt_time(x: float, s, params: IGParams):
-    """Time-Laplace transform of h(x, .): (delta/s) Psi-part e^(-x Psi) closed form."""
+    """Time-Laplace transform of h(x, .): (Psi(s)/s) e^(-x Psi(s)) closed form.
+
+    At s = 0 it is the limit delta/gamma, the time integral of h(x, .).
+    """
     _check_x(x)
     if x < 0:
         raise DomainError("x must be nonnegative")
     s_arr = np.asarray(s)
     psi = ig_psi(s_arr, params)
-    out = (psi / s_arr) * np.exp(-x * psi)
+    at_zero = _zero_s(s_arr, params)
+    with np.errstate(invalid="ignore"):
+        out = (psi / s_arr) * np.exp(-x * psi)
+    if at_zero.any():
+        out = np.where(at_zero, params.delta / params.gamma, out)
     return out.item() if np.ndim(s) == 0 else out
 
 
 def hit_llt(u, s, params: IGParams):
-    """Double (space, time) Laplace transform of the density."""
+    """Double (space, time) Laplace transform of the density.
+
+    At s = 0 it is the limit (delta/gamma)/u.
+    """
     s_arr = np.asarray(s, dtype=float)
     u_arr = np.asarray(u, dtype=float)
     psi = ig_psi(s_arr, params)
     if np.any(u_arr + psi <= 0):
         raise DomainError("hit_llt requires u > -Psi(s)")
-    out = psi / (s_arr * (u_arr + psi))
+    at_zero = _zero_s(s_arr, params)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = psi / (s_arr * (u_arr + psi))
+        if at_zero.any():
+            out = np.where(at_zero, params.delta / params.gamma / u_arr, out)
     return out.item() if (np.ndim(u) == 0 and np.ndim(s) == 0) else out
 
 

@@ -51,6 +51,20 @@ class GridBox:
             raise DomainError("steps must be positive")
 
 
+# Default box of each residual check, keyed by its `ighit pde-check --pde`
+# name; the `ighit verify` records check the same boxes.
+PDE_BOXES = {
+    "hitting": GridBox(0.4, 1.6, 0.5, 1.5, 1 / 32, 1 / 32),
+    "ig": GridBox(0.5, 2.5, 0.5, 1.5, 1 / 32, 1 / 32),
+    "ts2": GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16),
+    "ts3": GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8),
+    "subordinated": GridBox(0.3, 1.5, 0.5, 1.0, 1 / 24, 1 / 24),
+    "frac-hitting": GridBox(0.25, 1.5, 0.3, 1.0, 1 / 256, 1 / 64),
+    "frac-ig": GridBox(0.3, 1.5, 0.5, 1.0, 1 / 64, 1 / 256),
+    "frac-subordinated": GridBox(0.25, 1.25, 0.3, 0.75, 1 / 128, 1 / 64),
+}
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Pointwise residuals at the finest resolution plus refinement behaviour."""
@@ -190,13 +204,12 @@ def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:
 # Second-order PDE residuals
 # ---------------------------------------------------------------------------
 
-def residual_hitting_pde(params: IGParams, box: GridBox,
-                         spec: NumericSpec = DEFAULT_SPEC, *,
+def residual_hitting_pde(params: IGParams, box: GridBox, *,
                          mode: str = "corrected", perturb=None,
                          refine: int = 2) -> ResidualReport:
     """Interior residual of h_xx - 2 delta gamma h_x - 2 delta^2 h_t on the
     tabulated hitting density."""
-    ev = HittingDensityEval(params, spec, prefactor_mode=mode)
+    ev = HittingDensityEval(params, prefactor_mode=mode)
     d, g = params.delta, params.gamma
 
     def run(dx, dt):
@@ -218,8 +231,7 @@ def residual_hitting_pde(params: IGParams, box: GridBox,
                       {"delta": d, "gamma": g, "mode": mode})
 
 
-def residual_ig_pde(params: IGParams, box: GridBox,
-                    spec: NumericSpec = DEFAULT_SPEC, *,
+def residual_ig_pde(params: IGParams, box: GridBox, *,
                     perturb=None, refine: int = 2) -> ResidualReport:
     """Interior residual of g_tt - 2 delta gamma g_t - 2 delta^2 g_x on the
     subordinator density g(x, t) = IG(delta t, gamma) pdf at x."""
@@ -248,8 +260,7 @@ def residual_ig_pde(params: IGParams, box: GridBox,
 _TS_SIGNS = ("as_printed", "flipped")
 
 
-def residual_ts_pde(n: int, mu: float, box: GridBox,
-                    spec: NumericSpec = DEFAULT_SPEC, *,
+def residual_ts_pde(n: int, mu: float, box: GridBox, *,
                     sign: str = "as_printed", perturb=None,
                     refine: int = 2) -> ResidualReport:
     """Residual of the order-n hitting PDE of the tempered stable subordinator.
@@ -268,12 +279,11 @@ def residual_ts_pde(n: int, mu: float, box: GridBox,
     """
     if sign not in _TS_SIGNS:
         raise DomainError("sign must be 'as_printed' or 'flipped'")
-    reports = _residual_ts_pde_signs(n, mu, box, spec, perturb=perturb, refine=refine)
+    reports = _residual_ts_pde_signs(n, mu, box, perturb=perturb, refine=refine)
     return reports[_TS_SIGNS.index(sign)]
 
 
-def _residual_ts_pde_signs(n: int, mu: float, box: GridBox,
-                           spec: NumericSpec = DEFAULT_SPEC, *, perturb=None,
+def _residual_ts_pde_signs(n: int, mu: float, box: GridBox, *, perturb=None,
                            refine: int = 2) -> tuple[ResidualReport, ResidualReport]:
     """`residual_ts_pde` for both signs, in `_TS_SIGNS` order, from one
     tabulation of the density per refinement level."""
@@ -282,9 +292,9 @@ def _residual_ts_pde_signs(n: int, mu: float, box: GridBox,
     beta = 1.0 / n
     mx = 1 if n == 2 else 2
     if n == 2:
-        ev = HittingDensityEval(ts_half_ig_params(mu), spec)
+        ev = HittingDensityEval(ts_half_ig_params(mu))
     else:
-        model = TemperedStableSubordinator(beta, mu, spec)
+        model = TemperedStableSubordinator(beta, mu)
 
     def run(dx, dt):
         xs = _grid(box.x0, box.x1, dx, mx)
@@ -317,12 +327,11 @@ def _residual_ts_pde_signs(n: int, mu: float, box: GridBox,
                  for k, sign in enumerate(_TS_SIGNS))
 
 
-def residual_subordinated(params: IGParams, box: GridBox,
-                          spec: NumericSpec = DEFAULT_SPEC, *,
+def residual_subordinated(params: IGParams, box: GridBox, *,
                           perturb=None, refine: int = 2) -> ResidualReport:
     """Residual of 2 delta^2 u_t = (1/4) u_xxxx + delta gamma u_xx on the
     subordinated density, interior to x != 0, t > 0."""
-    ev = SubordinatedEval(params, spec)
+    ev = SubordinatedEval(params)
     d, g = params.delta, params.gamma
 
     def run(dx, dt):
@@ -347,16 +356,15 @@ def residual_subordinated(params: IGParams, box: GridBox,
 # Fractional residuals (L1 Caputo); time (or space) grids start at 0
 # ---------------------------------------------------------------------------
 
-def residual_frac_hitting(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *,
-                          perturb=None, refine: int = 2) -> ResidualReport:
+def residual_frac_hitting(box: GridBox, *, perturb=None,
+                          refine: int = 2) -> ResidualReport:
     """Residual of h_x + sqrt(2) * caputo_t^(1/2) h = 0 for the driftless
     unit-slope hitting density (h(x, 0) = 0 on x > 0 kills the source term).
 
     Refinement halves the time step only; the spatial step is fixed small so
     the L1 order is what the fit sees.
     """
-    params = IGParams(1.0, 0.0)
-    ev = HittingDensityEval(params, spec)
+    ev = HittingDensityEval(IGParams(1.0, 0.0))
 
     def run(_dx, dt):
         dx = box.dx
@@ -379,8 +387,8 @@ def residual_frac_hitting(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *,
     return _two_level(run, box, refine, "frac_hitting", {"alpha": 0.5})
 
 
-def residual_frac_ig(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *,
-                     perturb=None, refine: int = 2) -> ResidualReport:
+def residual_frac_ig(box: GridBox, *, perturb=None,
+                     refine: int = 2) -> ResidualReport:
     """Residual of g_t + sqrt(2) * caputo_x^(1/2) g = 0 for the driftless
     unit-slope subordinator density (g(0, t) = 0).
 
@@ -411,12 +419,11 @@ def residual_frac_ig(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *,
     return _two_level(run, box, refine, "frac_ig", {"alpha": 0.5})
 
 
-def residual_subordinated_frac(box: GridBox, spec: NumericSpec = DEFAULT_SPEC, *,
-                               perturb=None, refine: int = 2) -> ResidualReport:
+def residual_subordinated_frac(box: GridBox, *, perturb=None,
+                               refine: int = 2) -> ResidualReport:
     """Residual of sqrt(2) caputo_t^(1/2) u = (1/2) u_xx for the driftless
     unit-slope subordinated density, interior to |x| >= box.x0 > 0."""
-    params = IGParams(1.0, 0.0)
-    ev = SubordinatedEval(params, spec)
+    ev = SubordinatedEval(IGParams(1.0, 0.0))
 
     def run(_dx, dt):
         dx = box.dx

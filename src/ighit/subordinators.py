@@ -475,9 +475,6 @@ class IGSubordinator:
     def marginal_pdf(self, u, x: float):
         return ig_pdf(u, self.params.marginal(x))
 
-    def marginal_cdf(self, u, x: float):
-        return ig_cdf(u, self.params.marginal(x))
-
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
         return ig_sample(self.params.marginal(dt), rng, size)
 
@@ -507,9 +504,6 @@ class StableSubordinator:
 
     def marginal_pdf(self, u, x: float):
         return stable_pdf(u, x, self.beta, self.spec)
-
-    def marginal_cdf(self, u, x: float):
-        return stable_cdf(u, x, self.beta, self.spec)
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
         return stable_sample(dt, self.beta, rng, size)

@@ -47,7 +47,7 @@ from .hitting import (
 )
 from .numerics import integrate_interval, integrate_semi_infinite
 from .residuals import (
-    GridBox,
+    PDE_BOXES,
     _residual_ts_pde_signs,
     residual_frac_hitting,
     residual_frac_ig,
@@ -385,7 +385,7 @@ def _pde_record(rec_id, claim, report, ratio_window=(3.2, 4.8), rel_limit=2e-3,
 
 
 def _rec_pde_hitting() -> VerificationRecord:
-    box = GridBox(0.4, 1.6, 0.5, 1.5, 1 / 32, 1 / 32)
+    box = PDE_BOXES["hitting"]
     rep = residual_hitting_pde(P11, box)
     rep_lit = residual_hitting_pde(P11, box, mode="literal", refine=2)
     return _pde_record(
@@ -397,14 +397,14 @@ def _rec_pde_hitting() -> VerificationRecord:
 
 
 def _rec_pde_ig() -> VerificationRecord:
-    rep = residual_ig_pde(P11, GridBox(0.5, 2.5, 0.5, 1.5, 1 / 32, 1 / 32))
+    rep = residual_ig_pde(P11, PDE_BOXES["ig"])
     return _pde_record("pde_ig", "dual second-order time PDE of the "
                        "subordinator density", rep)
 
 
 def _rec_pde_ts_n2() -> VerificationRecord:
     mu = 1.0
-    box = GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16)
+    box = PDE_BOXES["ts2"]
     rep = residual_ts_pde(2, mu, box)
     # the residual tabulates the IG closed form; the Levy-tail convolution of
     # the tempered stable model checks it at the box's corners and centre
@@ -421,8 +421,7 @@ def _rec_pde_ts_n2() -> VerificationRecord:
 
 
 def _rec_pde_ts_n3_sign() -> VerificationRecord:
-    box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
-    rep, rep_flip = _residual_ts_pde_signs(3, 1.0, box)
+    rep, rep_flip = _residual_ts_pde_signs(3, 1.0, PDE_BOXES["ts3"])
     ok = (3.0 <= rep.refinement_ratio <= 5.0
           and rep.norms["max_rel"] < 0.05
           and rep_flip.norms["max_rel"] > 10.0 * rep.norms["max_rel"])
@@ -461,28 +460,28 @@ def _frac_record(rec_id, claim, report) -> VerificationRecord:
 
 
 def _rec_pde_frac_hitting() -> VerificationRecord:
-    rep = residual_frac_hitting(GridBox(0.25, 1.5, 0.3, 1.0, 1 / 256, 1 / 64))
+    rep = residual_frac_hitting(PDE_BOXES["frac-hitting"])
     return _frac_record("pde_frac_hitting",
                         "half-order time-fractional identity of the driftless "
                         "hitting density", rep)
 
 
 def _rec_pde_frac_ig() -> VerificationRecord:
-    rep = residual_frac_ig(GridBox(0.3, 1.5, 0.5, 1.0, 1 / 64, 1 / 256))
+    rep = residual_frac_ig(PDE_BOXES["frac-ig"])
     return _frac_record("pde_frac_ig",
                         "half-order space-fractional identity of the driftless "
                         "subordinator density", rep)
 
 
 def _rec_pde_subordinated() -> VerificationRecord:
-    rep = residual_subordinated(P11, GridBox(0.3, 1.5, 0.5, 1.0, 1 / 24, 1 / 24))
+    rep = residual_subordinated(P11, PDE_BOXES["subordinated"])
     return _pde_record("pde_subordinated",
                        "fourth-order PDE of the Brownian-on-hitting-clock "
                        "density", rep)
 
 
 def _rec_pde_frac_subordinated() -> VerificationRecord:
-    rep = residual_subordinated_frac(GridBox(0.25, 1.25, 0.3, 0.75, 1 / 128, 1 / 64))
+    rep = residual_subordinated_frac(PDE_BOXES["frac-subordinated"])
     return _frac_record("pde_frac_subordinated",
                         "half-order time-fractional PDE of the driftless "
                         "subordinated density", rep)

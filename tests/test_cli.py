@@ -125,12 +125,28 @@ class TestExitCodes:
             run_in(tmp_path, ["density", "--t", "1", "--bogus", "3"])
         assert exc.value.code == 2
 
-    def test_env_profile_selects_spec(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IGHIT_PROFILE", "fast")
-        assert run_in(tmp_path, ["density", "--t", "1", "--x", "0:1:0.5",
-                                 "--gamma", "0"]) == 0
+    # every subcommand with the arguments it requires
+    SUBCOMMANDS = {"density": ["--t", "1"], "cdf": ["--t", "1"], "moments": [],
+                   "tail": ["--t", "1"], "lt": [], "paths": [], "subordinated": [],
+                   "stable": [], "pde-check": ["--pde", "hitting"], "verify": []}
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    @pytest.mark.parametrize("flag, value", [
+        ("--abs-tol", "1e-9"), ("--rel-tol", "1e-7"), ("--ilt-terms", "18"),
+        ("--ilt-method", "gaver_stehfest")])
+    def test_tolerance_flags_are_unknown(self, tmp_path, command, flag, value):
+        # every command runs at the default NumericSpec; there is no tolerance flag
+        with pytest.raises(SystemExit) as exc:
+            run_in(tmp_path, [command, *self.SUBCOMMANDS[command], flag, value])
+        assert exc.value.code == 2
+
+    def test_profile_variable_is_ignored(self, tmp_path, monkeypatch):
+        argv = ["density", "--t", "1", "--x", "0:1:0.5", "--out"]
+        assert run_in(tmp_path, argv + ["plain.csv"]) == 0
         monkeypatch.setenv("IGHIT_PROFILE", "bogus")
-        assert run_in(tmp_path, ["density", "--t", "1", "--x", "0:1:0.5"]) == 2
+        assert run_in(tmp_path, argv + ["profiled.csv"]) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == \
+            (tmp_path / "profiled.csv").read_bytes()
 
     def test_help_lists_flags(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -138,7 +154,7 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--delta", "--gamma", "--t", "--x", "--mode", "--out",
-                     "--format", "--abs-tol", "--rel-tol"):
+                     "--format"):
             assert flag in out
 
 

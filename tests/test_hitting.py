@@ -336,6 +336,27 @@ class TestTransforms:
         with pytest.raises(DomainError):
             hit_llt(-10.0, 1.0, params_11)
 
+    @pytest.mark.parametrize("delta, gamma", [(1.0, 1.0), (2.0, 0.5)])
+    def test_transforms_at_s_zero(self, delta, gamma):
+        # Psi(s)/s tends to Psi'(0) = delta/gamma, the time integral of h(x, .)
+        params = IGParams(delta, gamma)
+        for x in (0.0, 0.7):
+            assert hit_lt_time(x, 0.0, params) == delta / gamma
+        assert hit_llt(2.0, 0.0, params) == delta / gamma / 2.0
+        both = hit_lt_time(0.7, np.array([0.0, 1.0]), params)
+        assert both[0] == delta / gamma
+        assert both[1] == hit_lt_time(0.7, 1.0, params)
+        # Psi(s) = delta (sqrt(gamma^2 + 2 s) - gamma) cancels at small s:
+        # at s = 1e-12 about four digits are left
+        assert hit_lt_time(0.7, 1e-12, params) == pytest.approx(delta / gamma, rel=1e-3)
+        assert hit_llt(2.0, 1e-12, params) == pytest.approx(delta / gamma / 2.0, rel=1e-3)
+
+    def test_transforms_at_s_zero_diverge_without_drift(self, params_10):
+        with pytest.raises(DomainError):
+            hit_lt_time(0.7, 0.0, params_10)
+        with pytest.raises(DomainError):
+            hit_llt(1.0, np.array([1.0, 0.0]), params_10)
+
     def test_space_transform_driftless_closed_form(self, params_10):
         val = hit_lt_space(1.0, 1.0, params_10)
         closed = erfcx(1.0 / math.sqrt(2.0))
