@@ -40,6 +40,20 @@ PAIRS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
+def box_points(np, n: int) -> list:
+    """n fixed (delta, gamma, t, x) from the parameter box of bench/box.py.
+
+    delta uniform on (0.5, 2); gamma 0 with probability 1/4, else uniform on
+    (0.5, 3); t log-uniform on (0.25, 4); x uniform below (gamma t + 5 sqrt(t))/delta.
+    """
+    rng = np.random.default_rng(10)
+    d = rng.uniform(0.5, 2.0, n)
+    g = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.5, 3.0, n))
+    t = np.exp(rng.uniform(np.log(0.25), np.log(4.0), n))
+    x = rng.uniform(0.0, 1.0, n) * (g * t + 5.0 * np.sqrt(t)) / d
+    return list(zip(d.tolist(), g.tolist(), t.tolist(), x.tolist()))
+
+
 # name, items per call, call(ig, np, rng, n)
 LAYERS = (
     ("ts_sample_third_mu1", 1 << 20,
@@ -63,6 +77,13 @@ LAYERS = (
      lambda ig, np, rng, n: ig.upper_gamma(-1.0 / 3.0, np.logspace(-3.0, 2.0, n))),
     ("bessel_k_third", 10 ** 3,
      lambda ig, np, rng, n: ig.bessel_k(1.0 / 3.0, np.logspace(-3.0, 2.0, n))),
+    # the scalar oracle as the evaluate workload queries it, and the exact
+    # index-1/3 stable hitting density, whose kernel is bessel_k
+    ("hit_pdf_integral", 1000,
+     lambda ig, np, rng, n: [ig.hit_pdf_integral(x, t, ig.HittingDensityEval(ig.IGParams(d, g)))
+                             for d, g, t, x in box_points(np, n)]),
+    ("stable_hit_pdf_third", 256,
+     lambda ig, np, rng, n: ig.stable_hit_pdf(np.linspace(0.05, 20.0, n), 1.0, 1.0 / 3.0)),
     ("hit_pdf_table", 256,
      lambda ig, np, rng, n: ig.hit_pdf_table(np.linspace(0.0, 4.0, n), 1.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 1.0)))),

@@ -34,6 +34,7 @@ from .numerics import (
     composite_gauss,
     erf,
     erfcx,
+    geomspace,
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
@@ -53,12 +54,18 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _check_x(x) -> None:
-    if not np.all(np.isfinite(x)):
+    # a float (np.float64 included) takes math.isfinite, far cheaper than numpy
+    ok = math.isfinite(x) if isinstance(x, float) else np.all(np.isfinite(x))
+    if not ok:
         raise DomainError("x must be finite")
 
 
 def _check_t(t) -> None:
-    if not np.all(np.isfinite(t) & (np.asarray(t) > 0)):
+    if isinstance(t, float):
+        ok = math.isfinite(t) and t > 0
+    else:
+        ok = np.all(np.isfinite(t) & (np.asarray(t) > 0))
+    if not ok:
         raise DomainError("t must be finite and positive")
 
 
@@ -122,7 +129,8 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
 
     def integrand(w):
         w2 = w * w
-        osc = 2.0 * p.gamma * w * np.sin(kappa * w) + 2.0 * SQRT2 * w2 * np.cos(kappa * w)
+        kw = kappa * w
+        osc = 2.0 * p.gamma * w * np.sin(kw) + 2.0 * SQRT2 * w2 * np.cos(kw)
         return np.exp(-t * w2) / (w2 + g2) * osc
 
     # the exp(delta*gamma*x) prefactor amplifies inner-quadrature error, so the
@@ -138,7 +146,7 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
         edges = np.array([0.0, omega_max])
     if p.gamma > 0:
         peak = p.gamma / SQRT2
-        edges = np.concatenate([edges, peak * np.geomspace(0.1, min(1e4, omega_max / peak), 11)])
+        edges = np.concatenate([edges, peak * geomspace(0.1, min(1e4, omega_max / peak), 11)])
     val = integrate_interval(integrand, 0.0, omega_max, inner_spec, edges=edges)
     h = p.delta / math.pi * math.exp(log_pref) * val
     if h < 0 and abs(h) <= 10.0 * max(spec.abs_tol, floor * math.exp(log_pref)):

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_SPEC, NumericSpec, composite_gauss, integrate_interval
+from .numerics import (
+    DEFAULT_SPEC,
+    NumericSpec,
+    composite_gauss,
+    geomspace,
+    integrate_interval,
+)
 from .hitting import (
     HittingDensityEval,
     _check_t,
@@ -59,10 +65,7 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
         return gauss * hit_pdf_table(v * v, t, hev)
 
     # one panel per stretch of the Gaussian boundary layer near v ~ |x|
-    edges = np.unique(np.concatenate([
-        [0.0, v_max],
-        np.geomspace(max(v_max * 1e-3, 1e-6), v_max, 17),
-    ]))
+    edges = geomspace(max(v_max * 1e-3, 1e-6), v_max, 17)
     val = integrate_interval(integrand, 0.0, v_max, ev.spec, edges=edges)
     return SQRT_2_OVER_PI * val
 
@@ -90,10 +93,7 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     batch = 256
     for k, v_max in enumerate(v_maxes):
         cols = np.flatnonzero(rule_of == k)
-        edges = np.unique(np.concatenate([
-            [0.0],
-            np.geomspace(v_max * 1e-4, v_max, 96),
-        ]))
+        edges = np.concatenate([[0.0], geomspace(v_max * 1e-4, v_max, 96)])
         pts, wts = composite_gauss(edges, 12)
         v2 = pts * pts
         weights = [wts * hit_pdf_table(v2, ts[j], hev) for j in cols]

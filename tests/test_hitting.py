@@ -17,6 +17,9 @@ from ighit.numerics import (
 from ighit.hitting import (
     HittingDensityEval,
     TailBoundReport,
+    _check_t,
+    _check_x,
+    _osc_noise_estimate,
     density_support_cutoff,
     hit_boundary_slope,
     hit_boundary_value,
@@ -157,6 +160,65 @@ class TestDensityRoutes:
         ev = HittingDensityEval(IGParams(delta, gamma))
         closed = float(hit_pdf_table(x, t, ev))
         assert hit_pdf_integral(x, t, ev) == pytest.approx(closed, rel=1e-8)
+
+    # (delta, gamma, t, x, h): h from the oscillatory route at the first 16
+    # points (4 driftless) and from its convolution fallback at the last 8,
+    # as computed before the route's fixed per-call costs were cut
+    INTEGRAL_REFERENCE = (
+        (1.403, 0.0, 0.628, 1.068, 0.23641602803072292),
+        (1.731, 0.0, 0.521, 0.422, 1.14661556764991),
+        (1.322, 0.0, 0.451, 1.262, 0.07176534593120121),
+        (0.853, 0.0, 1.131, 5.4, 5.4021670223974535e-05),
+        (0.995, 1.937, 1.018, 3.979, 0.07651156278881471),
+        (1.355, 0.716, 1.959, 5.086, 0.0002952388683341903),
+        (1.568, 2.857, 0.272, 1.733, 0.0018535348336973711),
+        (0.764, 1.598, 1.819, 4.692, 0.22683985375128546),
+        (0.581, 2.333, 0.314, 2.832, 0.155128177737588),
+        (1.183, 1.994, 0.586, 3.719, 0.00013247349022541612),
+        (0.985, 0.972, 0.454, 0.564, 0.7578066208675471),
+        (1.704, 1.021, 3.079, 5.701, 0.0005307917497833388),
+        (0.966, 0.756, 0.326, 2.306, 0.002968871189495941),
+        (1.741, 1.128, 2.636, 1.55, 0.4309948965847252),
+        (0.884, 1.116, 2.232, 3.663, 0.24587292476864542),
+        (1.775, 1.975, 2.84, 5.089, 0.06633543650669607),
+        (0.847, 2.337, 3.705, 19.296, 7.95439951420093e-05),
+        (0.681, 2.647, 3.111, 23.951, 5.754294613594871e-06),
+        (0.649, 2.646, 3.258, 24.789, 3.5976788895985066e-05),
+        (0.908, 2.635, 1.626, 7.809, 0.031682200050666236),
+        (0.858, 1.652, 3.423, 12.712, 0.004361361605860423),
+        (1.429, 2.713, 1.904, 7.631, 9.856509060568051e-05),
+        (1.52, 2.094, 1.73, 6.58, 5.301706980732157e-06),
+        (1.577, 2.613, 2.736, 8.369, 0.0006179099207911864),
+    )
+
+    def test_integral_route_reference_values(self):
+        fallbacks = []
+        for delta, gamma, t, x, h in self.INTEGRAL_REFERENCE:
+            ev = HittingDensityEval(IGParams(delta, gamma))
+            log_pref = float(ev.log_prefactor(x, t))
+            fallbacks.append(_osc_noise_estimate(log_pref, delta) > 0.25 * ev.spec.abs_tol)
+            assert hit_pdf_integral(x, t, ev) == pytest.approx(h, rel=1e-13, abs=0.0)
+        assert fallbacks == [False] * 16 + [True] * 8
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_float_checks_reject_non_finite(self, bad, kind):
+        with pytest.raises(DomainError, match="x must be finite"):
+            _check_x(kind(bad))
+        with pytest.raises(DomainError, match="t must be finite and positive"):
+            _check_t(kind(bad))
+        with pytest.raises(DomainError):
+            hit_pdf_integral(kind(bad), 1.0, EV11)
+        with pytest.raises(DomainError):
+            hit_pdf_integral(0.5, kind(bad), EV11)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_float_checks_bound_t_below(self, kind):
+        _check_x(kind(-0.5))
+        _check_t(kind(0.5))
+        for bad_t in (0.0, -0.5):
+            with pytest.raises(DomainError, match="t must be finite and positive"):
+                _check_t(kind(bad_t))
 
     def test_table_broadcasts_over_x_and_t(self, params_11):
         ev = HittingDensityEval(params_11, prefactor_mode="literal")

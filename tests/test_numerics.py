@@ -14,6 +14,7 @@ from ighit.numerics import (
     erf,
     erfc,
     erfcx,
+    geomspace,
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
@@ -21,6 +22,7 @@ from ighit.numerics import (
     stehfest_weights,
     upper_gamma,
 )
+from ighit.numerics import _cells
 
 
 def erf_taylor(z: float, terms: int = 30) -> float:
@@ -127,11 +129,14 @@ class TestIncompleteGammaAndBessel:
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=0.0)
 
     def test_bessel_k_half_integer_closed_forms(self):
-        zs = np.array([0.05, 0.3, 1.0, 5.0, 50.0])
+        zs = np.geomspace(1e-4, 600.0, 61)
         k_half = np.sqrt(math.pi / 2.0 / zs) * np.exp(-zs)
-        assert np.allclose(bessel_k(0.5, zs), k_half, rtol=1e-12)
+        assert np.allclose(bessel_k(0.5, zs), k_half, rtol=1e-12, atol=0.0)
         k_3half = k_half * (1.0 + 1.0 / zs)
-        assert np.allclose(bessel_k(1.5, zs), k_3half, rtol=1e-12)
+        assert np.allclose(bessel_k(1.5, zs), k_3half, rtol=1e-12, atol=0.0)
+        # K_(nu+1) = K_(nu-1) + (2 nu/z) K_nu at nu = 1/3, with K_(-2/3) = K_(2/3)
+        k_4third = bessel_k(2.0 / 3.0, zs) + 2.0 / (3.0 * zs) * bessel_k(1.0 / 3.0, zs)
+        assert np.allclose(bessel_k(4.0 / 3.0, zs), k_4third, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "unsorted"])
     def test_bessel_k_chunks_match_pointwise(self, shuffle):
@@ -150,6 +155,33 @@ class TestIncompleteGammaAndBessel:
 
 
 class TestQuadrature:
+    def test_geomspace_matches_numpy(self):
+        rng = np.random.default_rng(11)
+        stops = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), 10 ** 4))
+        for k, stop in enumerate(stops):
+            start = (0.1, 1e-6, 3.7, float(stops[k - 1]))[k % 4]
+            n = (11, 17, 96, 2)[k % 4]
+            assert np.array_equal(geomspace(start, float(stop), n),
+                                  np.geomspace(start, float(stop), n))
+
+    def test_cells_match_unique_edges(self):
+        # the cells integrate_interval used to build from np.unique of the edges
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a, b = sorted(rng.uniform(-1.0, 3.0, 2))
+            edges = np.round(rng.uniform(-2.0, 4.0, rng.integers(1, 30)), 1)
+            repeats = edges[: rng.integers(0, edges.size)]
+            edges = np.concatenate([edges, repeats, [a, b][: rng.integers(0, 3)]])
+            unique = np.unique(np.clip(edges, a, b))
+            if unique[0] > a:
+                unique = np.concatenate([[a], unique])
+            if unique[-1] < b:
+                unique = np.concatenate([unique, [b]])
+            lo, hi = _cells(a, b, rng.permutation(edges))
+            assert np.array_equal(lo, unique[:-1]) and np.array_equal(hi, unique[1:])
+        lo, hi = _cells(0.0, 2.0, None)
+        assert np.array_equal(lo, [0.0]) and np.array_equal(hi, [2.0])
+
     def test_exponential(self):
         assert integrate_semi_infinite(lambda y: np.exp(-y)) == pytest.approx(1.0, abs=1e-9)
 
