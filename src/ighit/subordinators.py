@@ -186,10 +186,19 @@ def ig_levy_tail(u, p: IGParams):
 
 
 def ig_psi(s, p: IGParams):
-    """Laplace exponent delta (sqrt(gamma^2 + 2 s) - gamma) of the IG process."""
+    """Laplace exponent delta (sqrt(gamma^2 + 2 s) - gamma) of the IG process.
+
+    Evaluated as 2 delta s / (sqrt(gamma^2 + 2 s) + gamma), which does not
+    cancel as s -> 0, and as delta sqrt(2 s) when gamma = 0.  On the principal
+    branch the denominator has positive real part for every admitted s, complex
+    s on the fixed-Talbot contour included.
+    """
     s_arr = _laplace_arg(s, -0.5 * p.gamma ** 2, "ig_psi")
     scalar = np.ndim(s) == 0
-    out = p.delta * (np.sqrt(p.gamma ** 2 + 2.0 * s_arr) - p.gamma)
+    if p.gamma == 0:
+        out = p.delta * np.sqrt(2.0 * s_arr)
+    else:
+        out = 2.0 * p.delta * s_arr / (np.sqrt(p.gamma ** 2 + 2.0 * s_arr) + p.gamma)
     if scalar:
         return out.item()
     return out

@@ -408,10 +408,13 @@ class TestTransforms:
         both = hit_lt_time(0.7, np.array([0.0, 1.0]), params)
         assert both[0] == delta / gamma
         assert both[1] == hit_lt_time(0.7, 1.0, params)
-        # Psi(s) = delta (sqrt(gamma^2 + 2 s) - gamma) cancels at small s:
-        # at s = 1e-12 about four digits are left
-        assert hit_lt_time(0.7, 1e-12, params) == pytest.approx(delta / gamma, rel=1e-3)
-        assert hit_llt(2.0, 1e-12, params) == pytest.approx(delta / gamma / 2.0, rel=1e-3)
+        # near s = 0, against the first-order expansions Psi(s)/s = (delta/gamma)
+        # (1 - s/(2 gamma^2)) and Psi(s) = delta s/gamma, whose error is O(s^2)
+        s = 1e-12
+        lt = delta / gamma * (1.0 - s / (2.0 * gamma ** 2) - 0.7 * delta * s / gamma)
+        assert hit_lt_time(0.7, s, params) == pytest.approx(lt, rel=1e-12)
+        llt = delta / gamma / 2.0 * (1.0 - s / (2.0 * gamma ** 2) - delta * s / gamma / 2.0)
+        assert hit_llt(2.0, s, params) == pytest.approx(llt, rel=1e-12)
 
     def test_transforms_at_s_zero_diverge_without_drift(self, params_10):
         with pytest.raises(DomainError):

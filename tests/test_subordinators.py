@@ -166,10 +166,14 @@ class TestLevyTailAndExponent:
         theta = np.arange(1, m) * math.pi / m
         s = np.concatenate([[complex(r)], r * theta * (1.0 / np.tan(theta) + 1j)])
         p = IGParams(1.0, 1.0)
-        assert np.array_equal(ig_psi(s, p), p.delta * (np.sqrt(p.gamma ** 2 + 2.0 * s) - p.gamma))
+        exact = 2.0 * p.delta * s / (np.sqrt(p.gamma ** 2 + 2.0 * s) + p.gamma)
+        assert np.array_equal(ig_psi(s, p), exact)
         assert np.array_equal(ts_psi(s, 0.5, 1.0), (s + 1.0) ** 0.5 - 1.0)
         assert np.array_equal(StableSubordinator(1.0 / 3.0).psi(s), s ** (1.0 / 3.0))
-        assert ig_psi(complex(0.3, -2.0), p) == p.delta * (np.sqrt(complex(1.6, -4.0)) - 1.0)
+        assert ig_psi(complex(0.3, -2.0), p) == (2.0 * p.delta * complex(0.3, -2.0)
+                                                 / (np.sqrt(complex(1.6, -4.0)) + 1.0))
+        driftless = IGParams(1.0, 0.0)
+        assert np.array_equal(ig_psi(s, driftless), np.sqrt(2.0 * s))
 
     def test_psi_increasing_and_concave(self):
         ss = np.linspace(0.0, 8.0, 200)

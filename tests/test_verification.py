@@ -59,7 +59,8 @@ class TestRecordOracles:
         assert 0.0 <= rec.values["closed_vs_convolution_max_rel"] <= 1e-8
 
     def test_lt_time_inversion_record(self):
-        # Gaver-Stehfest on the real axis; checking the argument of Psi leaves it as it was
+        # Gaver-Stehfest on the real axis; its weights amplify the last bits of
+        # Psi, so the figure is pinned to the cancellation-free form of ig_psi
         rec = run_verification(only="lt_time_inversion").records[0]
         assert rec.verdict == "confirmed"
-        assert rec.discrepancy == pytest.approx(4.2937693936456866e-05, rel=1e-9)
+        assert rec.discrepancy == pytest.approx(4.301755356694091e-05, rel=1e-9)
