@@ -40,6 +40,7 @@ PAIRS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
+
 def box_points(np, n: int) -> list:
     """n fixed (delta, gamma, t, x) from the parameter box of bench/box.py.
 

@@ -380,7 +380,10 @@ def geomspace(start: float, stop: float, n: int) -> np.ndarray:
 
 
 def _cells(a: float, b: float, edges) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of the cells between the distinct points of {a, b} and `edges` clipped to [a, b]."""
+    """(lo, hi) of the cells between the distinct points of a, b and `edges` clipped to [a, b].
+
+    Sorting and dropping empty cells leaves the cells np.unique of the edges gave.
+    """
     if edges is None:
         return np.array([a], dtype=float), np.array([b], dtype=float)
     inner = np.minimum(np.maximum(np.asarray(edges, dtype=float), a), b)
