@@ -85,6 +85,13 @@ LAYERS = (
                              for d, g, t, x in box_points(np, n)]),
     ("stable_hit_pdf_third", 256,
      lambda ig, np, rng, n: ig.stable_hit_pdf(np.linspace(0.05, 20.0, n), 1.0, 1.0 / 3.0)),
+    # the general-index stable density on u in [0.3, 70], where an inversion
+    # route also runs (`ighit stable --beta 0.7` maps x in [0.05, 2.45] there),
+    # and the index-1/3 stable distribution function
+    ("stable_pdf_0.7", 400,
+     lambda ig, np, rng, n: ig.stable_pdf(np.geomspace(0.3, 70.0, n), 1.0, 0.7)),
+    ("stable_cdf_third", 100,
+     lambda ig, np, rng, n: ig.stable_cdf(np.geomspace(0.05, 50.0, n), 1.0, 1.0 / 3.0)),
     ("hit_pdf_table", 256,
      lambda ig, np, rng, n: ig.hit_pdf_table(np.linspace(0.0, 4.0, n), 1.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 1.0)))),

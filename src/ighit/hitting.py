@@ -33,6 +33,7 @@ from .numerics import (
     _period_edges,
     composite_gauss,
     erf,
+    erfc,
     erfcx,
     geomspace,
     integrate_interval,
@@ -249,9 +250,10 @@ def hit_pdf_convolution_table(xs, ts, model) -> np.ndarray:
     scalar route and graded toward both ends of (0, t^(1-p)), is shared by
     every x: the Levy tail is evaluated once per t and the marginal density
     once over all (x, node) pairs, so `model.marginal_pdf` must broadcast over
-    x (`ts_pdf` and `stable_pdf` do at index 1/2 and 1/3).  At index 1/3 it
+    x (`ts_pdf` and `stable_pdf` do at every index).  At index 1/3 it
     agrees with the adaptive route within that route's rel_tol of 1e-8, and
-    with the rule of doubled panels and nodes within 1e-10.
+    with the rule of doubled panels and nodes within 1e-10; at index 0.7
+    within 1e-8 of the adaptive route too.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -401,27 +403,37 @@ def _erfcx_slope(a, b):
 
 
 def hit_lt_space_closed(mu, t, params: IGParams):
-    """Space-Laplace transform E e^(-mu H(t)) in closed form, broadcast over mu and t.
+    """Space-Laplace transform E e^(-mu H(t)) in closed form, broadcast over mu >= 0 and t.
 
     Integrating the closed-form density against e^(-mu x) gives, with
     r = sqrt(t/2), z1 = (mu/delta - gamma) r and z0 = gamma r,
     e^(-gamma^2 t/2) [erfcx(z1) + gamma r (erfcx(z0) - erfcx(z1))/(z0 - z1)];
-    the divided difference is continuous across mu = 2 delta gamma.  Same
-    domain, mu > delta*gamma, as `hit_lt_space`, the integral form kept as
-    its oracle.  Where z0 = z1 = z is large the bracket cancels to about
-    1/(sqrt(pi) z^3), so its relative rounding error grows like z^4 eps.
+    the divided difference is continuous across mu = 2 delta gamma.  Where
+    z0 = z1 = z is large the bracket cancels to about 1/(sqrt(pi) z^3), so
+    its relative rounding error grows like z^4 eps.  Below mu = delta*gamma,
+    -z0 <= z1 < 0 and e^(-z0^2) folds into erfcx(z1) ~ 2 e^(z1^2): the value
+    is (|z1| e^((z1 - z0)(z1 + z0)) erfc(z1) + z0 erfc(z0)) / (z0 + |z1|),
+    in which nothing exceeds 2 |z1| + z0, so nothing overflows at z1^2 > 709.
+    mu = 0 gives exactly 1.  The integral form `hit_lt_space`, kept as the
+    oracle, needs mu > delta*gamma.
     """
     mu_arr = np.asarray(mu, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     _check_x(mu_arr)
     _check_t(t_arr)
+    if np.any(mu_arr < 0):
+        raise DomainError("mu must be nonnegative")
     d, g = params.delta, params.gamma
-    if np.any(mu_arr <= d * g):
-        raise DomainError("spatial transform exists only for mu > delta*gamma")
     r = np.sqrt(0.5 * t_arr)
     z0 = g * r
     z1 = (mu_arr / d - g) * r
-    out = np.exp(-0.5 * g * g * t_arr) * (erfcx(z1) + z0 * _erfcx_slope(z0, z1))
+    below = z1 < 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.exp(-0.5 * g * g * t_arr) * (erfcx(z1) + z0 * _erfcx_slope(z0, z1))
+        if np.any(below):
+            fold = np.exp((z1 - z0) * (mu_arr / d * r)) * erfc(z1)
+            out = np.where(below, (-z1 * fold + z0 * erfc(z0)) / (z0 - z1), out)
+    out = np.where(mu_arr == 0, 1.0, out)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -667,8 +679,7 @@ def sample_hitting_times(t_eval: float, n: int, params: IGParams, dt: float,
 # Stable hitting-time family E(t) = inf{x : D(x) > t}
 # ---------------------------------------------------------------------------
 
-def stable_hit_pdf(x, t: float, beta: float,
-                   spec: NumericSpec = DEFAULT_SPEC):
+def stable_hit_pdf(x, t: float, beta: float):
     """Density of E(t): (t/beta) x^(-1-1/beta) f(t x^(-1/beta), 1).
 
     At beta = 1/2 the composition collapses to e^(-x^2/4t)/sqrt(pi t).
@@ -682,22 +693,16 @@ def stable_hit_pdf(x, t: float, beta: float,
     if np.any(x_arr <= 0):
         raise DomainError("x must be positive")
     arg = t * x_arr ** (-1.0 / beta)
-    out = (t / beta) * x_arr ** (-1.0 - 1.0 / beta) * stable_pdf(arg, 1.0, beta, spec)
+    out = (t / beta) * x_arr ** (-1.0 - 1.0 / beta) * stable_pdf(arg, 1.0, beta)
     return float(out) if scalar else out
 
 
-def stable_hit_survival(x, t: float, beta: float,
-                        spec: NumericSpec = DEFAULT_SPEC):
-    """P(E(t) > x) = P(D(x) <= t) by duality."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    flat = np.atleast_1d(x_arr)
-    vals = np.array([stable_cdf(t, float(xi), beta, spec) for xi in flat])
-    return float(vals[0]) if scalar else vals.reshape(x_arr.shape)
+def stable_hit_survival(x, t: float, beta: float):
+    """P(E(t) > x) = P(D(x) <= t) by duality, broadcast over x > 0."""
+    return stable_cdf(t, x, beta)
 
 
-def stable_hit_tail_report(t: float, beta: float, x_grid,
-                           spec: NumericSpec = DEFAULT_SPEC) -> TailBoundReport:
+def stable_hit_tail_report(t: float, beta: float, x_grid) -> TailBoundReport:
     """Stretched-exponential tail of E(t): rate N = (1-beta)(t/beta)^(beta/(beta-1)).
 
     The envelope power uses the exponent obtained by carrying the small-argument
@@ -707,7 +712,7 @@ def stable_hit_tail_report(t: float, beta: float, x_grid,
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3 or not np.all(np.diff(xs) > 0) or xs[0] <= 0:
         raise DomainError("x_grid must be increasing, positive, with >= 3 points")
-    surv = stable_hit_survival(xs, t, beta, spec)
+    surv = stable_hit_survival(xs, t, beta)
     rate_n = (1.0 - beta) * (t / beta) ** (beta / (beta - 1.0))
     power = (1.0 - 0.5 * beta) / (beta * (1.0 - beta)) - 1.0 - 1.0 / beta
     stretch = xs ** (1.0 / (1.0 - beta))

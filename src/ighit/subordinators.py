@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .numerics import (
-    DEFAULT_SPEC,
-    NumericSpec,
-    bessel_k,
-    erfcx,
-    invert_laplace_batch,
-    norm_cdf,
-    upper_gamma,
-)
+from .numerics import _gauss_rule, bessel_k, erfc, erfcx, norm_cdf, upper_gamma
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -213,17 +205,88 @@ def ig_psi(s, p: IGParams):
 # transforms; Monte Carlo tests assert the convention.
 # ---------------------------------------------------------------------------
 
-def stable_pdf(u, t, beta: float, spec: NumericSpec = DEFAULT_SPEC):
-    """Density of the beta-stable subordinator D(t) at u.
+def _kanter_factor(u, sin_u, beta: float):
+    """Kanter's factor a(u) = (sin(beta u)/sin u)^(1/(1-beta)) sin((1-beta) u)/sin(beta u).
+
+    It increases on (0, pi) from a(0+) = (1-beta) beta^(beta/(1-beta)) to
+    infinity.  sin u comes in separately, so that a caller near u = pi can
+    pass it as sin(pi - u); passing c sin u gives c^(-1/(1-beta)) a(u).
+    """
+    sb = np.sin(beta * u)
+    return (sb / sin_u) ** (1.0 / (1.0 - beta)) * np.sin((1.0 - beta) * u) / sb
+
+
+def _unit_stable_cdf_pdf(w, beta: float):
+    """Distribution function and density of the unit beta-stable law (transform e^(-s^beta)) at w > 0.
+
+    A draw is (a(U)/E)^(1/k) with k = beta/(1-beta), a Kanter's factor, U
+    uniform on (0, pi) and E standard exponential, so with L = w^(-k)
+    (Kanter 1975; Nolan 1997)
+
+        F(w) = (1/pi) int_0^pi e^(-L a(u)) du,
+        f(w) = (k/(pi w)) int_0^pi L a(u) e^(-L a(u)) du.
+
+    Both integrands are bounded.  The rule is placed per point in v = pi - u:
+    a vectorised bisection in log v on the increasing L a(u) finds where it
+    exceeds its least value L a(0) = (1-beta)(w/beta)^(-k) by 1 and by 50;
+    40-node Gauss-Legendre panels run from the +50 point to the +1 point and
+    then grow by x4 up to v = pi.  Above beta = 0.9 they grow by less, so
+    that L a, which falls like v^(-1/(1-beta)), falls by at most 4^10 per
+    panel.  sin u is taken as sin v, which keeps its relative accuracy as
+    u -> pi, and L a(u) as the factor at w^beta sin v.  Where L a(0) >= 1600
+    both values underflow for every float w and are 0.  Points go through in
+    chunks of 1024, which bounds the memory of a large call.
+    """
+    w = np.asarray(w, dtype=float)
+    k = beta / (1.0 - beta)
+    ratio = 4.0 ** min(1.0, 10.0 * (1.0 - beta))
+    flat = w.ravel()
+    with np.errstate(over="ignore"):
+        expo = (1.0 - beta) * (flat / beta) ** (-k)
+    cdf = np.zeros(flat.shape)
+    pdf = np.zeros(flat.shape)
+    nodes, weights = _gauss_rule(40)
+    live = np.flatnonzero(expo < 1600.0)
+    for start in range(0, live.size, 1024):
+        idx = live[start:start + 1024]
+        scale, least = flat[idx] ** beta, expo[idx]
+        target = least + np.array([[1.0], [50.0]])
+        lo = np.full(target.shape, math.log(1e-300))
+        hi = np.full(target.shape, math.log(math.pi))
+        with np.errstate(over="ignore"):
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                v = np.exp(mid)
+                above = _kanter_factor(math.pi - v, scale * np.sin(v), beta) > target
+                lo = np.where(above, mid, lo)
+                hi = np.where(above, hi, mid)
+        v1, v50 = np.exp(hi)
+        grow = ratio ** np.arange(math.ceil(math.log(math.pi / v1.min(), ratio)) + 1)
+        edges = np.concatenate([v50[:, None], np.minimum(v1[:, None] * grow, math.pi)], axis=1)
+        edges[:, -1] = math.pi
+        a, b = edges[:, :-1], edges[:, 1:]
+        panel = b > a
+        point = np.nonzero(panel)[0]
+        a, b = a[panel], b[panel]
+        half = 0.5 * (b - a)
+        v = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        la = _kanter_factor(math.pi - v, scale[point, None] * np.sin(v), beta)
+        e = np.exp(least[point, None] - la)
+        cdf[idx] = np.exp(-least - math.log(math.pi)) * np.bincount(
+            point, half * (e @ weights), idx.size)
+        pdf[idx] = np.exp(np.log(k / (math.pi * flat[idx])) - least) * np.bincount(
+            point, half * ((la * e) @ weights), idx.size)
+    return cdf.reshape(w.shape), pdf.reshape(w.shape)
+
+
+def stable_pdf(u, t, beta: float):
+    """Density of the beta-stable subordinator D(t) at u; u and t broadcast.
 
     beta = 1/2 uses the closed form t u^(-3/2) e^(-t^2/(4u)) / (2 sqrt(pi));
-    beta = 1/3 the exact Bessel-K form.  At these two indices u and t
-    broadcast against each other.  Other beta take a scalar t and invert
-    e^(-t s^beta) numerically: a deliberately low-accuracy route (roughly
-    percent-level in the bulk) whose instability detector raises rather than
-    return garbage in the steep left onset.  Note IG(a, 0) coincides with this
-    density at beta = 1/2 under t = a sqrt(2): both transforms equal
-    e^(-a sqrt(2 s)).
+    beta = 1/3 the exact Bessel-K form; every other beta Kanter's integral
+    (`_unit_stable_cdf_pdf`), scaled as t^(-1/beta) f(u t^(-1/beta)).  Note
+    IG(a, 0) coincides with this density at beta = 1/2 under t = a sqrt(2):
+    both transforms equal e^(-a sqrt(2 s)).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -233,52 +296,38 @@ def stable_pdf(u, t, beta: float, spec: NumericSpec = DEFAULT_SPEC):
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
     if beta == 0.5:
         out = t / (2.0 * math.sqrt(math.pi)) * u_arr ** -1.5 * np.exp(-t * t / (4.0 * u_arr))
-        return float(out) if np.ndim(out) == 0 else out
-    if beta == 1.0 / 3.0:
+    elif beta == 1.0 / 3.0:
         # closed Bessel form: density of the unit 1/3-stable law at w is
         # (1/(3 pi)) w^(-3/2) K_(1/3)(2 / sqrt(27 w)); scaled by t^(1/beta)
         arg = 2.0 / math.sqrt(27.0) * t ** 1.5 / np.sqrt(u_arr)
         out = t ** 1.5 / (3.0 * math.pi) * u_arr ** -1.5 * bessel_k(1.0 / 3.0, arg)
-        return float(out) if np.ndim(out) == 0 else out
-    if t_arr.ndim != 0:
-        raise DomainError("stable_pdf broadcasts over t only at beta = 1/2 and 1/3")
-    scalar = u_arr.ndim == 0
-    flat = np.atleast_1d(u_arr)
-    # left tail decays like exp(-(1-beta)(w/beta)^(-beta/(1-beta))) in the
-    # scaled variable w = u t^(-1/beta); below ~e^-30 of that bound the value
-    # is negligible and the real-axis inversion would only return noise
-    w = flat * t ** (-1.0 / beta)
-    expo = (1.0 - beta) * (w / beta) ** (-beta / (1.0 - beta))
-    vals = np.zeros_like(flat)
-    live = expo < 30.0
-    if live.any():
-        vals[live] = invert_laplace_batch(lambda s: np.exp(-t * s ** beta),
-                                          flat[live], spec)
-    vals = np.maximum(vals, 0.0)
-    return float(vals[0]) if scalar else vals.reshape(u_arr.shape)
+    else:
+        scale = t ** (-1.0 / beta)
+        out = scale * _unit_stable_cdf_pdf(u_arr * scale, beta)[1]
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def stable_cdf(x, t: float, beta: float, spec: NumericSpec = DEFAULT_SPEC):
-    """P(D(t) <= x); closed erfc form at beta = 1/2, quadrature otherwise.
+def stable_cdf(x, t, beta: float):
+    """P(D(t) <= x), broadcast over x and t.
 
-    0 for x <= 0 and 1 at x = inf; NaN x raises DomainError.
+    The closed form erfc(t / (2 sqrt(x))) at beta = 1/2, Kanter's integral
+    (`_unit_stable_cdf_pdf`) at x t^(-1/beta) otherwise.  0 for x <= 0 and 1
+    at x = inf; NaN x raises DomainError.
     """
-    _finite_positive(t, "stable_cdf: t")
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta must lie in (0, 1)")
+    t_arr = _finite_positive(t, "stable_cdf: t")
     x_arr = np.asarray(x, dtype=float)
     if np.isnan(x_arr).any():
         raise DomainError("stable_cdf: x must not be NaN")
+    x_arr, t_arr = np.broadcast_arrays(x_arr, t_arr)
     scalar = x_arr.ndim == 0
     out = np.where(x_arr == math.inf, 1.0, 0.0)
     pos = (x_arr > 0) & (x_arr < math.inf)
     if beta == 0.5:
-        from .numerics import erfc
-        out[pos] = erfc(t / (2.0 * np.sqrt(x_arr[pos])))
+        out[pos] = erfc(t_arr[pos] / (2.0 * np.sqrt(x_arr[pos])))
     else:
-        from .numerics import integrate_interval
-        for idx in np.argwhere(pos).ravel():
-            out.flat[idx] = integrate_interval(
-                lambda v: stable_pdf(np.maximum(v, 1e-300), t, beta, spec),
-                0.0, float(x_arr.flat[idx]), spec)
+        out[pos] = _unit_stable_cdf_pdf(x_arr[pos] * t_arr[pos] ** (-1.0 / beta), beta)[0]
     return float(out) if scalar else out
 
 
@@ -290,17 +339,14 @@ def stable_levy_tail(u, beta: float):
     return float(out) if scalar else out
 
 
-def ts_pdf(u, t, beta: float, mu: float, spec: NumericSpec = DEFAULT_SPEC):
-    """Tempered stable density e^(-mu u + mu^beta t) * stable density.
-
-    u and t broadcast against each other where `stable_pdf` allows it.
-    """
+def ts_pdf(u, t, beta: float, mu: float):
+    """Tempered stable density e^(-mu u + mu^beta t) * stable density; u and t broadcast."""
     mu = _finite_nonnegative(mu, "ts_pdf: mu")
     u_arr = _finite_positive(u, "ts_pdf: u")
     t_arr = _finite_positive(t, "ts_pdf: t")
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
     tilt = np.exp(-mu * u_arr + mu ** beta * t)
-    out = tilt * stable_pdf(u_arr, t, beta, spec)
+    out = tilt * stable_pdf(u_arr, t, beta)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -321,7 +367,6 @@ def ts_levy_tail(u, beta: float, mu: float):
         return float(out) if scalar else out
     if beta == 0.5:
         # Gamma(-1/2, z) = 2 (e^-z / sqrt(z) - sqrt(pi) erfc(sqrt(z))), vectorised
-        from .numerics import erfc
         z = mu * u_arr
         sq = np.sqrt(z)
         gam = 2.0 * (np.exp(-z) / sq - math.sqrt(math.pi) * erfc(sq))
@@ -353,10 +398,10 @@ def ts_half_ig_params(mu: float) -> IGParams:
 def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     """Exact positive-stable draws with Laplace transform e^(-t s^beta).
 
-    Kanter's representation: with U uniform on (0, pi) and E standard
-    exponential, sin(beta U) sin((1-beta) U)^((1-beta)/beta) /
-    (sin(U)^(1/beta) E^((1-beta)/beta)) has transform e^(-s^beta); the result
-    scales by t^(1/beta).  Two indices take closed forms of the U factor:
+    Kanter's representation: with U uniform on (0, pi), E standard
+    exponential and a Kanter's factor (`_kanter_factor`), (a(U)/E)^((1-beta)/beta)
+    has transform e^(-s^beta); the result scales by t^(1/beta).  Two indices
+    take closed forms of a(U)^((1-beta)/beta):
 
     - beta = 1/3: sin(U/3) sin(2U/3)^2 / sin(U)^3 = 4c^2 / (4c^2 - 1)^3 with
       c = cos(U/3), so a draw is t^3 4c^2 / ((4c^2 - 1)^3 E^2);
@@ -383,9 +428,7 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
         c = np.cos(beta * u)
         s = 1.0 / (4.0 * c * c * e)
     else:
-        ratio = (1.0 - beta) / beta
-        s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
-             / (np.sin(u) ** (1.0 / beta) * e ** ratio))
+        s = (_kanter_factor(u, np.sin(u), beta) / e) ** ((1.0 - beta) / beta)
     out = t ** (1.0 / beta) * s
     return float(out) if size is None else out
 
@@ -399,10 +442,14 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
     still missing and appends the accepted ones, so an array comes back in
     order of acceptance; the draws are i.i.d., so the law is the same as for
     any fixed order.  A loop exceeding trial_cap total passes raises
-    BudgetExceeded (mu^beta t too large for naive tilting).
+    BudgetExceeded (mu^beta t too large for naive tilting).  At beta = 1/2 the
+    law is the IG marginal at `ts_half_ig_params(mu)`, drawn by `ig_sample`
+    without rejection.
     """
     _finite_positive(t, "ts_sample: t")
     mu = _finite_nonnegative(mu, "ts_sample: mu")
+    if beta == 0.5:
+        return ig_sample(ts_half_ig_params(mu).marginal(t), rng, size)
     n = 1 if size is None else int(np.prod(size))
     out = np.empty(n)
     filled = 0
@@ -493,7 +540,6 @@ class StableSubordinator:
     """beta-stable subordinator with transform e^(-t s^beta)."""
 
     beta: float
-    spec: NumericSpec = DEFAULT_SPEC
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -512,7 +558,7 @@ class StableSubordinator:
         return stable_levy_tail(u, self.beta)
 
     def marginal_pdf(self, u, x: float):
-        return stable_pdf(u, x, self.beta, self.spec)
+        return stable_pdf(u, x, self.beta)
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
         return stable_sample(dt, self.beta, rng, size)
@@ -524,7 +570,6 @@ class TemperedStableSubordinator:
 
     beta: float
     mu: float
-    spec: NumericSpec = DEFAULT_SPEC
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -542,7 +587,7 @@ class TemperedStableSubordinator:
         return ts_levy_tail(u, self.beta, self.mu)
 
     def marginal_pdf(self, u, x: float):
-        return ts_pdf(u, x, self.beta, self.mu, self.spec)
+        return ts_pdf(u, x, self.beta, self.mu)
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
         return ts_sample(dt, self.beta, self.mu, rng, size)

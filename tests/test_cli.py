@@ -115,10 +115,18 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_usage_error_on_domain_violation(self, tmp_path):
-        # flags parse but the combination is outside the transform's domain
+        # the flags parse, but mu < 0 is outside the transform's domain
         code = run_in(tmp_path, ["lt", "--which", "space", "--delta", "1",
-                                 "--gamma", "1", "--mu", "0.5"])
+                                 "--gamma", "1", "--mu=-0.5"])
         assert code == 2
+
+    def test_space_transform_at_defaults(self, tmp_path):
+        # mu = 1 = delta*gamma, where z1 = 0 and the transform is erfc(1/sqrt(2))
+        assert run_in(tmp_path, ["lt", "--which", "space"]) == 0
+        cols = read_csv(tmp_path / "lt.csv")
+        assert [float(v) for v in cols["mu"]] == [1.0, 2.0]
+        assert float(cols["lt_space"][0]) == pytest.approx(
+            math.erfc(1.0 / math.sqrt(2.0)), rel=1e-15)
 
     def test_unknown_flag_is_hard_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -169,6 +177,18 @@ class TestStableCommand:
                                    rel=1e-10)
         tail = json.loads((tmp_path / "stable_tail.json").read_text())
         assert tail["rate_n"] == pytest.approx(0.25)
+
+    def test_general_index_at_default_grid(self, tmp_path):
+        # the default grid reaches the onset of the stable density (x = 4
+        # maps to u = 4^(-1/0.7) = 0.14), where an inversion route failed
+        from ighit.hitting import stable_hit_pdf
+        assert run_in(tmp_path, ["stable", "--beta", "0.7"]) == 0
+        cols = read_csv(tmp_path / "stable.csv")
+        xs = np.array([float(v) for v in cols["x"]])
+        dens = np.array([float(v) for v in cols["stable_hitting_density"]])
+        assert xs.size == 80 and xs[-1] == 4.0
+        assert np.array_equal(dens, stable_hit_pdf(xs, 1.0, 0.7))
+        assert np.all(dens > 0)
 
 
 class TestSubordinatedCommand:

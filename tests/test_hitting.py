@@ -324,6 +324,18 @@ class TestTemperedStableTables:
                                 for t in ts], axis=1)
             assert np.max(np.abs(table - doubled) / doubled) <= 1e-10
 
+    def test_general_index_grid_matches_adaptive_convolution(self):
+        # ts_pdf broadcasts over x at every index, so the grid rule runs at
+        # beta = 0.7 too, tempered and not
+        xs, ts = np.linspace(0.5, 1.0, 5), np.array([0.6, 0.8, 1.0])
+        for mu in (1.0, 0.0):
+            model = TemperedStableSubordinator(0.7, mu)
+            table = hit_pdf_convolution_table(xs, ts, model)
+            for i in range(xs.size):
+                for j in range(ts.size):
+                    assert table[i, j] == pytest.approx(
+                        hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
+
     def test_table_domain(self):
         model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
         with pytest.raises(DomainError):
@@ -478,9 +490,44 @@ class TestTransforms:
         assert isinstance(hit_lt_space_closed(1.0, 1.0, params), float)
 
     def test_space_transform_closed_form_domain(self, params_11):
-        for mu, t in ((1.0, 1.0), (0.5, 1.0), (NAN, 1.0), (2.0, INF), (2.0, 0.0)):
+        for mu, t in ((-0.5, 1.0), (NAN, 1.0), (2.0, INF), (2.0, 0.0)):
             with pytest.raises(DomainError):
                 hit_lt_space_closed(mu, t, params_11)
+
+    @pytest.mark.parametrize("delta,gamma,mu,t", [
+        (1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.5, 1.0), (1.0, 1.0, 1e-4, 2.0),
+        (2.0, 0.5, 0.3, 3.0), (1.0, 3.0, 1.0, 1.0), (1.0, 40.0, 1.0, 1.0),
+        (0.5, 40.0, 3.0, 2.0)])
+    def test_space_transform_below_drift_against_density(self, delta, gamma, mu, t):
+        # mu <= delta*gamma, outside the integral form's domain: against
+        # quadrature of e^(-mu x) times the closed-form density; gamma = 40
+        # puts z1^2 and z0^2 above 709, where erfcx(z1) alone overflows
+        params = IGParams(delta, gamma)
+        ev = HittingDensityEval(params)
+        x_max = (gamma * t + 12.0 * math.sqrt(t)) / delta
+        from ighit.numerics import integrate_interval
+        direct = integrate_interval(
+            lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, ev), 0.0, x_max, TIGHT,
+            edges=np.linspace(0.0, x_max, 65))
+        assert hit_lt_space_closed(mu, t, params) == pytest.approx(direct, rel=1e-12)
+
+    def test_space_transform_at_mu_zero_is_one(self):
+        for params in (IGParams(1.0, 0.0), IGParams(1.0, 1.0), IGParams(0.5, 40.0)):
+            assert hit_lt_space_closed(0.0, 2.0, params) == 1.0
+            table = hit_lt_space_closed(np.array([[0.0], [0.1]]), np.array([0.5, 3.0]), params)
+            assert np.all(table[0] == 1.0) and np.all(table[1] < 1.0)
+
+    def test_space_transform_continuous_at_drift(self):
+        # the two forms meet at mu = delta*gamma, where z1 = 0
+        params = IGParams(1.0, 0.5)
+        for t in (0.3, 1.0, 4.0):
+            at = hit_lt_space_closed(0.5, t, params)
+            assert at == pytest.approx(math.erfc(0.5 * math.sqrt(0.5 * t)), rel=1e-15)
+            for h in (1e-9, 1e-6):
+                # the one-sided slopes agree: no jump and no kink at z1 = 0
+                below = hit_lt_space_closed(0.5 - h, t, params)
+                above = hit_lt_space_closed(0.5 + h, t, params)
+                assert below - at == pytest.approx(at - above, rel=1e-5)
 
     def test_forward_lt_of_density_matches_closed_form(self, params_11):
         # numerically transforming the tabulated density over t recovers the
@@ -720,6 +767,18 @@ class TestStableHitting:
     def test_survival_closed_form(self):
         assert stable_hit_survival(2.0, 1.0, 0.5) == pytest.approx(
             math.erfc(1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.7], ids=["third", "general"])
+    def test_survival_integrates_density(self, beta):
+        # one array call; its differences against quadrature of the density
+        xs = np.array([0.2, 0.7, 1.5, 3.0])
+        surv = stable_hit_survival(xs, 1.3, beta)
+        assert np.array_equal(surv, [stable_hit_survival(float(x), 1.3, beta) for x in xs])
+        spec = DEFAULT_SPEC.with_(abs_tol=1e-15, rel_tol=1e-13)
+        from ighit.numerics import integrate_interval
+        for a, b, sa, sb in zip(xs[:-1], xs[1:], surv[:-1], surv[1:]):
+            mass = integrate_interval(lambda x: stable_hit_pdf(x, 1.3, beta), a, b, spec)
+            assert sa - sb == pytest.approx(mass, rel=1e-11)
 
     def test_tail_rate(self):
         rep = stable_hit_tail_report(1.0, 0.5, np.linspace(8.0, 16.0, 17))

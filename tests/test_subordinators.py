@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ighit.errors import BudgetExceeded, DomainError
-from ighit.numerics import DEFAULT_SPEC, integrate_interval, integrate_semi_infinite
+from ighit.numerics import (
+    DEFAULT_SPEC,
+    integrate_interval,
+    integrate_semi_infinite,
+    invert_laplace_batch,
+)
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import (
     IGMarginal,
@@ -18,6 +23,7 @@ from ighit.subordinators import (
     SamplePath,
     StableSubordinator,
     TemperedStableSubordinator,
+    _unit_stable_cdf_pdf,
     ig_cdf,
     ig_levy_tail,
     ig_pdf,
@@ -31,6 +37,7 @@ from ighit.subordinators import (
     stable_sample,
     ts_levy_tail,
     ts_pdf,
+    ts_half_ig_params,
     ts_psi,
     ts_sample,
 )
@@ -280,18 +287,73 @@ class TestStableFamily:
         return math.fsum(parts) / math.pi
 
     def test_general_index_ilt_route_bulk(self):
-        # general beta uses real-axis inversion, a deliberately low-accuracy
-        # route (high-accuracy general-beta densities are out of scope); in
+        # real-axis inversion of e^(-s^beta), a low-accuracy oracle route; in
         # the bulk it tracks the convergent series oracle to a few percent
-        for w in (0.6, 1.0):
-            oracle = self._series_oracle(w, 0.75)
-            assert stable_pdf(w, 1.0, 0.75) == pytest.approx(oracle, rel=5e-2)
+        ws = np.array([0.6, 1.0])
+        vals = invert_laplace_batch(lambda s: np.exp(-s ** 0.75), ws)
+        for w, val in zip(ws, vals):
+            assert val == pytest.approx(self._series_oracle(w, 0.75), rel=5e-2)
 
     def test_general_index_ilt_detects_onset_garbage(self):
         # in the steep left onset the inversion cannot be trusted and says so
         from ighit.errors import NumericalInstability
         with pytest.raises(NumericalInstability):
-            stable_pdf(0.18, 1.0, 0.75)
+            invert_laplace_batch(lambda s: np.exp(-s ** 0.75), np.array([0.18]))
+
+    @staticmethod
+    def _onset(beta: float) -> float:
+        # w where the least exponent (1 - beta)(w/beta)^(-beta/(1-beta)) is 30
+        return beta * (30.0 / (1.0 - beta)) ** (-(1.0 - beta) / beta)
+
+    def test_kanter_matches_closed_forms(self):
+        # Kanter's integral against the beta = 1/2 density and CDF and the
+        # beta = 1/3 Bessel density, from the e^(-30) onset up to 1e5
+        w = np.geomspace(self._onset(0.5), 1e5, 300)
+        cdf, pdf = _unit_stable_cdf_pdf(w, 0.5)
+        assert np.allclose(pdf, stable_pdf(w, 1.0, 0.5), rtol=1e-12, atol=0.0)
+        assert np.allclose(cdf, stable_cdf(w, 1.0, 0.5), rtol=1e-12, atol=0.0)
+        w = np.geomspace(self._onset(1.0 / 3.0), 1e5, 300)
+        pdf = _unit_stable_cdf_pdf(w, 1.0 / 3.0)[1]
+        assert np.allclose(pdf, stable_pdf(w, 1.0, 1.0 / 3.0), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.7, 0.9, 0.95])
+    def test_kanter_matches_series(self, beta):
+        for w in (1.0, 2.0, 5.0):
+            pdf = _unit_stable_cdf_pdf(w, beta)[1]
+            assert pdf == pytest.approx(self._series_oracle(w, beta), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 0.95])
+    def test_kanter_cdf_integrates_density(self, beta):
+        # F(b) - F(a) against adaptive quadrature of f, over panels from the
+        # e^(-30) onset into the power-law tail
+        spec = DEFAULT_SPEC.with_(abs_tol=1e-300, rel_tol=1e-13)
+        edges = self._onset(beta) * np.array([1.0, 2.0, 10.0, 1e2, 1e4])
+        cdf = _unit_stable_cdf_pdf(edges, beta)[0]
+        for a, b, fa, fb in zip(edges[:-1], edges[1:], cdf[:-1], cdf[1:]):
+            mass = integrate_interval(lambda w: _unit_stable_cdf_pdf(w, beta)[1], a, b, spec)
+            assert fb - fa == pytest.approx(mass, rel=1e-11)
+        assert cdf[0] < 1e-12 and np.all(np.diff(cdf) > 0)
+
+    def test_kanter_underflow_and_tail(self):
+        # deep in the onset both values underflow to 0; far in the tail
+        # F -> 1 and f -> sin(pi beta) Gamma(1 + beta) w^(-1-beta) / pi
+        cdf, pdf = _unit_stable_cdf_pdf(np.array([1e-300, 1e300]), 0.7)
+        assert cdf[0] == 0.0 and pdf[0] == 0.0
+        assert cdf[1] == 1.0
+        tail = math.sin(0.7 * math.pi) * math.gamma(1.7) * 1e300 ** -1.7 / math.pi
+        assert pdf[1] == pytest.approx(tail, rel=1e-12)
+
+    def test_third_index_cdf_against_bessel_density(self):
+        # beta = 1/3 distribution function (Kanter's integral) against
+        # adaptive quadrature of the Bessel-form density
+        spec = DEFAULT_SPEC.with_(abs_tol=1e-15, rel_tol=1e-13)
+        t = 1.3
+        xs = np.array([0.05, 0.4, 1.0, 5.0, 50.0])
+        cdf = stable_cdf(xs, t, 1.0 / 3.0)
+        for x, val in zip(xs, cdf):
+            mass = integrate_interval(
+                lambda u: stable_pdf(np.maximum(u, 1e-300), t, 1.0 / 3.0), 0.0, x, spec)
+            assert val == pytest.approx(mass, rel=1e-12)
 
     def test_ts_reduces_to_stable_when_untempered(self):
         assert ts_pdf(1.0, 1.0, 0.5, 0.0) == pytest.approx(
@@ -345,7 +407,7 @@ class TestStableFamily:
         with pytest.raises(DomainError):
             ts_levy_tail(u, 1.0 / 3.0, 0.8)
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0], ids=["half", "third"])
+    @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.7], ids=["half", "third", "general"])
     def test_densities_broadcast_over_time(self, beta):
         # one call over (x, u) pairs, as the grid convolution makes it, with
         # more than 256 pairs so bessel_k runs in chunks
@@ -359,10 +421,6 @@ class TestStableFamily:
             assert np.allclose(table, rows, rtol=1e-13, atol=0.0)
         assert ts_pdf(0.7, np.array([1.3]), beta, 0.8) == pytest.approx(
             ts_pdf(0.7, 1.3, beta, 0.8), rel=1e-15)
-
-    def test_inverted_density_needs_scalar_time(self):
-        with pytest.raises(DomainError):
-            stable_pdf(0.5, np.array([1.0, 2.0]), 0.75)
 
 
 NAN = math.nan
@@ -429,10 +487,10 @@ def test_samplers_reject_before_drawing(draw):
 
 
 def _kanter(t, beta, u, e):
-    """The general Kanter formula on given uniforms u in (0, pi) and exponentials e."""
-    ratio = (1.0 - beta) / beta
-    return t ** (1.0 / beta) * (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
-                                / (np.sin(u) ** (1.0 / beta) * e ** ratio))
+    """The general Kanter formula t^(1/beta) (a(u)/e)^((1-beta)/beta) on given u in (0, pi) and e."""
+    sb = np.sin(beta * u)
+    a = (sb / np.sin(u)) ** (1.0 / (1.0 - beta)) * np.sin((1.0 - beta) * u) / sb
+    return t ** (1.0 / beta) * (a / e) ** ((1.0 - beta) / beta)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.7], ids=["half", "third", "inverted"])
@@ -524,7 +582,17 @@ class TestSamplers:
     def test_ts_budget_exceeded(self):
         rng = np.random.default_rng(9)
         with pytest.raises(BudgetExceeded):
-            ts_sample(4.0, 0.5, 400.0, rng, size=4, trial_cap=50)
+            ts_sample(4.0, 1.0 / 3.0, 400.0, rng, size=4, trial_cap=50)
+
+    def test_ts_half_index_is_the_ig_law(self):
+        # index 1/2 draws the IG marginal at ts_half_ig_params(mu) directly:
+        # the same numbers as ig_sample on the same generator, no rejection
+        for mu in (0.0, 1.0, 400.0):
+            d = ts_sample(4.0, 0.5, mu, np.random.default_rng(25), size=(3, 4))
+            ig = ig_sample(ts_half_ig_params(mu).marginal(4.0), np.random.default_rng(25),
+                           (3, 4))
+            assert np.array_equal(d, ig)
+        assert type(ts_sample(1.0, 0.5, 1.0, np.random.default_rng(25))) is float
 
 
 class TestPaths:
