@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, NumericalInstability
 from .numerics import (
     DEFAULT_SPEC,
     INV_SQRT_PI,
@@ -250,10 +250,13 @@ def hit_pdf_convolution_table(xs, ts, model) -> np.ndarray:
     scalar route and graded toward both ends of (0, t^(1-p)), is shared by
     every x: the Levy tail is evaluated once per t and the marginal density
     once over all (x, node) pairs, so `model.marginal_pdf` must broadcast over
-    x (`ts_pdf` and `stable_pdf` do at every index).  At index 1/3 it
-    agrees with the adaptive route within that route's rel_tol of 1e-8, and
-    with the rule of doubled panels and nodes within 1e-10; at index 0.7
-    within 1e-8 of the adaptive route too.
+    x (`ts_pdf` and `stable_pdf` do at every index).  The rule was tuned at
+    index 1/3 on the residual grids, where it agrees with the adaptive route
+    within that route's rel_tol of 1e-8 and with the rule of doubled panels
+    and nodes within 1e-10.  At every other index the doubled rule is run
+    as well, and NumericalInstability is raised where the two differ by more
+    than 1e-8 of a column's peak (at index 0.9, for one, by about 1e-4); at
+    index 0.7 the table agrees with the adaptive route within 1e-8.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -262,7 +265,16 @@ def hit_pdf_convolution_table(xs, ts, model) -> np.ndarray:
         raise DomainError("xs and ts must be 1-d arrays")
     if not np.all(np.isfinite(xs) & (xs > 0)):
         raise DomainError("x must be finite and positive")
-    return np.stack([_convolution_column(xs, float(t), model) for t in ts], axis=1)
+    table = np.stack([_convolution_column(xs, float(t), model) for t in ts], axis=1)
+    if model.tail_exponent != 1.0 / 3.0:
+        rule = tuple(2 * n for n in _CONV_RULE)
+        doubled = np.stack([_convolution_column(xs, float(t), model, rule) for t in ts], axis=1)
+        err = np.max(np.abs(table - doubled) / np.max(np.abs(doubled), axis=0))
+        if not err <= 1e-8:
+            raise NumericalInstability(
+                f"convolution rule and its doubling differ by {err:.2e} of a column's "
+                f"peak at index {model.tail_exponent}")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +436,19 @@ def hit_lt_space_closed(mu, t, params: IGParams):
     if np.any(mu_arr < 0):
         raise DomainError("mu must be nonnegative")
     d, g = params.delta, params.gamma
+    mu_arr, t_arr = np.broadcast_arrays(mu_arr, t_arr)
     r = np.sqrt(0.5 * t_arr)
     z0 = g * r
     z1 = (mu_arr / d - g) * r
     below = z1 < 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.exp(-0.5 * g * g * t_arr) * (erfcx(z1) + z0 * _erfcx_slope(z0, z1))
-        if np.any(below):
-            fold = np.exp((z1 - z0) * (mu_arr / d * r)) * erfc(z1)
-            out = np.where(below, (-z1 * fold + z0 * erfc(z0)) / (z0 - z1), out)
-    out = np.where(mu_arr == 0, 1.0, out)
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.empty(z1.shape)
+    m = ~below
+    out[m] = np.exp(-0.5 * g * g * t_arr[m]) * (erfcx(z1[m]) + z0[m] * _erfcx_slope(z0[m], z1[m]))
+    m = below
+    fold = np.exp((z1[m] - z0[m]) * (mu_arr[m] / d * r[m])) * erfc(z1[m])
+    out[m] = (-z1[m] * fold + z0[m] * erfc(z0[m])) / (z0[m] - z1[m])
+    out[mu_arr == 0] = 1.0
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ighit.errors import DomainError, NonConvergence
+from ighit.errors import DomainError, NonConvergence, NumericalInstability
 from ighit.numerics import (
     DEFAULT_SPEC,
     LaplaceFunction,
@@ -335,6 +335,14 @@ class TestTemperedStableTables:
                 for j in range(ts.size):
                     assert table[i, j] == pytest.approx(
                         hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
+
+    @pytest.mark.parametrize("beta", [0.2, 0.9])
+    def test_untuned_index_raises_where_rule_is_short(self, beta):
+        # the fixed rule is off by about 1e-6 at index 0.2 and 1e-4 at 0.9
+        # here; the doubled rule says so in place of a quiet table
+        model = TemperedStableSubordinator(beta, 1.0)
+        with pytest.raises(NumericalInstability):
+            hit_pdf_convolution_table(np.linspace(0.5, 1.0, 5), np.array([0.6, 0.8, 1.0]), model)
 
     def test_table_domain(self):
         model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
