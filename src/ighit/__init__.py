@@ -10,9 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
 from .numerics import (
-    DEFAULT_SPEC,
-    LaplaceFunction,
-    NumericSpec,
     bessel_k,
     erf,
     erfc,
@@ -21,6 +18,7 @@ from .numerics import (
     integrate_semi_infinite,
     invert_laplace,
     invert_laplace_batch,
+    invert_laplace_talbot,
     upper_gamma,
 )
 from .subordinators import (

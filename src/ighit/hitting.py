@@ -27,9 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, NumericalInstability
 from .numerics import (
-    DEFAULT_SPEC,
     INV_SQRT_PI,
-    NumericSpec,
     _period_edges,
     composite_gauss,
     erf,
@@ -52,6 +50,10 @@ from .subordinators import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# the integral route's absolute error target for the density, and the value
+# of exp(-t omega^2) at omega_max, where the integral routes truncate
+_PDF_ABS_TOL = 1e-10
+_TRUNCATION_EPS = 1e-16
 
 
 def _check_x(x) -> None:
@@ -78,10 +80,9 @@ def _osc_noise_estimate(log_pref: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class HittingDensityEval:
-    """Parameters, tolerances and prefactor convention for density evaluation."""
+    """Parameters and prefactor convention for density evaluation."""
 
     params: IGParams
-    spec: NumericSpec = DEFAULT_SPEC
     prefactor_mode: str = "corrected"
 
     def __post_init__(self):
@@ -105,7 +106,7 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     After the substitution omega = sqrt(y) the integrand decays like
     exp(-t omega^2) and oscillates with wavenumber delta*sqrt(2)*x; quadrature
     cells follow the oscillation half-periods up to the truncation point
-    omega_max = sqrt(-ln(truncation_eps)/t).
+    omega_max = sqrt(-ln(1e-16)/t).
     """
     _check_x(x)
     _check_t(t)
@@ -114,18 +115,17 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     if x == 0.0:
         return hit_boundary_value(t, ev.params, mode=ev.prefactor_mode)
     p = ev.params
-    spec = ev.spec
     log_pref = float(ev.log_prefactor(x, t))
-    if _osc_noise_estimate(log_pref, p.delta) > 0.25 * spec.abs_tol:
+    if _osc_noise_estimate(log_pref, p.delta) > 0.25 * _PDF_ABS_TOL:
         # far enough into the exp(delta*gamma*x) regime that the oscillatory
         # cancellation exceeds the error budget; evaluate through the
         # analytically equal, absolutely convergent convolution form
-        base = hit_pdf_convolution(x, t, IGSubordinator(p), spec)
+        base = hit_pdf_convolution(x, t, IGSubordinator(p))
         if ev.prefactor_mode == "literal":
             base *= math.exp(0.5 * p.gamma ** 2 * (t - 1.0))
         return base
     kappa = p.delta * SQRT2 * x
-    omega_max = math.sqrt(-math.log(spec.truncation_eps) / t)
+    omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
     g2 = 0.5 * p.gamma ** 2
 
     def integrand(w):
@@ -137,20 +137,17 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     # the exp(delta*gamma*x) prefactor amplifies inner-quadrature error, so the
     # inner tolerance shrinks with it, down to the float64 cancellation floor
     floor = 5e-17 * max(1.0, omega_max)
-    inner_abs = max(spec.abs_tol * math.exp(min(0.0, -log_pref)) * math.pi / p.delta,
+    inner_abs = max(_PDF_ABS_TOL * math.exp(min(0.0, -log_pref)) * math.pi / p.delta,
                     floor)
-    inner_spec = spec.with_(abs_tol=inner_abs)
     # one cell per oscillation half-period, plus a geometric ladder resolving
     # the width-gamma/sqrt(2) peak of 1/(w^2 + gamma^2/2) for small gamma
-    edges = _period_edges(0.0, omega_max, math.pi / kappa, inner_spec)
-    if edges is None:
-        edges = np.array([0.0, omega_max])
+    edges = _period_edges(0.0, omega_max, math.pi / kappa)
     if p.gamma > 0:
         peak = p.gamma / SQRT2
         edges = np.concatenate([edges, peak * geomspace(0.1, min(1e4, omega_max / peak), 11)])
-    val = integrate_interval(integrand, 0.0, omega_max, inner_spec, edges=edges)
+    val = integrate_interval(integrand, 0.0, omega_max, edges=edges, abs_tol=inner_abs)
     h = p.delta / math.pi * math.exp(log_pref) * val
-    if h < 0 and abs(h) <= 10.0 * max(spec.abs_tol, floor * math.exp(log_pref)):
+    if h < 0 and abs(h) <= 10.0 * max(_PDF_ABS_TOL, floor * math.exp(log_pref)):
         return 0.0
     return h
 
@@ -183,8 +180,7 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
 # Density, route 2: Levy-tail convolution (any strictly increasing subordinator)
 # ---------------------------------------------------------------------------
 
-def hit_pdf_convolution(x: float, t: float, model,
-                        spec: NumericSpec = DEFAULT_SPEC) -> float:
+def hit_pdf_convolution(x: float, t: float, model) -> float:
     """Hitting-time density as the convolution of the Levy tail with the marginal.
 
     q(x, t) = integral over y in (0, t) of levy_tail(t - y) * marginal_pdf(y, x).
@@ -210,7 +206,7 @@ def hit_pdf_convolution(x: float, t: float, model,
             out[ok] = tail * pdf * q * v[ok] ** (q - 1.0)
         return out
 
-    return integrate_interval(integrand, 0.0, v_end, spec)
+    return integrate_interval(integrand, 0.0, v_end)
 
 
 # nodes per panel, geometric panels toward each end, uniform panels between:
@@ -361,14 +357,15 @@ def hit_llt(u, s, params: IGParams):
     return out.item() if (np.ndim(u) == 0 and np.ndim(s) == 0) else out
 
 
-def hit_lt_space(mu: float, t: float, params: IGParams,
-                 spec: NumericSpec = DEFAULT_SPEC,
-                 prefactor_mode: str = "corrected") -> float:
+def hit_lt_space(mu: float, t: float, params: IGParams, *,
+                 prefactor_mode: str = "corrected",
+                 abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
     """Space-Laplace transform of h(., t), valid for mu > delta*gamma.
 
     Integral form with the global factor e^(-t gamma^2/2); the y^(1/2)
-    endpoint is flattened by y = u^2.  For gamma = 0, delta = 1 this reduces
-    to erfcx(mu sqrt(t/2)).
+    endpoint is flattened by y = u^2, and the quadrature runs to the
+    tolerances given.  For gamma = 0, delta = 1 this reduces to
+    erfcx(mu sqrt(t/2)).
     """
     _check_x(mu)
     _check_t(t)
@@ -382,8 +379,8 @@ def hit_lt_space(mu: float, t: float, params: IGParams,
         w2 = w * w
         return w2 * np.exp(-t * w2) / ((w2 + g2) * (shift2 + 2.0 * d * d * w2))
 
-    omega_max = math.sqrt(-math.log(spec.truncation_eps) / t)
-    val = integrate_semi_infinite(integrand, spec, cutoff=omega_max)
+    omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
+    val = integrate_semi_infinite(integrand, cutoff=omega_max, abs_tol=abs_tol, rel_tol=rel_tol)
     if prefactor_mode == "corrected":
         pref = math.exp(-0.5 * t * g * g)
     else:
@@ -529,11 +526,10 @@ def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval,
         return vals if q == 0.0 else xs ** q * vals
 
     edges = np.linspace(0.0, x_max, max(9, int(2 * x_max) + 1))
-    return integrate_interval(f, 0.0, x_max, ev.spec, edges=edges)
+    return integrate_interval(f, 0.0, x_max, edges=edges)
 
 
-def hit_moment(q: float, t: float, params: IGParams,
-               spec: NumericSpec = DEFAULT_SPEC) -> float:
+def hit_moment(q: float, t: float, params: IGParams) -> float:
     """Fractional moment E H(t)^q by inverting Gamma(1+q) / (s Psi(s)^q).
 
     The numerator is Gamma(1+q): at q = 1 this reproduces the transform
@@ -548,7 +544,7 @@ def hit_moment(q: float, t: float, params: IGParams,
     def transform(s):
         return gamma_factor / (s * ig_psi(s, params) ** q)
 
-    return invert_laplace(transform, t, spec)
+    return invert_laplace(transform, t)
 
 
 def hit_mean_asymptote(t: float, params: IGParams, regime: str) -> float:

@@ -2,16 +2,17 @@
 
 Everything here is pure and vectorised over numpy arrays.  Integrands and
 Laplace transforms passed in are expected to accept ndarray arguments and
-return arrays of the same shape.
+return arrays of the same shape.  The quadratures take their error target
+as `abs_tol`/`rel_tol` keywords; the other budgets are fixed: at most
+`MAX_SUBDIVISIONS` cell bisections per integral and `GS_TERMS`
+Gaver-Stehfest terms per inversion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -23,50 +24,9 @@ INV_SQRT_PI = 1.0 / SQRT_PI
 
 _EPS = float(np.finfo(float).eps)
 
-
-@dataclass(frozen=True)
-class NumericSpec:
-    """Tolerances and budgets for quadrature and transform inversion."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 4000
-    truncation_eps: float = 1e-16
-    ilt_terms: int = 16
-    ilt_method: str = "gaver_stehfest"
-
-    def __post_init__(self):
-        tols = (self.abs_tol, self.rel_tol, self.truncation_eps)
-        if not all(math.isfinite(v) and v > 0 for v in tols):
-            raise DomainError("tolerances must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.ilt_method not in ("gaver_stehfest", "fixed_talbot"):
-            raise DomainError(f"unknown ilt_method {self.ilt_method!r}")
-        if self.ilt_method == "gaver_stehfest":
-            if self.ilt_terms % 2 != 0 or self.ilt_terms < 8:
-                raise DomainError("gaver_stehfest needs an even term count >= 8")
-        else:
-            if self.ilt_terms < 16:
-                raise DomainError("fixed_talbot needs at least 16 terms")
-
-    def with_(self, **kw) -> "NumericSpec":
-        return replace(self, **kw)
-
-
-DEFAULT_SPEC = NumericSpec()
-
-
-@dataclass(frozen=True)
-class LaplaceFunction:
-    """A transform F(s), evaluable on real s > s_min (and complex s if flagged)."""
-
-    fn: Callable
-    s_min: float = 0.0
-    supports_complex: bool = False
-
-    def __call__(self, s):
-        return self.fn(s)
+MAX_SUBDIVISIONS = 4000
+GS_TERMS = 16
+_ILT_ABS_TOL = 1e-10  # absolute slack of the inversions' two-term-count check
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +344,7 @@ def _cells(a: float, b: float, edges) -> tuple[np.ndarray, np.ndarray]:
 
     Sorting and dropping empty cells leaves the cells np.unique of the edges gave.
     """
-    if edges is None:
+    if edges is None or len(edges) == 0:
         return np.array([a], dtype=float), np.array([b], dtype=float)
     inner = np.minimum(np.maximum(np.asarray(edges, dtype=float), a), b)
     pts = np.sort(np.concatenate(([a, b], inner)))
@@ -412,14 +372,21 @@ def _cell_estimates(f, lo, hi):
     return est_h, np.abs(est_h - est_l)
 
 
-def integrate_interval(f, a: float, b: float, spec: NumericSpec = DEFAULT_SPEC,
-                       edges=None) -> float:
+def _check_tols(abs_tol: float, rel_tol: float) -> None:
+    if not (math.isfinite(abs_tol) and abs_tol > 0 and math.isfinite(rel_tol) and rel_tol > 0):
+        raise DomainError("tolerances must be finite and positive")
+
+
+def integrate_interval(f, a: float, b: float, *, edges=None,
+                       abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
     """Globally adaptive Gauss quadrature of a vectorised integrand on [a, b].
 
     `edges` may seed an initial partition (e.g. one cell per oscillation
     half-period); cells are bisected until the summed error estimate meets
-    max(abs_tol, rel_tol * |integral|).
+    max(abs_tol, rel_tol * |integral|), and NonConvergence is raised once
+    more than MAX_SUBDIVISIONS bisections have not.
     """
+    _check_tols(abs_tol, rel_tol)
     if b <= a:
         return 0.0
     lo, hi = _cells(a, b, edges)
@@ -429,14 +396,14 @@ def integrate_interval(f, a: float, b: float, spec: NumericSpec = DEFAULT_SPEC,
         total = vals.sum()
         total = complex(total) if np.iscomplexobj(vals) else float(total)
         err = float(errs.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tol = max(abs_tol, rel_tol * abs(total))
         if err <= tol:
             return total
         mask = errs > 0.5 * tol / lo.size
         if not mask.any():
             mask = errs >= errs.max()
         n_splits += int(mask.sum())
-        if n_splits > spec.max_subdivisions:
+        if n_splits > MAX_SUBDIVISIONS:
             raise NonConvergence(
                 f"quadrature did not reach tolerance after {n_splits} subdivisions "
                 f"(err={err:.3e}, tol={tol:.3e})")
@@ -451,45 +418,44 @@ def integrate_interval(f, a: float, b: float, spec: NumericSpec = DEFAULT_SPEC,
         errs = np.concatenate([errs[~mask], ne])
 
 
-def _period_edges(a: float, b: float, period, spec: NumericSpec):
+def _period_edges(a: float, b: float, period) -> np.ndarray:
+    """The multiples of `period` in [a, b], none where it is not a usable period."""
     if period is None or not np.isfinite(period) or period <= 0 or period >= (b - a):
-        return None
+        return np.empty(0)
     n_cells = (b - a) / period
     if n_cells > 20000:
         raise NonConvergence(
             f"oscillatory integrand needs {n_cells:.0f} cells on [{a}, {b}]; "
             "parameters are outside the supported regime")
-    k0 = math.ceil(a / period)
-    k1 = math.floor(b / period)
-    interior = np.arange(k0, k1 + 1) * period
-    return np.concatenate([[a], interior, [b]])
+    return np.arange(math.ceil(a / period), math.floor(b / period) + 1) * period
 
 
-def integrate_semi_infinite(f, spec: NumericSpec = DEFAULT_SPEC, *,
-                            cutoff: float | None = None,
-                            period: float | None = None) -> float:
+def integrate_semi_infinite(f, *, cutoff: float | None = None,
+                            period: float | None = None,
+                            abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
     """Integrate a decaying (possibly oscillatory) integrand over (0, inf).
 
-    With `cutoff` the domain is truncated there (caller guarantees the tail is
-    below truncation_eps); otherwise geometrically growing segments are added
-    until two consecutive contributions are negligible.  `period` seeds one
-    quadrature cell per oscillation half-period.
+    With `cutoff` the domain is truncated there (the caller guarantees the
+    tail beyond it is negligible); otherwise geometrically growing segments,
+    each at an eighth of the tolerances, are added until two consecutive
+    contributions are negligible.  `period` seeds one quadrature cell per
+    oscillation half-period.
     """
+    _check_tols(abs_tol, rel_tol)
     if cutoff is not None:
         if cutoff <= 0:
             raise DomainError("cutoff must be positive")
-        edges = _period_edges(0.0, cutoff, period, spec)
-        return integrate_interval(f, 0.0, cutoff, spec, edges)
+        return integrate_interval(f, 0.0, cutoff, edges=_period_edges(0.0, cutoff, period),
+                                  abs_tol=abs_tol, rel_tol=rel_tol)
 
-    seg_spec = spec.with_(abs_tol=spec.abs_tol / 8.0, rel_tol=spec.rel_tol / 8.0)
     total = 0.0
     a, b = 0.0, 1.0
     quiet = 0
     while True:
-        edges = _period_edges(a, b, period, spec)
-        seg = integrate_interval(f, a, b, seg_spec, edges)
+        seg = integrate_interval(f, a, b, edges=_period_edges(a, b, period),
+                                 abs_tol=abs_tol / 8.0, rel_tol=rel_tol / 8.0)
         total += seg
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tol = max(abs_tol, rel_tol * abs(total))
         if abs(seg) < 0.25 * tol and b >= 32.0:
             quiet += 1
             if quiet >= 2:
@@ -570,24 +536,22 @@ def _gs_achievable_rel(n_terms: int) -> float:
     return max(truncation, cancellation, 1e-9)
 
 
-def invert_laplace_batch(transform, ts, spec: NumericSpec = DEFAULT_SPEC) -> np.ndarray:
+def invert_laplace_batch(fn, ts) -> np.ndarray:
     """Gaver-Stehfest inversion at an array of times in one vectorised pass.
 
     The transform is evaluated on the full (time x term) matrix of abscissae.
-    Two term counts are compared at every time; a disagreement beyond 100x
-    the method's achievable accuracy raises NumericalInstability.
+    GS_TERMS and GS_TERMS - 2 terms are compared at every time; a
+    disagreement beyond 100x the method's achievable accuracy raises
+    NumericalInstability.
     """
-    if spec.ilt_method != "gaver_stehfest":
-        raise DomainError("batch inversion supports gaver_stehfest only")
-    fn = transform.fn if isinstance(transform, LaplaceFunction) else transform
     t_arr = np.asarray(ts, dtype=float)
     if np.any(t_arr <= 0):
         raise DomainError("invert_laplace_batch requires t > 0")
     flat = t_arr.ravel()
-    f_hi = _gs_core(fn, flat, spec.ilt_terms)
-    f_lo = _gs_core(fn, flat, spec.ilt_terms - 2)
-    floor = _gs_achievable_rel(spec.ilt_terms - 2)
-    allowed = 100.0 * np.maximum(spec.abs_tol, floor * np.abs(f_hi))
+    f_hi = _gs_core(fn, flat, GS_TERMS)
+    f_lo = _gs_core(fn, flat, GS_TERMS - 2)
+    floor = _gs_achievable_rel(GS_TERMS - 2)
+    allowed = 100.0 * np.maximum(_ILT_ABS_TOL, floor * np.abs(f_hi))
     bad = np.abs(f_hi - f_lo) > allowed
     if bad.any():
         i = int(np.argmax(bad))
@@ -597,31 +561,30 @@ def invert_laplace_batch(transform, ts, spec: NumericSpec = DEFAULT_SPEC) -> np.
     return f_hi.reshape(t_arr.shape)
 
 
-def invert_laplace(transform, t: float, spec: NumericSpec = DEFAULT_SPEC) -> float:
-    """Numerically invert a Laplace transform at t > 0.
+def invert_laplace(fn, t: float) -> float:
+    """Numerically invert a Laplace transform at t > 0 by Gaver-Stehfest.
 
-    Gaver-Stehfest (real axis) by default, fixed Talbot as the complex-contour
-    alternative.  Two term counts are compared; a disagreement beyond 100x the
-    method's achievable accuracy raises NumericalInstability rather than
-    returning a silently wrong value.
+    The transform is evaluated on the real axis only.  Two term counts are
+    compared; a disagreement beyond 100x the method's achievable accuracy
+    raises NumericalInstability rather than returning a silently wrong value.
     """
     if t <= 0:
         raise DomainError("invert_laplace requires t > 0")
-    if isinstance(transform, LaplaceFunction):
-        fn = transform.fn
-        if spec.ilt_method == "fixed_talbot" and not transform.supports_complex:
-            raise DomainError("fixed_talbot requires a complex-capable transform")
-        if spec.ilt_method == "gaver_stehfest" and LN2 / t < transform.s_min:
-            raise DomainError(
-                f"inversion at t={t} probes s below the transform's domain s_min")
-    else:
-        fn = transform
-    if spec.ilt_method == "gaver_stehfest":
-        return float(invert_laplace_batch(fn, t, spec))
-    f_hi = _fixed_talbot(fn, t, spec.ilt_terms)
-    f_lo = _fixed_talbot(fn, t, spec.ilt_terms - 4)
-    allowed = 100.0 * max(spec.abs_tol, 1e-7 * abs(f_hi))
-    if abs(f_hi - f_lo) > allowed:
+    return float(invert_laplace_batch(fn, t))
+
+
+def invert_laplace_talbot(fn, t: float) -> float:
+    """Invert a Laplace transform at t > 0 on the fixed Talbot contour.
+
+    A reference route for the real-axis `invert_laplace`: the transform must
+    accept complex s.  24 and 20 nodes are compared; a disagreement beyond
+    100 max(1e-10, 1e-7 |f|) raises NumericalInstability.
+    """
+    if t <= 0:
+        raise DomainError("invert_laplace_talbot requires t > 0")
+    f_hi = _fixed_talbot(fn, t, 24)
+    f_lo = _fixed_talbot(fn, t, 20)
+    if abs(f_hi - f_lo) > 100.0 * max(_ILT_ABS_TOL, 1e-7 * abs(f_hi)):
         raise NumericalInstability(
             f"inverse Laplace estimates disagree: {f_hi:.9e} vs {f_lo:.9e} at t={t}")
     return f_hi

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_SPEC, NumericSpec, integrate_semi_infinite
+from .numerics import integrate_semi_infinite
 from .hitting import (
     HittingDensityEval,
     hit_lt_time,
@@ -450,8 +450,7 @@ def residual_subordinated_frac(box: GridBox, *, perturb=None,
 # Transform-space identity
 # ---------------------------------------------------------------------------
 
-def residual_pseudo_lt(params: IGParams, s_grid, x_grid,
-                       spec: NumericSpec = DEFAULT_SPEC, *,
+def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
                        source: str = "closed", fd_step: float = 1e-2) -> ResidualReport:
     """Residual of d/dx h~(x, s) + Psi(s) h~(x, s) = 0 in transform space.
 
@@ -468,12 +467,12 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid,
     def transform_closed(x, s):
         return hit_lt_time(float(x), float(s), params)
 
-    ev = HittingDensityEval(params, spec)
+    ev = HittingDensityEval(params)
 
     def transform_numeric(x, s):
         def f(ts):
             return np.exp(-s * ts) * hit_pdf_table(x, ts, ev)
-        return integrate_semi_infinite(f, spec.with_(abs_tol=1e-12, rel_tol=1e-10))
+        return integrate_semi_infinite(f, abs_tol=1e-12, rel_tol=1e-10)
 
     def run_level(step):
         residual = np.empty((x_arr.size, s_arr.size))

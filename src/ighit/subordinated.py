@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (
-    DEFAULT_SPEC,
-    NumericSpec,
-    composite_gauss,
-    geomspace,
-    integrate_interval,
-)
+from .numerics import composite_gauss, geomspace, integrate_interval
 from .hitting import (
     HittingDensityEval,
     _check_t,
@@ -38,13 +32,12 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 @dataclass(frozen=True)
 class SubordinatedEval:
-    """Parameters and tolerances for the subordinated density."""
+    """Parameters of the subordinated density."""
 
     params: IGParams
-    spec: NumericSpec = DEFAULT_SPEC
 
     def hitting_eval(self) -> HittingDensityEval:
-        return HittingDensityEval(self.params, self.spec)
+        return HittingDensityEval(self.params)
 
 
 def _v_cutoff(t, ev: SubordinatedEval):
@@ -66,7 +59,7 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
 
     # one panel per stretch of the Gaussian boundary layer near v ~ |x|
     edges = geomspace(max(v_max * 1e-3, 1e-6), v_max, 17)
-    val = integrate_interval(integrand, 0.0, v_max, ev.spec, edges=edges)
+    val = integrate_interval(integrand, 0.0, v_max, edges=edges)
     return SQRT_2_OVER_PI * val
 
 
@@ -122,8 +115,8 @@ def sub_mass_and_second_moment(t: float, ev: SubordinatedEval) -> tuple[float, f
         return xs * xs * sub_pdf_table(xs, t, ev)
 
     edges = np.linspace(0.0, x_max, 65)
-    mass = 2.0 * integrate_interval(mass_f, 0.0, x_max, ev.spec, edges=edges)
-    second = 2.0 * integrate_interval(second_f, 0.0, x_max, ev.spec, edges=edges)
+    mass = 2.0 * integrate_interval(mass_f, 0.0, x_max, edges=edges)
+    second = 2.0 * integrate_interval(second_f, 0.0, x_max, edges=edges)
     return mass, second
 
 

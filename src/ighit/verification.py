@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, NonConvergence, NumericalInstability
-from .numerics import DEFAULT_SPEC, erfcx, invert_laplace
+from .numerics import erfcx, invert_laplace
 from .hitting import (
     HittingDensityEval,
     density_support_cutoff,
@@ -255,8 +255,7 @@ def _rec_llt() -> VerificationRecord:
     def inner(ts):
         return np.exp(-ts) * hit_lt_space_closed(1.0, ts, params)
 
-    double = integrate_semi_infinite(inner, DEFAULT_SPEC.with_(abs_tol=1e-11,
-                                                               rel_tol=1e-9))
+    double = integrate_semi_infinite(inner, abs_tol=1e-11, rel_tol=1e-9)
     tol = 1e-4
     disc = abs(closed - double)
     return VerificationRecord(
@@ -346,7 +345,7 @@ def _rec_stable_hit_density() -> VerificationRecord:
             closed = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
             worst = max(worst, abs(stable_hit_pdf(x, t, 0.5) - closed))
     mass = integrate_semi_infinite(
-        lambda x: stable_hit_pdf(np.maximum(x, 1e-300), 1.0, 0.5), DEFAULT_SPEC)
+        lambda x: stable_hit_pdf(np.maximum(x, 1e-300), 1.0, 0.5))
     worst = max(worst, abs(mass - 1.0))
     tol = 1e-6
     return VerificationRecord(

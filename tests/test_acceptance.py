@@ -32,7 +32,7 @@ from ighit.hitting import (
     tail_report,
 )
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
-from ighit.numerics import DEFAULT_SPEC, erfcx, integrate_interval, invert_laplace
+from ighit.numerics import erfcx, integrate_interval, invert_laplace
 from ighit.residuals import (
     GridBox,
     caputo_derivative,
@@ -250,7 +250,7 @@ def test_criterion_11_stable_family():
     assert abs(fitted - 0.25) / 0.25 <= 0.02
     from ighit.numerics import integrate_semi_infinite
     mass = integrate_semi_infinite(
-        lambda x: stable_hit_pdf(np.maximum(x, 1e-300), 1.0, 0.5), DEFAULT_SPEC)
+        lambda x: stable_hit_pdf(np.maximum(x, 1e-300), 1.0, 0.5))
     assert abs(mass - 1.0) <= 1e-6
     report(11, f"half-index density exact to {worst:.2e}; fitted tail rate "
                f"{fitted:.4f} within 2% of 1/4; mass {mass:.8f}")

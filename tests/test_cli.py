@@ -143,7 +143,7 @@ class TestExitCodes:
         ("--abs-tol", "1e-9"), ("--rel-tol", "1e-7"), ("--ilt-terms", "18"),
         ("--ilt-method", "gaver_stehfest")])
     def test_tolerance_flags_are_unknown(self, tmp_path, command, flag, value):
-        # every command runs at the default NumericSpec; there is no tolerance flag
+        # every command runs at the package default tolerances; there is no tolerance flag
         with pytest.raises(SystemExit) as exc:
             run_in(tmp_path, [command, *self.SUBCOMMANDS[command], flag, value])
         assert exc.value.code == 2

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from ighit.errors import DomainError, NonConvergence, NumericalInstability
 from ighit.numerics import (
-    DEFAULT_SPEC,
-    LaplaceFunction,
-    NumericSpec,
     erfcx,
+    integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
+    invert_laplace_talbot,
 )
 from ighit.hitting import (
+    _PDF_ABS_TOL,
     HittingDensityEval,
     TailBoundReport,
     _check_t,
@@ -74,7 +74,7 @@ P11 = IGParams(1.0, 1.0)
 EV11 = HittingDensityEval(P11)
 NAN, INF = math.nan, math.inf
 # the integral oracles at tolerances below the closed forms' rounding
-TIGHT = DEFAULT_SPEC.with_(abs_tol=1e-16, rel_tol=1e-14)
+TIGHT = {"abs_tol": 1e-16, "rel_tol": 1e-14}
 
 
 class TestDensityRoutes:
@@ -100,10 +100,9 @@ class TestDensityRoutes:
 
     def test_ts_convolution_normalises(self):
         model = TemperedStableSubordinator(0.5, 1.0)
-        spec = DEFAULT_SPEC.with_(abs_tol=1e-9, rel_tol=1e-7)
         mass = integrate_semi_infinite(
-            lambda x: np.array([hit_pdf_convolution(float(xi), 1.0, model, spec)
-                                for xi in np.atleast_1d(x)]), spec)
+            lambda x: np.array([hit_pdf_convolution(float(xi), 1.0, model)
+                                for xi in np.atleast_1d(x)]))
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_stable_convolution_matches_closed_form(self):
@@ -196,7 +195,7 @@ class TestDensityRoutes:
         for delta, gamma, t, x, h in self.INTEGRAL_REFERENCE:
             ev = HittingDensityEval(IGParams(delta, gamma))
             log_pref = float(ev.log_prefactor(x, t))
-            fallbacks.append(_osc_noise_estimate(log_pref, delta) > 0.25 * ev.spec.abs_tol)
+            fallbacks.append(_osc_noise_estimate(log_pref, delta) > 0.25 * _PDF_ABS_TOL)
             assert hit_pdf_integral(x, t, ev) == pytest.approx(h, rel=1e-13, abs=0.0)
         assert fallbacks == [False] * 16 + [True] * 8
 
@@ -248,9 +247,8 @@ class TestDensityRoutes:
     lambda: IGParams(1.0, INF),
     lambda: IGMarginal(NAN, 1.0),
     lambda: IGMarginal(1.0, NAN),
-    lambda: NumericSpec(abs_tol=NAN),
-    lambda: NumericSpec(rel_tol=INF),
-    lambda: NumericSpec(truncation_eps=NAN),
+    lambda: integrate_interval(np.exp, 0.0, 1.0, abs_tol=NAN),
+    lambda: integrate_interval(np.exp, 0.0, 1.0, rel_tol=INF),
     lambda: hit_pdf_table(np.array([0.5, NAN]), 1.0, EV11),
     lambda: hit_pdf_table(0.5, NAN, EV11),
     lambda: hit_pdf_table(0.5, np.array([1.0, INF]), EV11),
@@ -277,7 +275,7 @@ class TestDensityRoutes:
     lambda: hit_lt_space(NAN, 1.0, P11),
     lambda: hit_lt_space(2.0, INF, P11),
 ], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
-        "abs_tol_nan", "rel_tol_inf", "truncation_eps_nan", "table_x_nan", "table_t_nan",
+        "abs_tol_nan", "rel_tol_inf", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
         "survival_x_nan", "survival_t_inf", "sample_t_nan", "sample_t_inf", "sample_dt_nan",
         "sample_dt_inf", "mean_t_nan", "mean_t_inf", "boundary_t_nan", "moment_t_nan",
@@ -389,12 +387,12 @@ class TestTransforms:
 
     def test_time_transform_talbot_cross_check(self, params_11):
         # the fixed-Talbot contour evaluates Psi off the real axis
-        transform = LaplaceFunction(lambda s: hit_lt_time(0.7, s, params_11),
-                                    supports_complex=True)
-        talbot = DEFAULT_SPEC.with_(ilt_method="fixed_talbot", ilt_terms=24)
+        def transform(s):
+            return hit_lt_time(0.7, s, params_11)
+
         ev = HittingDensityEval(params_11)
         for t in (0.5, 1.0, 2.0):
-            tb = invert_laplace(transform, t, talbot)
+            tb = invert_laplace_talbot(transform, t)
             assert tb == pytest.approx(float(hit_pdf_table(0.7, t, ev)), rel=1e-11)
             assert invert_laplace(transform, t) == pytest.approx(tb, rel=1e-4)
 
@@ -410,8 +408,7 @@ class TestTransforms:
             return np.array([math.exp(-ti) * hit_lt_space(1.0, float(ti), params)
                              for ti in np.atleast_1d(ts)])
 
-        double = integrate_semi_infinite(inner, DEFAULT_SPEC.with_(abs_tol=1e-11,
-                                                                   rel_tol=1e-9))
+        double = integrate_semi_infinite(inner, abs_tol=1e-11, rel_tol=1e-9)
         assert hit_llt(1.0, 1.0, params) == pytest.approx(double, abs=1e-4)
 
     def test_llt_domain(self, params_11):
@@ -456,7 +453,6 @@ class TestTransforms:
         params = IGParams(1.0, 0.5)
         ev = HittingDensityEval(params)
         x_max = density_support_cutoff(1.0, params)
-        from ighit.numerics import integrate_interval
         direct = integrate_interval(
             lambda xs: np.exp(-xs) * hit_pdf_table(xs, 1.0, ev), 0.0, x_max,
             edges=np.linspace(0.0, x_max, 33))
@@ -475,7 +471,7 @@ class TestTransforms:
         params = IGParams(1.0, 0.5)
         mu = 1.0 + offset
         assert hit_lt_space_closed(mu, t, params) == pytest.approx(
-            hit_lt_space(mu, t, params, TIGHT), rel=1e-12)
+            hit_lt_space(mu, t, params, **TIGHT), rel=1e-12)
 
     @pytest.mark.parametrize("delta,gamma,mu,t", [
         (1.0, 0.0, 1.0, 1.0), (1.0, 0.5, 0.8, 1.0), (1.0, 0.5, 1.02, 2.0),
@@ -484,7 +480,7 @@ class TestTransforms:
     def test_space_transform_closed_form_matches_integral(self, delta, gamma, mu, t):
         params = IGParams(delta, gamma)
         assert hit_lt_space_closed(mu, t, params) == pytest.approx(
-            hit_lt_space(mu, t, params, TIGHT), rel=1e-12)
+            hit_lt_space(mu, t, params, **TIGHT), rel=1e-12)
 
     def test_space_transform_closed_form_broadcasts(self):
         params = IGParams(1.0, 0.5)
@@ -513,10 +509,9 @@ class TestTransforms:
         params = IGParams(delta, gamma)
         ev = HittingDensityEval(params)
         x_max = (gamma * t + 12.0 * math.sqrt(t)) / delta
-        from ighit.numerics import integrate_interval
         direct = integrate_interval(
-            lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, ev), 0.0, x_max, TIGHT,
-            edges=np.linspace(0.0, x_max, 65))
+            lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, ev), 0.0, x_max,
+            edges=np.linspace(0.0, x_max, 65), **TIGHT)
         assert hit_lt_space_closed(mu, t, params) == pytest.approx(direct, rel=1e-12)
 
     def test_space_transform_at_mu_zero_is_one(self):
@@ -546,8 +541,7 @@ class TestTransforms:
             def f(ts):
                 dens = np.array([hit_pdf_integral(x, float(t), ev) for t in ts])
                 return np.exp(-s * ts) * dens
-            val = integrate_semi_infinite(f, DEFAULT_SPEC.with_(abs_tol=1e-11,
-                                                                rel_tol=1e-9))
+            val = integrate_semi_infinite(f, abs_tol=1e-11, rel_tol=1e-9)
             assert val == pytest.approx(hit_lt_time(x, s, params_11), abs=1e-5)
 
 
@@ -769,7 +763,7 @@ class TestStableHitting:
 
     def test_normalisation(self):
         mass = integrate_semi_infinite(
-            lambda x: stable_hit_pdf(np.maximum(x, 1e-300), 1.0, 0.5), DEFAULT_SPEC)
+            lambda x: stable_hit_pdf(np.maximum(x, 1e-300), 1.0, 0.5))
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_survival_closed_form(self):
@@ -782,10 +776,9 @@ class TestStableHitting:
         xs = np.array([0.2, 0.7, 1.5, 3.0])
         surv = stable_hit_survival(xs, 1.3, beta)
         assert np.array_equal(surv, [stable_hit_survival(float(x), 1.3, beta) for x in xs])
-        spec = DEFAULT_SPEC.with_(abs_tol=1e-15, rel_tol=1e-13)
-        from ighit.numerics import integrate_interval
         for a, b, sa, sb in zip(xs[:-1], xs[1:], surv[:-1], surv[1:]):
-            mass = integrate_interval(lambda x: stable_hit_pdf(x, 1.3, beta), a, b, spec)
+            mass = integrate_interval(lambda x: stable_hit_pdf(x, 1.3, beta), a, b,
+                                      abs_tol=1e-15, rel_tol=1e-13)
             assert sa - sb == pytest.approx(mass, rel=1e-11)
 
     def test_tail_rate(self):

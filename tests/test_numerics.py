@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -5,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ighit
 from ighit.errors import DomainError, NonConvergence, NumericalInstability
 from ighit.numerics import (
-    DEFAULT_SPEC,
-    LaplaceFunction,
-    NumericSpec,
     bessel_k,
     erf,
     erfc,
@@ -19,6 +19,7 @@ from ighit.numerics import (
     integrate_semi_infinite,
     invert_laplace,
     invert_laplace_batch,
+    invert_laplace_talbot,
     stehfest_weights,
     upper_gamma,
 )
@@ -190,14 +191,13 @@ class TestQuadrature:
         t, a = 1.0, 2.0
         closed = 0.5 * math.sqrt(math.pi / t) * math.exp(-a * a / (4.0 * t))
         val = integrate_semi_infinite(
-            lambda u: np.exp(-t * u * u) * np.cos(a * u), DEFAULT_SPEC,
+            lambda u: np.exp(-t * u * u) * np.cos(a * u),
             cutoff=math.sqrt(-math.log(1e-16) / t), period=math.pi / a)
         assert val == pytest.approx(closed, abs=1e-10)
 
     def test_exponential_sine_closed_form(self):
         # int_0^inf e^(-a x) sin(b x) dx = b / (a^2 + b^2)
-        val = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(x),
-                                      DEFAULT_SPEC, period=math.pi)
+        val = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(x), period=math.pi)
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_sqrt_substitution_invariance(self):
@@ -212,20 +212,21 @@ class TestQuadrature:
                 kappa * math.sqrt(2.0) * w) * 2.0 * w
 
         cut = -math.log(1e-16) / t
-        v1 = integrate_semi_infinite(f_y, DEFAULT_SPEC, cutoff=cut)
-        v2 = integrate_semi_infinite(f_w, DEFAULT_SPEC, cutoff=math.sqrt(cut),
+        v1 = integrate_semi_infinite(f_y, cutoff=cut)
+        v2 = integrate_semi_infinite(f_w, cutoff=math.sqrt(cut),
                                      period=math.pi / (kappa * math.sqrt(2.0)))
         assert v1 == pytest.approx(v2, abs=1e-9)
 
     def test_nonconvergence_on_tiny_budget(self):
-        spec = DEFAULT_SPEC.with_(max_subdivisions=2, abs_tol=1e-14, rel_tol=1e-14)
-        with pytest.raises(NonConvergence):
-            integrate_interval(lambda x: np.sin(40.0 * x) * np.exp(-x), 0.0, 30.0, spec)
+        # tolerances no quadrature meets: the subdivision budget runs out
+        with pytest.raises(NonConvergence, match="subdivisions"):
+            integrate_interval(lambda x: np.sin(40.0 * x) * np.exp(-x), 0.0, 30.0,
+                               abs_tol=1e-300, rel_tol=1e-300)
 
     def test_pathological_period_raises(self):
         with pytest.raises(NonConvergence):
             integrate_semi_infinite(lambda x: np.cos(1e9 * x) * np.exp(-x),
-                                    DEFAULT_SPEC, cutoff=30.0, period=math.pi / 1e9)
+                                    cutoff=30.0, period=math.pi / 1e9)
 
 
 class TestInverseLaplace:
@@ -256,7 +257,7 @@ class TestInverseLaplace:
         # invert_laplace of the numerically computed forward transform; the
         # real-axis method resolves pointwise-relative 1e-5 while f stays
         # within a few orders of its scale
-        tight = DEFAULT_SPEC.with_(abs_tol=1e-13, rel_tol=1e-12)
+        tight = {"abs_tol": 1e-13, "rel_tol": 1e-12}
         cases = [
             (lambda u: np.exp(-u), lambda t: math.exp(-t)),
             (lambda u: u * np.exp(-u), lambda t: t * math.exp(-t)),
@@ -266,7 +267,7 @@ class TestInverseLaplace:
         for f, f_exact in cases:
             def transform(s, f=f):
                 return np.array([integrate_semi_infinite(
-                    lambda u: np.exp(-si * u) * f(u), tight) for si in np.atleast_1d(s)])
+                    lambda u: np.exp(-si * u) * f(u), **tight) for si in np.atleast_1d(s)])
             for t in np.linspace(0.1, 1.5, 8):
                 val = invert_laplace(transform, float(t))
                 assert val == pytest.approx(f_exact(t), rel=1e-5)
@@ -275,7 +276,7 @@ class TestInverseLaplace:
         # beyond the comfort zone the error stays small relative to the
         # function scale; points with f below ~1e-3 of scale may be rejected
         # by the instability detector, which is the honest outcome there
-        tight = DEFAULT_SPEC.with_(abs_tol=1e-13, rel_tol=1e-12)
+        tight = {"abs_tol": 1e-13, "rel_tol": 1e-12}
 
         def f(u):
             return np.exp(-0.5 * u) + 2.0 * np.exp(-2.0 * u)
@@ -285,7 +286,7 @@ class TestInverseLaplace:
 
         def transform(s):
             return np.array([integrate_semi_infinite(
-                lambda u: np.exp(-si * u) * f(u), tight) for si in np.atleast_1d(s)])
+                lambda u: np.exp(-si * u) * f(u), **tight) for si in np.atleast_1d(s)])
 
         scale = f_exact(0.1)
         for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
@@ -297,12 +298,12 @@ class TestInverseLaplace:
             assert abs(val - f_exact(t)) <= 5e-5 * scale
 
     def test_gs_vs_talbot_cross_check(self):
-        transform = LaplaceFunction(lambda s: 1.0 / (s + 1.0) ** 2,
-                                    supports_complex=True)
-        talbot = DEFAULT_SPEC.with_(ilt_method="fixed_talbot", ilt_terms=24)
+        def transform(s):
+            return 1.0 / (s + 1.0) ** 2
+
         for t in (0.25, 0.7, 1.5):
             gs = invert_laplace(transform, t)
-            tb = invert_laplace(transform, t, talbot)
+            tb = invert_laplace_talbot(transform, t)
             assert gs == pytest.approx(tb, rel=1e-5)
             assert tb == pytest.approx(t * math.exp(-t), rel=1e-9)
 
@@ -316,34 +317,51 @@ class TestInverseLaplace:
         singles = [invert_laplace(lambda s: 1.0 / (s + 1.0), float(t)) for t in ts]
         assert np.array_equal(batch, np.array(singles))
 
-    def test_talbot_requires_complex_capability(self):
-        transform = LaplaceFunction(lambda s: 1.0 / s, supports_complex=False)
-        spec = DEFAULT_SPEC.with_(ilt_method="fixed_talbot", ilt_terms=24)
-        with pytest.raises(DomainError):
-            invert_laplace(transform, 1.0, spec)
-
-    def test_s_min_domain_guard(self):
-        transform = LaplaceFunction(lambda s: 1.0 / s, s_min=2.0)
-        with pytest.raises(DomainError):
-            invert_laplace(transform, 10.0, DEFAULT_SPEC)  # probes s ~ 0.07
-        assert invert_laplace(transform, 0.1, DEFAULT_SPEC) == pytest.approx(1.0, abs=1e-6)
+    def test_talbot_rejects_nonpositive_time(self):
+        for t in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                invert_laplace_talbot(lambda s: 1.0 / s, t)
 
 
 class TestNumericSpec:
+    """The tolerance checks of the retired NumericSpec, now made by the quadratures' keywords."""
+
     def test_defaults_valid(self):
-        spec = NumericSpec()
-        assert spec.abs_tol == 1e-10 and spec.rel_tol == 1e-8
+        for fn in (integrate_interval, integrate_semi_infinite):
+            params = inspect.signature(fn).parameters
+            assert params["abs_tol"].default == 1e-10 and params["rel_tol"].default == 1e-8
+            assert params["abs_tol"].kind is inspect.Parameter.KEYWORD_ONLY
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
         {"rel_tol": -1.0},
-        {"truncation_eps": 0.0},
-        {"ilt_terms": 7},
-        {"ilt_terms": 9},
-        {"ilt_terms": 14, "ilt_method": "fixed_talbot"},
-        {"ilt_method": "bromwich"},
-        {"max_subdivisions": 0},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(DomainError):
-            NumericSpec(**kwargs)
+            integrate_interval(np.exp, 0.0, 1.0, **kwargs)
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda x: np.exp(-x), **kwargs)
+
+    def test_public_api_takes_no_spec(self):
+        # only the quadratures and the integral space transform take tolerances,
+        # as keywords; no exported callable or dataclass has a `spec`
+        with_tols = set()
+        for name in dir(ighit):
+            obj = getattr(ighit, name)
+            if name.startswith("_") or not callable(obj):
+                continue
+            if dataclasses.is_dataclass(obj):
+                assert "spec" not in {f.name for f in dataclasses.fields(obj)}, name
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            assert "spec" not in params, name
+            if {"abs_tol", "rel_tol"} & params.keys():
+                with_tols.add(name)
+        assert with_tols == {"integrate_interval", "integrate_semi_infinite", "hit_lt_space"}
+        for name in ("NumericSpec", "DEFAULT_SPEC", "LaplaceFunction"):
+            assert not hasattr(ighit, name)
+        params = ighit.IGParams(1.0, 1.0)
+        assert ighit.HittingDensityEval(params).params is params
+        assert ighit.SubordinatedEval(params).params is params

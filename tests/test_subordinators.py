@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ighit.errors import BudgetExceeded, DomainError
 from ighit.numerics import (
-    DEFAULT_SPEC,
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace_batch,
@@ -42,7 +41,7 @@ from ighit.subordinators import (
     ts_sample,
 )
 
-LOOSE = DEFAULT_SPEC.with_(abs_tol=1e-9, rel_tol=1e-7)
+LOOSE = {"abs_tol": 1e-9, "rel_tol": 1e-7}
 
 
 class TestIGDistribution:
@@ -53,8 +52,8 @@ class TestIGDistribution:
 
     def test_pdf_mass_and_mean(self):
         m = IGMarginal(2.0, 0.5)
-        mass = integrate_semi_infinite(lambda x: ig_pdf(x, m), DEFAULT_SPEC)
-        mean = integrate_semi_infinite(lambda x: x * ig_pdf(x, m), DEFAULT_SPEC)
+        mass = integrate_semi_infinite(lambda x: ig_pdf(x, m))
+        mean = integrate_semi_infinite(lambda x: x * ig_pdf(x, m))
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert mean == pytest.approx(m.mean, abs=1e-7)
         assert m.mean == 4.0
@@ -83,8 +82,7 @@ class TestIGDistribution:
 
     def test_cdf_matches_quadrature(self):
         m = IGMarginal(2.0, 0.5)
-        quad = integrate_interval(lambda x: ig_pdf(np.maximum(x, 1e-300), m),
-                                  0.0, 3.0, DEFAULT_SPEC)
+        quad = integrate_interval(lambda x: ig_pdf(np.maximum(x, 1e-300), m), 0.0, 3.0)
         assert ig_cdf(3.0, m) == pytest.approx(quad, abs=1e-8)
 
     def test_cdf_overflow_safe_branch(self):
@@ -136,7 +134,7 @@ class TestLevyTailAndExponent:
         p = IGParams(1.0, 1.0)
         quad = integrate_semi_infinite(
             lambda y: p.delta * (2.0 * math.pi * (1.0 + y) ** 3) ** -0.5
-            * np.exp(-0.5 * (1.0 + y)), DEFAULT_SPEC)
+            * np.exp(-0.5 * (1.0 + y)))
         assert ig_levy_tail(1.0, p) == pytest.approx(quad, abs=1e-9)
 
     def test_infinite_activity(self):
@@ -219,7 +217,7 @@ class TestLevyTailAndExponent:
                 def f(v):
                     u = v ** q
                     return np.exp(-s * u) * model.levy_tail(u) * q * v ** (q - 1.0)
-                val = s * integrate_semi_infinite(f, LOOSE)
+                val = s * integrate_semi_infinite(f, **LOOSE)
                 assert val == pytest.approx(float(model.psi(s)), abs=1e-6)
 
     def test_marginal_lt_consistency(self):
@@ -231,18 +229,18 @@ class TestLevyTailAndExponent:
                 for s in (0.5, 1.0, 2.0):
                     val = integrate_semi_infinite(
                         lambda u: np.exp(-s * u)
-                        * model.marginal_pdf(np.maximum(u, 1e-300), x), LOOSE)
+                        * model.marginal_pdf(np.maximum(u, 1e-300), x), **LOOSE)
                     assert val == pytest.approx(math.exp(-x * float(model.psi(s))),
                                                 abs=1e-6)
 
     def test_marginal_mass(self):
-        spec = DEFAULT_SPEC.with_(abs_tol=1e-9, rel_tol=1e-6)
         for model in (IGSubordinator(IGParams(1.0, 1.0)),
                       StableSubordinator(0.5),
                       TemperedStableSubordinator(0.5, 1.0)):
             for x in (0.5, 1.0, 2.0):
                 mass = integrate_semi_infinite(
-                    lambda u: model.marginal_pdf(np.maximum(u, 1e-300), x), spec)
+                    lambda u: model.marginal_pdf(np.maximum(u, 1e-300), x),
+                    abs_tol=1e-9, rel_tol=1e-6)
                 assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -254,9 +252,8 @@ class TestStableFamily:
         assert closed == pytest.approx(0.219696, abs=5e-7)
 
     def test_half_index_mass(self):
-        spec = DEFAULT_SPEC.with_(abs_tol=1e-9, rel_tol=1e-6)
         mass = integrate_semi_infinite(
-            lambda u: stable_pdf(np.maximum(u, 1e-300), 1.0, 0.5), spec)
+            lambda u: stable_pdf(np.maximum(u, 1e-300), 1.0, 0.5), abs_tol=1e-9, rel_tol=1e-6)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_ig_driftless_is_half_stable(self):
@@ -271,8 +268,7 @@ class TestStableFamily:
         # Bessel-form density integrates back to the transform
         for s in (0.5, 2.0):
             val = integrate_semi_infinite(
-                lambda u: np.exp(-s * u) * stable_pdf(np.maximum(u, 1e-300), 1.3, 1.0 / 3.0),
-                DEFAULT_SPEC)
+                lambda u: np.exp(-s * u) * stable_pdf(np.maximum(u, 1e-300), 1.3, 1.0 / 3.0))
             assert val == pytest.approx(math.exp(-1.3 * s ** (1.0 / 3.0)), abs=1e-8)
 
     @staticmethod
@@ -328,11 +324,11 @@ class TestStableFamily:
     def test_kanter_cdf_integrates_density(self, beta):
         # F(b) - F(a) against adaptive quadrature of f, over panels from the
         # e^(-30) onset into the power-law tail
-        spec = DEFAULT_SPEC.with_(abs_tol=1e-300, rel_tol=1e-13)
         edges = self._onset(beta) * np.array([1.0, 2.0, 10.0, 1e2, 1e4])
         cdf = _unit_stable_cdf_pdf(edges, beta)[0]
         for a, b, fa, fb in zip(edges[:-1], edges[1:], cdf[:-1], cdf[1:]):
-            mass = integrate_interval(lambda w: _unit_stable_cdf_pdf(w, beta)[1], a, b, spec)
+            mass = integrate_interval(lambda w: _unit_stable_cdf_pdf(w, beta)[1], a, b,
+                                      abs_tol=1e-300, rel_tol=1e-13)
             assert fb - fa == pytest.approx(mass, rel=1e-11)
         assert cdf[0] < 1e-12 and np.all(np.diff(cdf) > 0)
 
@@ -348,13 +344,13 @@ class TestStableFamily:
     def test_third_index_cdf_against_bessel_density(self):
         # beta = 1/3 distribution function (Kanter's integral) against
         # adaptive quadrature of the Bessel-form density
-        spec = DEFAULT_SPEC.with_(abs_tol=1e-15, rel_tol=1e-13)
         t = 1.3
         xs = np.array([0.05, 0.4, 1.0, 5.0, 50.0])
         cdf = stable_cdf(xs, t, 1.0 / 3.0)
         for x, val in zip(xs, cdf):
             mass = integrate_interval(
-                lambda u: stable_pdf(np.maximum(u, 1e-300), t, 1.0 / 3.0), 0.0, x, spec)
+                lambda u: stable_pdf(np.maximum(u, 1e-300), t, 1.0 / 3.0), 0.0, x,
+                abs_tol=1e-15, rel_tol=1e-13)
             assert val == pytest.approx(mass, rel=1e-12)
 
     def test_ts_reduces_to_stable_when_untempered(self):
@@ -363,7 +359,7 @@ class TestStableFamily:
 
     def test_ts_mass(self):
         mass = integrate_semi_infinite(
-            lambda u: ts_pdf(np.maximum(u, 1e-300), 1.0, 0.5, 1.0), DEFAULT_SPEC)
+            lambda u: ts_pdf(np.maximum(u, 1e-300), 1.0, 0.5, 1.0))
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_ts_levy_constant_reproduces_exponent(self):
@@ -376,7 +372,7 @@ class TestStableFamily:
             u = v * v
             return (1.0 - np.exp(-s * u)) * c * np.exp(-mu * u) * u ** -1.5 * 2.0 * v
 
-        val = integrate_semi_infinite(f, DEFAULT_SPEC)
+        val = integrate_semi_infinite(f)
         assert val == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-8)
         assert ts_psi(s, beta, mu) == pytest.approx(math.sqrt(3.0) - 1.0, rel=1e-14)
 
@@ -384,16 +380,14 @@ class TestStableFamily:
         beta, mu = 0.5, 1.0
         c = beta / math.gamma(1.0 - beta)
         quad = integrate_semi_infinite(
-            lambda y: c * np.exp(-mu * (0.7 + y)) * (0.7 + y) ** (-beta - 1.0),
-            DEFAULT_SPEC)
+            lambda y: c * np.exp(-mu * (0.7 + y)) * (0.7 + y) ** (-beta - 1.0))
         assert ts_levy_tail(0.7, beta, mu) == pytest.approx(quad, rel=1e-8)
 
     def test_ts_levy_tail_third_index(self):
         beta, mu = 1.0 / 3.0, 0.8
         c = beta / math.gamma(1.0 - beta)
         quad = integrate_semi_infinite(
-            lambda y: c * np.exp(-mu * (0.5 + y)) * (0.5 + y) ** (-beta - 1.0),
-            DEFAULT_SPEC)
+            lambda y: c * np.exp(-mu * (0.5 + y)) * (0.5 + y) ** (-beta - 1.0))
         assert ts_levy_tail(0.5, beta, mu) == pytest.approx(quad, rel=1e-8)
 
     def test_ts_levy_tail_array_matches_points(self):
