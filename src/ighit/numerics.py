@@ -383,8 +383,9 @@ def integrate_interval(f, a: float, b: float, *, edges=None,
 
     `edges` may seed an initial partition (e.g. one cell per oscillation
     half-period); cells are bisected until the summed error estimate meets
-    max(abs_tol, rel_tol * |integral|), and NonConvergence is raised once
-    more than MAX_SUBDIVISIONS bisections have not.
+    max(abs_tol, rel_tol * |integral|).  NonConvergence is raised once more
+    than MAX_SUBDIVISIONS bisections have not, and NumericalInstability where
+    the error estimate is not finite (a NaN or inf integrand value).
     """
     _check_tols(abs_tol, rel_tol)
     if b <= a:
@@ -396,6 +397,11 @@ def integrate_interval(f, a: float, b: float, *, edges=None,
         total = vals.sum()
         total = complex(total) if np.iscomplexobj(vals) else float(total)
         err = float(errs.sum())
+        if not math.isfinite(err):
+            # a NaN cell is never split, so the loop would run forever
+            raise NumericalInstability(
+                f"quadrature error estimate on [{a}, {b}] is {err}: the integrand "
+                "is not finite there")
         tol = max(abs_tol, rel_tol * abs(total))
         if err <= tol:
             return total
@@ -545,8 +551,8 @@ def invert_laplace_batch(fn, ts) -> np.ndarray:
     NumericalInstability.
     """
     t_arr = np.asarray(ts, dtype=float)
-    if np.any(t_arr <= 0):
-        raise DomainError("invert_laplace_batch requires t > 0")
+    if not np.all(np.isfinite(t_arr) & (t_arr > 0)):
+        raise DomainError("Laplace inversion requires finite t > 0")
     flat = t_arr.ravel()
     f_hi = _gs_core(fn, flat, GS_TERMS)
     f_lo = _gs_core(fn, flat, GS_TERMS - 2)
@@ -562,26 +568,24 @@ def invert_laplace_batch(fn, ts) -> np.ndarray:
 
 
 def invert_laplace(fn, t: float) -> float:
-    """Numerically invert a Laplace transform at t > 0 by Gaver-Stehfest.
+    """Numerically invert a Laplace transform at finite t > 0 by Gaver-Stehfest.
 
     The transform is evaluated on the real axis only.  Two term counts are
     compared; a disagreement beyond 100x the method's achievable accuracy
     raises NumericalInstability rather than returning a silently wrong value.
     """
-    if t <= 0:
-        raise DomainError("invert_laplace requires t > 0")
     return float(invert_laplace_batch(fn, t))
 
 
 def invert_laplace_talbot(fn, t: float) -> float:
-    """Invert a Laplace transform at t > 0 on the fixed Talbot contour.
+    """Invert a Laplace transform at finite t > 0 on the fixed Talbot contour.
 
     A reference route for the real-axis `invert_laplace`: the transform must
     accept complex s.  24 and 20 nodes are compared; a disagreement beyond
     100 max(1e-10, 1e-7 |f|) raises NumericalInstability.
     """
-    if t <= 0:
-        raise DomainError("invert_laplace_talbot requires t > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise DomainError("Laplace inversion requires finite t > 0")
     f_hi = _fixed_talbot(fn, t, 24)
     f_lo = _fixed_talbot(fn, t, 20)
     if abs(f_hi - f_lo) > 100.0 * max(_ILT_ABS_TOL, 1e-7 * abs(f_hi)):

@@ -223,6 +223,14 @@ class TestQuadrature:
             integrate_interval(lambda x: np.sin(40.0 * x) * np.exp(-x), 0.0, 30.0,
                                abs_tol=1e-300, rel_tol=1e-300)
 
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(NumericalInstability, match="not finite"):
+            integrate_interval(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0)
+        with pytest.raises(NumericalInstability, match="not finite"):
+            integrate_interval(lambda x: x, 0.0, math.nan)
+        with pytest.raises(NumericalInstability, match="not finite"):
+            integrate_semi_infinite(lambda x: np.full_like(x, np.nan))
+
     def test_pathological_period_raises(self):
         with pytest.raises(NonConvergence):
             integrate_semi_infinite(lambda x: np.cos(1e9 * x) * np.exp(-x),
@@ -317,10 +325,13 @@ class TestInverseLaplace:
         singles = [invert_laplace(lambda s: 1.0 / (s + 1.0), float(t)) for t in ts]
         assert np.array_equal(batch, np.array(singles))
 
-    def test_talbot_rejects_nonpositive_time(self):
-        for t in (0.0, -1.0):
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_inversions_reject_bad_time(self, t):
+        for invert in (invert_laplace, invert_laplace_talbot):
             with pytest.raises(DomainError):
-                invert_laplace_talbot(lambda s: 1.0 / s, t)
+                invert(lambda s: 1.0 / s, t)
+        with pytest.raises(DomainError):
+            invert_laplace_batch(lambda s: 1.0 / s, np.array([1.0, t]))
 
 
 class TestNumericSpec:
