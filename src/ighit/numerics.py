@@ -372,11 +372,6 @@ def _cell_estimates(f, lo, hi):
     return est_h, np.abs(est_h - est_l)
 
 
-def _check_tols(abs_tol: float, rel_tol: float) -> None:
-    if not (math.isfinite(abs_tol) and abs_tol > 0 and math.isfinite(rel_tol) and rel_tol > 0):
-        raise DomainError("tolerances must be finite and positive")
-
-
 def integrate_interval(f, a: float, b: float, *, edges=None,
                        abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
     """Globally adaptive Gauss quadrature of a vectorised integrand on [a, b].
@@ -387,7 +382,8 @@ def integrate_interval(f, a: float, b: float, *, edges=None,
     than MAX_SUBDIVISIONS bisections have not, and NumericalInstability where
     the error estimate is not finite (a NaN or inf integrand value).
     """
-    _check_tols(abs_tol, rel_tol)
+    if not (math.isfinite(abs_tol) and abs_tol > 0 and math.isfinite(rel_tol) and rel_tol > 0):
+        raise DomainError("tolerances must be finite and positive")
     if b <= a:
         return 0.0
     lo, hi = _cells(a, b, edges)
@@ -447,7 +443,6 @@ def integrate_semi_infinite(f, *, cutoff: float | None = None,
     contributions are negligible.  `period` seeds one quadrature cell per
     oscillation half-period.
     """
-    _check_tols(abs_tol, rel_tol)
     if cutoff is not None:
         if cutoff <= 0:
             raise DomainError("cutoff must be positive")
