@@ -66,6 +66,7 @@ from .hitting import (
     hit_survival,
     hit_variance,
     invert_path,
+    printed_prefactor_ratio,
     sample_hitting_times,
     stable_hit_pdf,
     stable_hit_survival,

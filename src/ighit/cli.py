@@ -31,6 +31,7 @@ from .hitting import (
     hit_second_moment,
     hit_variance,
     invert_path,
+    printed_prefactor_ratio,
     stable_hit_pdf,
     stable_hit_tail_report,
     tail_report,
@@ -87,6 +88,8 @@ def grid_spec(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"non-numeric grid entry in {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"non-finite grid entry in {text!r}")
     if step <= 0 or stop <= start:
         raise argparse.ArgumentTypeError("grid needs stop > start and step > 0")
     n = int(round((stop - start) / step))
@@ -130,9 +133,10 @@ def _add_common(p, with_params=True):
 
 def cmd_density(args) -> int:
     params = _params_from(args)
-    ev = HittingDensityEval(params, prefactor_mode=args.mode)
     xs = args.x
-    dens = hit_pdf_table(xs, args.t, ev)
+    dens = hit_pdf_table(xs, args.t, HittingDensityEval(params))
+    if args.mode == "literal":
+        dens = dens * printed_prefactor_ratio(args.t, params)
     meta = {"command": "density", "delta": params.delta, "gamma": params.gamma,
             "t": args.t, "mode": args.mode, "version": __version__}
     _emit_table(args, {"x": xs, "hitting_density": dens}, meta, "density." + args.format)

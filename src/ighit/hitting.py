@@ -12,10 +12,10 @@ Transforms, moments, tail bounds and boundary values complete the picture.
 The stable hitting-time family E(t) lives here too.
 
 Density prefactor: the integral representation is evaluated with
-exp(delta*gamma*x - t*gamma^2/2).  The variant with exp(-gamma^2/2) in place
-of the t-dependent factor fails normalisation for gamma > 0, t != 1 and is
-kept only as `prefactor_mode="literal"` so the verification report can
-quantify the discrepancy.
+exp(delta*gamma*x - t*gamma^2/2).  The printed variant with exp(-gamma^2/2) in
+place of the t-dependent factor fails normalisation for gamma > 0, t != 1; it
+is the true value times `printed_prefactor_ratio`, which the verification
+report, the `literal` residual mode and `ighit density --mode literal` apply.
 """
 
 from __future__ import annotations
@@ -80,20 +80,20 @@ def _osc_noise_estimate(log_pref: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class HittingDensityEval:
-    """Parameters and prefactor convention for density evaluation."""
+    """Parameters of the hitting density."""
 
     params: IGParams
-    prefactor_mode: str = "corrected"
 
-    def __post_init__(self):
-        if self.prefactor_mode not in ("corrected", "literal"):
-            raise DomainError("prefactor_mode must be 'corrected' or 'literal'")
 
-    def log_prefactor(self, x, t: float):
-        g2 = self.params.gamma ** 2
-        if self.prefactor_mode == "corrected":
-            return self.params.delta * self.params.gamma * np.asarray(x) - 0.5 * t * g2
-        return self.params.delta * self.params.gamma * np.asarray(x) - 0.5 * g2
+def printed_prefactor_ratio(t, params: IGParams):
+    """exp(gamma^2 (t-1)/2), broadcast over t: the printed t-free prefactor
+    exp(-gamma^2/2) over the true exp(-t gamma^2/2).
+
+    The printed integral density, space transform and boundary value are the
+    true ones times this ratio.
+    """
+    g = params.gamma
+    return np.exp(0.5 * g * g * (np.asarray(t, dtype=float) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +112,15 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     _check_t(t)
     if x < 0:
         raise DomainError("x must be nonnegative")
-    if x == 0.0:
-        return hit_boundary_value(t, ev.params, mode=ev.prefactor_mode)
     p = ev.params
-    log_pref = float(ev.log_prefactor(x, t))
+    if x == 0.0:
+        return hit_boundary_value(t, p)
+    log_pref = p.delta * p.gamma * x - 0.5 * t * p.gamma ** 2
     if _osc_noise_estimate(log_pref, p.delta) > 0.25 * _PDF_ABS_TOL:
         # far enough into the exp(delta*gamma*x) regime that the oscillatory
         # cancellation exceeds the error budget; evaluate through the
         # analytically equal, absolutely convergent convolution form
-        base = hit_pdf_convolution(x, t, IGSubordinator(p))
-        if ev.prefactor_mode == "literal":
-            base *= math.exp(0.5 * p.gamma ** 2 * (t - 1.0))
-        return base
+        return hit_pdf_convolution(x, t, IGSubordinator(p))
     kappa = p.delta * SQRT2 * x
     omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
     g2 = 0.5 * p.gamma ** 2
@@ -170,10 +167,7 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
     sq = np.sqrt(t)
     a = (d * xs - g * t) / sq
     v = (d * xs + g * t) / sq
-    out = d * np.exp(-0.5 * a * a) * (np.sqrt(2.0 / (math.pi * t)) - g * erfcx(v / SQRT2))
-    if ev.prefactor_mode == "literal":
-        out = out * np.exp(0.5 * g * g * (t - 1.0))
-    return out
+    return d * np.exp(-0.5 * a * a) * (np.sqrt(2.0 / (math.pi * t)) - g * erfcx(v / SQRT2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +272,11 @@ def hit_pdf_convolution_table(xs, ts, model) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def hit_cdf(x, t: float, params: IGParams):
-    """P(H(t) <= x) = P(G(x) >= t), exact through the IG distribution function."""
-    _check_t(t)
-    x_arr = np.asarray(x, dtype=float)
-    _check_x(x_arr)
-    scalar = x_arr.ndim == 0
-    if np.any(x_arr < 0):
+    """P(H(t) <= x) = P(G(x) >= t) = 1 - `hit_survival`, for x >= 0."""
+    out = 1.0 - hit_survival(x, t, params)
+    if np.any(np.asarray(x) < 0):
         raise DomainError("x must be nonnegative")
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0
-    if pos.any():
-        out[pos] = 1.0 - _ig_cdf(t, params.delta * x_arr[pos], params.gamma)
-    return float(out) if scalar else out
+    return out
 
 
 def hit_survival(x, t: float, params: IGParams):
@@ -347,8 +334,8 @@ def hit_llt(u, s, params: IGParams):
     s_arr = np.asarray(s, dtype=float)
     u_arr = np.asarray(u, dtype=float)
     psi = ig_psi(s_arr, params)
-    if np.any(u_arr + psi <= 0):
-        raise DomainError("hit_llt requires u > -Psi(s)")
+    if not np.all(np.isfinite(u_arr) & (u_arr + psi > 0)):
+        raise DomainError("hit_llt requires finite u > -Psi(s)")
     at_zero = _zero_s(s_arr, params)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = psi / (s_arr * (u_arr + psi))
@@ -358,12 +345,12 @@ def hit_llt(u, s, params: IGParams):
 
 
 def hit_lt_space(mu: float, t: float, params: IGParams, *,
-                 prefactor_mode: str = "corrected",
                  abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
     """Space-Laplace transform of h(., t), valid for mu > delta*gamma.
 
-    Integral form with the global factor e^(-t gamma^2/2); the y^(1/2)
-    endpoint is flattened by y = u^2, and the quadrature runs to the
+    Integral form with the global factor e^(-t gamma^2/2) (the printed
+    t-free factor gives this value times `printed_prefactor_ratio`); the
+    y^(1/2) endpoint is flattened by y = u^2, and the quadrature runs to the
     tolerances given.  For gamma = 0, delta = 1 this reduces to
     erfcx(mu sqrt(t/2)).
     """
@@ -381,11 +368,7 @@ def hit_lt_space(mu: float, t: float, params: IGParams, *,
 
     omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
     val = integrate_semi_infinite(integrand, cutoff=omega_max, abs_tol=abs_tol, rel_tol=rel_tol)
-    if prefactor_mode == "corrected":
-        pref = math.exp(-0.5 * t * g * g)
-    else:
-        pref = math.exp(-0.5 * g * g)
-    return SQRT2 * mu * d * pref / math.pi * 2.0 * val
+    return SQRT2 * mu * d * math.exp(-0.5 * t * g * g) / math.pi * 2.0 * val
 
 
 def _erfcx_slope(a, b):
@@ -534,12 +517,17 @@ def hit_moment(q: float, t: float, params: IGParams) -> float:
 
     The numerator is Gamma(1+q): at q = 1 this reproduces the transform
     1/(s Psi) of the mean, which the q*Gamma(1+q) variant fails to do at
-    higher q (it is off by a factor q at q = 2).
+    higher q (it is off by a factor q at q = 2).  q must be finite and
+    positive; where Gamma(1+q) overflows (q above about 170) the moment
+    raises NumericalInstability.
     """
-    if q <= 0:
-        raise DomainError("q must be positive")
+    if not (math.isfinite(q) and q > 0):
+        raise DomainError("q must be finite and positive")
     _check_t(t)
-    gamma_factor = math.gamma(1.0 + q)
+    try:
+        gamma_factor = math.gamma(1.0 + q)
+    except OverflowError as exc:
+        raise NumericalInstability(f"Gamma(1+q) overflows at q={q}") from exc
 
     def transform(s):
         return gamma_factor / (s * ig_psi(s, params) ** q)
@@ -549,8 +537,7 @@ def hit_moment(q: float, t: float, params: IGParams) -> float:
 
 def hit_mean_asymptote(t: float, params: IGParams, regime: str) -> float:
     """Leading term of E H(t): gamma*t/delta (large t, drift) or sqrt(2t/pi)/delta."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     d, g = params.delta, params.gamma
     if regime == "large_t":
         if g > 0:
@@ -565,15 +552,11 @@ def hit_mean_asymptote(t: float, params: IGParams, regime: str) -> float:
 # Boundary values and tail behaviour
 # ---------------------------------------------------------------------------
 
-def hit_boundary_value(t: float, params: IGParams, mode: str = "corrected") -> float:
-    """h(0+, t); with the corrected prefactor this equals the Levy tail at t."""
+def hit_boundary_value(t: float, params: IGParams) -> float:
+    """h(0+, t), the Levy tail at t; the printed prefactor gives this value
+    times `printed_prefactor_ratio`."""
     _check_t(t)
-    base = ig_levy_tail(t, params)
-    if mode == "corrected":
-        return base
-    if mode == "literal":
-        return base * math.exp(0.5 * (t - 1.0) * params.gamma ** 2)
-    raise DomainError("mode must be 'corrected' or 'literal'")
+    return ig_levy_tail(t, params)
 
 
 def hit_boundary_slope(t: float, params: IGParams) -> float:
@@ -622,22 +605,29 @@ class TailBoundReport:
                   zip(self.x_grid, self.survival, self.bound_values))
 
 
-def tail_report(t: float, params: IGParams, x_grid) -> TailBoundReport:
-    """Survival of H(t) on a grid against the envelope x^(-1) e^(dg x - x^2/4t)."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+def _tail_grid(t, x_grid) -> np.ndarray:
+    _check_t(t)
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3 or not np.all(np.diff(xs) > 0) or xs[0] <= 0:
         raise DomainError("x_grid must be increasing, positive, with >= 3 points")
-    surv = hit_survival(xs, t, params)
-    d, g = params.delta, params.gamma
-    shape = np.exp(d * g * xs - xs ** 2 / (4.0 * t)) / xs
+    return xs
+
+
+def _fit_envelope(xs, surv, shape, stretch, t, label, extra) -> TailBoundReport:
     c = float(np.max(surv / shape))
     with np.errstate(divide="ignore"):
         log_surv = -np.log(np.maximum(surv, 1e-300))
-    rate = float(np.polyfit(xs ** 2, log_surv, 1)[0])
-    return TailBoundReport(xs, surv, c * shape, c, rate, t, label="ig_hitting",
-                           extra={"delta": d, "gamma": g})
+    rate = float(np.polyfit(stretch, log_surv, 1)[0])
+    return TailBoundReport(xs, surv, c * shape, c, rate, t, label=label, extra=extra)
+
+
+def tail_report(t: float, params: IGParams, x_grid) -> TailBoundReport:
+    """Survival of H(t) on a grid against the envelope x^(-1) e^(dg x - x^2/4t)."""
+    xs = _tail_grid(t, x_grid)
+    d, g = params.delta, params.gamma
+    shape = np.exp(d * g * xs - xs ** 2 / (4.0 * t)) / xs
+    return _fit_envelope(xs, hit_survival(xs, t, params), shape, xs ** 2, t,
+                         "ig_hitting", {"delta": d, "gamma": g})
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +709,10 @@ def stable_hit_tail_report(t: float, beta: float, x_grid) -> TailBoundReport:
     stable bound through the scaling substitution, (1-beta/2)/(beta(1-beta)) -
     1 - 1/beta (zero at beta = 1/2, matching the closed form).
     """
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 3 or not np.all(np.diff(xs) > 0) or xs[0] <= 0:
-        raise DomainError("x_grid must be increasing, positive, with >= 3 points")
-    surv = stable_hit_survival(xs, t, beta)
+    xs = _tail_grid(t, x_grid)
     rate_n = (1.0 - beta) * (t / beta) ** (beta / (beta - 1.0))
     power = (1.0 - 0.5 * beta) / (beta * (1.0 - beta)) - 1.0 - 1.0 / beta
     stretch = xs ** (1.0 / (1.0 - beta))
     shape = xs ** power * np.exp(-rate_n * stretch)
-    c = float(np.max(surv / shape))
-    with np.errstate(divide="ignore"):
-        log_surv = -np.log(np.maximum(surv, 1e-300))
-    rate = float(np.polyfit(stretch, log_surv, 1)[0])
-    return TailBoundReport(xs, surv, c * shape, c, rate, t, label="stable_hitting",
-                           extra={"beta": beta, "rate_n": rate_n})
+    return _fit_envelope(xs, stable_hit_survival(xs, t, beta), shape, stretch, t,
+                         "stable_hitting", {"beta": beta, "rate_n": rate_n})

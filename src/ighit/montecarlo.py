@@ -18,6 +18,8 @@ from .errors import DomainError
 
 # asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
+# draws per substream of `estimate_moment`
+CHUNK_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,7 @@ class MCEstimate:
                 "n_samples": self.n_samples, "seed": self.seed}
 
 
-def estimate_moment(sampler, q: float, n: int, seed: int,
-                    chunk_size: int = 65536) -> MCEstimate:
+def estimate_moment(sampler, q: float, n: int, seed: int) -> MCEstimate:
     """Mean of sampler(...)^q over n draws with its standard error.
 
     sampler(size, rng) must return a 1-d array of draws.
@@ -51,7 +52,7 @@ def estimate_moment(sampler, q: float, n: int, seed: int,
     done = 0
     chunk_index = 0
     while done < n:
-        m = min(chunk_size, n - done)
+        m = min(CHUNK_SIZE, n - done)
         rng = np.random.default_rng([seed, chunk_index])
         draws = np.asarray(sampler(m, rng), dtype=float)
         powed = draws if q == 1.0 else draws ** q

@@ -542,8 +542,8 @@ def invert_laplace_batch(fn, ts) -> np.ndarray:
 
     The transform is evaluated on the full (time x term) matrix of abscissae.
     GS_TERMS and GS_TERMS - 2 terms are compared at every time; a
-    disagreement beyond 100x the method's achievable accuracy raises
-    NumericalInstability.
+    disagreement beyond 100x the method's achievable accuracy, or a
+    non-finite estimate, raises NumericalInstability.
     """
     t_arr = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(t_arr) & (t_arr > 0)):
@@ -553,7 +553,7 @@ def invert_laplace_batch(fn, ts) -> np.ndarray:
     f_lo = _gs_core(fn, flat, GS_TERMS - 2)
     floor = _gs_achievable_rel(GS_TERMS - 2)
     allowed = 100.0 * np.maximum(_ILT_ABS_TOL, floor * np.abs(f_hi))
-    bad = np.abs(f_hi - f_lo) > allowed
+    bad = ~(np.isfinite(f_hi) & (np.abs(f_hi - f_lo) <= allowed))
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericalInstability(
@@ -566,8 +566,9 @@ def invert_laplace(fn, t: float) -> float:
     """Numerically invert a Laplace transform at finite t > 0 by Gaver-Stehfest.
 
     The transform is evaluated on the real axis only.  Two term counts are
-    compared; a disagreement beyond 100x the method's achievable accuracy
-    raises NumericalInstability rather than returning a silently wrong value.
+    compared; a disagreement beyond 100x the method's achievable accuracy, or
+    a non-finite estimate, raises NumericalInstability rather than returning
+    a silently wrong value.
     """
     return float(invert_laplace_batch(fn, t))
 
@@ -577,13 +578,15 @@ def invert_laplace_talbot(fn, t: float) -> float:
 
     A reference route for the real-axis `invert_laplace`: the transform must
     accept complex s.  24 and 20 nodes are compared; a disagreement beyond
-    100 max(1e-10, 1e-7 |f|) raises NumericalInstability.
+    100 max(1e-10, 1e-7 |f|), or a non-finite estimate, raises
+    NumericalInstability.
     """
     if not (math.isfinite(t) and t > 0):
         raise DomainError("Laplace inversion requires finite t > 0")
     f_hi = _fixed_talbot(fn, t, 24)
     f_lo = _fixed_talbot(fn, t, 20)
-    if abs(f_hi - f_lo) > 100.0 * max(_ILT_ABS_TOL, 1e-7 * abs(f_hi)):
+    allowed = 100.0 * max(_ILT_ABS_TOL, 1e-7 * abs(f_hi))
+    if not (math.isfinite(f_hi) and abs(f_hi - f_lo) <= allowed):
         raise NumericalInstability(
             f"inverse Laplace estimates disagree: {f_hi:.9e} vs {f_lo:.9e} at t={t}")
     return f_hi

@@ -22,6 +22,7 @@ from .hitting import (
     hit_lt_time,
     hit_pdf_convolution_table,
     hit_pdf_table,
+    printed_prefactor_ratio,
 )
 from .subordinated import SubordinatedEval, sub_pdf_table
 from .subordinators import (
@@ -208,14 +209,22 @@ def residual_hitting_pde(params: IGParams, box: GridBox, *,
                          mode: str = "corrected", perturb=None,
                          refine: int = 2) -> ResidualReport:
     """Interior residual of h_xx - 2 delta gamma h_x - 2 delta^2 h_t on the
-    tabulated hitting density."""
-    ev = HittingDensityEval(params, prefactor_mode=mode)
+    tabulated hitting density.
+
+    mode="literal" tabulates the printed density, the true one times
+    `printed_prefactor_ratio`, as a negative control.
+    """
+    if mode not in ("corrected", "literal"):
+        raise DomainError("mode must be 'corrected' or 'literal'")
+    ev = HittingDensityEval(params)
     d, g = params.delta, params.gamma
 
     def run(dx, dt):
         xs = _grid(box.x0, box.x1, dx, 1)
         ts = _grid(box.t0, box.t1, dt, 1)
         F = hit_pdf_table(xs[:, None], ts[None, :], ev)
+        if mode == "literal":
+            F = F * printed_prefactor_ratio(ts[None, :], params)
         if perturb is not None:
             X, T = np.meshgrid(xs, ts, indexing="ij")
             F = perturb(X, T, F)

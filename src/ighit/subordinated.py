@@ -36,9 +36,6 @@ class SubordinatedEval:
 
     params: IGParams
 
-    def hitting_eval(self) -> HittingDensityEval:
-        return HittingDensityEval(self.params)
-
 
 def _v_cutoff(t, ev: SubordinatedEval):
     """Upper end of the v-range of the mixture, broadcast over t."""
@@ -50,7 +47,7 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     _check_x(x)
     _check_t(t)
     v_max = float(_v_cutoff(t, ev))
-    hev = ev.hitting_eval()
+    hev = HittingDensityEval(ev.params)
     x2 = x * x
 
     def integrand(v):
@@ -80,7 +77,7 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     ts = t_arr.ravel()
     v_maxes, rule_of = np.unique(_v_cutoff(ts, ev), return_inverse=True)
-    hev = ev.hitting_eval()
+    hev = HittingDensityEval(ev.params)
     flat = xs.ravel()
     out = np.empty((flat.size, ts.size))
     batch = 256

@@ -615,8 +615,8 @@ def simulate_path(model, horizon: float, dt: float, rng: np.random.Generator) ->
     Marginals at grid times are exact (no discretisation error); dt only sets
     the resolution available to downstream path inversion.
     """
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise DomainError("horizon must be finite and positive")
     if not 0 < dt <= horizon:
         raise DomainError("dt must satisfy 0 < dt <= horizon")
     n_steps = int(round(horizon / dt))
@@ -633,6 +633,8 @@ def simulate_until(model, level: float, chunk: float, dt: float,
     Each piece continues from the end of the last, so the result is one path
     at step dt whose final value lies above `level`, as `invert_path` needs.
     """
+    if not math.isfinite(level):
+        raise DomainError("level must be finite")
     path = simulate_path(model, chunk, dt, rng)
     while path.values[-1] <= level:
         ext = simulate_path(model, chunk, dt, rng)

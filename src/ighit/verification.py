@@ -41,6 +41,7 @@ from .hitting import (
     hit_second_moment,
     hit_survival,
     hit_variance,
+    printed_prefactor_ratio,
     stable_hit_pdf,
     stable_hit_tail_report,
     tail_report,
@@ -152,7 +153,7 @@ def _rec_density_two_routes() -> VerificationRecord:
 def _rec_density_prefactor() -> VerificationRecord:
     t = 4.0
     corrected = hit_moment_quadrature(0.0, t, HittingDensityEval(P11))
-    literal = hit_moment_quadrature(0.0, t, HittingDensityEval(P11, prefactor_mode="literal"))
+    literal = corrected * printed_prefactor_ratio(t, P11)
     tol = 1e-6
     return VerificationRecord(
         "density_prefactor",
@@ -229,7 +230,7 @@ def _rec_spatial_lt_prefactor() -> VerificationRecord:
     ev = HittingDensityEval(params)
     mu, t = 1.0, 2.0
     corrected = hit_lt_space(mu, t, params)
-    literal = hit_lt_space(mu, t, params, prefactor_mode="literal")
+    literal = corrected * printed_prefactor_ratio(t, params)
     x_max = density_support_cutoff(t, params)
     direct = integrate_interval(
         lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, ev), 0.0, x_max,
@@ -267,7 +268,7 @@ def _rec_llt() -> VerificationRecord:
 def _rec_boundary_value() -> VerificationRecord:
     t = 2.0
     corrected = hit_boundary_value(t, P11)
-    literal = hit_boundary_value(t, P11, mode="literal")
+    literal = corrected * printed_prefactor_ratio(t, P11)
     levy = ig_levy_tail(t, P11)
     conv = hit_pdf_convolution(1e-4, t, IGSubordinator(P11))
     tol = 1e-3

@@ -27,6 +27,7 @@ from ighit.hitting import (
     hit_second_moment,
     hit_survival,
     hit_variance,
+    printed_prefactor_ratio,
     stable_hit_pdf,
     stable_hit_tail_report,
     tail_report,
@@ -96,8 +97,8 @@ def test_criterion_03_normalisation_and_errata_detection():
     assert worst <= 1e-6
     lit_mass = {}
     for params, t in ((IGParams(1.0, 1.0), 4.0), (IGParams(2.0, 0.5), 0.5)):
-        lit = HittingDensityEval(params, prefactor_mode="literal")
-        mass = hit_moment_quadrature(0.0, t, lit)
+        ev = HittingDensityEval(params)
+        mass = hit_moment_quadrature(0.0, t, ev) * printed_prefactor_ratio(t, params)
         assert abs(mass - 1.0) > 10.0 * 1e-6
         expected = math.exp(0.5 * params.gamma ** 2 * (t - 1.0))
         assert mass == pytest.approx(expected, rel=1e-6)

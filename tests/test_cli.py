@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from ighit.cli import main
+from ighit.hitting import HittingDensityEval, hit_pdf_table, printed_prefactor_ratio
+from ighit.residuals import PDE_BOXES, residual_hitting_pde
+from ighit.subordinators import IGParams
 from ighit.tables import format_float, json_dumps, write_csv
 
 
@@ -70,6 +73,17 @@ class TestDensityCommand:
         assert obj["meta"]["command"] == "density"
         assert len(obj["x"]) == 3
 
+    def test_literal_mode_is_the_true_density_times_the_ratio(self, tmp_path):
+        assert run_in(tmp_path, ["density", "--gamma", "1.5", "--t", "2.5",
+                                 "--mode", "literal"]) == 0
+        cols = read_csv(tmp_path / "density.csv")
+        xs = np.array([float(v) for v in cols["x"]])
+        dens = np.array([float(v) for v in cols["hitting_density"]])
+        params = IGParams(1.0, 1.5)
+        expected = hit_pdf_table(xs, 2.5, HittingDensityEval(params)) \
+            * printed_prefactor_ratio(2.5, params)
+        assert np.array_equal(dens, expected)
+
 
 class TestMomentsCommand:
     def test_closed_forms(self, tmp_path, params_11):
@@ -119,6 +133,19 @@ class TestExitCodes:
         code = run_in(tmp_path, ["lt", "--which", "space", "--delta", "1",
                                  "--gamma", "1", "--mu=-0.5"])
         assert code == 2
+
+    def test_moment_order_not_finite_is_usage_error(self, tmp_path):
+        assert run_in(tmp_path, ["moments", "--q", "nan"]) == 2
+        assert run_in(tmp_path, ["moments", "--q", "inf"]) == 2
+
+    def test_moment_order_overflowing_gamma_is_numeric_failure(self, tmp_path):
+        assert run_in(tmp_path, ["moments", "--q", "1e308"]) == 3
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "-inf:1:0.1", "0:1:inf", "0:nan:0.1"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, grid):
+        with pytest.raises(SystemExit) as exc:
+            run_in(tmp_path, ["density", "--t", "1", "--x", grid])
+        assert exc.value.code == 2
 
     def test_space_transform_at_defaults(self, tmp_path):
         # mu = 1 = delta*gamma, where z1 = 0 and the transform is erfc(1/sqrt(2))
@@ -209,6 +236,13 @@ class TestPdeCheckCommand:
         obj = json.loads((tmp_path / "pde_ig.json").read_text())
         assert 3.5 <= obj["refinement_ratio"] <= 4.5
         assert obj["norms"]["max_rel"] < 2e-3
+
+    def test_hitting_literal_mode(self, tmp_path):
+        assert run_in(tmp_path, ["pde-check", "--pde", "hitting", "--mode", "literal"]) == 0
+        rep = residual_hitting_pde(IGParams(1.0, 1.0), PDE_BOXES["hitting"], mode="literal")
+        rep.to_json(tmp_path / "expected.json")
+        assert (tmp_path / "pde_hitting.json").read_bytes() == \
+            (tmp_path / "expected.json").read_bytes()
 
 
 class TestVerifyCommand:

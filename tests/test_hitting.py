@@ -41,6 +41,7 @@ from ighit.hitting import (
     hit_survival,
     hit_variance,
     invert_path,
+    printed_prefactor_ratio,
     sample_hitting_times,
     stable_hit_pdf,
     stable_hit_survival,
@@ -117,8 +118,7 @@ class TestDensityRoutes:
     def test_normalisation_and_literal_failure(self, params_11):
         ev = HittingDensityEval(params_11)
         assert hit_moment_quadrature(0.0, 2.0, ev) == pytest.approx(1.0, abs=1e-8)
-        lit = HittingDensityEval(params_11, prefactor_mode="literal")
-        mass = hit_moment_quadrature(0.0, 2.0, lit)
+        mass = hit_moment_quadrature(0.0, 2.0, ev) * printed_prefactor_ratio(2.0, params_11)
         assert mass == pytest.approx(math.exp(0.5), rel=1e-8)
         assert abs(mass - 1.0) > 1e-5
 
@@ -194,7 +194,7 @@ class TestDensityRoutes:
         fallbacks = []
         for delta, gamma, t, x, h in self.INTEGRAL_REFERENCE:
             ev = HittingDensityEval(IGParams(delta, gamma))
-            log_pref = float(ev.log_prefactor(x, t))
+            log_pref = delta * gamma * x - 0.5 * t * gamma ** 2
             fallbacks.append(_osc_noise_estimate(log_pref, delta) > 0.25 * _PDF_ABS_TOL)
             assert hit_pdf_integral(x, t, ev) == pytest.approx(h, rel=1e-13, abs=0.0)
         assert fallbacks == [False] * 16 + [True] * 8
@@ -220,15 +220,18 @@ class TestDensityRoutes:
                 _check_t(kind(bad_t))
 
     def test_table_broadcasts_over_x_and_t(self, params_11):
-        ev = HittingDensityEval(params_11, prefactor_mode="literal")
+        ev = HittingDensityEval(params_11)
         xs = np.linspace(0.0, 3.0, 7)
         ts = np.array([0.5, 1.0, 2.0])
         grid = hit_pdf_table(xs[:, None], ts[None, :], ev)
         assert grid.shape == (7, 3)
+        ratio = printed_prefactor_ratio(ts, params_11)
+        assert ratio.shape == (3,)
         for j, t in enumerate(ts):
             assert np.array_equal(grid[:, j], hit_pdf_table(xs, t, ev))
-        assert grid[0, 2] == pytest.approx(hit_boundary_value(2.0, params_11, "literal"),
-                                           rel=1e-14)
+            assert ratio[j] == printed_prefactor_ratio(t, params_11)
+        assert grid[0, 2] == pytest.approx(hit_boundary_value(2.0, params_11), rel=1e-14)
+        assert ratio[2] == pytest.approx(math.exp(0.5), rel=1e-15)
 
     def test_domain_errors(self, params_11):
         ev = HittingDensityEval(params_11)
@@ -236,8 +239,6 @@ class TestDensityRoutes:
             hit_pdf_integral(-0.1, 1.0, ev)
         with pytest.raises(DomainError):
             hit_pdf_integral(1.0, 0.0, ev)
-        with pytest.raises(DomainError):
-            HittingDensityEval(params_11, prefactor_mode="bogus")
 
 
 @pytest.mark.parametrize("call", [
@@ -274,13 +275,18 @@ class TestDensityRoutes:
     lambda: hit_pdf_convolution(1.0, INF, TemperedStableSubordinator(1.0 / 3.0, 1.0)),
     lambda: hit_lt_space(NAN, 1.0, P11),
     lambda: hit_lt_space(2.0, INF, P11),
+    lambda: hit_moment(NAN, 1.0, P11),
+    lambda: hit_moment(INF, 1.0, P11),
+    lambda: hit_llt(NAN, 1.0, P11),
+    lambda: hit_mean_asymptote(NAN, P11, "large_t"),
 ], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
         "abs_tol_nan", "rel_tol_inf", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
         "survival_x_nan", "survival_t_inf", "sample_t_nan", "sample_t_inf", "sample_dt_nan",
         "sample_dt_inf", "mean_t_nan", "mean_t_inf", "boundary_t_nan", "moment_t_nan",
         "lt_time_x_nan", "stable_hit_t_nan", "stable_hit_x_nan", "convolution_t_nan",
-        "convolution_t_inf", "lt_space_mu_nan", "lt_space_t_inf"])
+        "convolution_t_inf", "lt_space_mu_nan", "lt_space_t_inf", "moment_q_nan",
+        "moment_q_inf", "llt_u_nan", "mean_asymptote_t_nan"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()

@@ -333,6 +333,16 @@ class TestInverseLaplace:
         with pytest.raises(DomainError):
             invert_laplace_batch(lambda s: 1.0 / s, np.array([1.0, t]))
 
+    def test_inversions_reject_nan_transform(self):
+        def transform(s):
+            return np.full(np.shape(s), np.nan)
+
+        for invert in (invert_laplace, invert_laplace_talbot):
+            with pytest.raises(NumericalInstability):
+                invert(transform, 1.0)
+        with pytest.raises(NumericalInstability):
+            invert_laplace_batch(transform, np.array([0.5, 1.0]))
+
 
 class TestNumericSpec:
     """The tolerance checks of the retired NumericSpec, now made by the quadratures' keywords."""

@@ -106,6 +106,10 @@ class TestSecondOrderResiduals:
         assert rep.refinement_ratio < 2.0
         assert rep.norms["max_rel"] > 0.05
 
+    def test_hitting_unknown_mode_rejected(self, params_11):
+        with pytest.raises(DomainError):
+            residual_hitting_pde(params_11, BOX_HIT, mode="bogus")
+
     def test_ig_pde(self, params_11):
         rep = residual_ig_pde(params_11, GridBox(0.5, 2.5, 0.5, 1.5, 1 / 32, 1 / 32))
         assert 3.5 <= rep.refinement_ratio <= 4.5

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from ighit.errors import DomainError
-from ighit.hitting import density_support_cutoff, hit_mean, hit_pdf_table, invert_path
+from ighit.hitting import (
+    HittingDensityEval,
+    density_support_cutoff,
+    hit_mean,
+    hit_pdf_table,
+    invert_path,
+)
 from ighit.numerics import composite_gauss
 from ighit.residuals import _grid
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
@@ -25,7 +31,7 @@ def _table_at_one_time(xs, t, ev):
     v_max = math.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
     edges = np.unique(np.concatenate([[0.0], np.geomspace(v_max * 1e-4, v_max, 96)]))
     pts, wts = composite_gauss(edges, 12)
-    weights = wts * hit_pdf_table(pts * pts, t, ev.hitting_eval())
+    weights = wts * hit_pdf_table(pts * pts, t, HittingDensityEval(ev.params))
     inv_2v2 = 1.0 / (2.0 * pts * pts)
     out = np.empty_like(xs)
     for start in range(0, xs.size, 256):
