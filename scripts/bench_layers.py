@@ -6,9 +6,11 @@
 
 The first form times each layer in LAYERS for the ighit under --src (default:
 this checkout's src/) and prints one JSON object: per layer its item count,
-the median and every one of REPEAT timed calls after one warm-up call, and
-items per second at the median.  The process uses one core and one BLAS
-thread, as bench/run.py does.
+the median and every one of REPEAT timed calls after one warm-up call, items
+per second at the median, and the minor page faults (`ru_minflt`) of each
+timed call with their median, which show the memory traffic of fresh
+allocations.  The process uses one core and one BLAS thread, as bench/run.py
+does.
 
 The second form compares this checkout with another one at ROOT (for example
 a clone of the commit before a change).  For each of PAIRS pairs, with the
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -57,6 +60,15 @@ def box_points(np, n: int) -> list:
 
 # name, items per call, call(ig, np, rng, n)
 LAYERS = (
+    # the sample workload's call shape: estimate_moment asks the sampler for
+    # chunks of 65,536 draws, 64 of them here.  It runs first because a larger
+    # allocation before it (the next layer's 2^20 draws) raises the C
+    # allocator's mmap and trim thresholds, after which its chunks reuse the
+    # heap without the page faults the workload's process pays
+    ("ts_moment_third_chunked", 1 << 22,
+     lambda ig, np, rng, n: ig.estimate_moment(
+         lambda m, r: ig.ts_sample(1.0, 1.0 / 3.0, 1.0, r, size=m), 1.0, n,
+         int(rng.integers(1 << 30)))),
     ("ts_sample_third_mu1", 1 << 20,
      lambda ig, np, rng, n: ig.ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=n)),
     ("stable_sample_half", 1 << 20,
@@ -124,13 +136,16 @@ def time_layers(src: Path) -> dict:
     for name, n, call in LAYERS:
         rng = np.random.default_rng(2024)
         call(ig, np, rng, n)
-        runs = []
+        runs, faults = [], []
         for _ in range(REPEAT):
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             call(ig, np, rng, n)
             runs.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
         median = statistics.median(runs)
-        out[name] = {"items": n, "median_s": median, "runs_s": runs, "per_s": n / median}
+        out[name] = {"items": n, "median_s": median, "runs_s": runs, "per_s": n / median,
+                     "minflt": statistics.median(faults), "runs_minflt": faults}
     return out
 
 
@@ -189,8 +204,12 @@ def compare(baseline: Path) -> dict:
     layer_summary = {side: {name: quartiles([run[name]["median_s"] for run in layers[side]])
                             for name, _, _ in LAYERS}
                      for side in sides}
+    fault_summary = {side: {name: quartiles([run[name]["minflt"] for run in layers[side]])
+                            for name, _, _ in LAYERS}
+                     for side in sides}
     return {"host": host(), "pairs": PAIRS, "seconds": seconds,
-            "layers": {"summary_s": layer_summary, "runs": layers},
+            "layers": {"summary_s": layer_summary, "summary_minflt": fault_summary,
+                       "runs": layers},
             "workloads": {"summary": summary, "runs": runs}}
 
 

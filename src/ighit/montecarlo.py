@@ -9,6 +9,7 @@ errors wide, keeping the whole suite's false-alarm rate negligible.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -42,10 +43,13 @@ class MCEstimate:
 def estimate_moment(sampler, q: float, n: int, seed: int) -> MCEstimate:
     """Mean of sampler(...)^q over n draws with its standard error.
 
-    sampler(size, rng) must return a 1-d array of draws.
+    sampler(size, rng) must return a 1-d array of draws.  q must be finite
+    and n an integer of at least 2.
     """
-    if n < 2:
-        raise DomainError("need at least two samples")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise DomainError("need an integral number of at least two samples")
+    if not math.isfinite(q):
+        raise DomainError("moment order q must be finite")
     start = time.perf_counter()
     total = 0.0
     total_sq = 0.0

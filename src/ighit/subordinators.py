@@ -406,6 +406,65 @@ def ts_half_ig_params(mu: float) -> IGParams:
     return IGParams(1.0 / math.sqrt(2.0), math.sqrt(2.0 * mu))
 
 
+# Draws per block of a `ts_sample` pass: each block's proposal, acceptance
+# test and compaction run in place on a few arrays of this size, which stay
+# in cache where whole-pass arrays would not.
+PASS_BLOCK = 16384
+
+
+def _kanter_draws(t: float, beta: float, u, e, w=None):
+    """t^(1/beta) times Kanter's stable draw at U = pi u; returns the draws.
+
+    u holds uniforms on [0, 1) and e standard exponentials.  Arrays are
+    overwritten in place, with w as scratch of their shape, and the draws
+    come back in u.  For one draw u is a numpy scalar and e a 0-d array
+    (w None), and the result is a new scalar.  Each branch evaluates the
+    expression of `stable_sample`'s docstring by the same operations, in the
+    same order, with augmented operators, so that every power takes the
+    route a plain `**` would: numpy's array power with its scalar-exponent
+    fast paths, or scalar math for a scalar u.
+    """
+    ou, oe, ow = (u, e, w) if isinstance(u, np.ndarray) else (None, None, None)
+    # pi * random() equals uniform(0, pi) value for value, and is drawn faster
+    u *= math.pi
+    if beta == 1.0 / 3.0:
+        # q = 4 cos(beta U)^2 in u; q / ((q - 1)^3 (e e))
+        u *= beta
+        u = np.cos(u, out=ou)
+        u **= 2
+        u *= 4.0
+        w = np.subtract(u, 1.0, out=ow)
+        w **= 3
+        e *= e
+        w *= e
+        u = np.divide(u, w, out=ou)
+    elif beta == 0.5:
+        # c = cos(beta U) in u; 1 / (4 c c e)
+        u *= beta
+        u = np.cos(u, out=ou)
+        w = np.multiply(u, 4.0, out=ow)
+        w *= u
+        w *= e
+        u = np.divide(1.0, w, out=ou)
+    else:
+        # sin(beta U) sin((1-beta) U)^ratio / (sin(U)^(1/beta) e^ratio):
+        # the denominator into e first, while u still holds U
+        ratio = (1.0 - beta) / beta
+        w = np.sin(u, out=ow)
+        w **= 1.0 / beta
+        e **= ratio
+        e = np.multiply(w, e, out=oe)
+        w = np.multiply(u, beta, out=ow)
+        w = np.sin(w, out=ow)
+        u *= 1.0 - beta
+        u = np.sin(u, out=ou)
+        u **= ratio
+        u = np.multiply(w, u, out=ou)
+        u = np.divide(u, e, out=ou)
+    u *= t ** (1.0 / beta)
+    return u
+
+
 def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     """Exact positive-stable draws with Laplace transform e^(-t s^beta).
 
@@ -426,27 +485,22 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     grows like eps / (pi - U), but it is backward stable: the computed value
     is the exact factor at a U within about an ulp of the drawn one, which is
     as good as the general formula's sin(U) there.  Every index draws the same
-    U and E, in the same order.
+    U and E, in the same order: U as pi times `rng.random`, then E.  The
+    arithmetic is `_kanter_draws`, in place on the two drawn arrays and one
+    scratch array, the same code `ts_sample` runs on its blocks; a scalar
+    draw runs it on numpy scalars.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "stable_sample: t")
-    shape = () if size is None else size
-    # pi * random() equals uniform(0, pi) value for value, and is drawn faster
-    u = math.pi * rng.random(shape)
-    e = rng.standard_exponential(shape)
-    if beta == 1.0 / 3.0:
-        q = 4.0 * np.cos(beta * u) ** 2
-        s = q / ((q - 1.0) ** 3 * (e * e))
-    elif beta == 0.5:
-        c = np.cos(beta * u)
-        s = 1.0 / (4.0 * c * c * e)
-    else:
-        ratio = (1.0 - beta) / beta
-        s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
-             / (np.sin(u) ** (1.0 / beta) * e ** ratio))
-    out = t ** (1.0 / beta) * s
-    return float(out) if size is None else out
+    if size is None:
+        # a scalar U and a 0-d E: `_kanter_draws` then rounds each power as
+        # scalar math or array power, as the expression on these draws does
+        u, e = rng.random(()), rng.standard_exponential(())
+        return float(_kanter_draws(t, beta, u[()], e))
+    u = rng.random(size)
+    e = rng.standard_exponential(size)
+    return _kanter_draws(t, beta, u, e, np.empty_like(u))
 
 
 def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
@@ -461,22 +515,46 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
     BudgetExceeded (mu^beta t too large for naive tilting).  At beta = 1/2 the
     law is the IG marginal at `ts_half_ig_params(mu)`, drawn by `ig_sample`
     without rejection.
+
+    A call allocates its workspace once: arrays U, E and V of one slot per
+    draw, and a scratch array and an acceptance mask of `PASS_BLOCK`.  A pass
+    of m proposals fills U[:m] with `rng.random`, E[:m] with
+    `rng.standard_exponential` and V[:m] with `rng.random`, the stream
+    `stable_sample(t, beta, rng, m)` followed by `rng.random(m)` draws, and
+    then sweeps blocks of `PASS_BLOCK`: Kanter's draw (`_kanter_draws`) in
+    place in U, the test V <= e^(-mu x) and the compaction of the accepted
+    draws into the output.  The draws and the generator's state afterwards
+    are those of running the pass on whole arrays.
     """
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "ts_sample: t")
     mu = _finite_nonnegative(mu, "ts_sample: mu")
+    if size is not None and np.any(np.asarray(size) < 0):
+        raise DomainError("ts_sample: size must be nonnegative")
     if beta == 0.5:
         return ig_sample(ts_half_ig_params(mu).marginal(t), rng, size)
     n = 1 if size is None else int(np.prod(size))
-    out = np.empty(n)
+    u, e, v, out = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    scratch = np.empty(min(n, PASS_BLOCK))
+    keep = np.empty(scratch.size, dtype=bool)
     filled = 0
     for _ in range(trial_cap):
         m = n - filled
-        draws = stable_sample(t, beta, rng, size=m)
+        rng.random(out=u[:m])
+        rng.standard_exponential(out=e[:m])
         # random(m) equals uniform(size=m) value for value
-        accept = rng.random(m) <= np.exp(-mu * draws)
-        k = np.count_nonzero(accept)
-        np.compress(accept, draws, out=out[filled:filled + k])
-        filled += k
+        rng.random(out=v[:m])
+        for lo in range(0, m, PASS_BLOCK):
+            hi = min(lo + PASS_BLOCK, m)
+            w, ok = scratch[:hi - lo], keep[:hi - lo]
+            draws = _kanter_draws(t, beta, u[lo:hi], e[lo:hi], w)
+            np.multiply(draws, -mu, out=w)
+            np.exp(w, out=w)
+            np.less_equal(v[lo:hi], w, out=ok)
+            k = np.count_nonzero(ok)
+            np.compress(ok, draws, out=out[filled:filled + k])
+            filled += k
         if filled == n:
             if size is None:
                 return float(out[0])

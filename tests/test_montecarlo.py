@@ -47,6 +47,20 @@ class TestEstimateMoment:
         with pytest.raises(DomainError):
             estimate_moment(lambda n, rng: np.ones(n), 1.0, 1, seed=3)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_rejected(self, q):
+        with pytest.raises(DomainError):
+            estimate_moment(lambda n, rng: rng.random(n), q, 10, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, math.nan], ids=["fractional", "float", "nan"])
+    def test_non_integral_count_rejected(self, n):
+        with pytest.raises(DomainError):
+            estimate_moment(lambda n, rng: rng.random(n), 1.0, n, seed=0)
+
+    def test_numpy_integer_count(self):
+        est = estimate_moment(lambda n, rng: np.full(n, 2.0), 1.0, np.int64(10), seed=0)
+        assert est.value == 2.0 and est.n_samples == 10
+
     def test_subordinator_increment_mean(self):
         from ighit.subordinators import IGMarginal, ig_sample
         m = IGMarginal(1.0, 1.0)

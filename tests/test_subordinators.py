@@ -16,6 +16,7 @@ from ighit.numerics import (
 )
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import (
+    PASS_BLOCK,
     IGMarginal,
     IGParams,
     IGSubordinator,
@@ -440,6 +441,7 @@ NAN = math.nan
     lambda: ts_sample(1.0, 1.0 / 3.0, NAN, np.random.default_rng(0), size=3),
     lambda: ts_sample(NAN, 1.0 / 3.0, 1.0, np.random.default_rng(0), size=3),
     lambda: ts_sample(1.0, 1.0 / 3.0, math.inf, np.random.default_rng(0), size=3),
+    lambda: ts_sample(1.0, NAN, 1.0, np.random.default_rng(0), size=3),
     lambda: TemperedStableSubordinator(0.5, NAN),
     lambda: TemperedStableSubordinator(0.5, math.inf),
     lambda: ts_pdf(1.0, 1.0, 1.0 / 3.0, NAN),
@@ -464,8 +466,8 @@ NAN = math.nan
         "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
         "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan",
         "stable_sample_t_nan", "stable_sample_t_inf", "ts_sample_mu_nan", "ts_sample_t_nan",
-        "ts_sample_mu_inf", "ts_model_mu_nan", "ts_model_mu_inf", "ts_pdf_mu_nan",
-        "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan",
+        "ts_sample_mu_inf", "ts_sample_beta_nan", "ts_model_mu_nan", "ts_model_mu_inf",
+        "ts_pdf_mu_nan", "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan",
         "ig_cdf_x_nan", "ig_cdf_x_array_nan", "ig_psi_s_nan", "ig_psi_s_inf",
         "ig_psi_s_complex_nan", "ts_psi_s_nan", "ts_psi_s_minus_inf", "stable_psi_s_nan",
         "ts_model_psi_s_inf", "simulate_path_horizon_inf", "simulate_until_level_inf"])
@@ -478,7 +480,15 @@ def test_non_finite_input_rejected(call):
     lambda rng: stable_sample(math.inf, 0.5, rng, size=3),
     lambda rng: ts_sample(NAN, 1.0 / 3.0, 1.0, rng, size=3),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, math.inf, rng, size=3),
-], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf"])
+    # an index outside (0, 1) is a domain error, not an exhausted budget, and
+    # so is a negative size, at every index
+    lambda rng: ts_sample(1.0, 1.5, 1.0, rng, size=3, trial_cap=0),
+    lambda rng: ts_sample(1.0, 0.0, 1.0, rng, size=3),
+    lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=-2),
+    lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=(2, -1)),
+    lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=-2),
+], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf", "ts_beta_above_one", "ts_beta_zero",
+        "ts_size_negative", "ts_shape_negative", "ts_half_size_negative"])
 def test_samplers_reject_before_drawing(draw):
     rng = np.random.default_rng(10)
     with pytest.raises(DomainError):
@@ -491,6 +501,75 @@ def _kanter(t, beta, u, e):
     ratio = (1.0 - beta) / beta
     return t ** (1.0 / beta) * (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
                                 / (np.sin(u) ** (1.0 / beta) * e ** ratio))
+
+
+def _stable_whole_arrays(t, beta, rng, size):
+    """`stable_sample` as whole-array expressions, one new array per operation."""
+    u = math.pi * rng.random(() if size is None else size)
+    e = rng.standard_exponential(u.shape)
+    if beta == 1.0 / 3.0:
+        q = 4.0 * np.cos(beta * u) ** 2
+        s = q / ((q - 1.0) ** 3 * (e * e))
+    elif beta == 0.5:
+        c = np.cos(beta * u)
+        s = 1.0 / (4.0 * c * c * e)
+    else:
+        ratio = (1.0 - beta) / beta
+        s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
+             / (np.sin(u) ** (1.0 / beta) * e ** ratio))
+    out = t ** (1.0 / beta) * s
+    return float(out) if size is None else out
+
+
+def _ts_whole_passes(t, beta, mu, rng, size):
+    """`ts_sample` as whole-array passes: propose what is missing, keep e^(-mu x) of it."""
+    n = 1 if size is None else int(np.prod(size))
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = n - filled
+        draws = _stable_whole_arrays(t, beta, rng, m)
+        accept = rng.random(m) <= np.exp(-mu * draws)
+        k = np.count_nonzero(accept)
+        np.compress(accept, draws, out=out[filled:filled + k])
+        filled += k
+    return float(out[0]) if size is None else out.reshape(size)
+
+
+BLOCK_EDGE_SIZES = [None, 1, PASS_BLOCK - 1, PASS_BLOCK, PASS_BLOCK + 1, 4 * PASS_BLOCK + 3,
+                    (3, 5)]
+BLOCK_EDGE_IDS = ["scalar", "one", "block_less_one", "block", "block_plus_one",
+                  "four_blocks_plus_three", "grid"]
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES, ids=BLOCK_EDGE_IDS)
+@pytest.mark.parametrize("mu", [0.0, 1.0], ids=["untempered", "tempered"])
+@pytest.mark.parametrize("beta", [1.0 / 3.0, 0.7], ids=["third", "general"])
+def test_ts_blocks_bit_identical_to_whole_passes(beta, mu, size):
+    # the in-place sweep over blocks of PASS_BLOCK draws the same numbers, in
+    # the same order, and leaves the generator where whole-array passes do;
+    # single draws repeat, since a last-bit difference shows in a few percent
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(300 if size is None else 1):
+        d = ts_sample(1.3, beta, mu, rng, size)
+        expected = _ts_whole_passes(1.3, beta, mu, ref, size)
+        assert type(d) is type(expected)
+        assert np.array_equal(d, expected)
+        assert np.shape(d) == np.shape(expected)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES, ids=BLOCK_EDGE_IDS)
+@pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5, 0.7], ids=["third", "half", "general"])
+def test_stable_in_place_bit_identical_to_whole_arrays(beta, size):
+    rng, ref = np.random.default_rng(32), np.random.default_rng(32)
+    for _ in range(300 if size is None else 1):
+        d = stable_sample(0.8, beta, rng, size)
+        expected = _stable_whole_arrays(0.8, beta, ref, size)
+        assert type(d) is type(expected)
+        assert np.array_equal(d, expected)
+        assert np.shape(d) == np.shape(expected)
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.7], ids=["half", "third", "inverted"])
