@@ -283,23 +283,22 @@ def cmd_pde_check(args) -> int:
     box = PDE_BOXES.get(args.pde)
     if box is not None and args.dx is not None:
         box = GridBox(box.x0, box.x1, box.t0, box.t1, args.dx, args.dt or args.dx)
-    refine = args.refine
     if args.pde == "hitting":
-        rep = residual_hitting_pde(params, box, mode=args.mode, refine=refine)
+        rep = residual_hitting_pde(params, box, mode=args.mode)
     elif args.pde == "ig":
-        rep = residual_ig_pde(params, box, refine=refine)
+        rep = residual_ig_pde(params, box)
     elif args.pde == "ts2":
-        rep = residual_ts_pde(2, args.mu, box, refine=refine)
+        rep = residual_ts_pde(2, args.mu, box)
     elif args.pde == "ts3":
-        rep = residual_ts_pde(3, args.mu, box, sign=args.sign, refine=refine)
+        rep = residual_ts_pde(3, args.mu, box, sign=args.sign)
     elif args.pde == "subordinated":
-        rep = residual_subordinated(params, box, refine=refine)
+        rep = residual_subordinated(params, box)
     elif args.pde == "frac-hitting":
-        rep = residual_frac_hitting(box, refine=refine)
+        rep = residual_frac_hitting(box)
     elif args.pde == "frac-ig":
-        rep = residual_frac_ig(box, refine=refine)
+        rep = residual_frac_ig(box)
     elif args.pde == "frac-subordinated":
-        rep = residual_subordinated_frac(box, refine=refine)
+        rep = residual_subordinated_frac(box)
     else:
         rep = residual_pseudo_lt(params, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
                                  source=args.source)
@@ -408,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--pde", choices=sorted(list(PDE_BOXES) + ["pseudo-lt"]),
                    required=True)
-    p.add_argument("--refine", type=int, default=2)
     p.add_argument("--mu", type=nonneg_float, default=1.0)
     p.add_argument("--mode", choices=("corrected", "literal"), default="corrected")
     p.add_argument("--sign", choices=("as_printed", "flipped"), default="as_printed")

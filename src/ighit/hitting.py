@@ -499,10 +499,9 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
     return float(cut) if t_arr.ndim == 0 else cut
 
 
-def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval,
-                          tail_tol: float = 1e-10) -> float:
+def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval) -> float:
     """E H(t)^q by direct quadrature of the closed-form density (q = 0: mass)."""
-    x_max = density_support_cutoff(t, ev.params, weight_power=q, tail_tol=tail_tol)
+    x_max = density_support_cutoff(t, ev.params, weight_power=q, tail_tol=1e-10)
 
     def f(xs):
         vals = hit_pdf_table(xs, t, ev)

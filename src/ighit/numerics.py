@@ -214,16 +214,15 @@ def upper_gamma(a: float, x):
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
-def _gamma_cf(a: float, x: np.ndarray, eps: float = 1e-15,
-              max_iter: int = 400) -> np.ndarray:
-    # modified Lentz; each h freezes once its own delta is within eps of 1
+def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
+    # modified Lentz; each h freezes once its own delta is within 1e-15 of 1
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full_like(b, 1.0 / tiny)
     d = 1.0 / b
     h = d.copy()
     done = np.zeros(b.shape, dtype=bool)
-    for i in range(1, max_iter + 1):
+    for i in range(1, 401):
         an = -i * (i - a)
         b = b + 2.0
         d = an * d + b
@@ -233,21 +232,20 @@ def _gamma_cf(a: float, x: np.ndarray, eps: float = 1e-15,
         d = 1.0 / d
         delta = d * c
         h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < eps
+        done |= np.abs(delta - 1.0) < 1e-15
         if done.all():
             return h
     raise NonConvergence("continued fraction for upper_gamma did not converge")
 
 
-def _lower_gamma_series(a: float, x: np.ndarray, eps: float = 1e-16,
-                        max_iter: int = 500) -> np.ndarray:
+def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     term = np.full_like(x, 1.0 / a)
     total = term.copy()
     done = np.zeros(x.shape, dtype=bool)
-    for n in range(1, max_iter + 1):
+    for n in range(1, 501):
         term = term * (x / (a + n))
         total = np.where(done, total, total + term)
-        done |= np.abs(term) < np.abs(total) * eps
+        done |= np.abs(term) < np.abs(total) * 1e-16
         if done.all():
             return total * np.exp(-x + a * np.log(x))
     raise NonConvergence("series for lower incomplete gamma did not converge")

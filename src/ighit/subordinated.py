@@ -117,12 +117,9 @@ def sub_mass_and_second_moment(t: float, ev: SubordinatedEval) -> tuple[float, f
     return mass, second
 
 
-def sub_cdf_interpolant(t: float, ev: SubordinatedEval, x_max: float | None = None,
-                        n_grid: int = 4001):
+def sub_cdf_interpolant(t: float, ev: SubordinatedEval):
     """Distribution function of X(t) as a callable built from a dense table."""
-    if x_max is None:
-        x_max = 8.0 * float(_v_cutoff(t, ev))
-    xs = np.linspace(0.0, x_max, n_grid)
+    xs = np.linspace(0.0, 8.0 * float(_v_cutoff(t, ev)), 4001)
     dens = sub_pdf_table(xs, t, ev)
     # cumulative composite Simpson on the uniform half-grid
     dx = xs[1] - xs[0]

@@ -36,6 +36,12 @@ def _finite_nonnegative(value, what: str) -> float:
     return value
 
 
+def _check_size(size, what: str) -> None:
+    """DomainError if a sampler's `size` (None, an int or a shape) has a negative entry."""
+    if size is not None and np.any(np.asarray(size) < 0):
+        raise DomainError(f"{what}: size must be nonnegative")
+
+
 def _laplace_arg(s, lower: float, what: str) -> np.ndarray:
     """`s` as an array; DomainError unless finite and, on the real axis, >= lower.
 
@@ -146,6 +152,7 @@ def ig_sample(m: IGMarginal, rng: np.random.Generator, size=None):
     probability a/(a + b x0), else (a/b)^2 / x0 is returned.  b = 0 delegates
     to the one-sided 1/2-stable representation a^2 / Z^2.
     """
+    _check_size(size, "ig_sample")
     shape = () if size is None else size
     if m.b == 0.0:
         z = rng.standard_normal(shape)
@@ -493,6 +500,7 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "stable_sample: t")
+    _check_size(size, "stable_sample")
     if size is None:
         # a scalar U and a 0-d E: `_kanter_draws` then rounds each power as
         # scalar math or array power, as the expression on these draws does
@@ -530,8 +538,7 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "ts_sample: t")
     mu = _finite_nonnegative(mu, "ts_sample: mu")
-    if size is not None and np.any(np.asarray(size) < 0):
-        raise DomainError("ts_sample: size must be nonnegative")
+    _check_size(size, "ts_sample")
     if beta == 0.5:
         return ig_sample(ts_half_ig_params(mu).marginal(t), rng, size)
     n = 1 if size is None else int(np.prod(size))

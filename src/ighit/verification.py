@@ -369,9 +369,10 @@ def _rec_stable_hit_tail_rate() -> VerificationRecord:
         {"fitted": rep.fitted_gaussian_rate, "stated": target})
 
 
-def _pde_record(rec_id, claim, report, ratio_window=(3.2, 4.8), rel_limit=2e-3,
-                extra_values=None, oracle_ok=True) -> VerificationRecord:
-    ok_ratio = ratio_window[0] <= report.refinement_ratio <= ratio_window[1]
+def _pde_record(rec_id, claim, report, extra_values=None,
+                oracle_ok=True) -> VerificationRecord:
+    rel_limit = 2e-3
+    ok_ratio = 3.2 <= report.refinement_ratio <= 4.8
     ok_rel = report.norms["max_rel"] <= rel_limit
     disc = report.norms["max_rel"]
     verdict = "confirmed" if (ok_ratio and ok_rel and oracle_ok) else "failed"
@@ -387,7 +388,7 @@ def _pde_record(rec_id, claim, report, ratio_window=(3.2, 4.8), rel_limit=2e-3,
 def _rec_pde_hitting() -> VerificationRecord:
     box = PDE_BOXES["hitting"]
     rep = residual_hitting_pde(P11, box)
-    rep_lit = residual_hitting_pde(P11, box, mode="literal", refine=2)
+    rep_lit = residual_hitting_pde(P11, box, mode="literal")
     return _pde_record(
         "pde_hitting",
         "second-order space PDE of the hitting density (literal prefactor "

@@ -244,6 +244,13 @@ class TestPdeCheckCommand:
         assert (tmp_path / "pde_hitting.json").read_bytes() == \
             (tmp_path / "expected.json").read_bytes()
 
+    @pytest.mark.parametrize("levels", ["1", "2"])
+    def test_refine_flag_is_unknown(self, tmp_path, levels):
+        # every check runs at two levels; a finer grid is --dx/--dt
+        with pytest.raises(SystemExit) as exc:
+            run_in(tmp_path, ["pde-check", "--pde", "ig", "--refine", levels])
+        assert exc.value.code == 2
+
 
 class TestVerifyCommand:
     def test_single_record(self, tmp_path):

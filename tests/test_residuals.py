@@ -17,6 +17,7 @@ from ighit.residuals import (
     residual_subordinated_frac,
     residual_ts_pde,
 )
+from ighit.subordinators import ig_psi
 from ighit.verification import _rec_pde_ts_n3_sign
 
 
@@ -173,6 +174,23 @@ class TestPseudoTransformResidual:
         rep = residual_pseudo_lt(params_11, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
                                  source="closed")
         assert rep.norms["max_abs"] < 1e-12
+
+    def test_closed_form_detects_wrong_exponent(self, params_11, monkeypatch):
+        # a transform decaying at Psi(2s) in x breaks the identity; the check
+        # must see it
+        import ighit.residuals as residuals
+
+        def wrong(x, s, params):
+            return ig_psi(s, params) / s * math.exp(-x * ig_psi(2.0 * s, params))
+
+        monkeypatch.setattr(residuals, "hit_lt_time", wrong)
+        rep = residual_pseudo_lt(params_11, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
+                                 source="closed")
+        assert rep.norms["max_abs"] > 1e-6
+
+    def test_unknown_source_rejected(self, params_11):
+        with pytest.raises(DomainError):
+            residual_pseudo_lt(params_11, [0.5], [0.3], source="bogus")
 
     def test_numeric_transform_small(self, params_11):
         rep = residual_pseudo_lt(params_11, [0.5, 1.0], [0.5, 0.9], source="numeric")

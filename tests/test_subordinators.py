@@ -487,8 +487,14 @@ def test_non_finite_input_rejected(call):
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=-2),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=(2, -1)),
     lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=-2),
+    lambda rng: stable_sample(1.0, 1.0 / 3.0, rng, size=-2),
+    lambda rng: stable_sample(1.0, 0.7, rng, size=(2, -1)),
+    lambda rng: ig_sample(IGMarginal(1.0, 1.0), rng, size=-2),
+    lambda rng: ig_sample(IGMarginal(1.0, 0.0), rng, size=(2, -1)),
 ], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf", "ts_beta_above_one", "ts_beta_zero",
-        "ts_size_negative", "ts_shape_negative", "ts_half_size_negative"])
+        "ts_size_negative", "ts_shape_negative", "ts_half_size_negative",
+        "stable_size_negative", "stable_shape_negative", "ig_size_negative",
+        "ig_driftless_shape_negative"])
 def test_samplers_reject_before_drawing(draw):
     rng = np.random.default_rng(10)
     with pytest.raises(DomainError):
