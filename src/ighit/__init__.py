@@ -59,7 +59,6 @@ from .hitting import (
     hit_moment,
     hit_moment_quadrature,
     hit_pdf_convolution,
-    hit_pdf_convolution_table,
     hit_pdf_integral,
     hit_pdf_table,
     hit_second_moment,
@@ -72,6 +71,7 @@ from .hitting import (
     stable_hit_survival,
     stable_hit_tail_report,
     tail_report,
+    ts_hit_pdf_table,
 )
 from .subordinated import (
     SubordinatedEval,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .subordinators import (
 )
 from .residuals import (
     PDE_BOXES,
-    GridBox,
     residual_frac_hitting,
     residual_frac_ig,
     residual_hitting_pde,
@@ -281,8 +281,10 @@ def cmd_stable(args) -> int:
 def cmd_pde_check(args) -> int:
     params = _params_from(args)
     box = PDE_BOXES.get(args.pde)
-    if box is not None and args.dx is not None:
-        box = GridBox(box.x0, box.x1, box.t0, box.t1, args.dx, args.dt or args.dx)
+    if box is not None:  # --dx alone sets dt = dx too; --dt alone replaces dt only
+        box = replace(box, dx=args.dx or box.dx, dt=args.dt or args.dx or box.dt)
+    elif args.dx or args.dt:
+        raise DomainError("pseudo-lt has no grid steps: --dx and --dt do not apply")
     if args.pde == "hitting":
         rep = residual_hitting_pde(params, box, mode=args.mode)
     elif args.pde == "ig":

@@ -6,8 +6,10 @@ and is exact.  Production code evaluates the density in closed form
 divided by delta (Borodin & Salminen, Handbook of Brownian Motion, 2002,
 section 2.1).  The oscillatory integral representation and the Levy-tail
 convolution are independent routes kept as oracles for the verification
-report and the tests.  `sample_hitting_times` draws the same running maximum
-exactly from a Gaussian endpoint and an exponential, rounded up to the grid.
+report and the tests; the latter is also the oracle of `ts_hit_pdf_table`,
+the tempered stable density from the x-derivative of the duality.
+`sample_hitting_times` draws the IG running maximum exactly from a Gaussian
+endpoint and an exponential, rounded up to the grid.
 Transforms, moments, tail bounds and boundary values complete the picture.
 The stable hitting-time family E(t) lives here too.
 
@@ -28,8 +30,8 @@ import numpy as np
 from .errors import DomainError, NonConvergence, NumericalInstability
 from .numerics import (
     INV_SQRT_PI,
+    _gauss_rule,
     _period_edges,
-    composite_gauss,
     erf,
     erfc,
     erfcx,
@@ -42,11 +44,13 @@ from .subordinators import (
     IGParams,
     IGSubordinator,
     SamplePath,
+    _finite_nonnegative,
     _ig_cdf,
     ig_levy_tail,
     ig_psi,
     stable_cdf,
     stable_pdf,
+    ts_pdf,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -171,7 +175,8 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Density, route 2: Levy-tail convolution (any strictly increasing subordinator)
+# Density, route 2: Levy-tail convolution (any strictly increasing subordinator),
+# and the tempered stable density on a grid from the duality
 # ---------------------------------------------------------------------------
 
 def hit_pdf_convolution(x: float, t: float, model) -> float:
@@ -203,68 +208,66 @@ def hit_pdf_convolution(x: float, t: float, model) -> float:
     return integrate_interval(integrand, 0.0, v_end)
 
 
-# nodes per panel, geometric panels toward each end, uniform panels between:
-# the fixed rule of `hit_pdf_convolution_table` in the flattened variable
-_CONV_RULE = (10, 10, 6)
-_CONV_END_SHARE = 0.1
+# Gauss nodes per panel and panels per decade of y; the self-check doubles the nodes
+_TS_NODES = 16
+_TS_PANELS_PER_DECADE = 4
 
 
-def _graded_rule(length: float, nodes: int, graded: int, uniform: int):
-    """Composite Gauss rule on (0, length), graded toward both ends.
+def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
+    """Tempered stable hitting density on the grid xs x ts, shape (xs.size, ts.size).
 
-    Each end tenth holds `graded` panels shrinking geometrically toward the
-    end, at ratio 0.35 for 10 panels and 0.35^(10/graded) otherwise, so that
-    doubling `graded` halves every graded panel on a log scale; `uniform`
-    equal panels fill the middle four fifths.
+    P(H(t) <= x) = P(S(x) >= t), so with f = `ts_pdf`(., x, beta, mu) and
+    m = E S(x) = x beta mu^(beta-1), h = -d/dx P(S(x) <= t) is
+    [t f(t; x) + mu int_0^t (y - m) f(y; x) dy] / (beta x).  The first term
+    is e^(-mu t + x mu^beta) `stable_hit_pdf`(x, t, beta), Meerschaert &
+    Scheffler's closed form (Stoch. Proc. Appl. 118, 2008) and the table at
+    mu = 0.  The integrand changes sign at m and integrates to 0, so above m
+    the integral is -int_t^Y, summed from the right: neither side cancels.
+    Each x has its own Gauss rule, geometric in y with an edge at every t,
+    from y0, where Kanter's L a(0) at time x is 50 + x mu^beta (the tilted
+    law holds at most e^-50 below), to Y = max(t, (x mu^beta + 40)/mu)
+    (E[S(x); S(x) > Y] <= (Y + 1/mu) e^(x mu^beta - mu Y) by Chernoff).
+    NumericalInstability is raised where the rule with doubled nodes differs
+    by more than 1e-8 of a column's peak.
     """
-    a = _CONV_END_SHARE * length
-    ladder = a * (0.35 ** (10.0 / graded)) ** np.arange(graded - 1, -1, -1)
-    left = np.concatenate([[0.0], ladder])
-    edges = np.concatenate([left, np.linspace(a, length - a, uniform + 1)[1:-1],
-                            length - left[::-1]])
-    return composite_gauss(edges, nodes)
-
-
-def _convolution_column(xs: np.ndarray, t: float, model, rule=_CONV_RULE) -> np.ndarray:
-    q = 1.0 / (1.0 - model.tail_exponent)
-    v, w = _graded_rule(t ** (1.0 / q), *rule)
-    u = v ** q
-    weights = w * model.levy_tail(u) * q * v ** (q - 1.0)
-    return model.marginal_pdf((t - u)[None, :], xs[:, None]) @ weights
-
-
-def hit_pdf_convolution_table(xs, ts, model) -> np.ndarray:
-    """The convolution of `hit_pdf_convolution` on the grid xs x ts, shape (xs.size, ts.size).
-
-    One fixed composite Gauss rule per t, in the flattened variable of the
-    scalar route and graded toward both ends of (0, t^(1-p)), is shared by
-    every x: the Levy tail is evaluated once per t and the marginal density
-    once over all (x, node) pairs, so `model.marginal_pdf` must broadcast over
-    x (`ts_pdf` and `stable_pdf` do at every index).  The rule was tuned at
-    index 1/3 on the residual grids, where it agrees with the adaptive route
-    within that route's rel_tol of 1e-8 and with the rule of doubled panels
-    and nodes within 1e-10.  At every other index the doubled rule is run
-    as well, and NumericalInstability is raised where the two differ by more
-    than 1e-8 of a column's peak (at index 0.9, for one, by about 1e-4); at
-    index 0.7 the table agrees with the adaptive route within 1e-8.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    _check_t(ts)
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     if xs.ndim != 1 or ts.ndim != 1:
         raise DomainError("xs and ts must be 1-d arrays")
-    if not np.all(np.isfinite(xs) & (xs > 0)):
-        raise DomainError("x must be finite and positive")
-    table = np.stack([_convolution_column(xs, float(t), model) for t in ts], axis=1)
-    if model.tail_exponent != 1.0 / 3.0:
-        rule = tuple(2 * n for n in _CONV_RULE)
-        doubled = np.stack([_convolution_column(xs, float(t), model, rule) for t in ts], axis=1)
-        err = np.max(np.abs(table - doubled) / np.max(np.abs(doubled), axis=0))
-        if not err <= 1e-8:
-            raise NumericalInstability(
-                f"convolution rule and its doubling differ by {err:.2e} of a column's "
-                f"peak at index {model.tail_exponent}")
-    return table
+    mu = _finite_nonnegative(mu, "ts_hit_pdf_table: mu")
+    lam = xs[:, None] * mu ** beta
+    table = np.exp(lam - mu * ts) * stable_hit_pdf(xs[:, None], ts, beta)
+    if mu == 0.0:
+        return table
+    mean = beta * lam / mu
+    y0 = beta * xs[:, None] ** (1.0 / beta) * ((1.0 - beta) / (50.0 + lam)) ** (1.0 / beta - 1.0)
+    y_end = np.maximum(ts.max(), (lam + 40.0) / mu)
+    # zero-width panels, at the end of short ladders and at t below y0, cost nothing
+    count = np.ceil(_TS_PANELS_PER_DECADE * np.log10(y_end / y0))
+    ladder = y0 * (y_end / y0) ** np.minimum(np.arange(count.max() + 1) / count, 1.0)
+    # a ladder edge between two t closer than one panel's span is dropped
+    below = ladder[..., None] > ts
+    lo, hi = np.where(below, ts, 0.0).max(axis=-1), np.where(below, np.inf, ts).min(axis=-1)
+    inside = hi <= 10.0 ** (1.0 / _TS_PANELS_PER_DECADE) * lo
+    at_t = np.maximum(ts, y0)
+    edges = np.sort(np.concatenate([np.where(inside, y0, ladder), at_t], axis=1), axis=1)
+    at = (edges[:, :, None] <= at_t[:, None, :]).sum(axis=1) - 1  # the last edge at or below t
+    half, mid = 0.5 * np.diff(edges, axis=1), 0.5 * (edges[:, 1:] + edges[:, :-1])
+    tables = []
+    for nodes in (_TS_NODES, 2 * _TS_NODES):
+        z, w = _gauss_rule(nodes)
+        y = mid[..., None] + half[..., None] * z
+        live = np.broadcast_to((half > 0)[..., None], y.shape)
+        f = np.zeros(y.shape)
+        f[live] = ts_pdf(y[live], np.broadcast_to(xs[:, None, None], y.shape)[live], beta, mu)
+        panels = np.pad(half * (((y - mean[..., None]) * f) @ w), ((0, 0), (1, 1)))
+        left = np.take_along_axis(np.cumsum(panels[:, :-1], axis=1), at, axis=1)
+        right = np.take_along_axis(np.cumsum(panels[:, :0:-1], axis=1)[:, ::-1], at, axis=1)
+        tables.append(table + mu / (beta * xs[:, None]) * np.where(ts <= mean, left, -right))
+    err = np.max(np.abs(tables[0] - tables[1]) / np.max(np.abs(tables[1]), axis=0))
+    if not err <= 1e-8:
+        raise NumericalInstability(f"the duality rule and its doubled nodes differ by {err:.2e} "
+                                   f"of a column's peak at index {beta}, mu {mu}")
+    return tables[0]
 
 
 # ---------------------------------------------------------------------------

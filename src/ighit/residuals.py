@@ -20,14 +20,13 @@ from .numerics import integrate_semi_infinite
 from .hitting import (
     HittingDensityEval,
     hit_lt_time,
-    hit_pdf_convolution_table,
     hit_pdf_table,
     printed_prefactor_ratio,
+    ts_hit_pdf_table,
 )
 from .subordinated import SubordinatedEval, sub_pdf_table
 from .subordinators import (
     IGParams,
-    TemperedStableSubordinator,
     ig_pdf,
     ig_psi,
     ts_half_ig_params,
@@ -282,10 +281,9 @@ def residual_ts_pde(n: int, mu: float, box: GridBox, *,
 
     The density is tabulated on the whole grid at once.  At n = 2 the
     subordinator is the IG process of `ts_half_ig_params(mu)`, so its hitting
-    density is the closed form `hit_pdf_table`.  At n = 3 it is the Levy-tail
-    convolution `hit_pdf_convolution_table`, one fixed graded Gauss rule per t
-    shared by every x.  The scalar adaptive `hit_pdf_convolution` stays the
-    oracle of both.
+    density is the closed form `hit_pdf_table`.  At n = 3 it is
+    `ts_hit_pdf_table`, from the x-derivative of the duality.  The scalar
+    Levy-tail convolution `hit_pdf_convolution` stays the oracle of both.
     """
     if sign not in _TS_SIGNS:
         raise DomainError("sign must be 'as_printed' or 'flipped'")
@@ -301,19 +299,13 @@ def _residual_ts_pde_signs(n: int, mu: float, box: GridBox, *,
         raise DomainError("n must be 2 or 3")
     beta = 1.0 / n
     mx = 1 if n == 2 else 2
-    if n == 2:
-        ev = HittingDensityEval(ts_half_ig_params(mu))
-    else:
-        model = TemperedStableSubordinator(beta, mu)
+    ev = HittingDensityEval(ts_half_ig_params(mu))
 
     def run(dx, dt):
         xs = _grid(box.x0, box.x1, dx, mx)
         ts = _grid(box.t0, box.t1, dt, 1)
-        if n == 2:
-            F = hit_pdf_table(xs[:, None], ts[None, :], ev)
-        else:
-            F = hit_pdf_convolution_table(xs, ts, model)
-        F = _perturbed(perturb, xs, ts, F)
+        F = _perturbed(perturb, xs, ts, hit_pdf_table(xs[:, None], ts[None, :], ev)
+                       if n == 2 else ts_hit_pdf_table(xs, ts, beta, mu))
         term_t = _trim(_d1(F, dt, 1), mx, 0)
         if n == 2:
             space = _trim(_d2(F, dx, 0), 0, 1) \

@@ -7,7 +7,13 @@ import pytest
 
 from ighit.cli import main
 from ighit.hitting import HittingDensityEval, hit_pdf_table, printed_prefactor_ratio
-from ighit.residuals import PDE_BOXES, residual_hitting_pde
+from ighit.residuals import (
+    PDE_BOXES,
+    GridBox,
+    residual_frac_hitting,
+    residual_hitting_pde,
+    residual_ts_pde,
+)
 from ighit.subordinators import IGParams
 from ighit.tables import format_float, json_dumps, write_csv
 
@@ -243,6 +249,30 @@ class TestPdeCheckCommand:
         rep.to_json(tmp_path / "expected.json")
         assert (tmp_path / "pde_hitting.json").read_bytes() == \
             (tmp_path / "expected.json").read_bytes()
+
+    def test_dt_alone_replaces_the_time_step(self, tmp_path):
+        assert run_in(tmp_path, ["pde-check", "--pde", "frac-hitting", "--dt", "0.0078125"]) == 0
+        box = PDE_BOXES["frac-hitting"]
+        residual_frac_hitting(GridBox(box.x0, box.x1, box.t0, box.t1, box.dx, 0.0078125)) \
+            .to_json(tmp_path / "expected.json")
+        residual_frac_hitting(box).to_json(tmp_path / "default.json")
+        written = (tmp_path / "pde_frac_hitting.json").read_bytes()
+        assert written == (tmp_path / "expected.json").read_bytes()
+        assert written != (tmp_path / "default.json").read_bytes()
+
+    def test_dx_alone_sets_both_steps(self, tmp_path):
+        assert run_in(tmp_path, ["pde-check", "--pde", "ts2", "--dx", "0.03125"]) == 0
+        box = PDE_BOXES["ts2"]
+        residual_ts_pde(2, 1.0, GridBox(box.x0, box.x1, box.t0, box.t1, 0.03125, 0.03125)) \
+            .to_json(tmp_path / "expected.json")
+        assert (tmp_path / "pde_ts2.json").read_bytes() == \
+            (tmp_path / "expected.json").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--dx", "--dt"])
+    def test_steps_on_pseudo_lt_are_usage_errors(self, tmp_path, flag, capsys):
+        assert run_in(tmp_path, ["pde-check", "--pde", "pseudo-lt", flag, "0.01"]) == 2
+        assert "--dx and --dt do not apply" in capsys.readouterr().err
+        assert not (tmp_path / "pde_pseudo_lt.json").exists()
 
     @pytest.mark.parametrize("levels", ["1", "2"])
     def test_refine_flag_is_unknown(self, tmp_path, levels):

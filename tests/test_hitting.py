@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ighit import hitting
 from ighit.errors import DomainError, NonConvergence, NumericalInstability
 from ighit.numerics import (
     erfcx,
@@ -32,9 +34,7 @@ from ighit.hitting import (
     hit_mean_asymptote,
     hit_moment,
     hit_moment_quadrature,
-    _convolution_column,
     hit_pdf_convolution,
-    hit_pdf_convolution_table,
     hit_pdf_integral,
     hit_pdf_table,
     hit_second_moment,
@@ -47,6 +47,7 @@ from ighit.hitting import (
     stable_hit_survival,
     stable_hit_tail_report,
     tail_report,
+    ts_hit_pdf_table,
 )
 from ighit.montecarlo import ks_critical_1pct
 from ighit.subordinators import (
@@ -292,6 +293,14 @@ def test_non_finite_input_rejected(call):
         call()
 
 
+_DUALITY_GRID = (np.array([0.05, 0.5, 1.0, 4.0]), np.array([0.1, 1.0, 3.0]))
+
+
+@functools.lru_cache
+def _duality_table(beta, mu):
+    return ts_hit_pdf_table(*_DUALITY_GRID, beta, mu)
+
+
 class TestTemperedStableTables:
     """The two whole-grid routes of the tempered stable hitting density."""
 
@@ -312,48 +321,58 @@ class TestTemperedStableTables:
                    _grid(box.t0, box.t1, box.dt / 2 ** lev, 1))
 
     def test_index_third_grid_matches_adaptive_convolution(self):
-        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
         rng = np.random.default_rng(5)
+        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
         for xs, ts in self._levels():
-            table = hit_pdf_convolution_table(xs, ts, model)
+            table = ts_hit_pdf_table(xs, ts, 1.0 / 3.0, 1.0)
             for i, j in zip(rng.integers(xs.size, size=8), rng.integers(ts.size, size=8)):
                 assert table[i, j] == pytest.approx(
                     hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
 
-    def test_index_third_grid_is_converged(self):
-        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
-        for xs, ts in self._levels():
-            table = hit_pdf_convolution_table(xs, ts, model)
-            doubled = np.stack([_convolution_column(xs, float(t), model, (20, 20, 12))
-                                for t in ts], axis=1)
-            assert np.max(np.abs(table - doubled) / doubled) <= 1e-10
-
     def test_general_index_grid_matches_adaptive_convolution(self):
-        # ts_pdf broadcasts over x at every index, so the grid rule runs at
-        # beta = 0.7 too, tempered and not
         xs, ts = np.linspace(0.5, 1.0, 5), np.array([0.6, 0.8, 1.0])
         for mu in (1.0, 0.0):
             model = TemperedStableSubordinator(0.7, mu)
-            table = hit_pdf_convolution_table(xs, ts, model)
+            table = ts_hit_pdf_table(xs, ts, 0.7, mu)
             for i in range(xs.size):
                 for j in range(ts.size):
                     assert table[i, j] == pytest.approx(
                         hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
 
-    @pytest.mark.parametrize("beta", [0.2, 0.9])
-    def test_untuned_index_raises_where_rule_is_short(self, beta):
-        # the fixed rule is off by about 1e-6 at index 0.2 and 1e-4 at 0.9
-        # here; the doubled rule says so in place of a quiet table
-        model = TemperedStableSubordinator(beta, 1.0)
+    @pytest.mark.parametrize("column", range(3))
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.7, 0.9])
+    def test_duality_table_matches_adaptive_convolution(self, beta, mu, column):
+        # the grid holds x = 0.05, t = 3, where the fixed convolution rule this
+        # table replaced was off by 9.3e-4 at index 1/3.  The oracle meets
+        # max(1e-10, 1e-8 |h|) only, and at mu = 3 that 1e-10 is more than
+        # 1e-8 of the peak of the t = 3 column
+        xs, ts = _DUALITY_GRID
+        model = TemperedStableSubordinator(beta, mu)
+        table = _duality_table(beta, mu)[:, column]
+        oracle = np.array([hit_pdf_convolution(x, ts[column], model) for x in xs])
+        assert np.all(np.abs(table - oracle) <= np.maximum(1e-8 * np.max(oracle), 1e-10))
+
+    @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.7])
+    def test_untempered_table_is_the_stable_closed_form(self, beta):
+        xs, ts = np.linspace(0.05, 4.0, 7), np.array([0.1, 1.0, 3.0])
+        assert np.array_equal(ts_hit_pdf_table(xs, ts, beta, 0.0),
+                              stable_hit_pdf(xs[:, None], ts, beta))
+
+    def test_short_rule_raises(self, monkeypatch):
+        # one panel per decade leaves the 16-node rule short of its doubling
+        monkeypatch.setattr(hitting, "_TS_PANELS_PER_DECADE", 1)
         with pytest.raises(NumericalInstability):
-            hit_pdf_convolution_table(np.linspace(0.5, 1.0, 5), np.array([0.6, 0.8, 1.0]), model)
+            ts_hit_pdf_table(np.array([0.05, 0.5, 1.0, 4.0]), np.array([0.1, 1.0, 3.0]),
+                             1.0 / 3.0, 1.0)
 
     def test_table_domain(self):
-        model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
         with pytest.raises(DomainError):
-            hit_pdf_convolution_table(np.array([0.5, NAN]), np.array([1.0]), model)
+            ts_hit_pdf_table(np.array([0.5, NAN]), np.array([1.0]), 1.0 / 3.0, 1.0)
         with pytest.raises(DomainError):
-            hit_pdf_convolution_table(np.array([0.5]), np.array([0.0]), model)
+            ts_hit_pdf_table(np.array([0.5]), np.array([0.0]), 1.0 / 3.0, 1.0)
+        with pytest.raises(DomainError):
+            ts_hit_pdf_table(np.array([[0.5]]), np.array([1.0]), 1.0 / 3.0, 1.0)
 
 
 class TestDistributionFunction:
