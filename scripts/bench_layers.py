@@ -71,6 +71,8 @@ LAYERS = (
          int(rng.integers(1 << 30)))),
     ("ts_sample_third_mu1", 1 << 20,
      lambda ig, np, rng, n: ig.ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=n)),
+    ("ts_sample_0.7_mu1", 1 << 20,
+     lambda ig, np, rng, n: ig.ts_sample(1.0, 0.7, 1.0, rng, size=n)),
     ("stable_sample_half", 1 << 20,
      lambda ig, np, rng, n: ig.stable_sample(1.0, 0.5, rng, size=n)),
     ("stable_sample_third", 1 << 20,

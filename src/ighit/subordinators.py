@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,38 +414,64 @@ def ts_half_ig_params(mu: float) -> IGParams:
     return IGParams(1.0 / math.sqrt(2.0), math.sqrt(2.0 * mu))
 
 
-# Draws per block of a `ts_sample` pass: each block's proposal, acceptance
-# test and compaction run in place on a few arrays of this size, which stay
-# in cache where whole-pass arrays would not.
+# Proposals per block of `ts_sample`: each block's draws, tests and
+# compactions run in place on a few arrays of this size, which stay in cache.
 PASS_BLOCK = 16384
+
+
+def _exponential_power(e, beta: float):
+    """E^((1-beta)/beta) in place in the exponentials e, as `_kanter_draws` takes it.
+
+    E E at beta = 1/3, E itself at beta = 1/2 and e **= (1-beta)/beta at any
+    other index; returns e.
+    """
+    if beta == 1.0 / 3.0:
+        e *= e
+    elif beta != 0.5:
+        e **= (1.0 - beta) / beta
+    return e
+
+
+def _kanter_floor(t: float, beta: float) -> float:
+    """A lower bound on t^(1/beta) a(U)^((1-beta)/beta) over every U, taken a relative 1e-12 low.
+
+    Kanter's factor a (`_kanter_factor`) increases in U from
+    a(0+)^((1-beta)/beta) = beta (1-beta)^((1-beta)/beta), so every draw of
+    `_kanter_draws` from E^((1-beta)/beta) = p is at least this bound over p.
+    The slack keeps the bound below the draw's rounded value.
+    """
+    return ((1.0 - 1e-12) * beta * (1.0 - beta) ** ((1.0 - beta) / beta)
+            * t ** (1.0 / beta))
 
 
 def _kanter_draws(t: float, beta: float, u, e, w=None):
     """t^(1/beta) times Kanter's stable draw at U = pi u; returns the draws.
 
-    u holds uniforms on [0, 1) and e standard exponentials.  Arrays are
-    overwritten in place, with w as scratch of their shape, and the draws
-    come back in u.  For one draw u is a numpy scalar and e a 0-d array
-    (w None), and the result is a new scalar.  Each branch evaluates the
-    expression of `stable_sample`'s docstring by the same operations, in the
-    same order, with augmented operators, so that every power takes the
-    route a plain `**` would: numpy's array power with its scalar-exponent
-    fast paths, or scalar math for a scalar u.
+    u holds uniforms on [0, 1) and e the powers E^((1-beta)/beta) of standard
+    exponentials (`_exponential_power`).  Arrays are overwritten in place,
+    with w as scratch of their shape, and the draws come back in u.  For one
+    draw u is a numpy scalar and e a 0-d array (w None), and the result is a
+    new scalar.  Each branch evaluates the expression of `stable_sample`'s
+    docstring by the same operations, in the same order, with augmented
+    operators, so that every power takes the route a plain `**` would:
+    numpy's array power with its scalar-exponent fast paths, or scalar math
+    for a scalar u.
     """
     ou, oe, ow = (u, e, w) if isinstance(u, np.ndarray) else (None, None, None)
     # pi * random() equals uniform(0, pi) value for value, and is drawn faster
     u *= math.pi
     if beta == 1.0 / 3.0:
-        # q = 4 cos(beta U)^2 in u; q / ((q - 1)^3 (e e))
+        # q = 4 cos(beta U)^2 in u; q / ((((e e) (q - 1)) (q - 1)) (q - 1))
+        # three multiplies where a cube would take the general power
         u *= beta
         u = np.cos(u, out=ou)
         u **= 2
         u *= 4.0
         w = np.subtract(u, 1.0, out=ow)
-        w **= 3
-        e *= e
-        w *= e
-        u = np.divide(u, w, out=ou)
+        e *= w
+        e *= w
+        e *= w
+        u = np.divide(u, e, out=ou)
     elif beta == 0.5:
         # c = cos(beta U) in u; 1 / (4 c c e)
         u *= beta
@@ -459,7 +486,6 @@ def _kanter_draws(t: float, beta: float, u, e, w=None):
         ratio = (1.0 - beta) / beta
         w = np.sin(u, out=ow)
         w **= 1.0 / beta
-        e **= ratio
         e = np.multiply(w, e, out=oe)
         w = np.multiply(u, beta, out=ow)
         w = np.sin(w, out=ow)
@@ -484,7 +510,8 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     a(U)^((1-beta)/beta):
 
     - beta = 1/3: sin(U/3) sin(2U/3)^2 / sin(U)^3 = 4c^2 / (4c^2 - 1)^3 with
-      c = cos(U/3), so a draw is t^3 4c^2 / ((4c^2 - 1)^3 E^2);
+      c = cos(U/3), so a draw is t^3 4c^2 / (E^2 (4c^2 - 1)^3), the
+      denominator multiplied out as ((E^2 (4c^2 - 1)) (4c^2 - 1)) (4c^2 - 1);
     - beta = 1/2: sin(U/2)^2 / sin(U)^2 = 1 / (4 cos(U/2)^2), so a draw is
       t^2 / (4 cos(U/2)^2 E).
 
@@ -493,9 +520,9 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     is the exact factor at a U within about an ulp of the drawn one, which is
     as good as the general formula's sin(U) there.  Every index draws the same
     U and E, in the same order: U as pi times `rng.random`, then E.  The
-    arithmetic is `_kanter_draws`, in place on the two drawn arrays and one
-    scratch array, the same code `ts_sample` runs on its blocks; a scalar
-    draw runs it on numpy scalars.
+    arithmetic is `_exponential_power` and `_kanter_draws`, in place on the
+    two drawn arrays and one scratch array, the code `ts_sample` runs on its
+    blocks; a scalar draw runs it on a numpy scalar U and a 0-d E.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -505,9 +532,9 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
         # a scalar U and a 0-d E: `_kanter_draws` then rounds each power as
         # scalar math or array power, as the expression on these draws does
         u, e = rng.random(()), rng.standard_exponential(())
-        return float(_kanter_draws(t, beta, u[()], e))
+        return float(_kanter_draws(t, beta, u[()], _exponential_power(e, beta)))
     u = rng.random(size)
-    e = rng.standard_exponential(size)
+    e = _exponential_power(rng.standard_exponential(size), beta)
     return _kanter_draws(t, beta, u, e, np.empty_like(u))
 
 
@@ -515,60 +542,88 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
               size=None, trial_cap: int = 10_000):
     """Tempered stable draws by exponential-tilting rejection.
 
-    Stable proposals are accepted with probability e^(-mu x); the expected
-    trial count is e^(mu^beta t).  Each pass proposes as many draws as are
-    still missing and appends the accepted ones, so an array comes back in
-    order of acceptance; the draws are i.i.d., so the law is the same as for
-    any fixed order.  A loop exceeding trial_cap total passes raises
-    BudgetExceeded (mu^beta t too large for naive tilting).  At beta = 1/2 the
-    law is the IG marginal at `ts_half_ig_params(mu)`, drawn by `ig_sample`
-    without rejection.
+    Stable proposals X are accepted with probability e^(-mu X); the expected
+    number of proposals per draw is e^lam with lam = mu^beta t.  At
+    beta = 1/2 the law is the IG marginal at `ts_half_ig_params(mu)`, drawn by
+    `ig_sample` without rejection.
 
-    A call allocates its workspace once: arrays U, E and V of one slot per
-    draw, and a scratch array and an acceptance mask of `PASS_BLOCK`.  A pass
-    of m proposals fills U[:m] with `rng.random`, E[:m] with
-    `rng.standard_exponential` and V[:m] with `rng.random`, the stream
-    `stable_sample(t, beta, rng, m)` followed by `rng.random(m)` draws, and
-    then sweeps blocks of `PASS_BLOCK`: Kanter's draw (`_kanter_draws`) in
-    place in U, the test V <= e^(-mu x) and the compaction of the accepted
-    draws into the output.  The draws and the generator's state afterwards
-    are those of running the pass on whole arrays.
+    Proposals go in blocks of m = min(`PASS_BLOCK`, ceil(missing e^lam)),
+    where missing counts the draws still to find.  A block draws E with
+    `rng.standard_exponential` and then V with `rng.random`, m of each, and
+    tests them in two stages:
+
+    1. Kanter's factor is least at U = 0+, so X >= floor / E^((1-beta)/beta)
+       (`_kanter_floor`, a relative 1e-12 low), and V > e^(-mu floor /
+       E^((1-beta)/beta)) rejects without an angle.  The survivors'
+       E^((1-beta)/beta) and V are compacted.
+    2. U is drawn with `rng.random` for the k survivors only; Kanter's draw
+       (`_kanter_draws`) and the full test V <= e^(-mu X) follow, and the
+       accepted draws are compacted into the output.
+
+    Stage 1 rejects only what stage 2 would, so the accepted draws are those
+    of plain tilting rejection.  They are appended in order of acceptance,
+    and those beyond the size asked for are dropped: the first n accepted
+    draws of an i.i.d. sequence are exact, whatever their order.  The
+    workspace is four arrays and a mask of at most `PASS_BLOCK` slots, plus
+    the output.
+
+    trial_cap, a positive integer, is a budget of proposals per requested
+    draw: a block that would take the proposals of the call past trial_cap
+    times the draws requested raises BudgetExceeded instead (lam too large
+    for naive tilting).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "ts_sample: t")
     mu = _finite_nonnegative(mu, "ts_sample: mu")
     _check_size(size, "ts_sample")
+    if not (isinstance(trial_cap, numbers.Integral) and trial_cap > 0):
+        raise DomainError("ts_sample: trial_cap must be a positive integer")
     if beta == 0.5:
         return ig_sample(ts_half_ig_params(mu).marginal(t), rng, size)
     n = 1 if size is None else int(np.prod(size))
-    u, e, v, out = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    scratch = np.empty(min(n, PASS_BLOCK))
-    keep = np.empty(scratch.size, dtype=bool)
-    filled = 0
-    for _ in range(trial_cap):
-        m = n - filled
-        rng.random(out=u[:m])
-        rng.standard_exponential(out=e[:m])
-        # random(m) equals uniform(size=m) value for value
-        rng.random(out=v[:m])
-        for lo in range(0, m, PASS_BLOCK):
-            hi = min(lo + PASS_BLOCK, m)
-            w, ok = scratch[:hi - lo], keep[:hi - lo]
-            draws = _kanter_draws(t, beta, u[lo:hi], e[lo:hi], w)
-            np.multiply(draws, -mu, out=w)
-            np.exp(w, out=w)
-            np.less_equal(v[lo:hi], w, out=ok)
-            k = np.count_nonzero(ok)
-            np.compress(ok, draws, out=out[filled:filled + k])
-            filled += k
-        if filled == n:
-            if size is None:
-                return float(out[0])
-            return out.reshape(size)
-    raise BudgetExceeded(
-        f"tempered stable rejection exceeded {trial_cap} passes "
-        f"(expected trials ~ exp(mu^beta t) = {math.exp(mu ** beta * t):.3g})")
+    lam = mu ** beta * t
+    # past e^lam = PASS_BLOCK every block is full, so e^lam stops there and
+    # cannot overflow
+    growth = math.exp(min(lam, math.log(PASS_BLOCK)))
+    squeeze = -mu * _kanter_floor(t, beta)
+    slots = min(PASS_BLOCK, math.ceil(n * growth))
+    first, second, third, fourth = (np.empty(slots) for _ in range(4))
+    mask = np.empty(slots, dtype=bool)
+    out = np.empty(n)
+    filled = proposed = 0
+    while filled < n:
+        m = min(PASS_BLOCK, math.ceil((n - filled) * growth))
+        proposed += m
+        if proposed > trial_cap * n:
+            raise BudgetExceeded(
+                f"tempered stable rejection exceeded {trial_cap} proposals per draw "
+                f"(expected proposals per draw e^(mu^beta t), mu^beta t = {lam:.3g})")
+        # stage 1: E^ratio in first, V in second, the squeeze in third
+        p = _exponential_power(rng.standard_exponential(out=first[:m]), beta)
+        v = rng.random(out=second[:m])
+        bound = np.divide(squeeze, p, out=third[:m])
+        np.exp(bound, out=bound)
+        ok = np.less_equal(v, bound, out=mask[:m])
+        k = np.count_nonzero(ok)
+        p = np.compress(ok, p, out=fourth[:k])
+        v = np.compress(ok, v, out=third[:k])
+        # stage 2: U and then the draws in first, the scratch in second
+        u = rng.random(out=first[:k])
+        draws = _kanter_draws(t, beta, u, p, second[:k])
+        bound = np.multiply(draws, -mu, out=second[:k])
+        np.exp(bound, out=bound)
+        ok = np.less_equal(v, bound, out=mask[:k])
+        j = np.count_nonzero(ok)
+        if j > n - filled:
+            # keep the first n - filled accepted draws
+            ok[np.flatnonzero(ok)[n - filled]:] = False
+            j = n - filled
+        np.compress(ok, draws, out=out[filled:filled + j])
+        filled += j
+    if size is None:
+        return float(out[0])
+    return out.reshape(size)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from ighit.subordinators import (
     SamplePath,
     StableSubordinator,
     TemperedStableSubordinator,
+    _kanter_draws,
+    _kanter_floor,
     _unit_stable_cdf_pdf,
     ig_cdf,
     ig_levy_tail,
@@ -482,19 +484,26 @@ def test_non_finite_input_rejected(call):
     lambda rng: ts_sample(1.0, 1.0 / 3.0, math.inf, rng, size=3),
     # an index outside (0, 1) is a domain error, not an exhausted budget, and
     # so is a negative size, at every index
-    lambda rng: ts_sample(1.0, 1.5, 1.0, rng, size=3, trial_cap=0),
+    lambda rng: ts_sample(1.0, 1.5, 1.0, rng, size=3, trial_cap=1),
     lambda rng: ts_sample(1.0, 0.0, 1.0, rng, size=3),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=-2),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=(2, -1)),
     lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=-2),
     lambda rng: stable_sample(1.0, 1.0 / 3.0, rng, size=-2),
     lambda rng: stable_sample(1.0, 0.7, rng, size=(2, -1)),
+    # the trial budget is a positive integer number of proposals per draw, at
+    # every index
+    lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=3, trial_cap=2.5),
+    lambda rng: ts_sample(1.0, 0.7, 1.0, rng, size=3, trial_cap=0),
+    lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, trial_cap=-1),
+    lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=3, trial_cap=0),
     lambda rng: ig_sample(IGMarginal(1.0, 1.0), rng, size=-2),
     lambda rng: ig_sample(IGMarginal(1.0, 0.0), rng, size=(2, -1)),
 ], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf", "ts_beta_above_one", "ts_beta_zero",
         "ts_size_negative", "ts_shape_negative", "ts_half_size_negative",
-        "stable_size_negative", "stable_shape_negative", "ig_size_negative",
-        "ig_driftless_shape_negative"])
+        "stable_size_negative", "stable_shape_negative", "ts_trial_cap_fractional",
+        "ts_trial_cap_zero", "ts_trial_cap_negative", "ts_half_trial_cap_zero",
+        "ig_size_negative", "ig_driftless_shape_negative"])
 def test_samplers_reject_before_drawing(draw):
     rng = np.random.default_rng(10)
     with pytest.raises(DomainError):
@@ -509,36 +518,59 @@ def _kanter(t, beta, u, e):
                                 / (np.sin(u) ** (1.0 / beta) * e ** ratio))
 
 
+def _kanter_whole_arrays(t, beta, u, p):
+    """`_kanter_draws` as whole-array expressions on U = pi u and p = E^((1-beta)/beta)."""
+    if beta == 1.0 / 3.0:
+        q = 4.0 * np.cos(beta * u) ** 2
+        s = q / ((p * (q - 1.0)) * (q - 1.0) * (q - 1.0))
+    elif beta == 0.5:
+        c = np.cos(beta * u)
+        s = 1.0 / (4.0 * c * c * p)
+    else:
+        ratio = (1.0 - beta) / beta
+        s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
+             / (np.sin(u) ** (1.0 / beta) * p))
+    return t ** (1.0 / beta) * s
+
+
+def _power_whole_arrays(e, beta):
+    """`_exponential_power` as a new array: E^((1-beta)/beta)."""
+    if beta == 1.0 / 3.0:
+        return e * e
+    if beta == 0.5:
+        return e
+    return e ** ((1.0 - beta) / beta)
+
+
 def _stable_whole_arrays(t, beta, rng, size):
     """`stable_sample` as whole-array expressions, one new array per operation."""
     u = math.pi * rng.random(() if size is None else size)
     e = rng.standard_exponential(u.shape)
-    if beta == 1.0 / 3.0:
-        q = 4.0 * np.cos(beta * u) ** 2
-        s = q / ((q - 1.0) ** 3 * (e * e))
-    elif beta == 0.5:
-        c = np.cos(beta * u)
-        s = 1.0 / (4.0 * c * c * e)
-    else:
-        ratio = (1.0 - beta) / beta
-        s = (np.sin(beta * u) * np.sin((1.0 - beta) * u) ** ratio
-             / (np.sin(u) ** (1.0 / beta) * e ** ratio))
-    out = t ** (1.0 / beta) * s
+    out = _kanter_whole_arrays(t, beta, u, _power_whole_arrays(e, beta))
     return float(out) if size is None else out
 
 
-def _ts_whole_passes(t, beta, mu, rng, size):
-    """`ts_sample` as whole-array passes: propose what is missing, keep e^(-mu x) of it."""
+def _ts_whole_arrays(t, beta, mu, rng, size):
+    """`ts_sample` as whole-array expressions, block by block.
+
+    A block proposes min(PASS_BLOCK, ceil(missing e^lam)): E and V for all,
+    U only for those V <= e^(-mu floor / E^ratio) keeps, and it appends the
+    draws that V <= e^(-mu x) accepts, up to the size asked for.
+    """
     n = 1 if size is None else int(np.prod(size))
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = n - filled
-        draws = _stable_whole_arrays(t, beta, rng, m)
-        accept = rng.random(m) <= np.exp(-mu * draws)
-        k = np.count_nonzero(accept)
-        np.compress(accept, draws, out=out[filled:filled + k])
-        filled += k
+    growth = math.exp(mu ** beta * t)
+    floor = _kanter_floor(t, beta)
+    out = np.empty(0)
+    while out.size < n:
+        m = min(PASS_BLOCK, math.ceil((n - out.size) * growth))
+        e = rng.standard_exponential(m)
+        v = rng.random(m)
+        p = _power_whole_arrays(e, beta)
+        survive = v <= np.exp(-mu * floor / p)
+        p, v = p[survive], v[survive]
+        draws = _kanter_whole_arrays(t, beta, math.pi * rng.random(p.size), p)
+        accepted = draws[v <= np.exp(draws * -mu)]
+        out = np.concatenate([out, accepted[:n - out.size]])
     return float(out[0]) if size is None else out.reshape(size)
 
 
@@ -552,17 +584,33 @@ BLOCK_EDGE_IDS = ["scalar", "one", "block_less_one", "block", "block_plus_one",
 @pytest.mark.parametrize("mu", [0.0, 1.0], ids=["untempered", "tempered"])
 @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.7], ids=["third", "general"])
 def test_ts_blocks_bit_identical_to_whole_passes(beta, mu, size):
-    # the in-place sweep over blocks of PASS_BLOCK draws the same numbers, in
-    # the same order, and leaves the generator where whole-array passes do;
-    # single draws repeat, since a last-bit difference shows in a few percent
+    # the in-place two-stage blocks draw the same numbers, in the same order,
+    # and leave the generator where the whole-array blocks do; at mu = 0 a
+    # block holds as many proposals as draws are missing, so the sizes land on
+    # block edges; single draws repeat, since a last-bit difference shows in a
+    # few percent
     rng, ref = np.random.default_rng(31), np.random.default_rng(31)
     for _ in range(300 if size is None else 1):
         d = ts_sample(1.3, beta, mu, rng, size)
-        expected = _ts_whole_passes(1.3, beta, mu, ref, size)
+        expected = _ts_whole_arrays(1.3, beta, mu, ref, size)
         assert type(d) is type(expected)
         assert np.array_equal(d, expected)
         assert np.shape(d) == np.shape(expected)
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.7, 0.9],
+                         ids=["fifth", "third", "general", "near_one"])
+def test_ts_squeeze_below_every_kanter_draw(beta):
+    # stage 1 of ts_sample rejects on floor / E^ratio, so the floor must lie
+    # at or below the rounded draw at E = 1 for every U, down to u = 2^-53,
+    # the least positive uniform, and up to within 2^-53 of 1
+    edge = np.geomspace(2.0 ** -53, 1e-3, 2000)
+    u = np.concatenate([edge, np.linspace(0.0, 1.0, 200_001)[1:-1], 1.0 - edge])
+    for t in (1.0, 1.3):
+        draws = _kanter_draws(t, beta, u.copy(), np.ones_like(u), np.empty_like(u))
+        assert np.all(np.isfinite(draws))
+        assert np.all(_kanter_floor(t, beta) <= draws)
 
 
 @pytest.mark.parametrize("size", BLOCK_EDGE_SIZES, ids=BLOCK_EDGE_IDS)
@@ -637,10 +685,14 @@ class TestSamplers:
         assert one == pytest.approx(_kanter(1.3, beta, again.uniform(0.0, math.pi),
                                             again.standard_exponential()), rel=1e-13)
 
-    @pytest.mark.parametrize("mu", [1.0, 0.0], ids=["tempered", "untempered"])
-    def test_ts_third_laplace_values(self, mu):
-        # the benchmark's case: e^(-t ((s + mu)^beta - mu^beta)) at t = 1
-        beta = 1.0 / 3.0
+    @pytest.mark.parametrize("beta, mu", [
+        (1.0 / 3.0, 1.0), (1.0 / 3.0, 0.0), (0.2, 0.3), (0.2, 3.0), (0.7, 0.3), (0.7, 3.0),
+    ], ids=["tempered", "untempered", "fifth_mu0.3", "fifth_mu3", "general_mu0.3",
+            "general_mu3"])
+    def test_ts_third_laplace_values(self, beta, mu):
+        # e^(-t ((s + mu)^beta - mu^beta)) at t = 1; index 1/3 at mu = 1 is the
+        # benchmark's case, and mu = 3 at index 0.7 takes e^(3^0.7) = 8.7
+        # proposals per draw
         d = ts_sample(1.0, beta, mu, np.random.default_rng(22), size=2 * 10 ** 5)
         for s in (0.5, 2.0):
             vals = np.exp(-s * d)
@@ -649,14 +701,21 @@ class TestSamplers:
             assert abs(vals.mean() - target) < 4.0 * se
 
     def test_ts_appends_in_order_of_acceptance(self):
-        # the first pass proposes every slot; its accepted draws lead the output
+        # the first block proposes ceil(1000 e) = 2719 (E, V) pairs and draws U
+        # for those the squeeze keeps; its accepted draws lead the output, and
+        # those beyond the 1000 asked for are dropped (1011 at this seed)
         rng = np.random.default_rng(23)
         clone = copy.deepcopy(rng)
         d = ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=1000)
-        first = stable_sample(1.0, 1.0 / 3.0, clone, size=1000)
-        kept = first[clone.uniform(size=1000) <= np.exp(-first)]
-        assert 0 < kept.size < d.size
-        assert np.array_equal(d[:kept.size], kept)
+        e = clone.standard_exponential(2719)
+        v = clone.random(2719)
+        survive = v <= np.exp(-_kanter_floor(1.0, 1.0 / 3.0) / (e * e))
+        u, e, v = clone.random(np.count_nonzero(survive)), e[survive], v[survive]
+        first = _kanter_draws(1.0, 1.0 / 3.0, u, e * e, np.empty_like(u))
+        kept = first[v <= np.exp(-first)]
+        lead = min(kept.size, d.size)
+        assert lead > 0
+        assert np.array_equal(d[:lead], kept[:lead])
 
     def test_ts_sample_shapes(self):
         rng = np.random.default_rng(24)
@@ -671,6 +730,10 @@ class TestSamplers:
         rng = np.random.default_rng(9)
         with pytest.raises(BudgetExceeded):
             ts_sample(4.0, 1.0 / 3.0, 400.0, rng, size=4, trial_cap=50)
+        # mu^beta t = 1.6e6: e^(mu^beta t) overflows a float, yet the budget,
+        # not an OverflowError, ends the call
+        with pytest.raises(BudgetExceeded):
+            ts_sample(100.0, 0.7, 1e6, rng, size=2)
 
     def test_ts_half_index_is_the_ig_law(self):
         # index 1/2 draws the IG marginal at ts_half_ig_params(mu) directly:
