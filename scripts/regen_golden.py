@@ -1,7 +1,7 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
 Runs every case of `tests/test_golden.py` on the source tree of this checkout,
-writes its JSON into tests/golden/ and prints one line per file: `new`,
+writes its output files into tests/golden/ and prints one line per file: `new`,
 `unchanged`, `moved <largest relative move of a number>` or `text changed`.
 A change that moves a golden file names it, with its move, in CHANGES.md.
 
@@ -26,16 +26,17 @@ def main() -> int:
         for name in sorted(CASES):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                text = produce(name, pathlib.Path(tmp) / name)
-            path = GOLDEN_DIR / name
-            if not path.exists():
-                status = "new"
-            else:
-                move = max_number_move(path.read_text(), text)
-                status = ("text changed" if move is None else
-                          "unchanged" if move == 0.0 else f"moved {move:.3e}")
-            print(f"{name}: {status}")
-            path.write_text(text, encoding="utf-8", newline="\n")
+                files = produce(name, tmp)
+            for file_name, text in files.items():
+                path = GOLDEN_DIR / file_name
+                if not path.exists():
+                    status = "new"
+                else:
+                    move = max_number_move(path.read_text(), text)
+                    status = ("text changed" if move is None else
+                              "unchanged" if move == 0.0 else f"moved {move:.3e}")
+                print(f"{file_name}: {status}")
+                path.write_text(text, encoding="utf-8", newline="\n")
     return 0
 
 
