@@ -76,7 +76,6 @@ from .hitting import (
 from .subordinated import (
     SubordinatedEval,
     sub_cdf_interpolant,
-    sub_mass_and_second_moment,
     sub_pdf,
     sub_pdf_table,
     sub_sample_path,

@@ -4,7 +4,9 @@ Subcommands evaluate densities, distribution functions, moments, transforms
 and tail reports, simulate subordinator / hitting-time / subordinated paths,
 run PDE residual checks, and emit the formula-verification report.  Every
 command is deterministic given its flags and seed; outputs are written
-atomically with fixed float formatting.
+atomically with fixed float formatting.  The table commands take
+`--format csv|json`; `paths` writes CSV (and SVG), `pde-check` and `verify`
+JSON, and take no `--format`.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure.
 """
@@ -121,14 +123,15 @@ def _emit_table(args, columns: dict, meta: dict, default_name: str) -> str:
     return out
 
 
-def _add_common(p, with_params=True):
+def _add_common(p, with_params=True, with_format=True):
     if with_params:
         p.add_argument("--delta", type=positive_float, default=1.0,
                        help="barrier slope of the subordinator (> 0)")
         p.add_argument("--gamma", type=nonneg_float, default=1.0,
                        help="drift of the underlying Brownian motion (>= 0)")
     p.add_argument("--out", help="output path (command-specific default)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if with_format:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def cmd_density(args) -> int:
@@ -286,7 +289,11 @@ def cmd_pde_check(args) -> int:
     elif args.dx or args.dt:
         raise DomainError("pseudo-lt has no grid steps: --dx and --dt do not apply")
     if args.pde == "hitting":
-        rep = residual_hitting_pde(params, box, mode=args.mode)
+        # the literal control: the printed density, the true one times the ratio
+        perturb = None if args.mode == "corrected" else \
+            (lambda x, t, h: h * printed_prefactor_ratio(t, params))
+        rep = residual_hitting_pde(params, box, perturb=perturb)
+        rep = replace(rep, extra={**rep.extra, "mode": args.mode})
     elif args.pde == "ig":
         rep = residual_ig_pde(params, box)
     elif args.pde == "ts2":
@@ -314,7 +321,7 @@ def cmd_pde_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verification(only=args.only, seed=args.seed)
+    report = run_verification(only=args.only)
     for r in report.records:
         print(f"{r.id}  {r.elapsed:.3f}", file=sys.stderr)
     out = args.out or "verification.json"
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lt)
 
     p = subs.add_parser("paths", help="simulate a subordinator path and its inverse")
-    _add_common(p)
+    _add_common(p, with_format=False)
     p.add_argument("--T", type=positive_float, default=5.0,
                    help="time horizon of the inverse process")
     p.add_argument("--dt", type=positive_float, default=0.001)
@@ -406,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("pde-check", help="finite-difference residual of a "
                                           "differential identity")
-    _add_common(p)
+    _add_common(p, with_format=False)
     p.add_argument("--pde", choices=sorted(list(PDE_BOXES) + ["pseudo-lt"]),
                    required=True)
     p.add_argument("--mu", type=nonneg_float, default=1.0)
@@ -419,10 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pde_check)
 
     p = subs.add_parser("verify", help="run the formula verification battery")
-    _add_common(p, with_params=False)
+    _add_common(p, with_params=False, with_format=False)
     p.add_argument("--only", default=None,
                    help="run only records whose id contains this substring")
-    p.add_argument("--seed", type=int, default=20260808)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -17,7 +17,8 @@ Density prefactor: the integral representation is evaluated with
 exp(delta*gamma*x - t*gamma^2/2).  The printed variant with exp(-gamma^2/2) in
 place of the t-dependent factor fails normalisation for gamma > 0, t != 1; it
 is the true value times `printed_prefactor_ratio`, which the verification
-report, the `literal` residual mode and `ighit density --mode literal` apply.
+report, the residual checks' `perturb` hook and `ighit density --mode literal`
+apply.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .numerics import (
     erfcx,
     geomspace,
     integrate_interval,
-    integrate_semi_infinite,
     invert_laplace,
 )
 from .subordinators import (
@@ -370,7 +370,7 @@ def hit_lt_space(mu: float, t: float, params: IGParams, *,
         return w2 * np.exp(-t * w2) / ((w2 + g2) * (shift2 + 2.0 * d * d * w2))
 
     omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
-    val = integrate_semi_infinite(integrand, cutoff=omega_max, abs_tol=abs_tol, rel_tol=rel_tol)
+    val = integrate_interval(integrand, 0.0, omega_max, abs_tol=abs_tol, rel_tol=rel_tol)
     return SQRT2 * mu * d * math.exp(-0.5 * t * g * g) / math.pi * 2.0 * val
 
 

@@ -2,10 +2,11 @@
 
 Everything here is pure and vectorised over numpy arrays.  Integrands and
 Laplace transforms passed in are expected to accept ndarray arguments and
-return arrays of the same shape.  The quadratures take their error target
-as `abs_tol`/`rel_tol` keywords; the other budgets are fixed: at most
-`MAX_SUBDIVISIONS` cell bisections per integral and `GS_TERMS`
-Gaver-Stehfest terms per inversion.
+return arrays of the same shape; a transform's value is broadcast to it.
+Oscillatory integrands take `integrate_interval` with `_period_edges` cells.
+The quadratures take their error target as `abs_tol`/`rel_tol` keywords;
+the other budgets are fixed: at most `MAX_SUBDIVISIONS` cell bisections per
+integral and `GS_TERMS` Gaver-Stehfest terms per inversion.
 """
 
 from __future__ import annotations
@@ -430,29 +431,18 @@ def _period_edges(a: float, b: float, period) -> np.ndarray:
     return np.arange(math.ceil(a / period), math.floor(b / period) + 1) * period
 
 
-def integrate_semi_infinite(f, *, cutoff: float | None = None,
-                            period: float | None = None,
-                            abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
-    """Integrate a decaying (possibly oscillatory) integrand over (0, inf).
+def integrate_semi_infinite(f, *, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
+    """Integrate a decaying integrand over (0, inf).
 
-    With `cutoff` the domain is truncated there (the caller guarantees the
-    tail beyond it is negligible); otherwise geometrically growing segments,
-    each at an eighth of the tolerances, are added until two consecutive
-    contributions are negligible.  `period` seeds one quadrature cell per
-    oscillation half-period.
+    Doubling segments [0, 1], [1, 2], [2, 4], ..., each at an eighth of the
+    tolerances, are added until two consecutive ones from [16, 32] on
+    contribute less than a quarter of the tolerance each.
     """
-    if cutoff is not None:
-        if cutoff <= 0:
-            raise DomainError("cutoff must be positive")
-        return integrate_interval(f, 0.0, cutoff, edges=_period_edges(0.0, cutoff, period),
-                                  abs_tol=abs_tol, rel_tol=rel_tol)
-
     total = 0.0
     a, b = 0.0, 1.0
     quiet = 0
     while True:
-        seg = integrate_interval(f, a, b, edges=_period_edges(a, b, period),
-                                 abs_tol=abs_tol / 8.0, rel_tol=rel_tol / 8.0)
+        seg = integrate_interval(f, a, b, abs_tol=abs_tol / 8.0, rel_tol=rel_tol / 8.0)
         total += seg
         tol = max(abs_tol, rel_tol * abs(total))
         if abs(seg) < 0.25 * tol and b >= 32.0:
@@ -489,10 +479,13 @@ def stehfest_weights(n_terms: int) -> np.ndarray:
 
 
 def _eval_transform(fn, s):
+    """fn at the abscissae s, evaluated once and broadcast to their shape."""
     vals = np.asarray(fn(s))
-    if vals.shape != np.shape(s):
-        vals = np.array([fn(si) for si in s])
-    return vals
+    try:
+        return np.broadcast_to(vals, np.shape(s))
+    except ValueError:
+        raise DomainError(
+            f"a transform of {np.shape(s)} abscissae returned shape {vals.shape}") from None
 
 
 def _gs_core(fn, flat_ts: np.ndarray, n_terms: int) -> np.ndarray:

@@ -5,7 +5,8 @@ discrete operator, and reports interior residual norms at two resolutions,
 the second halving the first's steps; a second-order stencil set should show a refinement ratio near 4
 under step halving, the L1 Caputo scheme near 2^(3/2).  Dirac source terms are
 handled by domain restriction: every grid is interior to the region where
-those terms vanish, so the identities hold classically there.
+those terms vanish, so the identities hold classically there.  A negative
+control, such as the printed hitting density, is a `perturb(x, t, table)` hook.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .hitting import (
     HittingDensityEval,
     hit_lt_time,
     hit_pdf_table,
-    printed_prefactor_ratio,
     ts_hit_pdf_table,
 )
 from .subordinated import SubordinatedEval, sub_pdf_table
@@ -214,16 +214,9 @@ def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:
 # Second-order PDE residuals
 # ---------------------------------------------------------------------------
 
-def residual_hitting_pde(params: IGParams, box: GridBox, *,
-                         mode: str = "corrected", perturb=None) -> ResidualReport:
+def residual_hitting_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:
     """Interior residual of h_xx - 2 delta gamma h_x - 2 delta^2 h_t on the
-    tabulated hitting density.
-
-    mode="literal" tabulates the printed density, the true one times
-    `printed_prefactor_ratio`, as a negative control.
-    """
-    if mode not in ("corrected", "literal"):
-        raise DomainError("mode must be 'corrected' or 'literal'")
+    tabulated hitting density."""
     ev = HittingDensityEval(params)
     d, g = params.delta, params.gamma
 
@@ -231,8 +224,6 @@ def residual_hitting_pde(params: IGParams, box: GridBox, *,
         xs = _grid(box.x0, box.x1, dx, 1)
         ts = _grid(box.t0, box.t1, dt, 1)
         F = hit_pdf_table(xs[:, None], ts[None, :], ev)
-        if mode == "literal":
-            F = F * printed_prefactor_ratio(ts[None, :], params)
         F = _perturbed(perturb, xs, ts, F)
         term_xx = _trim(_d2(F, dx, 0), 0, 1)
         term_x = _trim(_d1(F, dx, 0), 0, 1)
@@ -242,7 +233,7 @@ def residual_hitting_pde(params: IGParams, box: GridBox, *,
         return _level(xs[1:-1], ts[1:-1], residual, terms, (dx, dt))
 
     return _report(_coarse_fine(run, box.dx, box.dt), "hitting_pde",
-                   {"delta": d, "gamma": g, "mode": mode})
+                   {"delta": d, "gamma": g})
 
 
 def residual_ig_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:

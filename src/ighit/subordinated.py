@@ -100,23 +100,6 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     return out.reshape(xs.shape + t_arr.shape)
 
 
-def sub_mass_and_second_moment(t: float, ev: SubordinatedEval) -> tuple[float, float]:
-    """(integral of u, integral of x^2 u) over the real line by x-quadrature."""
-    v_max = float(_v_cutoff(t, ev))
-    x_max = 8.0 * v_max
-
-    def mass_f(xs):
-        return sub_pdf_table(xs, t, ev)
-
-    def second_f(xs):
-        return xs * xs * sub_pdf_table(xs, t, ev)
-
-    edges = np.linspace(0.0, x_max, 65)
-    mass = 2.0 * integrate_interval(mass_f, 0.0, x_max, edges=edges)
-    second = 2.0 * integrate_interval(second_f, 0.0, x_max, edges=edges)
-    return mass, second
-
-
 def sub_cdf_interpolant(t: float, ev: SubordinatedEval):
     """Distribution function of X(t) as a callable built from a dense table."""
     xs = np.linspace(0.0, 8.0 * float(_v_cutoff(t, ev)), 4001)

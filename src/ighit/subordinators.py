@@ -8,7 +8,6 @@ global RNG state anywhere in the package.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -97,12 +96,6 @@ class IGMarginal:
         if self.b == 0.0:
             return math.inf
         return self.a / self.b
-
-    @property
-    def variance(self) -> float:
-        if self.b == 0.0:
-            return math.inf
-        return self.a / self.b ** 3
 
 
 def ig_pdf(x, m: IGMarginal):
@@ -444,58 +437,63 @@ def _kanter_floor(t: float, beta: float) -> float:
             * t ** (1.0 / beta))
 
 
-def _kanter_draws(t: float, beta: float, u, e, w=None):
+def _kanter_draws(t: float, beta: float, u, e, w):
     """t^(1/beta) times Kanter's stable draw at U = pi u; returns the draws.
 
     u holds uniforms on [0, 1) and e the powers E^((1-beta)/beta) of standard
-    exponentials (`_exponential_power`).  Arrays are overwritten in place,
-    with w as scratch of their shape, and the draws come back in u.  For one
-    draw u is a numpy scalar and e a 0-d array (w None), and the result is a
-    new scalar.  Each branch evaluates the expression of `stable_sample`'s
+    exponentials (`_exponential_power`), in arrays (0-d for one draw) that
+    are overwritten in place, with w as scratch of their shape; the draws
+    come back in u.  Each branch evaluates the expression of `stable_sample`'s
     docstring by the same operations, in the same order, with augmented
-    operators, so that every power takes the route a plain `**` would:
-    numpy's array power with its scalar-exponent fast paths, or scalar math
-    for a scalar u.
+    operators, so that every power takes the route a plain `**` on arrays
+    would: numpy's array power with its scalar-exponent fast paths.
     """
-    ou, oe, ow = (u, e, w) if isinstance(u, np.ndarray) else (None, None, None)
     # pi * random() equals uniform(0, pi) value for value, and is drawn faster
     u *= math.pi
     if beta == 1.0 / 3.0:
         # q = 4 cos(beta U)^2 in u; q / ((((e e) (q - 1)) (q - 1)) (q - 1))
         # three multiplies where a cube would take the general power
         u *= beta
-        u = np.cos(u, out=ou)
+        np.cos(u, out=u)
         u **= 2
         u *= 4.0
-        w = np.subtract(u, 1.0, out=ow)
+        np.subtract(u, 1.0, out=w)
         e *= w
         e *= w
         e *= w
-        u = np.divide(u, e, out=ou)
+        np.divide(u, e, out=u)
     elif beta == 0.5:
         # c = cos(beta U) in u; 1 / (4 c c e)
         u *= beta
-        u = np.cos(u, out=ou)
-        w = np.multiply(u, 4.0, out=ow)
+        np.cos(u, out=u)
+        np.multiply(u, 4.0, out=w)
         w *= u
         w *= e
-        u = np.divide(1.0, w, out=ou)
+        np.divide(1.0, w, out=u)
     else:
         # sin(beta U) sin((1-beta) U)^ratio / (sin(U)^(1/beta) e^ratio):
         # the denominator into e first, while u still holds U
         ratio = (1.0 - beta) / beta
-        w = np.sin(u, out=ow)
+        np.sin(u, out=w)
         w **= 1.0 / beta
-        e = np.multiply(w, e, out=oe)
-        w = np.multiply(u, beta, out=ow)
-        w = np.sin(w, out=ow)
+        np.multiply(w, e, out=e)
+        np.multiply(u, beta, out=w)
+        np.sin(w, out=w)
         u *= 1.0 - beta
-        u = np.sin(u, out=ou)
+        np.sin(u, out=u)
         u **= ratio
-        u = np.multiply(w, u, out=ou)
-        u = np.divide(u, e, out=ou)
+        np.multiply(w, u, out=u)
+        np.divide(u, e, out=u)
     u *= t ** (1.0 / beta)
     return u
+
+
+def _check_scale(t: float, beta: float, what: str) -> None:
+    """DomainError where t^(1/beta), the scale of the stable draws at t, overflows."""
+    try:
+        t ** (1.0 / beta)
+    except OverflowError:
+        raise DomainError(f"{what}: t^(1/beta) overflows at t = {t}, beta = {beta}") from None
 
 
 def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
@@ -522,20 +520,17 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     U and E, in the same order: U as pi times `rng.random`, then E.  The
     arithmetic is `_exponential_power` and `_kanter_draws`, in place on the
     two drawn arrays and one scratch array, the code `ts_sample` runs on its
-    blocks; a scalar draw runs it on a numpy scalar U and a 0-d E.
+    blocks; a single draw runs it on 0-d arrays.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "stable_sample: t")
+    _check_scale(t, beta, "stable_sample")
     _check_size(size, "stable_sample")
-    if size is None:
-        # a scalar U and a 0-d E: `_kanter_draws` then rounds each power as
-        # scalar math or array power, as the expression on these draws does
-        u, e = rng.random(()), rng.standard_exponential(())
-        return float(_kanter_draws(t, beta, u[()], _exponential_power(e, beta)))
-    u = rng.random(size)
-    e = _exponential_power(rng.standard_exponential(size), beta)
-    return _kanter_draws(t, beta, u, e, np.empty_like(u))
+    u = rng.random(() if size is None else size)
+    e = _exponential_power(rng.standard_exponential(u.shape), beta)
+    draws = _kanter_draws(t, beta, u, e, np.empty_like(u))
+    return float(draws) if size is None else draws
 
 
 def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
@@ -570,7 +565,8 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
     trial_cap, a positive integer, is a budget of proposals per requested
     draw: a block that would take the proposals of the call past trial_cap
     times the draws requested raises BudgetExceeded instead (lam too large
-    for naive tilting).
+    for naive tilting).  Where the expected proposals per draw, e^lam, alone
+    exceed trial_cap, the call raises before it draws anything.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -581,8 +577,13 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
         raise DomainError("ts_sample: trial_cap must be a positive integer")
     if beta == 0.5:
         return ig_sample(ts_half_ig_params(mu).marginal(t), rng, size)
+    _check_scale(t, beta, "ts_sample")
     n = 1 if size is None else int(np.prod(size))
     lam = mu ** beta * t
+    if lam > math.log(trial_cap):
+        raise BudgetExceeded(
+            f"tempered stable rejection expects e^(mu^beta t) proposals per draw, "
+            f"mu^beta t = {lam:.3g}, beyond trial_cap = {trial_cap}")
     # past e^lam = PASS_BLOCK every block is full, so e^lam stops there and
     # cannot overflow
     growth = math.exp(min(lam, math.log(PASS_BLOCK)))
@@ -654,19 +655,6 @@ class SamplePath:
     def to_csv(self, path) -> None:
         from .tables import write_csv
         write_csv(path, ["t", "value"], zip(self.times, self.values))
-
-    def to_json(self, path, **metadata) -> None:
-        from .tables import write_json
-        payload = {"times": list(map(float, self.times)),
-                   "values": list(map(float, self.values))}
-        payload.update(metadata)
-        write_json(path, payload)
-
-    @classmethod
-    def from_json(cls, path) -> "SamplePath":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(np.array(payload["times"]), np.array(payload["values"]))
 
 
 @dataclass(frozen=True)

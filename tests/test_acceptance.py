@@ -45,7 +45,7 @@ from ighit.residuals import (
     residual_subordinated_frac,
     residual_ts_pde,
 )
-from ighit.subordinated import SubordinatedEval, sub_cdf_interpolant, sub_mass_and_second_moment
+from ighit.subordinated import SubordinatedEval, sub_cdf_interpolant, sub_pdf_table
 from ighit.subordinators import (
     IGMarginal,
     IGParams,
@@ -283,7 +283,13 @@ def test_criterion_13_subordinated(x1_samples_11):
     ev = SubordinatedEval(p11)
     from ighit.subordinated import sub_pdf
     assert sub_pdf(1.3, 1.0, ev) == sub_pdf(-1.3, 1.0, ev)
-    mass, second = sub_mass_and_second_moment(1.0, ev)
+    # mass and E X^2 by quadrature of the even density over [0, 8 sqrt(r_max)]
+    x_max = 8.0 * math.sqrt(density_support_cutoff(1.0, p11, tail_tol=1e-11))
+    edges = np.linspace(0.0, x_max, 65)
+    mass = 2.0 * integrate_interval(lambda xs: sub_pdf_table(xs, 1.0, ev), 0.0, x_max,
+                                    edges=edges)
+    second = 2.0 * integrate_interval(lambda xs: xs * xs * sub_pdf_table(xs, 1.0, ev),
+                                      0.0, x_max, edges=edges)
     assert abs(mass - 1.0) <= 1e-6
     m1 = hit_mean(1.0, p11)
     assert abs(second - m1) <= 1e-5

@@ -23,7 +23,7 @@ from ighit.numerics import (
     stehfest_weights,
     upper_gamma,
 )
-from ighit.numerics import _cells
+from ighit.numerics import _cells, _eval_transform, _period_edges
 
 
 def erf_taylor(z: float, terms: int = 30) -> float:
@@ -190,14 +190,15 @@ class TestQuadrature:
         # int_0^inf e^(-t u^2) cos(a u) du = (1/2) sqrt(pi/t) e^(-a^2/(4t))
         t, a = 1.0, 2.0
         closed = 0.5 * math.sqrt(math.pi / t) * math.exp(-a * a / (4.0 * t))
-        val = integrate_semi_infinite(
-            lambda u: np.exp(-t * u * u) * np.cos(a * u),
-            cutoff=math.sqrt(-math.log(1e-16) / t), period=math.pi / a)
+        cut = math.sqrt(-math.log(1e-16) / t)
+        val = integrate_interval(lambda u: np.exp(-t * u * u) * np.cos(a * u), 0.0, cut,
+                                 edges=_period_edges(0.0, cut, math.pi / a))
         assert val == pytest.approx(closed, abs=1e-10)
 
     def test_exponential_sine_closed_form(self):
-        # int_0^inf e^(-a x) sin(b x) dx = b / (a^2 + b^2)
-        val = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(x), period=math.pi)
+        # int_0^inf e^(-a x) sin(b x) dx = b / (a^2 + b^2); e^(-40) is below 1e-17
+        val = integrate_interval(lambda x: np.exp(-x) * np.sin(x), 0.0, 40.0,
+                                 edges=_period_edges(0.0, 40.0, math.pi))
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_sqrt_substitution_invariance(self):
@@ -212,9 +213,9 @@ class TestQuadrature:
                 kappa * math.sqrt(2.0) * w) * 2.0 * w
 
         cut = -math.log(1e-16) / t
-        v1 = integrate_semi_infinite(f_y, cutoff=cut)
-        v2 = integrate_semi_infinite(f_w, cutoff=math.sqrt(cut),
-                                     period=math.pi / (kappa * math.sqrt(2.0)))
+        v1 = integrate_interval(f_y, 0.0, cut)
+        v2 = integrate_interval(f_w, 0.0, math.sqrt(cut), edges=_period_edges(
+            0.0, math.sqrt(cut), math.pi / (kappa * math.sqrt(2.0))))
         assert v1 == pytest.approx(v2, abs=1e-9)
 
     def test_nonconvergence_on_tiny_budget(self):
@@ -233,8 +234,7 @@ class TestQuadrature:
 
     def test_pathological_period_raises(self):
         with pytest.raises(NonConvergence):
-            integrate_semi_infinite(lambda x: np.cos(1e9 * x) * np.exp(-x),
-                                    cutoff=30.0, period=math.pi / 1e9)
+            _period_edges(0.0, 30.0, math.pi / 1e9)
 
 
 class TestInverseLaplace:
@@ -332,6 +332,25 @@ class TestInverseLaplace:
                 invert(lambda s: 1.0 / s, t)
         with pytest.raises(DomainError):
             invert_laplace_batch(lambda s: 1.0 / s, np.array([1.0, t]))
+
+    def test_transform_evaluated_once_and_broadcast(self):
+        # a scalar result stands for every abscissa; a result whose shape does
+        # not broadcast to the abscissae' is an error
+        calls = []
+
+        def constant(s):
+            calls.append(np.shape(s))
+            return 2.0
+
+        s = np.array([0.5, 1.0, 2.0])
+        assert np.array_equal(_eval_transform(constant, s), [2.0, 2.0, 2.0])
+        assert calls == [(3,)]
+        with pytest.raises(DomainError):
+            _eval_transform(lambda s: np.ones(2), s)
+        with pytest.raises(DomainError):
+            invert_laplace(lambda s: np.ones((np.size(s), 2)), 1.0)
+        with pytest.raises(DomainError):
+            invert_laplace_talbot(lambda s: np.ones(3), 1.0)
 
     def test_inversions_reject_nan_transform(self):
         def transform(s):

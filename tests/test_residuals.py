@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ighit.errors import DomainError
+from ighit.hitting import printed_prefactor_ratio
 from ighit.residuals import (
     GridBox,
     ResidualReport,
@@ -103,13 +104,11 @@ class TestSecondOrderResiduals:
         assert rep.norms["max_rel"] < 2e-3
 
     def test_hitting_literal_mode_does_not_converge(self, params_11):
-        rep = residual_hitting_pde(params_11, BOX_HIT, mode="literal")
+        # the printed density is the true one times the prefactor ratio
+        rep = residual_hitting_pde(params_11, BOX_HIT, perturb=lambda x, t, h: h *
+                                   printed_prefactor_ratio(t, params_11))
         assert rep.refinement_ratio < 2.0
         assert rep.norms["max_rel"] > 0.05
-
-    def test_hitting_unknown_mode_rejected(self, params_11):
-        with pytest.raises(DomainError):
-            residual_hitting_pde(params_11, BOX_HIT, mode="bogus")
 
     def test_ig_pde(self, params_11):
         rep = residual_ig_pde(params_11, GridBox(0.5, 2.5, 0.5, 1.5, 1 / 32, 1 / 32))

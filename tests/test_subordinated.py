@@ -11,19 +11,29 @@ from ighit.hitting import (
     hit_pdf_table,
     invert_path,
 )
-from ighit.numerics import composite_gauss
+from ighit.numerics import composite_gauss, integrate_interval
 from ighit.residuals import _grid
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinated import (
     SubordinatedEval,
     sub_cdf_interpolant,
-    sub_mass_and_second_moment,
     sub_pdf,
     sub_pdf_table,
     sub_sample_path,
     sub_sample_values,
 )
 from ighit.subordinators import IGParams, IGSubordinator, simulate_until
+
+
+def _mass_and_second_moment(t, ev):
+    """(integral of u, integral of x^2 u) over the line: quadrature of the even
+    table over [0, 8 sqrt(r_max)], r_max the hitting density's support cutoff."""
+    x_max = 8.0 * math.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
+    edges = np.linspace(0.0, x_max, 65)
+    mass = integrate_interval(lambda xs: sub_pdf_table(xs, t, ev), 0.0, x_max, edges=edges)
+    second = integrate_interval(lambda xs: xs * xs * sub_pdf_table(xs, t, ev), 0.0, x_max,
+                                edges=edges)
+    return 2.0 * mass, 2.0 * second
 
 
 def _table_at_one_time(xs, t, ev):
@@ -66,14 +76,14 @@ class TestDensity:
     def test_mass_and_conditional_variance(self, delta, gamma, t):
         params = IGParams(delta, gamma)
         ev = SubordinatedEval(params)
-        mass, second = sub_mass_and_second_moment(t, ev)
+        mass, second = _mass_and_second_moment(t, ev)
         assert mass == pytest.approx(1.0, abs=1e-8)
         # E X(t)^2 = E H(t): the Gaussian layer contributes its clock variance
         assert second == pytest.approx(hit_mean(t, params), abs=1e-7)
 
     def test_driftless_second_moment(self, params_10):
         ev = SubordinatedEval(params_10)
-        mass, second = sub_mass_and_second_moment(1.0, ev)
+        mass, second = _mass_and_second_moment(1.0, ev)
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert second == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-7)
 

@@ -1,5 +1,4 @@
 import copy
-import json
 import math
 import warnings
 
@@ -499,11 +498,15 @@ def test_non_finite_input_rejected(call):
     lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=3, trial_cap=0),
     lambda rng: ig_sample(IGMarginal(1.0, 1.0), rng, size=-2),
     lambda rng: ig_sample(IGMarginal(1.0, 0.0), rng, size=(2, -1)),
+    # the draws scale by t^(1/beta), which overflows a float here
+    lambda rng: stable_sample(1e100, 0.2, rng),
+    lambda rng: ts_sample(1e100, 0.2, 0.0, rng, size=3),
 ], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf", "ts_beta_above_one", "ts_beta_zero",
         "ts_size_negative", "ts_shape_negative", "ts_half_size_negative",
         "stable_size_negative", "stable_shape_negative", "ts_trial_cap_fractional",
         "ts_trial_cap_zero", "ts_trial_cap_negative", "ts_half_trial_cap_zero",
-        "ig_size_negative", "ig_driftless_shape_negative"])
+        "ig_size_negative", "ig_driftless_shape_negative", "stable_scale_overflow",
+        "ts_scale_overflow"])
 def test_samplers_reject_before_drawing(draw):
     rng = np.random.default_rng(10)
     with pytest.raises(DomainError):
@@ -543,11 +546,15 @@ def _power_whole_arrays(e, beta):
 
 
 def _stable_whole_arrays(t, beta, rng, size):
-    """`stable_sample` as whole-array expressions, one new array per operation."""
-    u = math.pi * rng.random(() if size is None else size)
+    """`stable_sample` as whole-array expressions, one new array per operation.
+
+    A single draw is a one-element array here, so that, as on the 0-d arrays
+    of `stable_sample`, every operation takes numpy's array route.
+    """
+    u = math.pi * rng.random((1,) if size is None else size)
     e = rng.standard_exponential(u.shape)
     out = _kanter_whole_arrays(t, beta, u, _power_whole_arrays(e, beta))
-    return float(out) if size is None else out
+    return float(out[0]) if size is None else out
 
 
 def _ts_whole_arrays(t, beta, mu, rng, size):
@@ -734,6 +741,14 @@ class TestSamplers:
         # not an OverflowError, ends the call
         with pytest.raises(BudgetExceeded):
             ts_sample(100.0, 0.7, 1e6, rng, size=2)
+        # e^(mu^beta t) alone beyond trial_cap raises before the first block,
+        # with the generator untouched
+        rng = np.random.default_rng(9)
+        with pytest.raises(BudgetExceeded):
+            ts_sample(100.0, 0.7, 1e6, rng, size=4096)
+        with pytest.raises(BudgetExceeded):
+            ts_sample(1.0, 0.7, 3.0, rng, size=4, trial_cap=8)
+        assert rng.random() == np.random.default_rng(9).random()
 
     def test_ts_half_index_is_the_ig_law(self):
         # index 1/2 draws the IG marginal at ts_half_ig_params(mu) directly:
@@ -783,18 +798,12 @@ class TestPaths:
         rng = np.random.default_rng(15)
         path = simulate_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 4, rng)
         csv_file = tmp_path / "path.csv"
-        json_file = tmp_path / "path.json"
         path.to_csv(csv_file)
-        path.to_json(json_file, seed=15)
-        again = SamplePath.from_json(json_file)
-        assert np.array_equal(again.times, path.times)
-        assert np.array_equal(again.values, path.values)
         rows = csv_file.read_text().strip().split("\n")
         assert rows[0] == "t,value"
         parsed = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
+        assert np.array_equal(parsed[:, 0], path.times)
         assert np.array_equal(parsed[:, 1], path.values)
-        meta = json.loads(json_file.read_text())
-        assert meta["seed"] == 15
 
     def test_simulate_until_extends_past_level(self):
         # at seed 1 the first 2-long piece of this tempered stable path stays

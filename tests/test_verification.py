@@ -38,16 +38,9 @@ class TestReportMechanics:
         assert rep.records[0].verdict == "confirmed"
         assert rep.ok
 
-    def test_roundtrip(self, tmp_path):
-        rep = run_verification(only="stable_hit_density")
-        rep.to_json(tmp_path / "r.json")
-        again = VerificationReport.from_json(tmp_path / "r.json")
-        assert again.records == rep.records
-        assert again.seed == rep.seed
-
     def test_summary_lines(self):
         rec = VerificationRecord("demo", "demo claim", "confirmed", 1e-4, 1e-9, {})
-        rep = VerificationReport((rec,), seed=1)
+        rep = VerificationReport((rec,))
         lines = list(rep.summary_lines())
         assert len(lines) == 1 and "confirmed" in lines[0]
 
