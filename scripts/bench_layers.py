@@ -84,6 +84,10 @@ LAYERS = (
                                                     1.0 / 1024.0, int(rng.integers(1 << 30)))),
     ("erfcx", 10 ** 6,
      lambda ig, np, rng, n: ig.erfcx(np.linspace(-5.0, 30.0, n))),
+    # the shape of one hit_pdf_table column of sub_pdf_table's v-rule (97
+    # panels of 12 nodes), where per-call overhead outweighs per-point cost
+    ("erfcx_rule", 1164,
+     lambda ig, np, rng, n: ig.erfcx(np.linspace(0.0, 6.0, n))),
     ("ig_cdf", 10 ** 6,
      lambda ig, np, rng, n: ig.ig_cdf(np.linspace(1e-3, 10.0, n), ig.IGMarginal(1.0, 1.0))),
     # the kernels of the index-1/3 tempered-stable Levy tail (upper_gamma: the
@@ -121,7 +125,11 @@ LAYERS = (
      lambda ig, np, rng, n: [ig.ts_hit_pdf_table(0.5 + h * np.arange(-2, nx + 3),
                                                  0.6 + h * np.arange(-1, nt + 2), 1.0 / 3.0, 1.0)
                              for h, nx, nt in ((1.0 / 8.0, 4, 3), (1.0 / 16.0, 8, 6))]),
-    # the grid of the pde_frac_subordinated record of `ighit verify`: one residual
+    # the grids of the pde_subordinated and pde_frac_subordinated records of
+    # `ighit verify`: one residual each
+    ("residual_subordinated", 1,
+     lambda ig, np, rng, n: ig.residual_subordinated(
+         ig.IGParams(1.0, 1.0), ig.GridBox(0.3, 1.5, 0.5, 1.0, 1.0 / 24.0, 1.0 / 24.0))),
     ("residual_subordinated_frac", 1,
      lambda ig, np, rng, n: ig.residual_subordinated_frac(
          ig.GridBox(0.25, 1.25, 0.3, 0.75, 1.0 / 128.0, 1.0 / 64.0))),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -334,8 +335,18 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes any token that starts with '-' and a digit for a value, so a grid
+    flag's value may start below zero: `--x -2:2:0.5`.  The default reading
+    takes only plain negative numbers so, and `-2:2:0.5` for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ighit",
         description="Inverse Gaussian subordinator hitting times: densities, "
                     "transforms, moments, paths, PDE residual checks, and a "

@@ -72,37 +72,49 @@ _ERF_Q = np.array([
 ])
 
 
+def _rational(y, num, den, n):
+    """Numerator and denominator of Cody's P(y)/Q(y), by Horner's rule in place.
+
+    They start at num[-1] * y and y; each of n steps adds num[i] (den[i]) and
+    multiplies by y, rounding as (x + c) * y does, and num[n] and den[n] are
+    added last.  The caller divides, after any scaling of its own.
+    """
+    xnum = num[-1] * y
+    xden = y.copy()
+    for i in range(n):
+        xnum += num[i]
+        xnum *= y
+        xden += den[i]
+        xden *= y
+    xnum += num[n]
+    xden += den[n]
+    return xnum, xden
+
+
 def _erf_small(y):
     # |y| <= 0.46875: erf(y) = y * R(y^2)
-    ysq = y * y
-    xnum = _ERF_A[4] * ysq
-    xden = ysq
-    for i in range(3):
-        xnum = (xnum + _ERF_A[i]) * ysq
-        xden = (xden + _ERF_B[i]) * ysq
-    return y * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
+    xnum, xden = _rational(y * y, _ERF_A, _ERF_B, 3)
+    xnum *= y
+    xnum /= xden
+    return xnum
 
 
 def _erfcx_mid(y):
     # 0.46875 < y <= 4: returns exp(y^2) * erfc(y)
-    xnum = _ERF_C[8] * y
-    xden = y
-    for i in range(7):
-        xnum = (xnum + _ERF_C[i]) * y
-        xden = (xden + _ERF_D[i]) * y
-    return (xnum + _ERF_C[7]) / (xden + _ERF_D[7])
+    xnum, xden = _rational(y, _ERF_C, _ERF_D, 7)
+    xnum /= xden
+    return xnum
 
 
 def _erfcx_large(y):
     # y > 4: returns exp(y^2) * erfc(y)
     ysq = 1.0 / (y * y)
-    xnum = _ERF_P[5] * ysq
-    xden = ysq
-    for i in range(4):
-        xnum = (xnum + _ERF_P[i]) * ysq
-        xden = (xden + _ERF_Q[i]) * ysq
-    res = ysq * (xnum + _ERF_P[4]) / (xden + _ERF_Q[4])
-    return (INV_SQRT_PI - res) / y
+    xnum, xden = _rational(ysq, _ERF_P, _ERF_Q, 4)
+    xnum *= ysq
+    xnum /= xden
+    np.subtract(INV_SQRT_PI, xnum, out=xnum)
+    xnum /= y
+    return xnum
 
 
 def _exp_nsq(y):
@@ -112,79 +124,61 @@ def _exp_nsq(y):
     return np.exp(-ysq * ysq) * np.exp(-delta)
 
 
-def _erfcx_nonneg(y):
+def _cody(y, small, tail):
+    """small(y) on y <= 0.46875, else tail(y, rule) with the erfcx rule of
+    (0.46875, 4] or of y > 4, for an array y >= 0 of one or more dimensions.
+    NaN takes the y > 4 rule, so it stays NaN; points all in one region skip
+    the gather and scatter."""
+    small_y, large_y = y <= 0.46875, ~(y <= 4.0)
+    regions = [(np.count_nonzero(mask), mask, rule) for mask, rule in (
+        (small_y, small), (~(small_y | large_y), lambda a: tail(a, _erfcx_mid)),
+        (large_y, lambda a: tail(a, _erfcx_large)))]
+    for count, _, rule in regions:
+        if count == y.size:
+            return rule(y)
     out = np.empty_like(y)
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    large = y > 4.0
-    if small.any():
-        ys = y[small]
-        out[small] = np.exp(ys * ys) * (1.0 - _erf_small(ys))
-    if mid.any():
-        out[mid] = _erfcx_mid(y[mid])
-    if large.any():
-        out[large] = _erfcx_large(y[large])
+    for count, mask, rule in regions:
+        if count:
+            out[mask] = rule(y[mask])
     return out
 
 
 def _as_array(z):
     arr = np.asarray(z, dtype=float)
-    return arr, arr.ndim == 0
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def erf(z):
     """Error function, vectorised; relative error below 1e-13 on the real line."""
     y, scalar = _as_array(z)
-    ay = np.abs(y)
-    out = np.empty_like(ay)
-    small = ay <= 0.46875
-    mid = (ay > 0.46875) & (ay <= 4.0)
-    large = ay > 4.0
-    if small.any():
-        out[small] = _erf_small(ay[small])
-    if mid.any():
-        am = ay[mid]
-        out[mid] = 1.0 - _exp_nsq(am) * _erfcx_mid(am)
-    if large.any():
-        al = ay[large]
-        out[large] = 1.0 - _exp_nsq(al) * _erfcx_large(al)
-    out = np.where(y < 0, -out, out)
-    return float(out) if scalar else out
+    out = _cody(np.abs(y), _erf_small, lambda a, rule: 1.0 - _exp_nsq(a) * rule(a))
+    np.negative(out, out=out, where=y < 0)
+    return float(out[0]) if scalar else out
 
 
 def erfc(z):
     """Complementary error function 1 - erf(z), accurate into the far tail."""
     y, scalar = _as_array(z)
-    ay = np.abs(y)
-    out = np.empty_like(ay)
-    small = ay <= 0.46875
-    rest = ~small
-    if small.any():
-        out[small] = 1.0 - _erf_small(ay[small])
-    if rest.any():
-        ar = ay[rest]
-        out[rest] = _exp_nsq(ar) * _erfcx_nonneg(ar)
-    out = np.where(y < 0, 2.0 - out, out)
-    return float(out) if scalar else out
+    out = _cody(np.abs(y), lambda a: 1.0 - _erf_small(a), lambda a, rule: _exp_nsq(a) * rule(a))
+    np.subtract(2.0, out, out=out, where=y < 0)
+    return float(out[0]) if scalar else out
 
 
 def erfcx(z):
     """Scaled complement exp(z^2) * erfc(z); stable for large positive z."""
     y, scalar = _as_array(z)
+    out = _cody(np.abs(y), lambda a: np.exp(a * a) * (1.0 - _erf_small(a)),
+                lambda a, rule: rule(a))
     neg = y < 0
-    ay = np.abs(y)
-    out = _erfcx_nonneg(ay)
     if neg.any():
         yn = y[neg]
         out[neg] = 2.0 * np.exp(yn * yn) - out[neg]
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def norm_cdf(z):
     """Standard normal distribution function via erfc."""
-    y, scalar = _as_array(z)
-    out = 0.5 * erfc(-y / math.sqrt(2.0))
-    return float(out) if scalar else out
+    return 0.5 * erfc(-np.asarray(z, dtype=float) / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

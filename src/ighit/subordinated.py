@@ -28,6 +28,16 @@ from .hitting import (
 from .subordinators import IGParams, IGSubordinator, SamplePath, simulate_until
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# Mixture weights per hit_pdf_table call of sub_pdf_table: bounds the call's
+# temporaries, which for a whole table would set the process's memory peak
+WEIGHT_BLOCK = 8192
+# Kernel exponents are clamped at this floor and the kernel is shifted down by
+# its value there, e^(-700) ~ 1e-304, far under an ulp of any table entry: so
+# numpy's exp, which leaves its vector path below about -707.5 and runs 20 to
+# 200 times slower there, never sees such an argument, and the entries at the
+# floor are exactly zero without a mask that would add to the kernel's memory
+KERNEL_FLOOR = -700.0
+_FLOOR_VALUE = np.exp(KERNEL_FLOOR)  # by numpy's exp, so the shift is exact
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,9 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     discretisation error rather than amplified point noise.  The v-rule and
     the Gauss kernel e^(-x^2/2v^2) depend on t only through the cutoff
     v_max(t), so times with one cutoff share one kernel, and each time adds a
-    single kernel-times-weights product per batch of x.
+    single kernel-times-weights product per batch of x.  The weights of all
+    times, whatever their cutoffs, come from broadcast hit_pdf_table calls of
+    WEIGHT_BLOCK points or fewer.
     """
     _check_t(t)
     xs = np.asarray(xs, dtype=float)
@@ -77,25 +89,36 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     ts = t_arr.ravel()
     v_maxes, rule_of = np.unique(_v_cutoff(ts, ev), return_inverse=True)
+    rules = [composite_gauss(np.concatenate([[0.0], geomspace(v * 1e-4, v, 96)]), 12)
+             for v in v_maxes]
+    v2 = np.array([pts * pts for pts, _ in rules])
+    wts = np.array([w for _, w in rules])
     hev = HittingDensityEval(ev.params)
+    weights = np.empty((ts.size, v2.shape[1]))
+    step = max(1, WEIGHT_BLOCK // v2.shape[1])
+    for i in range(0, ts.size, step):
+        k = rule_of[i:i + step]
+        np.multiply(wts[k], hit_pdf_table(v2[k], ts[i:i + step, None], hev),
+                    out=weights[i:i + step])
     flat = xs.ravel()
     out = np.empty((flat.size, ts.size))
     batch = 256
-    for k, v_max in enumerate(v_maxes):
+    for k in range(v_maxes.size):
         cols = np.flatnonzero(rule_of == k)
-        edges = np.concatenate([[0.0], geomspace(v_max * 1e-4, v_max, 96)])
-        pts, wts = composite_gauss(edges, 12)
-        v2 = pts * pts
-        weights = [wts * hit_pdf_table(v2, ts[j], hev) for j in cols]
-        inv_2v2 = 1.0 / (2.0 * v2)
+        neg_inv_2v2 = -1.0 / (2.0 * v2[k])
         for start in range(0, flat.size, batch):
-            chunk = flat[start:start + batch]
-            gauss = np.outer(chunk * chunk, inv_2v2)
-            np.negative(gauss, out=gauss)
-            np.exp(gauss, out=gauss)
-            for j, w in zip(cols, weights):
-                out[start:start + batch, j] = gauss @ w
-            del gauss  # one kernel alive at a time keeps peak memory flat
+            x2 = flat[start:start + batch] ** 2
+            # the leading columns, where even the least x^2 reaches the floor, stay 0
+            lead = np.count_nonzero(x2.min() * neg_inv_2v2 < KERNEL_FLOOR)
+            gauss = np.zeros((x2.size, v2.shape[1]))
+            live = gauss[:, lead:]
+            np.outer(x2, neg_inv_2v2[lead:], out=live)
+            np.maximum(live, KERNEL_FLOOR, out=live)
+            np.exp(live, out=live)
+            live -= _FLOOR_VALUE
+            for j in cols:
+                out[start:start + batch, j] = gauss @ weights[j]
+            del gauss, live  # one kernel alive at a time keeps peak memory flat
     out *= SQRT_2_OVER_PI
     return out.reshape(xs.shape + t_arr.shape)
 

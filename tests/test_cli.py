@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ighit.cli import main
+from ighit.cli import build_parser, grid_spec, main
 from ighit.hitting import HittingDensityEval, hit_pdf_table, printed_prefactor_ratio
 from ighit.residuals import (
     PDE_BOXES,
@@ -245,6 +245,28 @@ class TestSubordinatedCommand:
         dens = [float(v) for v in cols["subordinated_density"]]
         assert dens[0] == pytest.approx(dens[-1], rel=1e-10)  # even in x
         assert (tmp_path / "subordinated_path.csv").exists()
+
+    def test_negative_grid_start_with_space(self, tmp_path):
+        args = ["subordinated", "--t", "1", "--with-path", "--dt", "0.03125"]
+        assert run_in(tmp_path, args + ["--x", "-2:2:0.5", "--out", "a"]) == 0
+        assert run_in(tmp_path, args + ["--x=-2:2:0.5", "--out", "b"]) == 0
+        for a, b in (("a", "b"), ("a_path.csv", "b_path.csv")):
+            assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+        assert (tmp_path / "a").read_text().count("\n") == 10  # header and 9 grid points
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["density", "--t", "1"], "x"),
+    (["cdf", "--t", "1"], "x"),
+    (["tail", "--t", "1"], "x"),
+    (["subordinated"], "x"),
+    (["stable"], "x"),
+    (["stable"], "tail"),
+], ids=["density_x", "cdf_x", "tail_x", "subordinated_x", "stable_x", "stable_tail"])
+def test_every_grid_flag_takes_a_negative_start_after_a_space(argv, flag):
+    for grid in ("-2:2:0.5", "-.5:1:0.5", "-1e-1:1:0.1"):
+        args = build_parser().parse_args(argv + [f"--{flag}", grid])
+        assert np.array_equal(getattr(args, flag), grid_spec(grid))
 
 
 class TestPdeCheckCommand:

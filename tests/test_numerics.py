@@ -23,7 +23,85 @@ from ighit.numerics import (
     stehfest_weights,
     upper_gamma,
 )
-from ighit.numerics import _cells, _eval_transform, _period_edges
+from ighit.numerics import (
+    _ERF_A, _ERF_B, _ERF_C, _ERF_D, _ERF_P, _ERF_Q, INV_SQRT_PI,
+    _cells, _eval_transform, _exp_nsq, _period_edges,
+)
+
+
+# Cody's rules as whole-array expressions, a fresh array per Horner step and a
+# gather and scatter per region: erf, erfc and erfcx must match them bit for bit.
+
+def _ref_erf_small(y):
+    ysq = y * y
+    xnum = _ERF_A[4] * ysq
+    xden = ysq
+    for i in range(3):
+        xnum = (xnum + _ERF_A[i]) * ysq
+        xden = (xden + _ERF_B[i]) * ysq
+    return y * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
+
+
+def _ref_erfcx_mid(y):
+    xnum = _ERF_C[8] * y
+    xden = y
+    for i in range(7):
+        xnum = (xnum + _ERF_C[i]) * y
+        xden = (xden + _ERF_D[i]) * y
+    return (xnum + _ERF_C[7]) / (xden + _ERF_D[7])
+
+
+def _ref_erfcx_large(y):
+    ysq = 1.0 / (y * y)
+    xnum = _ERF_P[5] * ysq
+    xden = ysq
+    for i in range(4):
+        xnum = (xnum + _ERF_P[i]) * ysq
+        xden = (xden + _ERF_Q[i]) * ysq
+    res = ysq * (xnum + _ERF_P[4]) / (xden + _ERF_Q[4])
+    return (INV_SQRT_PI - res) / y
+
+
+def _ref_regions(ay, small, mid, large):
+    out = np.empty_like(ay)
+    for mask, rule in ((ay <= 0.46875, small), ((ay > 0.46875) & (ay <= 4.0), mid),
+                       (ay > 4.0, large)):
+        if mask.any():
+            out[mask] = rule(ay[mask])
+    return out
+
+
+def _ref_erf(y):
+    out = _ref_regions(np.abs(y), _ref_erf_small,
+                       lambda a: 1.0 - _exp_nsq(a) * _ref_erfcx_mid(a),
+                       lambda a: 1.0 - _exp_nsq(a) * _ref_erfcx_large(a))
+    return np.where(y < 0, -out, out)
+
+
+def _ref_erfc(y):
+    out = _ref_regions(np.abs(y), lambda a: 1.0 - _ref_erf_small(a),
+                       lambda a: _exp_nsq(a) * _ref_erfcx_mid(a),
+                       lambda a: _exp_nsq(a) * _ref_erfcx_large(a))
+    return np.where(y < 0, 2.0 - out, out)
+
+
+def _ref_erfcx(y):
+    out = _ref_regions(np.abs(y), lambda a: np.exp(a * a) * (1.0 - _ref_erf_small(a)),
+                       _ref_erfcx_mid, _ref_erfcx_large)
+    neg = y < 0
+    out[neg] = 2.0 * np.exp(y[neg] ** 2) - out[neg]
+    return out
+
+
+_CODY_EDGES = np.array([0.0, -0.0, 0.46875, -0.46875, 4.0, -4.0, 27.0, 1e-300])
+_CODY_CASES = {
+    "all_regions": np.concatenate([np.linspace(-6.0, 6.0, 481), _CODY_EDGES]),
+    "small_only": np.linspace(0.0, 0.46875, 40),
+    "mid_only": np.linspace(0.5, 4.0, 40),
+    "large_only": np.linspace(4.0001, 27.0, 40),
+    "negative_only": -np.linspace(0.1, 5.0, 40),
+    "two_d": np.linspace(-5.0, 5.0, 24).reshape(4, 6),
+}
 
 
 def erf_taylor(z: float, terms: int = 30) -> float:
@@ -75,6 +153,34 @@ class TestErrorFunctions:
 
     def test_deep_tail(self):
         assert erfc(26.0) == pytest.approx(math.erfc(26.0), rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_CODY_CASES))
+    @pytest.mark.parametrize("fn,ref", [(erf, _ref_erf), (erfc, _ref_erfc), (erfcx, _ref_erfcx)],
+                             ids=["erf", "erfc", "erfcx"])
+    def test_bit_identical_to_whole_array_rules(self, fn, ref, case):
+        z = _CODY_CASES[case]
+        got = fn(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == ref(z).tobytes()
+
+    @pytest.mark.parametrize("fn,ref", [(erf, _ref_erf), (erfc, _ref_erfc), (erfcx, _ref_erfcx)],
+                             ids=["erf", "erfc", "erfcx"])
+    def test_scalar_zero_d_and_empty(self, fn, ref):
+        for z in (0.3, -0.3, 1.7, -2.5, 6.0, 0.46875, 4.0, -0.0):
+            assert isinstance(fn(z), float)
+            assert isinstance(fn(np.array(z)), float)
+            assert np.float64(fn(z)).tobytes() == ref(np.array([z])).tobytes()
+            assert fn(np.array(z)) == fn(z)
+        assert fn(np.array([])).shape == (0,)
+        assert 0.0 < erfc(27.0) < np.finfo(float).tiny  # subnormal, kept exactly
+
+    @pytest.mark.parametrize("fn", [erf, erfc, erfcx], ids=["erf", "erfc", "erfcx"])
+    def test_nan_gives_nan(self, fn):
+        assert math.isnan(fn(math.nan))
+        assert math.isnan(fn(np.array(math.nan)))
+        out = fn(np.array([math.nan, 1.0, math.nan, -1.0, -math.nan]))
+        assert np.isnan(out[[0, 2, 4]]).all()
+        assert out[1] == fn(1.0) and out[3] == fn(-1.0)
 
 
 class TestIncompleteGammaAndBessel:

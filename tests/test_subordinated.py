@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,12 +96,15 @@ class TestDensity:
         assert np.max(np.abs(tab - scal)) < 1e-10
 
     @pytest.mark.parametrize("gamma,xs,ts", [
-        # the finer grids of the pde_frac_subordinated and pde_subordinated records
+        # both levels of the pde_frac_subordinated and pde_subordinated records'
+        # grids: 96 and 48 times on 4 cutoffs, 27 times on 25 and 15 on 13
         (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128),
         (1.0, _grid(0.3, 1.5, 1 / 48, 2), _grid(0.5, 1.0, 1 / 48, 1)),
+        (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 49) / 64),
+        (1.0, _grid(0.3, 1.5, 1 / 24, 2), _grid(0.5, 1.0, 1 / 24, 1)),
         # several batches of x, repeated times
         (0.5, np.linspace(-6.0, 6.0, 600), np.array([2.0, 0.3, 1.0, 0.3])),
-    ], ids=["frac_box", "pde_box", "batches"])
+    ], ids=["frac_box", "pde_box", "frac_box_coarse", "pde_box_coarse", "batches"])
     def test_grid_columns_match_per_t_calls(self, gamma, xs, ts):
         ev = SubordinatedEval(IGParams(1.0, gamma))
         grid = sub_pdf_table(xs, ts, ev)
@@ -108,6 +112,19 @@ class TestDensity:
         for j, t in enumerate(ts):
             assert np.array_equal(grid[:, j], sub_pdf_table(xs, float(t), ev))
             assert np.array_equal(grid[:, j], _table_at_one_time(xs, float(t), ev))
+
+    def test_weight_blocks_hold_peak_memory(self):
+        # the pde_frac_subordinated record's fine grid, 131 x by 96 t: blocked
+        # weights keep the table under the battery's peak (pde_frac_hitting)
+        xs, ts = _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128
+        ev = SubordinatedEval(IGParams(1.0, 0.0))
+        tracemalloc.start()
+        try:
+            sub_pdf_table(xs, ts, ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_grid_shape_and_scalar_oracle(self, params_11):
         ev = SubordinatedEval(params_11)
