@@ -84,8 +84,8 @@ LAYERS = (
                                                     1.0 / 1024.0, int(rng.integers(1 << 30)))),
     ("erfcx", 10 ** 6,
      lambda ig, np, rng, n: ig.erfcx(np.linspace(-5.0, 30.0, n))),
-    # the shape of one hit_pdf_table column of sub_pdf_table's v-rule (97
-    # panels of 12 nodes), where per-call overhead outweighs per-point cost
+    # about one hit_pdf_table column of sub_pdf_table's v-rule (96 panels of
+    # 12 nodes), a size where per-call overhead outweighs per-point cost
     ("erfcx_rule", 1164,
      lambda ig, np, rng, n: ig.erfcx(np.linspace(0.0, 6.0, n))),
     ("ig_cdf", 10 ** 6,

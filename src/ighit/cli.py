@@ -336,9 +336,9 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes any token that starts with '-' and a digit for a value, so a grid
-    flag's value may start below zero: `--x -2:2:0.5`.  The default reading
-    takes only plain negative numbers so, and `-2:2:0.5` for an option."""
+    """Reads a token that starts with '-' and a digit (or '-.' and a digit) as
+    a value, so a grid flag's value may start below zero: `--x -2:2:0.5`.
+    argparse itself reads only plain negative numbers so."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
