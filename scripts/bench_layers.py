@@ -110,6 +110,9 @@ LAYERS = (
      lambda ig, np, rng, n: ig.stable_pdf(np.geomspace(0.3, 70.0, n), 1.0, 0.7)),
     ("stable_cdf_third", 100,
      lambda ig, np, rng, n: ig.stable_cdf(np.geomspace(0.05, 50.0, n), 1.0, 1.0 / 3.0)),
+    # Kanter's rule near index 1 (0.999), far in the tail (w about 1e5)
+    ("stable_cdf_0.999", 64,
+     lambda ig, np, rng, n: ig.stable_cdf(np.linspace(0.9e5, 1.1e5, n), 1.0, 0.999)),
     ("hit_pdf_table", 256,
      lambda ig, np, rng, n: ig.hit_pdf_table(np.linspace(0.0, 4.0, n), 1.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 1.0)))),

@@ -17,7 +17,6 @@ from .numerics import (
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
-    invert_laplace_batch,
     invert_laplace_talbot,
     upper_gamma,
 )
@@ -55,7 +54,6 @@ from .hitting import (
     hit_lt_time,
     hit_llt,
     hit_mean,
-    hit_mean_asymptote,
     hit_moment,
     hit_moment_quadrature,
     hit_pdf_convolution,
@@ -64,6 +62,7 @@ from .hitting import (
     hit_second_moment,
     hit_survival,
     hit_variance,
+    hitting_path,
     invert_path,
     printed_prefactor_ratio,
     sample_hitting_times,

@@ -34,7 +34,7 @@ from .hitting import (
     hit_pdf_table,
     hit_second_moment,
     hit_variance,
-    invert_path,
+    hitting_path,
     printed_prefactor_ratio,
     stable_hit_pdf,
     stable_hit_tail_report,
@@ -46,7 +46,6 @@ from .subordinators import (
     IGSubordinator,
     StableSubordinator,
     TemperedStableSubordinator,
-    simulate_until,
 )
 from .residuals import (
     PDE_BOXES,
@@ -110,15 +109,19 @@ def _params_from(args) -> IGParams:
     return IGParams(args.delta, args.gamma)
 
 
-def _emit_table(args, columns: dict, meta: dict, default_name: str) -> str:
-    out = args.out or default_name
+def _emit_table(args, columns: dict, meta: dict) -> str:
+    """Write the columns as CSV or JSON to --out (default <command>.<format>).
+
+    The JSON's meta holds `meta`, the command and the package version.
+    """
+    out = args.out or f"{args.command}.{args.format}"
     names = list(columns)
     if args.format == "csv":
         rows = zip(*columns.values())
         write_csv(out, names, rows)
     else:
         payload = {name: [float(v) for v in vals] for name, vals in columns.items()}
-        payload["meta"] = meta
+        payload["meta"] = {**meta, "command": args.command, "version": __version__}
         write_json(out, payload)
     print(out)
     return out
@@ -141,9 +144,8 @@ def cmd_density(args) -> int:
     dens = hit_pdf_table(xs, args.t, HittingDensityEval(params))
     if args.mode == "literal":
         dens = dens * printed_prefactor_ratio(args.t, params)
-    meta = {"command": "density", "delta": params.delta, "gamma": params.gamma,
-            "t": args.t, "mode": args.mode, "version": __version__}
-    _emit_table(args, {"x": xs, "hitting_density": dens}, meta, "density." + args.format)
+    meta = {"delta": params.delta, "gamma": params.gamma, "t": args.t, "mode": args.mode}
+    _emit_table(args, {"x": xs, "hitting_density": dens}, meta)
     return 0
 
 
@@ -151,9 +153,8 @@ def cmd_cdf(args) -> int:
     params = _params_from(args)
     xs = args.x
     vals = hit_cdf(xs, args.t, params)
-    meta = {"command": "cdf", "delta": params.delta, "gamma": params.gamma,
-            "t": args.t, "version": __version__}
-    _emit_table(args, {"x": xs, "hitting_cdf": vals}, meta, "cdf." + args.format)
+    meta = {"delta": params.delta, "gamma": params.gamma, "t": args.t}
+    _emit_table(args, {"x": xs, "hitting_cdf": vals}, meta)
     return 0
 
 
@@ -177,10 +178,8 @@ def cmd_moments(args) -> int:
             rows_q.append(-1.0)
             rows_v.append(hit_variance(t, params))
             rows_m.append("variance")
-    meta = {"command": "moments", "delta": params.delta, "gamma": params.gamma,
-            "version": __version__}
-    _emit_table(args, {"t": rows_t, "q": rows_q, "moment": rows_v,
-                       "method": rows_m}, meta, "moments." + args.format)
+    meta = {"delta": params.delta, "gamma": params.gamma}
+    _emit_table(args, {"t": rows_t, "q": rows_q, "moment": rows_v, "method": rows_m}, meta)
     return 0
 
 
@@ -210,9 +209,8 @@ def cmd_lt(args) -> int:
         ss = args.s
         vals = [hit_llt(args.u, float(s), params) for s in ss]
         cols = {"s": ss, "llt": vals}
-    meta = {"command": "lt", "which": args.which, "delta": params.delta,
-            "gamma": params.gamma, "version": __version__}
-    _emit_table(args, cols, meta, "lt." + args.format)
+    meta = {"which": args.which, "delta": params.delta, "gamma": params.gamma}
+    _emit_table(args, cols, meta)
     return 0
 
 
@@ -225,13 +223,8 @@ def _model_from(args):
 
 
 def cmd_paths(args) -> int:
-    model = _model_from(args)
-    rng = np.random.default_rng(args.seed)
-    chunk = args.T * max(args.gamma / args.delta, 1.0) * 2.0 if args.model == "ig" \
-        else 2.0 * args.T
-    g_path = simulate_until(model, args.T, max(chunk, 4.0 * args.dt), args.dt, rng)
-    t_grid = args.dt * np.arange(int(round(args.T / args.dt)) + 1)
-    h_path = invert_path(g_path, t_grid)
+    g_path, h_path = hitting_path(_model_from(args), args.T, args.dt,
+                                  np.random.default_rng(args.seed))
     base = args.out or "paths"
     g_file, h_file = base + "_g.csv", base + "_h.csv"
     g_path.to_csv(g_file)
@@ -254,10 +247,8 @@ def cmd_subordinated(args) -> int:
     ev = SubordinatedEval(params)
     xs = args.x
     dens = sub_pdf_table(xs, args.t, ev)
-    meta = {"command": "subordinated", "delta": params.delta,
-            "gamma": params.gamma, "t": args.t, "version": __version__}
-    _emit_table(args, {"x": xs, "subordinated_density": dens}, meta,
-                "subordinated." + args.format)
+    meta = {"delta": params.delta, "gamma": params.gamma, "t": args.t}
+    _emit_table(args, {"x": xs, "subordinated_density": dens}, meta)
     if args.with_path:
         rng = np.random.default_rng(args.seed)
         path = sub_sample_path(params, args.T, args.dt, rng)
@@ -270,10 +261,8 @@ def cmd_subordinated(args) -> int:
 def cmd_stable(args) -> int:
     xs = args.x
     dens = stable_hit_pdf(xs, args.t, args.beta)
-    meta = {"command": "stable", "beta": args.beta, "t": args.t,
-            "version": __version__}
-    _emit_table(args, {"x": xs, "stable_hitting_density": dens}, meta,
-                "stable." + args.format)
+    _emit_table(args, {"x": xs, "stable_hitting_density": dens},
+                {"beta": args.beta, "t": args.t})
     if args.tail is not None:
         rep = stable_hit_tail_report(args.t, args.beta, args.tail)
         out = (args.out or "stable") + "_tail.json"

@@ -48,6 +48,7 @@ from .subordinators import (
     _ig_cdf,
     ig_levy_tail,
     ig_psi,
+    simulate_until,
     stable_cdf,
     stable_pdf,
     ts_pdf,
@@ -537,19 +538,6 @@ def hit_moment(q: float, t: float, params: IGParams) -> float:
     return invert_laplace(transform, t)
 
 
-def hit_mean_asymptote(t: float, params: IGParams, regime: str) -> float:
-    """Leading term of E H(t): gamma*t/delta (large t, drift) or sqrt(2t/pi)/delta."""
-    _check_t(t)
-    d, g = params.delta, params.gamma
-    if regime == "large_t":
-        if g > 0:
-            return g * t / d
-        return math.sqrt(2.0 * t / math.pi) / d
-    if regime == "small_t":
-        return math.sqrt(2.0 * t / math.pi) / d
-    raise DomainError("regime must be 'large_t' or 'small_t'")
-
-
 # ---------------------------------------------------------------------------
 # Boundary values and tail behaviour
 # ---------------------------------------------------------------------------
@@ -649,6 +637,21 @@ def invert_path(g_path: SamplePath, t_grid) -> SamplePath:
     if np.any(idx >= g_path.values.size):
         raise DomainError("t_grid exceeds the largest path value; extend the path")
     return SamplePath(t_arr, g_path.times[idx])
+
+
+def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
+    """A subordinator path G at step dt that passes `horizon`, and its inverse H.
+
+    G is extended (`simulate_until`) in pieces of 2 horizon, times gamma/delta
+    for an IG model whose mean rate delta/gamma is below 1, and of at least
+    4 dt; H is on the grid dt * arange(round(horizon / dt) + 1).  Returns
+    (G, H).
+    """
+    chunk = 2.0 * horizon
+    if isinstance(model, IGSubordinator):
+        chunk *= max(model.params.gamma / model.params.delta, 1.0)
+    g_path = simulate_until(model, horizon, max(chunk, 4.0 * dt), dt, rng)
+    return g_path, invert_path(g_path, dt * np.arange(int(round(horizon / dt)) + 1))
 
 
 def sample_hitting_times(t_eval: float, n: int, params: IGParams, dt: float,

@@ -522,15 +522,17 @@ def _gs_achievable_rel(n_terms: int) -> float:
     return max(truncation, cancellation, 1e-9)
 
 
-def invert_laplace_batch(fn, ts) -> np.ndarray:
-    """Gaver-Stehfest inversion at an array of times in one vectorised pass.
+def invert_laplace(fn, t):
+    """Numerically invert a Laplace transform at finite t > 0 by Gaver-Stehfest.
 
-    The transform is evaluated on the full (time x term) matrix of abscissae.
-    GS_TERMS and GS_TERMS - 2 terms are compared at every time; a
-    disagreement beyond 100x the method's achievable accuracy, or a
-    non-finite estimate, raises NumericalInstability.
+    t is one time (the result is a float) or an array of times, done in one
+    vectorised pass: the transform is evaluated on the real axis only, on the
+    full (time x term) matrix of abscissae.  GS_TERMS and GS_TERMS - 2 terms
+    are compared at every time; a disagreement beyond 100x the method's
+    achievable accuracy, or a non-finite estimate, raises
+    NumericalInstability rather than returning a silently wrong value.
     """
-    t_arr = np.asarray(ts, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr) & (t_arr > 0)):
         raise DomainError("Laplace inversion requires finite t > 0")
     flat = t_arr.ravel()
@@ -544,18 +546,7 @@ def invert_laplace_batch(fn, ts) -> np.ndarray:
         raise NumericalInstability(
             f"inverse Laplace estimates disagree at t={flat[i]}: "
             f"{f_hi[i]:.9e} vs {f_lo[i]:.9e}")
-    return f_hi.reshape(t_arr.shape)
-
-
-def invert_laplace(fn, t: float) -> float:
-    """Numerically invert a Laplace transform at finite t > 0 by Gaver-Stehfest.
-
-    The transform is evaluated on the real axis only.  Two term counts are
-    compared; a disagreement beyond 100x the method's achievable accuracy, or
-    a non-finite estimate, raises NumericalInstability rather than returning
-    a silently wrong value.
-    """
-    return float(invert_laplace_batch(fn, t))
+    return float(f_hi[0]) if t_arr.ndim == 0 else f_hi.reshape(t_arr.shape)
 
 
 def invert_laplace_talbot(fn, t: float) -> float:

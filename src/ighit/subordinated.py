@@ -22,10 +22,10 @@ from .hitting import (
     _check_x,
     density_support_cutoff,
     hit_pdf_table,
-    invert_path,
+    hitting_path,
     sample_hitting_times,
 )
-from .subordinators import IGParams, IGSubordinator, SamplePath, simulate_until
+from .subordinators import IGParams, IGSubordinator, SamplePath
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Mixture weights per hit_pdf_table call of sub_pdf_table: bounds the call's
@@ -153,15 +153,11 @@ def sub_sample_path(params: IGParams, horizon: float, dt: float,
     """
     if horizon <= 0 or not 0 < dt <= horizon:
         raise DomainError("need horizon > 0 and 0 < dt <= horizon")
-    chunk = max(2.0 * horizon * max(params.gamma / params.delta, 1.0), 4.0 * dt)
-    g_path = simulate_until(IGSubordinator(params), horizon, chunk, dt, rng)
-    n_steps = int(round(horizon / dt))
-    t_grid = dt * np.arange(n_steps + 1)
-    h_path = invert_path(g_path, t_grid)
+    h_path = hitting_path(IGSubordinator(params), horizon, dt, rng)[1]
     d_h = np.diff(h_path.values, prepend=0.0)
     gauss = rng.standard_normal(d_h.size)
     x_vals = np.cumsum(np.sqrt(d_h) * gauss)
-    return SamplePath(t_grid, x_vals)
+    return SamplePath(h_path.times, x_vals)
 
 
 def sub_sample_values(t_eval: float, n: int, params: IGParams, dt: float,

@@ -206,18 +206,27 @@ def ig_psi(s, p: IGParams):
 # transforms; Monte Carlo tests assert the convention.
 # ---------------------------------------------------------------------------
 
-def _kanter_factor(u, sin_u, beta: float):
-    """Kanter's factor a(u) = (sin(beta u)/sin u)^(1/(1-beta)) sin((1-beta) u)/sin(beta u).
+def _kanter_factor(v, beta: float):
+    """Kanter's factor a at u = pi - v, as (base, rest) with a = base^(1/(1-beta)) rest.
 
-    It increases on (0, pi) from a(0+) = (1-beta) beta^(beta/(1-beta)) to
-    infinity.  sin u comes in separately, so that a caller near u = pi can
-    pass it as sin(pi - u); passing c sin u gives c^(-1/(1-beta)) a(u).  The
-    power 1/(1-beta) of the ratio overflows near u = pi as beta -> 1 although
-    a(u)^((1-beta)/beta) is moderate, so `stable_sample` expands that power
-    instead; the density rule only meets a(u) where L a(u) is bounded.
+    a(u) = (sin(beta u)/sin u)^(1/(1-beta)) sin((1-beta) u)/sin(beta u)
+    increases on (0, pi) from a(0+) = (1-beta) beta^(beta/(1-beta)) to
+    infinity.  The power overflows near u = pi as beta -> 1 although
+    a(u)^((1-beta)/beta) is moderate, so `stable_sample` expands it instead
+    and the density rule scales the base or takes logs.  sin u is taken as
+    sin v where v < u, and sin(beta u) as sin((1-beta) pi + beta v) where
+    that argument is the smaller, so that both keep their relative accuracy
+    at either end of (0, pi).
     """
-    sb = np.sin(beta * u)
-    return (sb / sin_u) ** (1.0 / (1.0 - beta)) * np.sin((1.0 - beta) * u) / sb
+    u = math.pi - v
+    sb = np.sin(np.minimum(beta * u, (1.0 - beta) * math.pi + beta * v))
+    return sb / np.sin(np.minimum(u, v)), np.sin((1.0 - beta) * u) / sb
+
+
+# Kanter's rule: the logit grid x = log(v/(pi - v)) of its table, and the
+# excesses L (a(u) - a(0+)) = 50, 1 and 2^-60 that place each point's panels
+_KANTER_GRID = np.r_[-690.0, np.linspace(-30.0, 8.0, 1024)]
+_KANTER_LEVELS = np.log([50.0, 1.0, 2.0 ** -60])[:, None]
 
 
 def _unit_stable_cdf_pdf(w, beta: float):
@@ -230,19 +239,20 @@ def _unit_stable_cdf_pdf(w, beta: float):
         F(w) = (1/pi) int_0^pi e^(-L a(u)) du,
         f(w) = (k/(pi w)) int_0^pi L a(u) e^(-L a(u)) du.
 
-    Both integrands are bounded.  The rule is placed per point in v = pi - u:
-    a vectorised bisection in log v on the increasing L a(u) finds where it
-    exceeds its least value L a(0) = (1-beta)(w/beta)^(-k) by 1 and by 50;
-    40-node Gauss-Legendre panels run from the +50 point to the +1 point and
-    then grow by x4 up to v = pi.  Above beta = 0.9 they grow by less, so
-    that L a, which falls like v^(-1/(1-beta)), falls by at most 4^10 per
-    panel.  sin u is taken as sin v, which keeps its relative accuracy as
-    u -> pi, and L a(u) as the factor at w^beta sin v.  Where L a(0) >= 1600
-    both values underflow for every float w and are 0.  Points go through in
-    chunks of 1024, and each chunk's rule in groups of at most 16384 panels
-    of 40 nodes, or of one point, which bounds the memory of a large call at
-    every beta.  The panel count per point grows like 1/(1-beta), and so does
-    the time: about 1300 panels at beta = 0.999 and w = 1e5.
+    Both integrands are bounded.  The rule is placed per point in v = pi - u,
+    where the excess r = L (a(u) - a(0+)) falls from infinity to 0.  One
+    table of log(a - a(0+)), computed in logs so that no power overflows,
+    depends on beta only; `np.interp` of it gives each point the v where r
+    is 50, 1 and 2^-60.  Its grid is dense in x = log(v/(pi - v)) on
+    [-30, 8]: below, the table is linear in x, and at x = 8 (u = 1e-3) r < 1
+    at every point that does not underflow.  40-node Gauss-Legendre panels run from the +50 point to
+    the +1 point and then grow by x4 up to pi.  Above beta = 0.9 they grow by
+    less, so that r, which falls like v^(-1/(1-beta)), falls by at most 4^10
+    per panel, until they pass the 2^-60 point; there e^(-r) has rounded to
+    1, and x4 holds again.  Where the least value L a(0+) =
+    (1-beta)(w/beta)^(-k) is >= 1600 both values underflow for every float w
+    and are 0.  Points go through in groups of at most 16384 panels, or of
+    one point, which bounds the memory of a large call.
     """
     w = np.asarray(w, dtype=float)
     k = beta / (1.0 - beta)
@@ -254,40 +264,34 @@ def _unit_stable_cdf_pdf(w, beta: float):
     pdf = np.zeros(flat.shape)
     nodes, weights = _gauss_rule(40)
     live = np.flatnonzero(expo < 1600.0)
-    for start in range(0, live.size, 1024):
-        idx = live[start:start + 1024]
-        scale, least = flat[idx] ** beta, expo[idx]
-        target = least + np.array([[1.0], [50.0]])
-        lo = np.full(target.shape, math.log(1e-300))
-        hi = np.full(target.shape, math.log(math.pi))
-        with np.errstate(over="ignore"):
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                v = np.exp(mid)
-                above = _kanter_factor(math.pi - v, scale * np.sin(v), beta) > target
-                lo = np.where(above, mid, lo)
-                hi = np.where(above, hi, mid)
-        v1, v50 = np.exp(hi)
-        grow = ratio ** np.arange(math.ceil(math.log(math.pi / v1.min(), ratio)) + 1)
-        step = max(1, 16384 // grow.size)
-        for first in range(0, idx.size, step):
-            sub = slice(first, first + step)
-            at, low = idx[sub], least[sub]
-            edges = np.concatenate([v50[sub, None],
-                                    np.minimum(v1[sub, None] * grow, math.pi)], axis=1)
-            edges[:, -1] = math.pi
-            a, b = edges[:, :-1], edges[:, 1:]
-            panel = b > a
-            point = np.nonzero(panel)[0]
-            a, b = a[panel], b[panel]
-            half = 0.5 * (b - a)
-            v = (0.5 * (a + b))[:, None] + half[:, None] * nodes
-            la = _kanter_factor(math.pi - v, scale[sub][point, None] * np.sin(v), beta)
-            e = np.exp(low[point, None] - la)
-            cdf[at] = np.exp(-low - math.log(math.pi)) * np.bincount(
-                point, half * (e @ weights), at.size)
-            pdf[at] = np.exp(np.log(k / (math.pi * flat[at])) - low) * np.bincount(
-                point, half * ((la * e) @ weights), at.size)
+    base, rest = _kanter_factor(math.pi / (1.0 + np.exp(-_KANTER_GRID)), beta)
+    log_a = np.log(base) / (1.0 - beta) + np.log(rest)
+    excess = log_a + np.log(-np.expm1(math.log(1.0 - beta) + k * math.log(beta) - log_a))
+    v50, v1, vt = math.pi / (1.0 + np.exp(-np.interp(
+        _KANTER_LEVELS + k * np.log(flat[live]), excess[::-1], _KANTER_GRID[::-1])))
+    scale, least = flat[live] ** beta, expo[live]
+    slow = np.ceil(np.log(vt / v1) / math.log(ratio))[:, None]
+    steps = np.arange(slow.max(initial=0.0) + math.ceil(
+        math.log(math.pi / vt.min(initial=math.pi), 4.0)) + 1)
+    step = max(1, 16384 // steps.size)
+    for first in range(0, live.size, step):
+        sub = slice(first, first + step)
+        at, low = live[sub], least[sub]
+        grow = ratio ** np.minimum(steps, slow[sub]) * 4.0 ** np.maximum(steps - slow[sub], 0.0)
+        edges = np.concatenate([v50[sub, None], np.minimum(v1[sub, None] * grow, math.pi)], axis=1)
+        edges[:, -1] = math.pi
+        a, b = edges[:, :-1], edges[:, 1:]
+        panel = b > a
+        point = np.nonzero(panel)[0]
+        a, b = a[panel], b[panel]
+        half = 0.5 * (b - a)
+        base, rest = _kanter_factor((0.5 * (a + b))[:, None] + half[:, None] * nodes, beta)
+        la = (base / scale[sub][point, None]) ** (1.0 / (1.0 - beta)) * rest
+        e = np.exp(low[point, None] - la)
+        cdf[at] = np.exp(-low - math.log(math.pi)) * np.bincount(
+            point, half * (e * weights).sum(axis=1), at.size)
+        pdf[at] = np.exp(np.log(k / (math.pi * flat[at])) - low) * np.bincount(
+            point, half * (la * e * weights).sum(axis=1), at.size)
     return cdf.reshape(w.shape), pdf.reshape(w.shape)
 
 
@@ -664,7 +668,7 @@ class IGSubordinator:
     params: IGParams
     # local power of the Levy tail at 0+ (Pi(u) ~ C u^-p); drives the endpoint
     # substitution in the hitting-time convolution
-    tail_exponent: float = 0.5
+    tail_exponent = 0.5
 
     def psi(self, s):
         return ig_psi(s, self.params)

@@ -31,7 +31,6 @@ from ighit.hitting import (
     hit_lt_time,
     hit_llt,
     hit_mean,
-    hit_mean_asymptote,
     hit_moment,
     hit_moment_quadrature,
     hit_pdf_convolution,
@@ -279,7 +278,6 @@ class TestDensityRoutes:
     lambda: hit_moment(NAN, 1.0, P11),
     lambda: hit_moment(INF, 1.0, P11),
     lambda: hit_llt(NAN, 1.0, P11),
-    lambda: hit_mean_asymptote(NAN, P11, "large_t"),
 ], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
         "abs_tol_nan", "rel_tol_inf", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
@@ -287,7 +285,7 @@ class TestDensityRoutes:
         "sample_dt_inf", "mean_t_nan", "mean_t_inf", "boundary_t_nan", "moment_t_nan",
         "lt_time_x_nan", "stable_hit_t_nan", "stable_hit_x_nan", "convolution_t_nan",
         "convolution_t_inf", "lt_space_mu_nan", "lt_space_t_inf", "moment_q_nan",
-        "moment_q_inf", "llt_u_nan", "mean_asymptote_t_nan"])
+        "moment_q_inf", "llt_u_nan"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -672,14 +670,12 @@ class TestMoments:
         assert abs(mc_var - v100) < 6.0 * se_var
 
     def test_mean_asymptotes(self, params_11, params_10):
-        assert hit_mean_asymptote(400.0, params_11, "large_t") == 400.0
-        assert hit_mean(400.0, params_11) / 400.0 == pytest.approx(1.0, abs=0.01)
-        assert hit_mean_asymptote(1e-4, params_11, "small_t") == pytest.approx(
-            math.sqrt(2e-4 / math.pi), rel=1e-12)
-        assert hit_mean_asymptote(4.0, params_10, "large_t") == pytest.approx(
-            hit_mean(4.0, params_10), rel=1e-12)
-        with pytest.raises(DomainError):
-            hit_mean_asymptote(1.0, params_11, "huge_t")
+        # gamma t / delta at large t with drift; sqrt(2t/pi)/delta exactly
+        # without it
+        g, d = params_11.gamma, params_11.delta
+        assert hit_mean(400.0, params_11) / (g * 400.0 / d) == pytest.approx(1.0, abs=0.01)
+        assert hit_mean(4.0, params_10) == pytest.approx(
+            math.sqrt(8.0 / math.pi) / params_10.delta, rel=1e-12)
 
     def test_nonlinear_mean_witness(self, params_10):
         # linear growth of the mean would be required of a Levy process

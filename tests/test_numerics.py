@@ -18,7 +18,6 @@ from ighit.numerics import (
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
-    invert_laplace_batch,
     invert_laplace_talbot,
     stehfest_weights,
     upper_gamma,
@@ -427,7 +426,7 @@ class TestInverseLaplace:
 
     def test_batch_matches_scalar(self):
         ts = np.array([0.3, 1.0, 2.0])
-        batch = invert_laplace_batch(lambda s: 1.0 / (s + 1.0), ts)
+        batch = invert_laplace(lambda s: 1.0 / (s + 1.0), ts)
         singles = [invert_laplace(lambda s: 1.0 / (s + 1.0), float(t)) for t in ts]
         assert np.array_equal(batch, np.array(singles))
 
@@ -437,7 +436,7 @@ class TestInverseLaplace:
             with pytest.raises(DomainError):
                 invert(lambda s: 1.0 / s, t)
         with pytest.raises(DomainError):
-            invert_laplace_batch(lambda s: 1.0 / s, np.array([1.0, t]))
+            invert_laplace(lambda s: 1.0 / s, np.array([1.0, t]))
 
     def test_transform_evaluated_once_and_broadcast(self):
         # a scalar result stands for every abscissa; a result whose shape does
@@ -466,7 +465,7 @@ class TestInverseLaplace:
             with pytest.raises(NumericalInstability):
                 invert(transform, 1.0)
         with pytest.raises(NumericalInstability):
-            invert_laplace_batch(transform, np.array([0.5, 1.0]))
+            invert_laplace(transform, np.array([0.5, 1.0]))
 
 
 class TestNumericSpec:
