@@ -318,8 +318,7 @@ class TestStableFamily:
 
     @pytest.mark.parametrize("beta", [0.05, 0.2, 0.7, 0.9, 0.95, 0.99])
     def test_kanter_matches_series(self, beta):
-        # at beta = 0.99 the panels grow by 4^0.1 and a point needs 35 to 45
-        # of them; w = 1 is beyond the series oracle's 150 terms there
+        # at beta = 0.99, w = 1 is beyond the series oracle's 150 terms
         for w in (1.0, 2.0, 5.0) if beta < 0.99 else (2.0, 5.0):
             pdf = _unit_stable_cdf_pdf(w, beta)[1]
             assert pdf == pytest.approx(self._series_oracle(w, beta), rel=1e-12)
