@@ -357,9 +357,9 @@ def _cell_estimates(f, lo, hi):
     vals = np.asarray(f(np.concatenate([pts_l, pts_h])))
     if not np.iscomplexobj(vals):
         vals = vals.astype(float, copy=False)
-    nl = pts_l.size
-    vl = vals[:nl].reshape(lo.size, _N_LOW)
-    vh = vals[nl:].reshape(lo.size, _N_HIGH)
+    nl, lead = pts_l.size, vals.shape[:-1]
+    vl = vals[..., :nl].reshape(lead + (lo.size, _N_LOW))
+    vh = vals[..., nl:].reshape(lead + (lo.size, _N_HIGH))
     est_l = half * (vl @ wl)
     est_h = half * (vh @ wh)
     return est_h, np.abs(est_h - est_l)
@@ -411,6 +411,22 @@ def integrate_interval(f, a: float, b: float, *, edges=None,
         hi = np.concatenate([hi[~mask], new_hi])
         vals = np.concatenate([vals[~mask], nv])
         errs = np.concatenate([errs[~mask], ne])
+
+
+def integrate_ladder(f, t_lo: float, t_hi: float, *, abs_tol: float, rel_tol: float):
+    """Integrals over [0, t_hi] of f's values along their last axis (a (k, n) table
+    gives k), by `integrate_interval`'s 15/31-node pair on the fixed cells [0, t_lo]
+    and 4 geometric ones per decade up to t_hi > t_lo > 0.  A summed 15/31 difference
+    above max(abs_tol, rel_tol |integral|) raises NonConvergence, a non-finite one
+    NumericalInstability."""
+    edges = geomspace(t_lo, t_hi, math.ceil(4.0 * math.log10(t_hi / t_lo)) + 1)
+    vals, errs = _cell_estimates(f, np.concatenate(([0.0], edges[:-1])), edges)
+    total, err = vals.sum(axis=-1), errs.sum(axis=-1)
+    if not np.all(np.isfinite(err)):
+        raise NumericalInstability(f"quadrature error estimate on [0, {t_hi}] is not finite")
+    if np.any(err > np.maximum(abs_tol, rel_tol * np.abs(total))):
+        raise NonConvergence(f"fixed cells on [0, {t_hi}] miss the tolerance: {err.max():.3e}")
+    return total
 
 
 def _period_edges(a: float, b: float, period) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .numerics import integrate_semi_infinite
+from .numerics import integrate_ladder
 from .hitting import (
     HittingDensityEval,
     hit_lt_time,
@@ -431,6 +431,19 @@ def residual_subordinated_frac(box: GridBox, *, perturb=None) -> ResidualReport:
 _LT_STEP = 1e-2
 
 
+def _numeric_lt(params: IGParams, xs: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
+    """Time transforms of h(x, .), x in xs by s in s_arr, from one `integrate_ladder`
+    table.  It starts where the exponent (delta x - gamma t)^2/(2t) of h is 40 below
+    its peak, and as h <= delta sqrt(2/(pi t)), the tail it drops beyond
+    t_hi >= 40/s_min is below delta sqrt(2/(pi t_hi)) e^(-s_min t_hi)/s_min."""
+    dx, g = params.delta * float(xs.min()), params.gamma
+    t_lo = dx * dx / (dx * g + 40.0 + math.sqrt(1600.0 + 80.0 * dx * g))
+    ev = HittingDensityEval(params)
+    return integrate_ladder(
+        lambda ts: np.exp(-s_arr[:, None] * ts) * hit_pdf_table(xs[:, None, None], ts, ev),
+        t_lo, max(40.0 / s_arr.min(), 10.0 * t_lo), abs_tol=1e-12, rel_tol=1e-10)
+
+
 def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
                        source: str = "closed") -> ResidualReport:
     """Residual of d/dx h~(x, s) + Psi(s) h~(x, s) = 0 in transform space.
@@ -439,30 +452,26 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
     h~(x + step, s) = e^(-step Psi(s)) h~(x, s) on the closed-form transform,
     where it is exact and the residual is pure rounding; there is one level,
     so the refinement ratio is NaN.  source='numeric' tests the transform
-    obtained by integrating the tabulated density over t, with a central
-    difference in x at two steps for the refinement record.
+    obtained by integrating the tabulated density over t (`_numeric_lt`),
+    with a central difference in x at two steps, the coarse one below x_grid,
+    for the refinement record.
     """
     if source not in ("closed", "numeric"):
         raise DomainError("source must be 'closed' or 'numeric'")
     s_arr = np.asarray(s_grid, dtype=float)
     x_arr = np.asarray(x_grid, dtype=float)
-    if np.any(s_arr <= 0):
-        raise DomainError("s_grid must be positive")
+    if s_arr.size == 0 or not np.all(np.isfinite(s_arr) & (s_arr > 0)):
+        raise DomainError("s_grid must be nonempty, finite and positive")
+    if x_arr.size == 0 or not np.all(np.isfinite(x_arr) & (x_arr >= 0)):
+        raise DomainError("x_grid must be nonempty, finite and nonnegative")
+    if source == "numeric" and np.any(x_arr <= _LT_STEP):
+        raise DomainError(f"x_grid must exceed the step {_LT_STEP} at source='numeric'")
     psi = np.array([ig_psi(float(s), params) for s in s_arr])
 
-    if source == "closed":
-        def transform(x, s):
-            return hit_lt_time(float(x), float(s), params)
-    else:
-        ev = HittingDensityEval(params)
-
-        def transform(x, s):
-            def f(ts):
-                return np.exp(-s * ts) * hit_pdf_table(x, ts, ev)
-            return integrate_semi_infinite(f, abs_tol=1e-12, rel_tol=1e-10)
-
     def table(xs):
-        return np.array([[transform(x, s) for s in s_arr] for x in xs])
+        if source == "numeric":
+            return _numeric_lt(params, xs, s_arr)
+        return np.array([[hit_lt_time(float(x), float(s), params) for s in s_arr] for x in xs])
 
     h = table(x_arr)
     if source == "closed":

@@ -45,7 +45,7 @@ from .hitting import (
     stable_hit_tail_report,
     tail_report,
 )
-from .numerics import integrate_interval, integrate_semi_infinite
+from .numerics import integrate_interval, integrate_ladder, integrate_semi_infinite
 from .residuals import (
     PDE_BOXES,
     _residual_ts_pde_signs,
@@ -240,11 +240,10 @@ def _rec_spatial_lt_prefactor() -> VerificationRecord:
 def _rec_llt() -> VerificationRecord:
     params = IGParams(1.0, 0.5)
     closed = hit_llt(1.0, 1.0, params)
-
-    def inner(ts):
-        return np.exp(-ts) * hit_lt_space_closed(1.0, ts, params)
-
-    double = integrate_semi_infinite(inner, abs_tol=1e-11, rel_tol=1e-9)
+    # E e^(-H(t)) <= 1 loses below e^(-40) past t = 40; on [0, 1e-8] the cusp
+    # 1 - sqrt(2t/pi)/delta of E e^(-H(t)) leaves about 1e-5 t^(3/2)/delta = 1e-17
+    double = float(integrate_ladder(lambda ts: np.exp(-ts) * hit_lt_space_closed(1.0, ts, params),
+                                    1e-8, 40.0, abs_tol=1e-11, rel_tol=1e-9))
     tol = 1e-4
     disc = abs(closed - double)
     return VerificationRecord(

@@ -16,6 +16,7 @@ from ighit.numerics import (
     erfcx,
     geomspace,
     integrate_interval,
+    integrate_ladder,
     integrate_semi_infinite,
     invert_laplace,
     invert_laplace_talbot,
@@ -24,7 +25,7 @@ from ighit.numerics import (
 )
 from ighit.numerics import (
     _ERF_A, _ERF_B, _ERF_C, _ERF_D, _ERF_P, _ERF_Q, INV_SQRT_PI,
-    _cells, _eval_transform, _exp_nsq, _period_edges,
+    _cell_estimates, _cells, _eval_transform, _exp_nsq, _gauss_rule, _period_edges,
 )
 
 
@@ -340,6 +341,69 @@ class TestQuadrature:
     def test_pathological_period_raises(self):
         with pytest.raises(NonConvergence):
             _period_edges(0.0, 30.0, math.pi / 1e9)
+
+
+def _ref_cell_estimates(f, lo, hi):
+    # the one-integrand rule before the batch axis, as integrate_interval ran it
+    xl, wl = _gauss_rule(15)
+    xh, wh = _gauss_rule(31)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    pts_l = (mid[:, None] + half[:, None] * xl[None, :]).ravel()
+    pts_h = (mid[:, None] + half[:, None] * xh[None, :]).ravel()
+    vals = np.asarray(f(np.concatenate([pts_l, pts_h]))).astype(float)
+    vl = vals[:pts_l.size].reshape(lo.size, 15)
+    vh = vals[pts_l.size:].reshape(lo.size, 31)
+    est_h = half * (vh @ wh)
+    return est_h, np.abs(est_h - half * (vl @ wl))
+
+
+class TestFixedLadder:
+    """`integrate_ladder`: one fixed partition of [0, t_hi], a batch of integrands."""
+
+    ROWS = (lambda t: np.exp(-t), lambda t: t * np.exp(-2.0 * t),
+            lambda t: np.sin(t) * np.exp(-t), lambda t: np.exp(-1.0 / t - t))
+
+    def test_one_integrand_cells_unchanged(self):
+        lo, hi = _cells(0.0, 5.0, np.linspace(0.0, 5.0, 7))
+        for row in self.ROWS:
+            for new, ref in zip(_cell_estimates(row, lo, hi), _ref_cell_estimates(row, lo, hi)):
+                assert np.array_equal(new, ref)
+
+    def test_batch_rows_match_single_integrands(self):
+        def table(t):
+            return np.stack([row(t) for row in self.ROWS])
+
+        batch = integrate_ladder(table, 1e-3, 40.0, abs_tol=1e-12, rel_tol=1e-10)
+        assert batch.shape == (len(self.ROWS),)
+        for k, row in enumerate(self.ROWS):
+            single = integrate_ladder(row, 1e-3, 40.0, abs_tol=1e-12, rel_tol=1e-10)
+            assert np.ndim(single) == 0 and single == batch[k]
+        # 1, 1/4 and 1/2 less tails below e^(-40); 2 K_1(2) for the last row
+        closed = [1.0, 0.25, 0.5, 2.0 * bessel_k(1.0, 2.0)]
+        assert np.allclose(batch, closed, rtol=1e-13, atol=0.0)
+
+    def test_two_by_three_table(self):
+        s = np.array([0.5, 1.0, 2.0])
+        out = integrate_ladder(lambda t: np.exp(-np.outer([1.0, 3.0], s)[..., None] * t),
+                               1e-4, 80.0, abs_tol=1e-12, rel_tol=1e-10)
+        assert out.shape == (2, 3)
+        assert np.allclose(out, 1.0 / np.outer([1.0, 3.0], s), rtol=1e-13, atol=0.0)
+
+    def test_nan_table_raises(self):
+        def table(t):
+            out = np.stack([np.exp(-t), np.exp(-2.0 * t)])
+            out[1, t > 3.0] = np.nan
+            return out
+
+        with pytest.raises(NumericalInstability, match="not finite"):
+            integrate_ladder(table, 1e-3, 40.0, abs_tol=1e-12, rel_tol=1e-10)
+
+    def test_unresolved_integrand_raises(self):
+        # 200 oscillations per unit of t: far too many for 15 nodes on a cell
+        with pytest.raises(NonConvergence, match="tolerance"):
+            integrate_ladder(lambda t: np.sin(200.0 * t) * np.exp(-t), 1e-3, 40.0,
+                             abs_tol=1e-12, rel_tol=1e-10)
 
 
 class TestInverseLaplace:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ighit.errors import DomainError
-from ighit.hitting import printed_prefactor_ratio
+from ighit.hitting import hit_lt_time, printed_prefactor_ratio
 from ighit.residuals import (
+    _LT_STEP,
     GridBox,
     ResidualReport,
     caputo_derivative,
@@ -17,9 +18,10 @@ from ighit.residuals import (
     residual_subordinated,
     residual_subordinated_frac,
     residual_ts_pde,
+    _numeric_lt,
 )
-from ighit.subordinators import ig_psi
-from ighit.verification import _rec_pde_ts_n3_sign
+from ighit.subordinators import IGParams, ig_psi
+from ighit.verification import _rec_llt, _rec_pde_ts_n3_sign
 
 
 def perturb(x, t, values):
@@ -195,6 +197,53 @@ class TestPseudoTransformResidual:
         rep = residual_pseudo_lt(params_11, [0.5, 1.0], [0.5, 0.9], source="numeric")
         assert rep.norms["max_abs"] < 1e-4
         assert 3.0 <= rep.refinement_ratio <= 5.0
+
+    # the (s, x) grids of the pde_pseudo_lt record and of `ighit pde-check --pde pseudo-lt`
+    @pytest.mark.parametrize("s_grid,x_grid", [([0.5, 1.0], [0.5, 0.9]),
+                                               ([0.5, 1.0, 2.0], [0.3, 0.7, 1.1])])
+    @pytest.mark.parametrize("delta,gamma", [(1, 1), (1, 0), (5, 1), (0.2, 1), (1, 20), (1, 100)])
+    def test_numeric_transform_matches_closed_form(self, s_grid, x_grid, delta, gamma):
+        params = IGParams(float(delta), float(gamma))
+        s = np.array(s_grid)
+        x = np.array(x_grid)
+        # every x the residual tabulates: the grid and its shifts by both steps
+        for xs in (x, x + _LT_STEP, x - _LT_STEP, x + _LT_STEP / 2, x - _LT_STEP / 2):
+            numeric = _numeric_lt(params, xs, s)
+            closed = np.array([[hit_lt_time(float(xv), float(sv), params) for sv in s]
+                               for xv in xs])
+            assert np.allclose(numeric, closed, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("source", ["closed", "numeric"])
+    def test_empty_grids_rejected(self, params_11, source):
+        with pytest.raises(DomainError, match="s_grid"):
+            residual_pseudo_lt(params_11, [], [0.5], source=source)
+        with pytest.raises(DomainError, match="x_grid"):
+            residual_pseudo_lt(params_11, [0.5], [], source=source)
+
+    @pytest.mark.parametrize("x", [0.005, _LT_STEP, -0.2])
+    def test_numeric_x_below_step_rejected(self, params_11, x):
+        with pytest.raises(DomainError, match="x_grid"):
+            residual_pseudo_lt(params_11, [0.5], [0.5, x], source="numeric")
+
+    def test_transforms_need_no_adaptive_quadrature(self, params_11, monkeypatch):
+        # the numeric check and the llt record run on integrate_ladder alone
+        import ighit.hitting
+        import ighit.numerics
+        import ighit.residuals
+        import ighit.verification
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        for module in (ighit.numerics, ighit.hitting, ighit.residuals, ighit.verification):
+            for name in ("integrate_interval", "integrate_semi_infinite"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        rep = residual_pseudo_lt(params_11, [0.5, 1.0], [0.5, 0.9], source="numeric")
+        assert rep.norms["max_abs"] < 1e-4
+        assert 3.0 <= rep.refinement_ratio <= 5.0
+        rec = _rec_llt()
+        assert rec.verdict == "confirmed" and rec.discrepancy < 1e-14
 
 
 class TestNegativeControlsAndDeterminism:
