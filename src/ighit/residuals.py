@@ -453,8 +453,8 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
     where it is exact and the residual is pure rounding; there is one level,
     so the refinement ratio is NaN.  source='numeric' tests the transform
     obtained by integrating the tabulated density over t (`_numeric_lt`),
-    with a central difference in x at two steps, the coarse one below x_grid,
-    for the refinement record.
+    with a central difference in x at two steps for the refinement record;
+    there every x must exceed the coarse step.
     """
     if source not in ("closed", "numeric"):
         raise DomainError("source must be 'closed' or 'numeric'")

@@ -240,8 +240,8 @@ def _rec_spatial_lt_prefactor() -> VerificationRecord:
 def _rec_llt() -> VerificationRecord:
     params = IGParams(1.0, 0.5)
     closed = hit_llt(1.0, 1.0, params)
-    # E e^(-H(t)) <= 1 loses below e^(-40) past t = 40; on [0, 1e-8] the cusp
-    # 1 - sqrt(2t/pi)/delta of E e^(-H(t)) leaves about 1e-5 t^(3/2)/delta = 1e-17
+    # E e^(-H(t)) <= 1 drops below e^(-40) past t = 40.  Its cusp 1 - sqrt(2t/pi)/delta
+    # leaves about 2e-5 t_lo^(3/2)/delta = 2e-17 on the first cell, t_lo = 1e-8
     double = float(integrate_ladder(lambda ts: np.exp(-ts) * hit_lt_space_closed(1.0, ts, params),
                                     1e-8, 40.0, abs_tol=1e-11, rel_tol=1e-9))
     tol = 1e-4
