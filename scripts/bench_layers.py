@@ -119,11 +119,15 @@ LAYERS = (
     ("sub_pdf_table", 256,
      lambda ig, np, rng, n: ig.sub_pdf_table(np.linspace(-4.0, 4.0, n), 1.0,
                                              ig.SubordinatedEval(ig.IGParams(1.0, 1.0)))),
-    # the tempered-stable hitting table at index 0.7 on an 80 x 30 grid, and at
-    # index 1/3 on both refinement levels of the pde_ts_n3_sign record's grid
+    # the tempered-stable hitting table at indices 0.7 and 0.2 (the widest
+    # unit-law ladder) on an 80 x 30 grid, and at index 1/3 on both
+    # refinement levels of the pde_ts_n3_sign record's grid
     ("ts_hit_table_0.7", 80 * 30,
      lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
                                                 np.linspace(0.1, 3.0, 30), 0.7, 1.0)),
+    ("ts_hit_table_0.2", 80 * 30,
+     lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
+                                                np.linspace(0.1, 3.0, 30), 0.2, 1.0)),
     ("ts_hit_table_third_ts3", 9 * 6 + 13 * 9,
      lambda ig, np, rng, n: [ig.ts_hit_pdf_table(0.5 + h * np.arange(-2, nx + 3),
                                                  0.6 + h * np.arange(-1, nt + 2), 1.0 / 3.0, 1.0)

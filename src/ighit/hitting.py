@@ -51,7 +51,6 @@ from .subordinators import (
     simulate_until,
     stable_cdf,
     stable_pdf,
-    ts_pdf,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -209,9 +208,9 @@ def hit_pdf_convolution(x: float, t: float, model) -> float:
     return integrate_interval(integrand, 0.0, v_end)
 
 
-# Gauss nodes per panel and panels per decade of y; the self-check doubles the nodes
+# Gauss nodes per panel and panels per decade of w; the self-check doubles the nodes
 _TS_NODES = 16
-_TS_PANELS_PER_DECADE = 4
+_TS_PANELS_PER_DECADE = 16
 
 
 def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
@@ -224,12 +223,19 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     Scheffler's closed form (Stoch. Proc. Appl. 118, 2008) and the table at
     mu = 0.  The integrand changes sign at m and integrates to 0, so above m
     the integral is -int_t^Y, summed from the right: neither side cancels.
-    Each x has its own Gauss rule, geometric in y with an edge at every t,
-    from y0, where Kanter's L a(0) at time x is 50 + x mu^beta (the tilted
-    law holds at most e^-50 below), to Y = max(t, (x mu^beta + 40)/mu)
-    (E[S(x); S(x) > Y] <= (Y + 1/mu) e^(x mu^beta - mu Y) by Chernoff).
-    NumericalInstability is raised where the rule with doubled nodes differs
-    by more than 1e-8 of a column's peak.
+    S(x) has the law of x^(1/beta) S(1), so in w = y x^(-1/beta) the integrand
+    is (x^(1/beta) w - m) e^(x mu^beta - mu x^(1/beta) w) g(w) with g the unit
+    stable density, and one Gauss rule, geometric in w, serves every x.  It
+    runs from the least w0 over x, where Kanter's L a(0) at time x is
+    50 + x mu^beta (the tilted law holds at most e^-50 below), to the largest
+    Y x^(-1/beta), with Y = max(t, (x mu^beta + 40)/mu)
+    (E[S(x); S(x) > Y] <= (Y + 1/mu) e^(x mu^beta - mu Y) by Chernoff).  Each
+    t takes the panels below u = t x^(-1/beta) and the part below u of u's
+    own panel, the integral of the Legendre interpolant of its node values
+    (int_-1^s P_n = (P_n+1(s) - P_n-1(s))/(2n + 1); Greengard, SIAM J. Numer.
+    Anal. 28, 1991): no node is placed at any t.  NumericalInstability is
+    raised where the rule with doubled nodes differs by more than 1e-8 of a
+    column's peak.
     """
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     if xs.ndim != 1 or ts.ndim != 1:
@@ -237,32 +243,33 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     mu = _finite_nonnegative(mu, "ts_hit_pdf_table: mu")
     lam = xs[:, None] * mu ** beta
     table = np.exp(lam - mu * ts) * stable_hit_pdf(xs[:, None], ts, beta)
-    if mu == 0.0:
+    if mu == 0.0 or table.size == 0:
         return table
-    mean = beta * lam / mu
-    y0 = beta * xs[:, None] ** (1.0 / beta) * ((1.0 - beta) / (50.0 + lam)) ** (1.0 / beta - 1.0)
-    y_end = np.maximum(ts.max(), (lam + 40.0) / mu)
-    # zero-width panels, at the end of short ladders and at t below y0, cost nothing
-    count = np.ceil(_TS_PANELS_PER_DECADE * np.log10(y_end / y0))
-    ladder = y0 * (y_end / y0) ** np.minimum(np.arange(count.max() + 1) / count, 1.0)
-    # a ladder edge between two t closer than one panel's span is dropped
-    below = ladder[..., None] > ts
-    lo, hi = np.where(below, ts, 0.0).max(axis=-1), np.where(below, np.inf, ts).min(axis=-1)
-    inside = hi <= 10.0 ** (1.0 / _TS_PANELS_PER_DECADE) * lo
-    at_t = np.maximum(ts, y0)
-    edges = np.sort(np.concatenate([np.where(inside, y0, ladder), at_t], axis=1), axis=1)
-    at = (edges[:, :, None] <= at_t[:, None, :]).sum(axis=1) - 1  # the last edge at or below t
-    half, mid = 0.5 * np.diff(edges, axis=1), 0.5 * (edges[:, 1:] + edges[:, :-1])
+    mean, scale = beta * lam / mu, xs[:, None, None] ** (1.0 / beta)
+    w0 = beta * ((1.0 - beta) / (50.0 + lam.max())) ** (1.0 / beta - 1.0)
+    span = math.log(np.max(np.maximum(ts.max(), (lam + 40.0) / mu) / scale[..., 0]) / w0)
+    count = math.ceil(_TS_PANELS_PER_DECADE * span / math.log(10.0))
+    edges = w0 * np.exp(span / count * np.arange(count + 1))
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    # u's panel from its place on the geometric ladder, and u's place in it
+    u = ts / scale[..., 0]
+    at = np.clip(np.floor(count / span * np.log(u / w0)), 0, count - 1).astype(int)
+    s = np.clip((u - mid[at]) / half[at], -1.0, 1.0)
+    rows = np.arange(xs.size)[:, None]
+    # numpy.polynomial loads on first use, so commands that make no table never import it
+    leg = np.polynomial.legendre
     tables = []
     for nodes in (_TS_NODES, 2 * _TS_NODES):
         z, w = _gauss_rule(nodes)
-        y = mid[..., None] + half[..., None] * z
-        live = np.broadcast_to((half > 0)[..., None], y.shape)
-        f = np.zeros(y.shape)
-        f[live] = ts_pdf(y[live], np.broadcast_to(xs[:, None, None], y.shape)[live], beta, mu)
-        panels = np.pad(half * (((y - mean[..., None]) * f) @ w), ((0, 0), (1, 1)))
-        left = np.take_along_axis(np.cumsum(panels[:, :-1], axis=1), at, axis=1)
-        right = np.take_along_axis(np.cumsum(panels[:, :0:-1], axis=1)[:, ::-1], at, axis=1)
+        y = mid[:, None] + half[:, None] * z
+        f = (scale * y - mean[..., None]) * np.exp(lam[..., None] - mu * scale * y) \
+            * (half[:, None] * stable_pdf(y, 1.0, beta))
+        panels = np.pad(f @ w, ((0, 0), (1, 1)))
+        # Legendre coefficients of the interpolant on u's panel, integrated from -1 to s
+        coef = f[rows, at] @ (w[:, None] * leg.legvander(z, nodes - 1) * (np.arange(nodes) + 0.5))
+        part = leg.legval(s, np.moveaxis(leg.legint(coef, lbnd=-1, axis=-1), -1, 0), tensor=False)
+        left = np.cumsum(panels[:, :-1], axis=1)[rows, at] + part
+        right = np.cumsum(panels[:, :0:-1], axis=1)[:, ::-1][rows, at] - part
         tables.append(table + mu / (beta * xs[:, None]) * np.where(ts <= mean, left, -right))
     err = np.max(np.abs(tables[0] - tables[1]) / np.max(np.abs(tables[1]), axis=0))
     if not err <= 1e-8:

@@ -57,6 +57,7 @@ from ighit.subordinators import (
     TemperedStableSubordinator,
     ig_levy_tail,
     simulate_until,
+    stable_pdf,
     ts_half_ig_params,
 )
 from ighit.residuals import GridBox, _grid
@@ -356,6 +357,42 @@ class TestTemperedStableTables:
         xs, ts = np.linspace(0.05, 4.0, 7), np.array([0.1, 1.0, 3.0])
         assert np.array_equal(ts_hit_pdf_table(xs, ts, beta, 0.0),
                               stable_hit_pdf(xs[:, None], ts, beta))
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.7, 0.9])
+    def test_full_grid_passes_its_doubled_rule(self, beta, mu):
+        # the 80 x 30 grid of the ts_hit_table layers; NumericalInstability
+        # would mean the 16- and 32-node rules differ by 1e-8 of a column's peak
+        table = ts_hit_pdf_table(np.linspace(0.05, 4.0, 80), np.linspace(0.1, 3.0, 30), beta, mu)
+        assert table.shape == (80, 30) and np.all(np.isfinite(table))
+        assert np.all(table >= -1e-12 * table.max(axis=0))
+
+    def test_index_near_one_point(self):
+        # scipy quad of the duality formula at epsrel 1e-13, from the prototype
+        # of ROADMAP item 8
+        val = ts_hit_pdf_table(np.array([0.3]), np.array([0.2]), 0.9, 3.0)[0, 0]
+        assert val == pytest.approx(7.565501399546988, rel=1e-12)
+
+    def test_one_ladder_for_every_x_and_t(self, monkeypatch):
+        # the unit-law density is called once per rule, on nodes set by the
+        # grid's extremes alone: 80 x and 30 t cost no more than 2 x and 2 t
+        sizes = []
+
+        def counted(u, t, beta):
+            sizes.append(np.size(u))
+            return stable_pdf(u, t, beta)
+
+        monkeypatch.setattr(hitting, "stable_pdf", counted)
+        ts_hit_pdf_table(np.linspace(0.05, 4.0, 80), np.linspace(0.1, 3.0, 30), 0.7, 1.0)
+        full = sizes[1:]
+        sizes.clear()
+        ts_hit_pdf_table(np.array([0.05, 4.0]), np.array([0.1, 3.0]), 0.7, 1.0)
+        assert len(full) == 2 and full[1] == 2 * full[0] and sizes[1:] == full
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_empty_grid(self, mu):
+        assert ts_hit_pdf_table(np.array([]), np.array([1.0]), 0.7, mu).shape == (0, 1)
+        assert ts_hit_pdf_table(np.array([1.0]), np.array([]), 0.7, mu).shape == (1, 0)
 
     def test_short_rule_raises(self, monkeypatch):
         # one panel per decade leaves the 16-node rule short of its doubling
