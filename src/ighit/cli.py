@@ -199,16 +199,14 @@ def cmd_lt(args) -> int:
     params = _params_from(args)
     if args.which == "time":
         ss = args.s
-        vals = [hit_lt_time(args.x, float(s), params) for s in ss]
-        cols = {"s": ss, "lt_time": vals}
+        cols = {"s": ss, "lt_time": hit_lt_time(args.x, ss, params)}
     elif args.which == "space":
         mus = args.mu
         vals = hit_lt_space_closed(np.asarray(mus, dtype=float), args.t, params)
         cols = {"mu": mus, "lt_space": list(vals)}
     else:
         ss = args.s
-        vals = [hit_llt(args.u, float(s), params) for s in ss]
-        cols = {"s": ss, "llt": vals}
+        cols = {"s": ss, "llt": hit_llt(args.u, ss, params)}
     meta = {"which": args.which, "delta": params.delta, "gamma": params.gamma}
     _emit_table(args, cols, meta)
     return 0
@@ -287,9 +285,9 @@ def cmd_pde_check(args) -> int:
     elif args.pde == "ig":
         rep = residual_ig_pde(params, box)
     elif args.pde == "ts2":
-        rep = residual_ts_pde(2, args.mu, box)
+        rep = residual_ts_pde(2, args.mu, box)[0]
     elif args.pde == "ts3":
-        rep = residual_ts_pde(3, args.mu, box, sign=args.sign)
+        rep = residual_ts_pde(3, args.mu, box)[args.sign == "flipped"]
     elif args.pde == "subordinated":
         rep = residual_subordinated(params, box)
     elif args.pde == "frac-hitting":

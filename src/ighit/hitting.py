@@ -654,6 +654,8 @@ def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     4 dt; H is on the grid dt * arange(round(horizon / dt) + 1).  Returns
     (G, H).
     """
+    if horizon <= 0 or not 0 < dt <= horizon:
+        raise DomainError("need horizon > 0 and 0 < dt <= horizon")
     chunk = 2.0 * horizon
     if isinstance(model, IGSubordinator):
         chunk *= max(model.params.gamma / model.params.delta, 1.0)

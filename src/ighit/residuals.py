@@ -2,8 +2,10 @@
 
 Each check tabulates the relevant density on a rectangular grid, applies the
 discrete operator, and reports interior residual norms at two resolutions,
-the second halving the first's steps; a second-order stencil set should show a refinement ratio near 4
-under step halving, the L1 Caputo scheme near 2^(3/2).  Dirac source terms are
+the second halving the first's steps; a second-order stencil set should show a
+refinement ratio near 4 under step halving, the L1 Caputo scheme near
+2^(3/2).  A differential operator is a list of (coefficient, axis, order)
+terms, applied by one driver (`_pde`).  Dirac source terms are
 handled by domain restriction: every grid is interior to the region where
 those terms vanish, so the identities hold classically there.  A negative
 control, such as the printed hitting density, is a `perturb(x, t, table)` hook.
@@ -33,6 +35,12 @@ from .subordinators import (
 )
 
 
+# The most coarse steps from 0 to a box's far edge on either axis (the
+# fractional checks' grids start at 0); the committed boxes need at most 384,
+# where a step of 1e-9 would tabulate over a billion points.
+_MAX_STEPS = 1024
+
+
 @dataclass(frozen=True)
 class GridBox:
     """Reporting region and coarsest steps for a residual check."""
@@ -49,6 +57,10 @@ class GridBox:
             raise DomainError("box must have positive extent")
         if not (self.dx > 0 and self.dt > 0):
             raise DomainError("steps must be positive")
+        for name, lo, hi, h in (("dx", self.x0, self.x1, self.dx),
+                                ("dt", self.t0, self.t1, self.dt)):
+            if max(abs(lo), abs(hi)) / h > _MAX_STEPS:
+                raise DomainError(f"step {name} = {h} is too fine (over {_MAX_STEPS} steps)")
 
 
 # Default box of each residual check, keyed by its `ighit pde-check --pde`
@@ -205,6 +217,14 @@ def _report(levels: list, label: str, extra: dict) -> ResidualReport:
     return replace(fine, refinement_ratio=ratio, fitted_order=order, label=label, extra=extra)
 
 
+def _ig_table(params: IGParams, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The subordinator density at xs by ts, one IG marginal per t."""
+    F = np.empty((xs.size, ts.size))
+    for j, t in enumerate(ts):
+        F[:, j] = ig_pdf(xs, params.marginal(float(t)))
+    return F
+
+
 def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:
     n = int(round((hi - lo) / h))
     return lo + h * np.arange(-margin, n + margin + 1)
@@ -214,107 +234,90 @@ def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:
 # Second-order PDE residuals
 # ---------------------------------------------------------------------------
 
+# The axes of a residual term, and each derivative order's stencil and half-width.
+_X, _T = 0, 1
+_STENCILS = {1: (_d1, 1), 2: (_d2, 1), 3: (_d3, 2), 4: (_d4, 2)}
+
+
+def _pde(table, box: GridBox, terms: list, perturb, label: str, extra: dict,
+         signs=(1.0,)) -> tuple:
+    """Residual of the sum of c d^k F / d axis^k over `terms`, (c, axis, k)
+    each, F being `table(xs, ts)`: one report per entry of `signs`, which
+    multiplies the t-terms, all from one tabulation per level.
+
+    An axis's grid margin is the widest stencil half-width on it, every term
+    is cut to that common interior, and the terms are summed in the listed
+    order; the scale is the largest |term|.
+    """
+    margin = [max((_STENCILS[k][1] for _, a, k in terms if a == axis), default=0)
+              for axis in (_X, _T)]
+
+    def run(dx, dt):
+        xs = _grid(box.x0, box.x1, dx, margin[_X])
+        ts = _grid(box.t0, box.t1, dt, margin[_T])
+        F = _perturbed(perturb, xs, ts, table(xs, ts))
+        scaled = []
+        for c, axis, k in terms:
+            stencil, half = _STENCILS[k]
+            cut = [m - half * (a == axis) for a, m in enumerate(margin)]
+            scaled.append((axis, c * _trim(stencil(F, (dx, dt)[axis], axis), *cut)))
+        xs, ts = xs[margin[_X]:xs.size - margin[_X]], ts[margin[_T]:ts.size - margin[_T]]
+        signed = ([sign * P if axis == _T else P for axis, P in scaled] for sign in signs)
+        return [_level(xs, ts, sum(parts[1:], parts[0]), parts, (dx, dt)) for parts in signed]
+
+    return tuple(_report(levels, label, extra)
+                 for levels in zip(*_coarse_fine(run, box.dx, box.dt)))
+
+
 def residual_hitting_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:
     """Interior residual of h_xx - 2 delta gamma h_x - 2 delta^2 h_t on the
     tabulated hitting density."""
     ev = HittingDensityEval(params)
     d, g = params.delta, params.gamma
-
-    def run(dx, dt):
-        xs = _grid(box.x0, box.x1, dx, 1)
-        ts = _grid(box.t0, box.t1, dt, 1)
-        F = hit_pdf_table(xs[:, None], ts[None, :], ev)
-        F = _perturbed(perturb, xs, ts, F)
-        term_xx = _trim(_d2(F, dx, 0), 0, 1)
-        term_x = _trim(_d1(F, dx, 0), 0, 1)
-        term_t = _trim(_d1(F, dt, 1), 1, 0)
-        residual = term_xx - 2.0 * d * g * term_x - 2.0 * d * d * term_t
-        terms = [term_xx, 2.0 * d * g * term_x, 2.0 * d * d * term_t]
-        return _level(xs[1:-1], ts[1:-1], residual, terms, (dx, dt))
-
-    return _report(_coarse_fine(run, box.dx, box.dt), "hitting_pde",
-                   {"delta": d, "gamma": g})
+    return _pde(lambda xs, ts: hit_pdf_table(xs[:, None], ts[None, :], ev), box,
+                [(1.0, _X, 2), (-2.0 * d * g, _X, 1), (-2.0 * d * d, _T, 1)],
+                perturb, "hitting_pde", {"delta": d, "gamma": g})[0]
 
 
 def residual_ig_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:
     """Interior residual of g_tt - 2 delta gamma g_t - 2 delta^2 g_x on the
     subordinator density g(x, t) = IG(delta t, gamma) pdf at x."""
     d, g = params.delta, params.gamma
-
-    def run(dx, dt):
-        xs = _grid(box.x0, box.x1, dx, 1)
-        ts = _grid(box.t0, box.t1, dt, 1)
-        F = np.empty((xs.size, ts.size))
-        for j, t in enumerate(ts):
-            F[:, j] = ig_pdf(xs, params.marginal(float(t)))
-        F = _perturbed(perturb, xs, ts, F)
-        term_tt = _trim(_d2(F, dt, 1), 1, 0)
-        term_t = _trim(_d1(F, dt, 1), 1, 0)
-        term_x = _trim(_d1(F, dx, 0), 0, 1)
-        residual = term_tt - 2.0 * d * g * term_t - 2.0 * d * d * term_x
-        terms = [term_tt, 2.0 * d * g * term_t, 2.0 * d * d * term_x]
-        return _level(xs[1:-1], ts[1:-1], residual, terms, (dx, dt))
-
-    return _report(_coarse_fine(run, box.dx, box.dt), "ig_pde", {"delta": d, "gamma": g})
-
-
-_TS_SIGNS = ("as_printed", "flipped")
+    return _pde(lambda xs, ts: _ig_table(params, xs, ts), box,
+                [(1.0, _T, 2), (-2.0 * d * g, _T, 1), (-2.0 * d * d, _X, 1)],
+                perturb, "ig_pde", {"delta": d, "gamma": g})[0]
 
 
 def residual_ts_pde(n: int, mu: float, box: GridBox, *,
-                    sign: str = "as_printed", perturb=None) -> ResidualReport:
-    """Residual of the order-n hitting PDE of the tempered stable subordinator.
+                    perturb=None) -> tuple[ResidualReport, ResidualReport]:
+    """Residual of the order-n hitting PDE of the tempered stable subordinator,
+    as printed and with the sign of its time-derivative side flipped.
 
     beta = 1/n; the operator is sum_j (-1)^j C(n, j) mu^(1-j/n) d^j/dx^j
     applied to the hitting density, equated to its time derivative.  n = 2 and
-    n = 3 are supported.  sign='flipped' negates the time-derivative side and
-    exists as the negative control for the sign-convention check.
+    n = 3 are supported.  The flipped report is the negative control for the
+    sign-convention check; both come from one tabulation per level.
 
-    The density is tabulated on the whole grid at once.  At n = 2 the
-    subordinator is the IG process of `ts_half_ig_params(mu)`, so its hitting
-    density is the closed form `hit_pdf_table`.  At n = 3 it is
+    At n = 2 the subordinator is the IG process of `ts_half_ig_params(mu)`, so
+    its hitting density is the closed form `hit_pdf_table`.  At n = 3 it is
     `ts_hit_pdf_table`, from the x-derivative of the duality.  The scalar
     Levy-tail convolution `hit_pdf_convolution` stays the oracle of both.
     """
-    if sign not in _TS_SIGNS:
-        raise DomainError("sign must be 'as_printed' or 'flipped'")
-    reports = _residual_ts_pde_signs(n, mu, box, perturb=perturb)
-    return reports[_TS_SIGNS.index(sign)]
-
-
-def _residual_ts_pde_signs(n: int, mu: float, box: GridBox, *,
-                           perturb=None) -> tuple[ResidualReport, ResidualReport]:
-    """`residual_ts_pde` for both signs, in `_TS_SIGNS` order, from one
-    tabulation of the density per refinement level."""
     if n not in (2, 3):
         raise DomainError("n must be 2 or 3")
-    beta = 1.0 / n
-    mx = 1 if n == 2 else 2
     ev = HittingDensityEval(ts_half_ig_params(mu))
 
-    def run(dx, dt):
-        xs = _grid(box.x0, box.x1, dx, mx)
-        ts = _grid(box.t0, box.t1, dt, 1)
-        F = _perturbed(perturb, xs, ts, hit_pdf_table(xs[:, None], ts[None, :], ev)
-                       if n == 2 else ts_hit_pdf_table(xs, ts, beta, mu))
-        term_t = _trim(_d1(F, dt, 1), mx, 0)
-        if n == 2:
-            space = _trim(_d2(F, dx, 0), 0, 1) \
-                - 2.0 * math.sqrt(mu) * _trim(_d1(F, dx, 0), 0, 1)
-            terms = [space, term_t]
-        else:
-            d1 = _trim(_d1(F, dx, 0)[1:-1], 0, 1)
-            d2 = _trim(_d2(F, dx, 0)[1:-1], 0, 1)
-            d3 = _trim(_d3(F, dx, 0), 0, 1)
-            space = -d3 + 3.0 * mu ** (1.0 / 3.0) * d2 - 3.0 * mu ** (2.0 / 3.0) * d1
-            terms = [d3, 3.0 * mu ** (1.0 / 3.0) * d2, 3.0 * mu ** (2.0 / 3.0) * d1, term_t]
-        return tuple(_level(xs[mx:-mx], ts[1:-1], residual, terms, (dx, dt))
-                     for residual in (space - term_t, space + term_t))
+    def table(xs, ts):
+        return (hit_pdf_table(xs[:, None], ts[None, :], ev) if n == 2
+                else ts_hit_pdf_table(xs, ts, 1.0 / n, mu))
 
-    levels = _coarse_fine(run, box.dx, box.dt)
-    return tuple(_report([level[k] for level in levels], f"ts_pde_n{n}",
-                         {"beta": beta, "mu": mu, "sign": sign})
-                 for k, sign in enumerate(_TS_SIGNS))
+    space = ([(1.0, _X, 2), (-2.0 * math.sqrt(mu), _X, 1)] if n == 2 else
+             [(-1.0, _X, 3), (3.0 * mu ** (1.0 / 3.0), _X, 2),
+              (-3.0 * mu ** (2.0 / 3.0), _X, 1)])
+    reports = _pde(table, box, space + [(-1.0, _T, 1)], perturb, f"ts_pde_n{n}",
+                   {"beta": 1.0 / n, "mu": mu}, signs=(1.0, -1.0))
+    return tuple(replace(rep, extra={**rep.extra, "sign": sign})
+                 for rep, sign in zip(reports, ("as_printed", "flipped")))
 
 
 def residual_subordinated(params: IGParams, box: GridBox, *,
@@ -323,20 +326,9 @@ def residual_subordinated(params: IGParams, box: GridBox, *,
     subordinated density, interior to x != 0, t > 0."""
     ev = SubordinatedEval(params)
     d, g = params.delta, params.gamma
-
-    def run(dx, dt):
-        xs = _grid(box.x0, box.x1, dx, 2)
-        ts = _grid(box.t0, box.t1, dt, 1)
-        F = _perturbed(perturb, xs, ts, sub_pdf_table(xs, ts, ev))
-        term_t = _trim(_d1(F, dt, 1), 2, 0)
-        term_xxxx = _trim(_d4(F, dx, 0), 0, 1)
-        term_xx = _trim(_d2(F, dx, 0)[1:-1], 0, 1)
-        residual = 2.0 * d * d * term_t - 0.25 * term_xxxx - d * g * term_xx
-        terms = [2.0 * d * d * term_t, 0.25 * term_xxxx, d * g * term_xx]
-        return _level(xs[2:-2], ts[1:-1], residual, terms, (dx, dt))
-
-    return _report(_coarse_fine(run, box.dx, box.dt), "subordinated_pde",
-                   {"delta": d, "gamma": g})
+    return _pde(lambda xs, ts: sub_pdf_table(xs, ts, ev), box,
+                [(2.0 * d * d, _T, 1), (-0.25, _X, 4), (-d * g, _X, 2)],
+                perturb, "subordinated_pde", {"delta": d, "gamma": g})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +388,7 @@ def residual_frac_ig(box: GridBox, *, perturb=None) -> ResidualReport:
         xs = dx * np.arange(nx + 1)
         ts = _grid(box.t0, box.t1, dt, 1)
         F = np.zeros((xs.size, ts.size))
-        for j, t in enumerate(ts):
-            F[1:, j] = ig_pdf(xs[1:], params.marginal(float(t)))
+        F[1:] = _ig_table(params, xs[1:], ts)
         F = _perturbed(perturb, xs, ts, F)
         cap = caputo_derivative(xs, np.moveaxis(F, 0, -1), 0.5)
         cap = np.moveaxis(cap, -1, 0)
@@ -466,12 +457,12 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
         raise DomainError("x_grid must be nonempty, finite and nonnegative")
     if source == "numeric" and np.any(x_arr <= _LT_STEP):
         raise DomainError(f"x_grid must exceed the step {_LT_STEP} at source='numeric'")
-    psi = np.array([ig_psi(float(s), params) for s in s_arr])
+    psi = ig_psi(s_arr, params)
 
     def table(xs):
         if source == "numeric":
             return _numeric_lt(params, xs, s_arr)
-        return np.array([[hit_lt_time(float(x), float(s), params) for s in s_arr] for x in xs])
+        return np.array([hit_lt_time(float(x), s_arr, params) for x in xs])
 
     h = table(x_arr)
     if source == "closed":

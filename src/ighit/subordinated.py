@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .numerics import composite_gauss, geomspace, integrate_interval
 from .hitting import (
     HittingDensityEval,
@@ -151,8 +150,6 @@ def sub_sample_path(params: IGParams, horizon: float, dt: float,
     the nondecreasing clock increments; zero clock increments give exactly
     constant stretches of X.
     """
-    if horizon <= 0 or not 0 < dt <= horizon:
-        raise DomainError("need horizon > 0 and 0 < dt <= horizon")
     h_path = hitting_path(IGSubordinator(params), horizon, dt, rng)[1]
     d_h = np.diff(h_path.values, prepend=0.0)
     gauss = rng.standard_normal(d_h.size)

@@ -48,7 +48,6 @@ from .hitting import (
 from .numerics import integrate_interval, integrate_ladder, integrate_semi_infinite
 from .residuals import (
     PDE_BOXES,
-    _residual_ts_pde_signs,
     residual_frac_hitting,
     residual_frac_ig,
     residual_hitting_pde,
@@ -394,7 +393,7 @@ def _rec_pde_ig() -> VerificationRecord:
 def _rec_pde_ts_n2() -> VerificationRecord:
     mu = 1.0
     box = PDE_BOXES["ts2"]
-    rep = residual_ts_pde(2, mu, box)
+    rep = residual_ts_pde(2, mu, box)[0]
     # the residual tabulates the IG closed form; the Levy-tail convolution of
     # the tempered stable model checks it at the box's corners and centre
     xs = np.array([box.x0, box.x0, box.x1, box.x1, 0.5 * (box.x0 + box.x1)])
@@ -410,7 +409,7 @@ def _rec_pde_ts_n2() -> VerificationRecord:
 
 
 def _rec_pde_ts_n3_sign() -> VerificationRecord:
-    rep, rep_flip = _residual_ts_pde_signs(3, 1.0, PDE_BOXES["ts3"])
+    rep, rep_flip = residual_ts_pde(3, 1.0, PDE_BOXES["ts3"])
     ok = (3.0 <= rep.refinement_ratio <= 5.0
           and rep.norms["max_rel"] < 0.05
           and rep_flip.norms["max_rel"] > 10.0 * rep.norms["max_rel"])

@@ -206,7 +206,7 @@ def test_criterion_09_pde_residuals():
         "hitting_driftless": residual_hitting_pde(
             p10, GridBox(0.2, 3.0, 0.5, 2.0, 1 / 32, 1 / 32)),
         "subordinator": residual_ig_pde(p11, GridBox(0.5, 2.5, 0.5, 1.5, 1 / 40, 1 / 40)),
-        "tempered_n2": residual_ts_pde(2, 1.0, GridBox(0.3, 1.1, 0.6, 1.2, 1 / 32, 1 / 32)),
+        "tempered_n2": residual_ts_pde(2, 1.0, GridBox(0.3, 1.1, 0.6, 1.2, 1 / 32, 1 / 32))[0],
         "subordinated": residual_subordinated(
             p11, GridBox(0.3, 1.5, 0.5, 1.0, 1 / 32, 1 / 32)),
     }

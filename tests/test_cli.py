@@ -123,6 +123,11 @@ class TestPathsCommand:
         assert np.all(np.diff(g_vals) > 0)
         assert np.all(np.diff(h_vals) >= 0)
 
+    def test_step_above_horizon_is_usage_error(self, tmp_path, capsys):
+        assert run_in(tmp_path, ["paths", "--T", "1", "--dt", "2"]) == 2
+        assert "dt <= horizon" in capsys.readouterr().err
+        assert not (tmp_path / "paths_h.csv").exists()
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_flag_value(self, tmp_path):
@@ -301,10 +306,16 @@ class TestPdeCheckCommand:
     def test_dx_alone_sets_both_steps(self, tmp_path):
         assert run_in(tmp_path, ["pde-check", "--pde", "ts2", "--dx", "0.03125"]) == 0
         box = PDE_BOXES["ts2"]
-        residual_ts_pde(2, 1.0, GridBox(box.x0, box.x1, box.t0, box.t1, 0.03125, 0.03125)) \
+        residual_ts_pde(2, 1.0, GridBox(box.x0, box.x1, box.t0, box.t1, 0.03125, 0.03125))[0] \
             .to_json(tmp_path / "expected.json")
         assert (tmp_path / "pde_ts2.json").read_bytes() == \
             (tmp_path / "expected.json").read_bytes()
+
+    @pytest.mark.parametrize("pde, flag", [("hitting", "--dx"), ("frac-hitting", "--dt")])
+    def test_too_fine_step_is_usage_error(self, tmp_path, pde, flag, capsys):
+        # the grid would take about 1e9 points; the box refuses the step first
+        assert run_in(tmp_path, ["pde-check", "--pde", pde, flag, "1e-9"]) == 2
+        assert f"step {flag[2:]} = 1e-09 is too fine (over 1024 steps)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--dx", "--dt"])
     def test_steps_on_pseudo_lt_are_usage_errors(self, tmp_path, flag, capsys):

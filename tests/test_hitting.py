@@ -773,6 +773,12 @@ class TestPathInversion:
         with pytest.raises(DomainError):
             invert_path(g, np.array([2.5]))
 
+    @pytest.mark.parametrize("horizon, dt", [(1.0, 2.0), (0.0, 0.1), (1.0, 0.0)])
+    def test_path_needs_a_step_within_the_horizon(self, params_11, horizon, dt):
+        with pytest.raises(DomainError, match="dt <= horizon"):
+            hitting.hitting_path(IGSubordinator(params_11), horizon, dt,
+                                 np.random.default_rng(1))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.01, 2.0), min_size=2, max_size=12),
            st.floats(0.01, 0.99))

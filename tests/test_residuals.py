@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ighit import residuals
 from ighit.errors import DomainError
 from ighit.hitting import hit_lt_time, printed_prefactor_ratio
 from ighit.residuals import (
     _LT_STEP,
+    PDE_BOXES,
     GridBox,
     ResidualReport,
     caputo_derivative,
@@ -30,9 +32,8 @@ def perturb(x, t, values):
 
 @pytest.fixture(scope="module")
 def ts_n3_signs():
-    """The order-3 residual on the verify record's box, one call per sign."""
-    box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
-    return residual_ts_pde(3, 1.0, box), residual_ts_pde(3, 1.0, box, sign="flipped")
+    """The order-3 residual on the verify record's box, both signs."""
+    return residual_ts_pde(3, 1.0, GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8))
 
 
 class TestCaputo:
@@ -120,11 +121,11 @@ class TestSecondOrderResiduals:
     def test_ts_heat_kernel_case(self):
         # untempered half-index: the hitting density solves the plain heat
         # equation exactly
-        rep = residual_ts_pde(2, 0.0, GridBox(0.3, 1.1, 0.6, 1.2, 1 / 16, 1 / 16))
+        rep = residual_ts_pde(2, 0.0, GridBox(0.3, 1.1, 0.6, 1.2, 1 / 16, 1 / 16))[0]
         assert 3.5 <= rep.refinement_ratio <= 4.5
 
     def test_ts_n2(self):
-        rep = residual_ts_pde(2, 1.0, GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16))
+        rep = residual_ts_pde(2, 1.0, GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16))[0]
         assert 3.5 <= rep.refinement_ratio <= 4.5
         assert rep.norms["max_rel"] < 5e-3
 
@@ -133,6 +134,18 @@ class TestSecondOrderResiduals:
         assert 3.0 <= printed.refinement_ratio <= 5.0
         assert flipped.norms["max_rel"] > 10.0 * printed.norms["max_rel"]
         assert flipped.refinement_ratio < 1.5
+
+    def test_ts_one_tabulation_per_level_for_both_signs(self, monkeypatch):
+        calls = []
+        table = residuals.ts_hit_pdf_table
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(residuals, "ts_hit_pdf_table", counted)
+        reports = residual_ts_pde(3, 1.0, PDE_BOXES["ts3"])
+        assert len(calls) == 2 and len(reports) == 2
 
     def test_ts_n3_record_matches_separate_calls(self, ts_n3_signs):
         # the verify record tabulates F once for both signs
@@ -179,10 +192,8 @@ class TestPseudoTransformResidual:
     def test_closed_form_detects_wrong_exponent(self, params_11, monkeypatch):
         # a transform decaying at Psi(2s) in x breaks the identity; the check
         # must see it
-        import ighit.residuals as residuals
-
         def wrong(x, s, params):
-            return ig_psi(s, params) / s * math.exp(-x * ig_psi(2.0 * s, params))
+            return ig_psi(s, params) / s * np.exp(-x * ig_psi(2.0 * s, params))
 
         monkeypatch.setattr(residuals, "hit_lt_time", wrong)
         rep = residual_pseudo_lt(params_11, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
@@ -256,7 +267,7 @@ class TestNegativeControlsAndDeterminism:
             "ig": lambda **kw: residual_ig_pde(
                 params_11, GridBox(0.6, 1.8, 0.6, 1.2, 1 / 48, 1 / 48), **kw),
             "ts2": lambda **kw: residual_ts_pde(
-                2, 1.0, GridBox(0.2, 0.8, 0.7, 1.0, 1 / 48, 1 / 48), **kw),
+                2, 1.0, GridBox(0.2, 0.8, 0.7, 1.0, 1 / 48, 1 / 48), **kw)[0],
             "subordinated": lambda **kw: residual_subordinated(
                 params_11, GridBox(0.4, 1.0, 0.6, 0.9, 1 / 24, 1 / 24), **kw),
             "frac_hitting": lambda **kw: residual_frac_hitting(
@@ -267,6 +278,13 @@ class TestNegativeControlsAndDeterminism:
         clean = small()
         dirty = small(perturb=perturb)
         assert dirty.norms["max_abs"] > 10.0 * clean.norms["max_abs"]
+
+    def test_box_refuses_too_fine_a_step(self):
+        assert GridBox(0.5, 1.0, -1.0, -0.5, 1 / 1024, 1 / 1024).dt == 1 / 1024
+        with pytest.raises(DomainError, match="step dx"):
+            GridBox(0.5, 1.0, 0.5, 1.0, 1 / 2048, 1 / 1024)
+        with pytest.raises(DomainError, match="step dt"):
+            GridBox(0.5, 1.0, -1.0, -0.5, 1 / 1024, 1 / 2048)
 
     def test_reports_deterministic(self, params_11):
         box = GridBox(0.5, 1.1, 0.6, 1.2, 1 / 16, 1 / 16)
