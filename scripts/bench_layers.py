@@ -119,6 +119,22 @@ LAYERS = (
     ("sub_pdf_table", 256,
      lambda ig, np, rng, n: ig.sub_pdf_table(np.linspace(-4.0, 4.0, n), 1.0,
                                              ig.SubordinatedEval(ig.IGParams(1.0, 1.0)))),
+    # the fine levels of the pde_subordinated (63 x 27, gamma 1) and
+    # pde_frac_subordinated (131 x 96, gamma 0) grids, whose times span
+    # several cutoffs, and the driftless hitting table on pde_frac_hitting's
+    # fine grid (323 x 128)
+    ("sub_pdf_table_pde_grid", 63 * 27,
+     lambda ig, np, rng, n: ig.sub_pdf_table(0.3 + np.arange(-2, 61) / 48.0,
+                                             0.5 + np.arange(-1, 26) / 48.0,
+                                             ig.SubordinatedEval(ig.IGParams(1.0, 1.0)))),
+    ("sub_pdf_table_frac_grid", 131 * 96,
+     lambda ig, np, rng, n: ig.sub_pdf_table(0.25 + np.arange(-1, 130) / 128.0,
+                                             np.arange(1, 97) / 128.0,
+                                             ig.SubordinatedEval(ig.IGParams(1.0, 0.0)))),
+    ("hit_pdf_table_driftless_grid", 323 * 128,
+     lambda ig, np, rng, n: ig.hit_pdf_table((0.25 + np.arange(-1, 322) / 256.0)[:, None],
+                                             np.arange(1, 129)[None, :] / 128.0,
+                                             ig.HittingDensityEval(ig.IGParams(1.0, 0.0)))),
     # the tempered-stable hitting table at indices 0.7 and 0.2 (the widest
     # unit-law ladder) on an 80 x 30 grid, and at index 1/3 on both
     # refinement levels of the pde_ts_n3_sign record's grid

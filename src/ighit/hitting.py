@@ -169,6 +169,10 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
         raise DomainError("x must be nonnegative")
     d, g = ev.params.delta, ev.params.gamma
     sq = np.sqrt(t)
+    if g == 0.0:
+        # v >= 0 puts erfcx(v/sqrt(2)) in (0, 1], so the erfcx term is exactly 0
+        a = d * xs / sq
+        return d * np.exp(-0.5 * a * a) * np.sqrt(2.0 / (math.pi * t))
     a = (d * xs - g * t) / sq
     v = (d * xs + g * t) / sq
     return d * np.exp(-0.5 * a * a) * (np.sqrt(2.0 / (math.pi * t)) - g * erfcx(v / SQRT2))

@@ -29,7 +29,8 @@ from .hitting import (
 from .subordinated import SubordinatedEval, sub_pdf_table
 from .subordinators import (
     IGParams,
-    ig_pdf,
+    _finite_positive,
+    _ig_pdf,
     ig_psi,
     ts_half_ig_params,
 )
@@ -138,9 +139,10 @@ def caputo_derivative(times, values, alpha: float) -> np.ndarray:
     n = t_arr.size - 1
     k = np.arange(n, dtype=float)
     b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    # B[j, m] = b[m - j] for j <= m gives out[..., m+1] = sum_j diff_j b[m-j]
-    jj, mm = np.indices((n, n))
-    B = np.where(jj <= mm, b[np.clip(mm - jj, 0, n - 1)], 0.0)
+    # B[j, m] = b[m - j] for j <= m gives out[..., m+1] = sum_j diff_j b[m-j]:
+    # row j of B is the window of (0,)*(n-1) + b that starts at n - 1 - j
+    padded = np.concatenate([np.zeros(n - 1), b])
+    B = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
     diffs = np.diff(vals, axis=-1)
     out = np.zeros_like(vals)
     out[..., 1:] = (diffs @ B) * dt ** (-alpha) / math.gamma(2.0 - alpha)
@@ -218,11 +220,12 @@ def _report(levels: list, label: str, extra: dict) -> ResidualReport:
 
 
 def _ig_table(params: IGParams, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The subordinator density at xs by ts, one IG marginal per t."""
-    F = np.empty((xs.size, ts.size))
-    for j, t in enumerate(ts):
-        F[:, j] = ig_pdf(xs, params.marginal(float(t)))
-    return F
+    """The subordinator density at xs by ts: the IG(delta t, gamma) marginal
+    densities, broadcast over x and t, equal to `ig_pdf` at each t."""
+    x = _finite_positive(xs, "ig_pdf: x")[:, None]
+    a = _finite_positive(params.delta * ts, "a")
+    return _ig_pdf(x, a, params.gamma, np.array([math.log(v) for v in a.tolist()]),
+                   np.array([v ** 2 for v in a.tolist()]))
 
 
 def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:

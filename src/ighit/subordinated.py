@@ -37,6 +37,12 @@ WEIGHT_BLOCK = 8192
 # floor are exactly zero without a mask that would add to the kernel's memory
 KERNEL_FLOOR = -700.0
 _FLOOR_VALUE = np.exp(KERNEL_FLOOR)  # by numpy's exp, so the shift is exact
+# Nodes per matrix product of a table over several times.  A BLAS may sum a
+# longer product in blocks that depend on its thread count (OpenBLAS 0.3.31
+# does above 384 nodes on AVX-512 hosts), where a matrix-vector product's sums
+# do not; summing shorter products keeps the table, and the residuals that a
+# fourth-order stencil builds on it, the same on any number of threads.
+NODE_CHUNK = 192
 
 
 @dataclass(frozen=True)
@@ -72,14 +78,17 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
 def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     """Vectorised density on an array of x, broadcast over an array of t.
 
-    The result has shape xs.shape + t.shape.  Each t shares one v-quadrature
-    grid across x: shared nodes keep the tabulation error smooth in x, so
-    high-order finite-difference stencils applied to the table see
-    discretisation error rather than amplified point noise.  The v-rule and
-    the Gauss kernel e^(-x^2/2v^2) depend on t only through the cutoff
-    v_max(t), so times with one cutoff share one kernel, and each time adds a
-    single kernel-times-weights product per batch of x.  The weights of all
-    times, whatever their cutoffs, come from broadcast hit_pdf_table calls of
+    The result has shape xs.shape + t.shape.  All x and t share one v-rule:
+    a panel [0, c_min 1e-4], then a geometric ladder from c_min 1e-4 to c_max
+    at 95 panels per 4 decades, 12 Gauss nodes per panel, c_min and c_max
+    being the least and greatest cutoff v_max(t) of the call.  Shared nodes
+    keep the tabulation error smooth in x and t, so high-order
+    finite-difference stencils applied to the table see discretisation error
+    rather than amplified point noise.  With one t, or times of one cutoff,
+    the ladder has 95 panels.  The Gauss kernel e^(-x^2/2v^2) is built once
+    per batch of x, and its product with the weights of every t gives the
+    batch's rows, summed over NODE_CHUNK nodes at a time when there are
+    several times.  The weights come from broadcast hit_pdf_table calls of
     WEIGHT_BLOCK points or fewer.
     """
     _check_t(t)
@@ -87,36 +96,39 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     _check_x(xs)
     t_arr = np.asarray(t, dtype=float)
     ts = t_arr.ravel()
-    v_maxes, rule_of = np.unique(_v_cutoff(ts, ev), return_inverse=True)
-    rules = [composite_gauss(np.concatenate([[0.0], geomspace(v * 1e-4, v, 96)]), 12)
-             for v in v_maxes]
-    v2 = np.array([pts * pts for pts, _ in rules])
-    wts = np.array([w for _, w in rules])
+    cuts = _v_cutoff(ts, ev)
+    c_min, c_max = float(cuts.min()), float(cuts.max())
+    panels = 95 + math.ceil(23.75 * math.log10(c_max / c_min))
+    pts, wts = composite_gauss(
+        np.concatenate([[0.0], geomspace(c_min * 1e-4, c_max, panels + 1)]), 12)
+    v2 = pts * pts
     hev = HittingDensityEval(ev.params)
-    weights = np.empty((ts.size, v2.shape[1]))
-    step = max(1, WEIGHT_BLOCK // v2.shape[1])
+    weights = np.empty((v2.size, ts.size))
+    step = max(1, WEIGHT_BLOCK // v2.size)
     for i in range(0, ts.size, step):
-        k = rule_of[i:i + step]
-        np.multiply(wts[k], hit_pdf_table(v2[k], ts[i:i + step, None], hev),
-                    out=weights[i:i + step])
+        np.multiply(wts[:, None], hit_pdf_table(v2[:, None], ts[None, i:i + step], hev),
+                    out=weights[:, i:i + step])
+    neg_inv_2v2 = -1.0 / (2.0 * v2)
+    chunk = v2.size if ts.size == 1 else NODE_CHUNK
     flat = xs.ravel()
-    out = np.empty((flat.size, ts.size))
+    out = np.zeros((flat.size, ts.size))
     batch = 256
-    for k in range(v_maxes.size):
-        cols = np.flatnonzero(rule_of == k)
-        neg_inv_2v2 = -1.0 / (2.0 * v2[k])
-        for start in range(0, flat.size, batch):
-            x2 = flat[start:start + batch] ** 2
+    for start in range(0, flat.size, batch):
+        x2 = flat[start:start + batch] ** 2
+        rows = out[start:start + batch]
+        for k in range(0, v2.size, chunk):
+            neg = neg_inv_2v2[k:k + chunk]
             # the leading columns, where even the least x^2 reaches the floor, stay 0
-            lead = np.count_nonzero(x2.min() * neg_inv_2v2 < KERNEL_FLOOR)
-            gauss = np.zeros((x2.size, v2.shape[1]))
+            lead = np.count_nonzero(x2.min() * neg < KERNEL_FLOOR)
+            if lead == neg.size:
+                continue
+            gauss = np.zeros((x2.size, neg.size))
             live = gauss[:, lead:]
-            np.outer(x2, neg_inv_2v2[lead:], out=live)
+            np.outer(x2, neg[lead:], out=live)
             np.maximum(live, KERNEL_FLOOR, out=live)
             np.exp(live, out=live)
             live -= _FLOOR_VALUE
-            for j in cols:
-                out[start:start + batch, j] = gauss @ weights[j]
+            rows += gauss @ weights[k:k + chunk]
             del gauss, live  # one kernel alive at a time keeps peak memory flat
     out *= SQRT_2_OVER_PI
     return out.reshape(xs.shape + t_arr.shape)

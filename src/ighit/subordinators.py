@@ -98,14 +98,23 @@ class IGMarginal:
         return self.a / self.b
 
 
+def _ig_pdf(x, a, b: float, log_a, a_sq):
+    """IG(a, b) density at x > 0, broadcast over x and a.
+
+    log_a and a_sq are log(a) and a ** 2 taken per a by math.log and float
+    power: numpy's log and square differ from those in the last bit for some
+    a, so a table over an array of a rounds as `ig_pdf` at each a only if the
+    caller takes them that way.
+    """
+    return np.exp(log_a - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(x)
+                  + a * b - 0.5 * (a_sq / x + b ** 2 * x))
+
+
 def ig_pdf(x, m: IGMarginal):
     """IG(a, b) density a x^(-3/2) exp(ab - (a^2/x + b^2 x)/2) / sqrt(2 pi)."""
     x_arr = _finite_positive(x, "ig_pdf: x")
-    scalar = x_arr.ndim == 0
-    log_pdf = (math.log(m.a) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(x_arr)
-               + m.a * m.b - 0.5 * (m.a ** 2 / x_arr + m.b ** 2 * x_arr))
-    out = np.exp(log_pdf)
-    return float(out) if scalar else out
+    out = _ig_pdf(x_arr, m.a, m.b, math.log(m.a), m.a ** 2)
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def _ig_cdf(x, a, b: float):

@@ -5,7 +5,13 @@ import pytest
 
 from ighit import residuals
 from ighit.errors import DomainError
-from ighit.hitting import hit_lt_time, printed_prefactor_ratio
+from ighit.hitting import (
+    HittingDensityEval,
+    hit_lt_time,
+    hit_pdf_table,
+    printed_prefactor_ratio,
+)
+from ighit.numerics import erfcx
 from ighit.residuals import (
     _LT_STEP,
     PDE_BOXES,
@@ -20,9 +26,11 @@ from ighit.residuals import (
     residual_subordinated,
     residual_subordinated_frac,
     residual_ts_pde,
+    _grid,
+    _ig_table,
     _numeric_lt,
 )
-from ighit.subordinators import IGParams, ig_psi
+from ighit.subordinators import IGParams, ig_pdf, ig_psi
 from ighit.verification import _rec_llt, _rec_pde_ts_n3_sign
 
 
@@ -88,6 +96,54 @@ class TestCaputo:
         single = caputo_derivative(ts, ts, 0.5)
         assert np.allclose(out[0], single)
         assert np.allclose(out[1], 2.0 * single)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 65, 129])
+    def test_matches_indexed_toeplitz(self, n):
+        # the L1 weights matrix built from index arrays, B[j, m] = b[m - j] on j <= m
+        ts = np.linspace(0.0, 1.0, n + 1)
+        vals = np.random.default_rng(n).standard_normal((3, n + 1))
+        k = np.arange(n, dtype=float)
+        b = (k + 1.0) ** 0.5 - k ** 0.5
+        jj, mm = np.indices((n, n))
+        B = np.where(jj <= mm, b[np.clip(mm - jj, 0, n - 1)], 0.0)
+        ref = np.zeros_like(vals)
+        ref[..., 1:] = (np.diff(vals, axis=-1) @ B) * (ts[1] - ts[0]) ** -0.5 / math.gamma(1.5)
+        assert np.array_equal(caputo_derivative(ts, vals, 0.5), ref)
+
+
+class TestResidualTables:
+    @pytest.mark.parametrize("gamma,xs,ts", [
+        # both levels of the pde_ig and pde_frac_ig records' grids
+        (1.0, _grid(0.5, 2.5, 1 / 32, 1), _grid(0.5, 1.5, 1 / 32, 1)),
+        (1.0, _grid(0.5, 2.5, 1 / 64, 1), _grid(0.5, 1.5, 1 / 64, 1)),
+        (0.0, np.arange(1, 97) / 64, _grid(0.5, 1.0, 1 / 256, 1)),
+        (0.0, np.arange(1, 193) / 128, _grid(0.5, 1.0, 1 / 256, 1)),
+    ], ids=["ig", "ig_fine", "frac_ig", "frac_ig_fine"])
+    def test_ig_table_matches_per_t_calls(self, gamma, xs, ts):
+        params = IGParams(1.0, gamma)
+        loop = np.stack([ig_pdf(xs, params.marginal(float(t))) for t in ts], axis=1)
+        assert np.array_equal(_ig_table(params, xs, ts), loop)
+
+    def test_ig_table_rejects_nonpositive_points(self):
+        params = IGParams(1.0, 1.0)
+        with pytest.raises(DomainError):
+            _ig_table(params, np.array([0.0, 1.0]), np.array([1.0]))
+        with pytest.raises(DomainError):
+            _ig_table(params, np.array([1.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("dt", [1 / 64, 1 / 128], ids=["coarse", "fine"])
+    def test_driftless_hitting_table_matches_general_form(self, dt):
+        # both levels of the pde_frac_hitting record's grid; the general form's
+        # erfcx term is 0 * erfcx(v/sqrt(2)) there
+        d, g = 1.0, 0.0
+        xs = _grid(0.25, 1.5, 1 / 256, 1)[:, None]
+        ts = dt * np.arange(1, int(round(1.0 / dt)) + 1)[None, :]
+        sq = np.sqrt(ts)
+        a, v = (d * xs - g * ts) / sq, (d * xs + g * ts) / sq
+        general = d * np.exp(-0.5 * a * a) * (np.sqrt(2.0 / (math.pi * ts))
+                                              - g * erfcx(v / math.sqrt(2.0)))
+        table = hit_pdf_table(xs, ts, HittingDensityEval(IGParams(d, g)))
+        assert np.array_equal(table, general)
 
 
 BOX_HIT = GridBox(0.4, 1.6, 0.5, 1.5, 1 / 24, 1 / 24)

@@ -105,13 +105,46 @@ class TestDensity:
         # several batches of x, repeated times
         (0.5, np.linspace(-6.0, 6.0, 600), np.array([2.0, 0.3, 1.0, 0.3])),
     ], ids=["frac_box", "pde_box", "frac_box_coarse", "pde_box_coarse", "batches"])
-    def test_grid_columns_match_per_t_calls(self, gamma, xs, ts):
+    def test_one_time_tables_match_batch_loop(self, gamma, xs, ts):
+        # a grid's columns share one ladder over all its cutoffs, so they are
+        # not the one-time tables bit for bit; test_grid_matches_mixture
+        # pins their accuracy
         ev = SubordinatedEval(IGParams(1.0, gamma))
-        grid = sub_pdf_table(xs, ts, ev)
-        assert grid.shape == (xs.size, ts.size)
-        for j, t in enumerate(ts):
-            assert np.array_equal(grid[:, j], sub_pdf_table(xs, float(t), ev))
-            assert np.array_equal(grid[:, j], _table_at_one_time(xs, float(t), ev))
+        assert sub_pdf_table(xs, ts, ev).shape == (xs.size, ts.size)
+        for t in ts:
+            assert np.array_equal(sub_pdf_table(xs, float(t), ev),
+                                  _table_at_one_time(xs, float(t), ev))
+
+    @pytest.mark.parametrize("gamma,xs,ts,points", [
+        # the fine levels of the pde_subordinated and pde_frac_subordinated
+        # records; reference values from mpmath at 30 digits: the mixture
+        # sqrt(2/pi) * integral over v of e^(-x^2/2v^2) h(v^2, t), h in closed
+        # form with erfcx = e^(z^2) erfc(z), by tanh-sinh quadrature on
+        # [0, x/8, x/4, x/2, x, 2x, 1, 2, 3, 4, 6, inf], which Gauss-Legendre
+        # quadrature on the same cells matched to all 30 digits
+        (1.0, _grid(0.3, 1.5, 1 / 48, 2), _grid(0.5, 1.0, 1 / 48, 1), [
+            (0, 0, 0.476017981152261636596949798239),
+            (0, 23, 0.381403045336335123569491087199),
+            (62, 26, 0.120081125194907781399426065733),
+            (31, 13, 0.232045403711055827949491705797),
+            (10, 20, 0.338580656334290782066098630502),
+            (20, 2, 0.301305352810904935164274956179),
+            (50, 5, 0.136077540789269094124362554316),
+        ]),
+        (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128, [
+            (0, 0, 0.79621688944694951560498262394),
+            (0, 10, 0.726006139902271189761722068882),
+            (0, 43, 0.608808504660384559413759321492),
+            (130, 95, 0.113138229101464256129288064594),
+            (65, 47, 0.245352234982926258323201353405),
+            (5, 90, 0.514202105667899105473571127895),
+            (100, 3, 0.0397663049193802600535189094895),
+        ]),
+    ], ids=["pde_box", "frac_box"])
+    def test_grid_matches_mixture(self, gamma, xs, ts, points):
+        grid = sub_pdf_table(xs, ts, SubordinatedEval(IGParams(1.0, gamma)))
+        for i, j, ref in points:
+            assert abs(grid[i, j] - ref) < 1e-14 * grid[:, j].max()
 
     def test_weight_blocks_hold_peak_memory(self):
         # the pde_frac_subordinated record's fine grid, 131 x by 96 t: blocked
