@@ -148,11 +148,18 @@ LAYERS = (
      lambda ig, np, rng, n: [ig.ts_hit_pdf_table(0.5 + h * np.arange(-2, nx + 3),
                                                  0.6 + h * np.arange(-1, nt + 2), 1.0 / 3.0, 1.0)
                              for h, nx, nt in ((1.0 / 8.0, 4, 3), (1.0 / 16.0, 8, 6))]),
-    # the grids of the pde_subordinated, pde_frac_subordinated and (numeric
-    # transform) pde_pseudo_lt records of `ighit verify`: one residual each
+    # the grids of the pde_subordinated, pde_frac_hitting, pde_frac_ig,
+    # pde_frac_subordinated and (numeric transform) pde_pseudo_lt records of
+    # `ighit verify`: one residual each
     ("residual_subordinated", 1,
      lambda ig, np, rng, n: ig.residual_subordinated(
          ig.IGParams(1.0, 1.0), ig.GridBox(0.3, 1.5, 0.5, 1.0, 1.0 / 24.0, 1.0 / 24.0))),
+    ("residual_frac_hitting", 1,
+     lambda ig, np, rng, n: ig.residual_frac_hitting(
+         ig.GridBox(0.25, 1.5, 0.3, 1.0, 1.0 / 256.0, 1.0 / 64.0))),
+    ("residual_frac_ig", 1,
+     lambda ig, np, rng, n: ig.residual_frac_ig(
+         ig.GridBox(0.3, 1.5, 0.5, 1.0, 1.0 / 64.0, 1.0 / 256.0))),
     ("residual_subordinated_frac", 1,
      lambda ig, np, rng, n: ig.residual_subordinated_frac(
          ig.GridBox(0.25, 1.25, 0.3, 0.75, 1.0 / 128.0, 1.0 / 64.0))),

@@ -81,6 +81,10 @@ def nonneg_float(text: str) -> float:
     return value
 
 
+# The most steps a grid flag may ask for; the defaults take at most 80.
+_MAX_GRID_STEPS = 10 ** 7
+
+
 def grid_spec(text: str) -> np.ndarray:
     """Parse 'start:stop:step' into an inclusive uniform grid."""
     parts = text.split(":")
@@ -94,8 +98,10 @@ def grid_spec(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"non-finite grid entry in {text!r}")
     if step <= 0 or stop <= start:
         raise argparse.ArgumentTypeError("grid needs stop > start and step > 0")
-    n = int(round((stop - start) / step))
-    return start + step * np.arange(n + 1)
+    n = (stop - start) / step
+    if not n <= _MAX_GRID_STEPS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} takes over {_MAX_GRID_STEPS} steps")
+    return start + step * np.arange(int(round(n)) + 1)
 
 
 def float_list(text: str) -> list:

@@ -359,15 +359,14 @@ def hit_llt(u, s, params: IGParams):
     return out.item() if (np.ndim(u) == 0 and np.ndim(s) == 0) else out
 
 
-def hit_lt_space(mu: float, t: float, params: IGParams, *,
-                 abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> float:
+def hit_lt_space(mu: float, t: float, params: IGParams) -> float:
     """Space-Laplace transform of h(., t), valid for mu > delta*gamma.
 
     Integral form with the global factor e^(-t gamma^2/2) (the printed
     t-free factor gives this value times `printed_prefactor_ratio`); the
-    y^(1/2) endpoint is flattened by y = u^2, and the quadrature runs to the
-    tolerances given.  For gamma = 0, delta = 1 this reduces to
-    erfcx(mu sqrt(t/2)).
+    y^(1/2) endpoint is flattened by y = u^2, and the quadrature runs to
+    `integrate_interval`'s default tolerances.  For gamma = 0, delta = 1 this
+    reduces to erfcx(mu sqrt(t/2)).
     """
     _check_x(mu)
     _check_t(t)
@@ -382,7 +381,7 @@ def hit_lt_space(mu: float, t: float, params: IGParams, *,
         return w2 * np.exp(-t * w2) / ((w2 + g2) * (shift2 + 2.0 * d * d * w2))
 
     omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
-    val = integrate_interval(integrand, 0.0, omega_max, abs_tol=abs_tol, rel_tol=rel_tol)
+    val = integrate_interval(integrand, 0.0, omega_max)
     return SQRT2 * mu * d * math.exp(-0.5 * t * g * g) / math.pi * 2.0 * val
 
 

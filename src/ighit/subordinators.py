@@ -750,6 +750,11 @@ class TemperedStableSubordinator:
         return ts_sample(dt, self.beta, self.mu, rng, size)
 
 
+# The most steps of one `simulate_path` call; the tests take at most 40,000
+# and `ighit paths` at its defaults 10,000.
+_MAX_PATH_STEPS = 10 ** 7
+
+
 def simulate_path(model, horizon: float, dt: float, rng: np.random.Generator) -> SamplePath:
     """Grid path by cumulating exact i.i.d. increments over steps of length dt.
 
@@ -760,7 +765,10 @@ def simulate_path(model, horizon: float, dt: float, rng: np.random.Generator) ->
         raise DomainError("horizon must be finite and positive")
     if not 0 < dt <= horizon:
         raise DomainError("dt must satisfy 0 < dt <= horizon")
-    n_steps = int(round(horizon / dt))
+    n_steps = horizon / dt
+    if not n_steps <= _MAX_PATH_STEPS:
+        raise DomainError(f"horizon / dt must not exceed {_MAX_PATH_STEPS} steps")
+    n_steps = int(round(n_steps))
     times = dt * np.arange(n_steps + 1)
     increments = model.sample_increment(dt, rng, size=n_steps)
     values = np.concatenate([[0.0], np.cumsum(increments)])

@@ -55,11 +55,10 @@ def write_json(path, obj) -> None:
     _atomic_write_text(path, json_dumps(obj))
 
 
-def write_svg_lines(path, series, width: int = 640, height: int = 360,
-                    title: str = "") -> None:
-    """Static line plot: series is a list of (label, xs, ys, mode) with mode
-    'line' (polyline) or 'steps' (post-step staircase)."""
-    pad = 40.0
+def write_svg_lines(path, series, title: str = "") -> None:
+    """Static line plot, 640 x 360: series is a list of (label, xs, ys, mode)
+    with mode 'line' (polyline) or 'steps' (post-step staircase)."""
+    width, height, pad = 640, 360, 40.0
     xs_all = [float(v) for _, xs, _, _ in series for v in xs]
     ys_all = [float(v) for _, _, ys, _ in series for v in ys]
     x0, x1 = min(xs_all), max(xs_all)

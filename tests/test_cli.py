@@ -128,6 +128,12 @@ class TestPathsCommand:
         assert "dt <= horizon" in capsys.readouterr().err
         assert not (tmp_path / "paths_h.csv").exists()
 
+    def test_overflowing_step_count_is_usage_error(self, tmp_path, capsys):
+        # T / dt is inf, which has no integer step count
+        assert run_in(tmp_path, ["paths", "--T", "1e300", "--dt", "1e-300"]) == 2
+        assert "must not exceed 10000000 steps" in capsys.readouterr().err
+        assert not (tmp_path / "paths_h.csv").exists()
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_flag_value(self, tmp_path):
@@ -158,6 +164,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_in(tmp_path, ["density", "--t", "1", "--x", grid])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["density", "--t", "1", "--x", "0:1e300:1e-300"],
+                                      ["stable", "--tail", "8:1e300:1e-300"]],
+                             ids=["density", "stable"])
+    def test_overflowing_grid_count_is_usage_error(self, tmp_path, argv, capsys):
+        # the point count is inf, which has no integer value
+        with pytest.raises(SystemExit) as exc:
+            run_in(tmp_path, argv)
+        assert exc.value.code == 2
+        assert "takes over 10000000 steps" in capsys.readouterr().err
 
     def test_space_transform_at_defaults(self, tmp_path):
         # mu = 1 = delta*gamma, where z1 = 0 and the transform is erfc(1/sqrt(2))

@@ -552,8 +552,8 @@ class TestNumericSpec:
             integrate_semi_infinite(lambda x: np.exp(-x), **kwargs)
 
     def test_public_api_takes_no_spec(self):
-        # only the quadratures and the integral space transform take tolerances,
-        # as keywords; no exported callable or dataclass has a `spec`
+        # only the quadratures take tolerances, as keywords; no exported
+        # callable or dataclass has a `spec`
         with_tols = set()
         for name in dir(ighit):
             obj = getattr(ighit, name)
@@ -568,7 +568,7 @@ class TestNumericSpec:
             assert "spec" not in params, name
             if {"abs_tol", "rel_tol"} & params.keys():
                 with_tols.add(name)
-        assert with_tols == {"integrate_interval", "integrate_semi_infinite", "hit_lt_space"}
+        assert with_tols == {"integrate_interval", "integrate_semi_infinite"}
         for name in ("NumericSpec", "DEFAULT_SPEC", "LaplaceFunction"):
             assert not hasattr(ighit, name)
         params = ighit.IGParams(1.0, 1.0)

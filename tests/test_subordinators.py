@@ -474,6 +474,8 @@ NAN = math.nan
                           np.random.default_rng(0)),
     lambda: simulate_until(IGSubordinator(IGParams(1.0, 1.0)), math.inf, 1.0, 0.1,
                            np.random.default_rng(0)),
+    lambda: simulate_path(IGSubordinator(IGParams(1.0, 1.0)), 1e300, 1e-300,
+                          np.random.default_rng(0)),
 ], ids=["ig_tail_u_nan", "ig_tail_u_inf", "ig_pdf_x_nan", "stable_tail_u_nan",
         "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
         "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan",
@@ -482,7 +484,8 @@ NAN = math.nan
         "ts_pdf_mu_nan", "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan",
         "ig_cdf_x_nan", "ig_cdf_x_array_nan", "ig_psi_s_nan", "ig_psi_s_inf",
         "ig_psi_s_complex_nan", "ts_psi_s_nan", "ts_psi_s_minus_inf", "stable_psi_s_nan",
-        "ts_model_psi_s_inf", "simulate_path_horizon_inf", "simulate_until_level_inf"])
+        "ts_model_psi_s_inf", "simulate_path_horizon_inf", "simulate_until_level_inf",
+        "simulate_path_step_count_inf"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()
