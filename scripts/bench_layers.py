@@ -58,6 +58,26 @@ def box_points(np, n: int) -> list:
     return list(zip(d.tolist(), g.tolist(), t.tolist(), x.tolist()))
 
 
+def convolution_tables(ig, np) -> list:
+    """The Levy-tail convolution oracle at the points `ighit verify` gives it:
+    density_two_routes' 15 (delta = gamma = 1, x in {0.25, 0.5, 1, 2, 4} at
+    t in {0.5, 1, 2}) and pde_ts_n2's 5 (index 1/2, mu = 1, the corners and
+    centre of its box), one call per t.  A checkout whose convolution takes
+    one x per call (it raises ValueError on an array) gets one call per point.
+    """
+    ig_model = ig.IGSubordinator(ig.IGParams(1.0, 1.0))
+    ts_model = ig.TemperedStableSubordinator(0.5, 1.0)
+    sets = [(ig_model, t, [0.25, 0.5, 1.0, 2.0, 4.0]) for t in (0.5, 1.0, 2.0)]
+    sets += [(ts_model, 0.7, [0.4, 1.0]), (ts_model, 1.1, [0.4, 1.0]), (ts_model, 0.9, [0.7])]
+    out = []
+    for model, t, xs in sets:
+        try:
+            out.append(ig.hit_pdf_convolution(np.array(xs), t, model))
+        except ValueError:
+            out.append([ig.hit_pdf_convolution(x, t, model) for x in xs])
+    return out
+
+
 # name, items per call, call(ig, np, rng, n)
 LAYERS = (
     # the sample workload's call shape: estimate_moment asks the sampler for
@@ -96,11 +116,13 @@ LAYERS = (
      lambda ig, np, rng, n: ig.upper_gamma(-1.0 / 3.0, np.logspace(-3.0, 2.0, n))),
     ("bessel_k_third", 10 ** 3,
      lambda ig, np, rng, n: ig.bessel_k(1.0 / 3.0, np.logspace(-3.0, 2.0, n))),
-    # the scalar oracle as the evaluate workload queries it, and the exact
-    # index-1/3 stable hitting density, whose kernel is bessel_k
+    # the scalar oracle as the evaluate workload queries it, the Levy-tail
+    # convolution oracle as the verify battery does, and the exact index-1/3
+    # stable hitting density, whose kernel is bessel_k
     ("hit_pdf_integral", 1000,
      lambda ig, np, rng, n: [ig.hit_pdf_integral(x, t, ig.HittingDensityEval(ig.IGParams(d, g)))
                              for d, g, t, x in box_points(np, n)]),
+    ("hit_pdf_convolution", 20, lambda ig, np, rng, n: convolution_tables(ig, np)),
     ("stable_hit_pdf_third", 256,
      lambda ig, np, rng, n: ig.stable_hit_pdf(np.linspace(0.05, 20.0, n), 1.0, 1.0 / 3.0)),
     # the general-index stable density on u in [0.3, 70], where an inversion

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convolution import _convolution_table, _lower_end
 from .errors import DomainError, NonConvergence, NumericalInstability
 from .numerics import (
     INV_SQRT_PI,
@@ -183,33 +184,27 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
 # and the tempered stable density on a grid from the duality
 # ---------------------------------------------------------------------------
 
-def hit_pdf_convolution(x: float, t: float, model) -> float:
-    """Hitting-time density as the convolution of the Levy tail with the marginal.
+def hit_pdf_convolution(xs, t: float, model):
+    """Hitting-time density as the convolution of the Levy tail with the marginal,
+    at every x of xs (a float for a scalar x), on one fixed rule for all of them.
 
-    q(x, t) = integral over y in (0, t) of levy_tail(t - y) * marginal_pdf(y, x).
-    The tail blows up like (t-y)^(-p) at the right endpoint (p = model.tail
-    exponent), integrably; substituting t - y = v^(1/(1-p)) flattens it.
+    q(x, t) = integral over y in (0, t) of levy_tail(t - y) * marginal_pdf(y, x);
+    only the marginal depends on x, so one rule serves every x: the coarser of
+    two that passes its self-check (`convolution._convolution_table`), from a
+    lower end the model's Laplace exponent sets (`convolution._lower_end`).
+    The tail blows up like (t-y)^(-p) at the right endpoint (p =
+    model.tail_exponent), integrably; t - y = v^(1/(1-p)) flattens it.
+    NumericalInstability is raised where both rules miss their self-check.
     """
-    _check_x(x)
+    x_arr = np.asarray(xs, dtype=float)
+    _check_x(x_arr)
     _check_t(t)
-    if x <= 0:
+    if not np.all(x_arr > 0):
         raise DomainError("x must be positive")
-    p_exp = model.tail_exponent
-    q = 1.0 / (1.0 - p_exp)
-    v_end = t ** (1.0 / q)
-
-    def integrand(v):
-        u = v ** q
-        y = t - u
-        ok = y > t * 1e-14
-        out = np.zeros_like(v)
-        if np.any(ok):
-            tail = model.levy_tail(u[ok])
-            pdf = model.marginal_pdf(y[ok], x)
-            out[ok] = tail * pdf * q * v[ok] ** (q - 1.0)
-        return out
-
-    return integrate_interval(integrand, 0.0, v_end)
+    t = float(t)
+    q = _convolution_table(x_arr.ravel(), t, model, _lower_end(model, float(x_arr.min()), t))
+    q = q.reshape(x_arr.shape)
+    return float(q) if q.ndim == 0 else q
 
 
 # Gauss nodes per panel and panels per decade of w; the self-check doubles the nodes

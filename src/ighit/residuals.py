@@ -7,8 +7,9 @@ is a list of (coefficient, axis, order) terms, where orders 1 to 4 are
 central stencils and order 1/2 is the L1 Caputo derivative.  An
 integer-order check halves both steps at the second level, and a
 second-order stencil set should show a refinement ratio near 4; a Caputo
-check halves the step of its Caputo axis only, and the L1 scheme should
-show a ratio near 2^(3/2).  Dirac source terms are
+check halves the step of its Caputo axis only, takes its coarse level as
+every other point of the fine table, and the L1 scheme should show a ratio
+near 2^(3/2).  Dirac source terms are
 handled by domain restriction: every grid is interior to the region where
 those terms vanish, so the identities hold classically there.  A negative
 control, such as the printed hitting density, is a `perturb(x, t, table)` hook.
@@ -257,19 +258,24 @@ def _pde(table, box: GridBox, terms: list, perturb, label: str, extra: dict,
     steps, unless a term has order 1/2: the grid of its axis then starts at 0,
     where F is 0 rather than tabulated, its points below the box are dropped,
     and its step alone is halved, the other being fixed small so that the fit
-    sees the L1 order.
+    sees the L1 order.  Only the fine level is then tabulated; the coarse one
+    takes every other point of it along that axis.
     """
     frac = next((axis for _, axis, k in terms if k == _HALF), None)
     margin = [max((_STENCILS[k][1] for _, a, k in terms if a == axis), default=0)
               for axis in (_X, _T)]
     lo, hi = (box.x0, box.t0), (box.x1, box.t1)
 
-    def run(steps):
+    # one level's reports and its table before `perturb`; a given F is that
+    # table, sliced from a finer level's
+    def run(steps, F=None):
         grids = [_grid(0.0 if a == frac else lo[a], hi[a], steps[a], margin[a])
                  for a in (_X, _T)]
-        F = table(*(g[1:] if a == frac else g for a, g in enumerate(grids)))
-        if frac is not None:
-            F = np.insert(F, 0, 0.0, axis=frac)
+        if F is None:
+            F = table(*(g[1:] if a == frac else g for a, g in enumerate(grids)))
+            if frac is not None:
+                F = np.insert(F, 0, 0.0, axis=frac)
+        tabulated = F
         F = _perturbed(perturb, *grids, F)
         # the [start, stop) of the reported points on each axis of F
         keep = [(int(np.searchsorted(g, lo[a] - 1e-12)), g.size) if a == frac
@@ -282,11 +288,21 @@ def _pde(table, box: GridBox, terms: list, perturb, label: str, extra: dict,
             scaled.append((axis, c * stencil(F, steps[axis], axis)[cut]))
         xs, ts = (g[start:stop] for g, (start, stop) in zip(grids, keep))
         signed = ([sign * P if axis == _T else P for axis, P in scaled] for sign in signs)
-        return [_level(xs, ts, sum(parts[1:], parts[0]), parts, steps) for parts in signed]
+        levels = [_level(xs, ts, sum(parts[1:], parts[0]), parts, steps) for parts in signed]
+        return levels, tabulated
 
     coarse = (box.dx, box.dt)
     fine = tuple(h / 2 if frac in (None, a) else h for a, h in enumerate(coarse))
-    return tuple(_report(levels, label, extra) for levels in zip(run(coarse), run(fine)))
+    if frac is None:
+        levels = run(coarse)[0], run(fine)[0]
+    else:
+        # the coarse Caputo grid is every other fine point from 0, bit for
+        # bit, and the other grid the same, so the coarse table is a slice of
+        # the fine one; the fine level runs first, which lowers the check's
+        # tracemalloc peak
+        fine_levels, F = run(fine)
+        levels = run(coarse, F[::2] if frac == _X else F[:, ::2])[0], fine_levels
+    return tuple(_report(pair, label, extra) for pair in zip(*levels))
 
 
 def residual_hitting_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:
@@ -320,8 +336,9 @@ def residual_ts_pde(n: int, mu: float, box: GridBox, *,
 
     At n = 2 the subordinator is the IG process of `ts_half_ig_params(mu)`, so
     its hitting density is the closed form `hit_pdf_table`.  At n = 3 it is
-    `ts_hit_pdf_table`, from the x-derivative of the duality.  The scalar
-    Levy-tail convolution `hit_pdf_convolution` stays the oracle of both.
+    `ts_hit_pdf_table`, from the x-derivative of the duality.  The Levy-tail
+    convolution `hit_pdf_convolution`, one fixed-rule table per time, stays
+    the oracle of both.
     """
     if n not in (2, 3):
         raise DomainError("n must be 2 or 3")

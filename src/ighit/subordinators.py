@@ -685,8 +685,12 @@ class IGSubordinator:
     def levy_tail(self, u):
         return ig_levy_tail(u, self.params)
 
-    def marginal_pdf(self, u, x: float):
-        return ig_pdf(u, self.params.marginal(x))
+    def marginal_pdf(self, u, x):
+        """The IG(delta x, gamma) density at u; u and x broadcast."""
+        u_arr = _finite_positive(u, "ig_pdf: x")
+        a = _finite_positive(self.params.delta * np.asarray(x, dtype=float), "a")
+        out = _ig_pdf(u_arr, a, self.params.gamma, np.log(a), a * a)
+        return float(out) if out.ndim == 0 else out
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
         return ig_sample(self.params.marginal(dt), rng, size)

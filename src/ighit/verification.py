@@ -125,10 +125,11 @@ def _rec_density_two_routes() -> VerificationRecord:
     worst = 0.0
     model = IGSubordinator(P11)
     ev = HittingDensityEval(P11)
+    xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     for t in (0.5, 1.0, 2.0):
-        for x in (0.25, 0.5, 1.0, 2.0, 4.0):
-            worst = max(worst, abs(hit_pdf_integral(x, t, ev)
-                                   - hit_pdf_convolution(x, t, model)))
+        conv = hit_pdf_convolution(xs, t, model)
+        for x, c in zip(xs.tolist(), conv.tolist()):
+            worst = max(worst, abs(hit_pdf_integral(x, t, ev) - c))
     tol = 1e-6
     return VerificationRecord(
         "density_two_routes",
@@ -400,7 +401,10 @@ def _rec_pde_ts_n2() -> VerificationRecord:
     ts = np.array([box.t0, box.t1, box.t0, box.t1, 0.5 * (box.t0 + box.t1)])
     closed = hit_pdf_table(xs, ts, HittingDensityEval(ts_half_ig_params(mu)))
     model = TemperedStableSubordinator(0.5, mu)
-    conv = np.array([hit_pdf_convolution(float(x), float(t), model) for x, t in zip(xs, ts)])
+    conv = np.empty_like(xs)
+    for t in sorted(set(ts.tolist())):
+        at = ts == t
+        conv[at] = hit_pdf_convolution(xs[at], t, model)
     oracle_rel = float(np.max(np.abs(closed - conv) / conv))
     return _pde_record("pde_ts_n2", "order-2 PDE of the tempered stable "
                        "hitting density (index 1/2)", rep,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ighit import hitting
+from ighit import convolution, hitting
 from ighit.errors import DomainError, NonConvergence, NumericalInstability
 from ighit.numerics import (
     erfcx,
@@ -292,6 +292,65 @@ def test_non_finite_input_rejected(call):
         call()
 
 
+class TestConvolutionTable:
+    """`hit_pdf_convolution`: one fixed rule per t, its 15/31 difference the self-check."""
+
+    def test_verify_points_match_the_closed_form(self, params_11):
+        # density_two_routes' 15 points, boundary_value's x = 1e-4 at t = 2
+        # and pde_ts_n2's corners and centre, at index 1/2, mu = 1
+        ev, model = HittingDensityEval(params_11), IGSubordinator(params_11)
+        xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        for t in (0.5, 1.0, 2.0):
+            np.testing.assert_allclose(hit_pdf_convolution(xs, t, model),
+                                       hit_pdf_table(xs, t, ev), rtol=1e-13, atol=0.0)
+        near_zero = hit_pdf_convolution(1e-4, 2.0, model)
+        assert isinstance(near_zero, float)
+        assert near_zero == pytest.approx(float(hit_pdf_table(1e-4, 2.0, ev)), rel=1e-13, abs=0.0)
+        box = GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16)
+        ev_half = HittingDensityEval(ts_half_ig_params(1.0))
+        model = TemperedStableSubordinator(0.5, 1.0)
+        for t, xs in ((box.t0, [box.x0, box.x1]), (box.t1, [box.x0, box.x1]),
+                      (0.5 * (box.t0 + box.t1), [0.5 * (box.x0 + box.x1)])):
+            np.testing.assert_allclose(hit_pdf_convolution(np.array(xs), t, model),
+                                       hit_pdf_table(np.array(xs), t, ev_half),
+                                       rtol=1e-13, atol=0.0)
+
+    def test_keeps_the_shape_of_x(self, params_11):
+        model = IGSubordinator(params_11)
+        xs = np.array([[0.25, 0.5], [1.0, 2.0]])
+        grid = hit_pdf_convolution(xs, 1.0, model)
+        assert grid.shape == (2, 2)
+        assert np.array_equal(grid.ravel(), hit_pdf_convolution(xs.ravel(), 1.0, model))
+        with pytest.raises(DomainError):
+            hit_pdf_convolution(np.array([0.5, 0.0]), 1.0, model)
+
+    def test_self_check_raises_on_a_rule_too_coarse(self, monkeypatch):
+        xs = np.array([0.05, 0.5, 1.0, 4.0])
+        # the IG lower end (x_min^2/1500) at index 0.2, mu = 3, t = 3: the
+        # marginal at x = 0.05 holds mass below it, and the fine rule's 15/31
+        # estimate reads 4.9e-2 of q
+        with pytest.raises(NumericalInstability, match="x = 0.05"):
+            convolution._convolution_table(xs, 3.0, TemperedStableSubordinator(0.2, 3.0),
+                                           0.05 ** 2 / 1500.0)
+        # the coarse rule alone at index 0.9, whose marginal is peaked
+        monkeypatch.setattr(convolution, "_CONV_RULES", convolution._CONV_RULES[:1])
+        with pytest.raises(NumericalInstability):
+            hit_pdf_convolution(xs, 1.0, TemperedStableSubordinator(0.9, 1.0))
+
+    def test_no_adaptive_quadrature(self, params_11, monkeypatch):
+        # the records' convolutions and hit_pdf_integral's fallback
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(hitting, "integrate_interval", refuse)
+        model = IGSubordinator(params_11)
+        assert hit_pdf_convolution(np.array([0.25, 4.0]), 0.5, model).shape == (2,)
+        assert hit_pdf_convolution(0.7, 0.9, TemperedStableSubordinator(0.5, 1.0)) > 0
+        delta, gamma, t, x, h = TestDensityRoutes.INTEGRAL_REFERENCE[-1]
+        ev = HittingDensityEval(IGParams(delta, gamma))
+        assert hit_pdf_integral(x, t, ev) == pytest.approx(h, rel=1e-13, abs=0.0)
+
+
 _DUALITY_GRID = (np.array([0.05, 0.5, 1.0, 4.0]), np.array([0.1, 1.0, 3.0]))
 
 
@@ -319,7 +378,7 @@ class TestTemperedStableTables:
             yield (_grid(box.x0, box.x1, box.dx / 2 ** lev, 2),
                    _grid(box.t0, box.t1, box.dt / 2 ** lev, 1))
 
-    def test_index_third_grid_matches_adaptive_convolution(self):
+    def test_index_third_grid_matches_convolution(self):
         rng = np.random.default_rng(5)
         model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
         for xs, ts in self._levels():
@@ -328,28 +387,27 @@ class TestTemperedStableTables:
                 assert table[i, j] == pytest.approx(
                     hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
 
-    def test_general_index_grid_matches_adaptive_convolution(self):
+    def test_general_index_grid_matches_convolution(self):
         xs, ts = np.linspace(0.5, 1.0, 5), np.array([0.6, 0.8, 1.0])
         for mu in (1.0, 0.0):
             model = TemperedStableSubordinator(0.7, mu)
             table = ts_hit_pdf_table(xs, ts, 0.7, mu)
-            for i in range(xs.size):
-                for j in range(ts.size):
-                    assert table[i, j] == pytest.approx(
-                        hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
+            for j in range(ts.size):
+                np.testing.assert_allclose(table[:, j], hit_pdf_convolution(xs, ts[j], model),
+                                           rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("column", range(3))
     @pytest.mark.parametrize("mu", [0.0, 1.0, 3.0])
     @pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.7, 0.9])
-    def test_duality_table_matches_adaptive_convolution(self, beta, mu, column):
+    def test_duality_table_matches_convolution(self, beta, mu, column):
         # the grid holds x = 0.05, t = 3, where the fixed convolution rule this
-        # table replaced was off by 9.3e-4 at index 1/3.  The oracle meets
-        # max(1e-10, 1e-8 |h|) only, and at mu = 3 that 1e-10 is more than
-        # 1e-8 of the peak of the t = 3 column
+        # table replaced was off by 9.3e-4 at index 1/3.  The bound is the one
+        # the adaptive oracle met, max(1e-10, 1e-8 |h|); at mu = 3 that 1e-10
+        # is more than 1e-8 of the peak of the t = 3 column
         xs, ts = _DUALITY_GRID
         model = TemperedStableSubordinator(beta, mu)
         table = _duality_table(beta, mu)[:, column]
-        oracle = np.array([hit_pdf_convolution(x, ts[column], model) for x in xs])
+        oracle = hit_pdf_convolution(xs, ts[column], model)
         assert np.all(np.abs(table - oracle) <= np.maximum(1e-8 * np.max(oracle), 1e-10))
 
     @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.7])
