@@ -78,6 +78,23 @@ def convolution_tables(ig, np) -> list:
     return out
 
 
+def ig_cdf(ig, xs):
+    """The IG(1, 1) distribution function at xs; a checkout with the
+    `IGMarginal` parameter type takes it in place of (t, params)."""
+    if hasattr(ig, "IGMarginal"):
+        return ig.ig_cdf(xs, ig.IGMarginal(1.0, 1.0))
+    return ig.ig_cdf(xs, 1.0, ig.IGParams(1.0, 1.0))
+
+
+def ig_pdf_table(ig, xs, ts):
+    """The driftless unit-slope IG density at xs by ts, as `residual_frac_ig`
+    tabulates it; a checkout with `residuals._ig_table` runs that."""
+    params = ig.IGParams(1.0, 0.0)
+    if hasattr(ig.residuals, "_ig_table"):
+        return ig.residuals._ig_table(params, xs, ts)
+    return ig.ig_pdf(xs[:, None], ts, params)
+
+
 # name, items per call, call(ig, np, rng, n)
 LAYERS = (
     # the sample workload's call shape: estimate_moment asks the sampler for
@@ -108,8 +125,11 @@ LAYERS = (
     # 12 nodes), a size where per-call overhead outweighs per-point cost
     ("erfcx_rule", 1164,
      lambda ig, np, rng, n: ig.erfcx(np.linspace(0.0, 6.0, n))),
-    ("ig_cdf", 10 ** 6,
-     lambda ig, np, rng, n: ig.ig_cdf(np.linspace(1e-3, 10.0, n), ig.IGMarginal(1.0, 1.0))),
+    ("ig_cdf", 10 ** 6, lambda ig, np, rng, n: ig_cdf(ig, np.linspace(1e-3, 10.0, n))),
+    # the IG density on the fine grid of the pde_frac_ig record (192 x 131)
+    ("ig_pdf_table", 192 * 131,
+     lambda ig, np, rng, n: ig_pdf_table(ig, np.arange(1, 193) / 128.0,
+                                         0.5 + np.arange(-1, 130) / 256.0)),
     # the kernels of the index-1/3 tempered-stable Levy tail (upper_gamma: the
     # series below x = 1, the continued fraction above) and stable density
     ("upper_gamma_minus_third", 10 ** 4,

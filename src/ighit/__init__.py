@@ -21,7 +21,6 @@ from .numerics import (
     upper_gamma,
 )
 from .subordinators import (
-    IGMarginal,
     IGParams,
     IGSubordinator,
     SamplePath,

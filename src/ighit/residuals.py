@@ -31,13 +31,7 @@ from .hitting import (
     ts_hit_pdf_table,
 )
 from .subordinated import SubordinatedEval, sub_pdf_table
-from .subordinators import (
-    IGParams,
-    _finite_positive,
-    _ig_pdf,
-    ig_psi,
-    ts_half_ig_params,
-)
+from .subordinators import IGParams, ig_pdf, ig_psi, ts_half_ig_params
 
 
 # The most coarse steps from 0 to a box's far edge on either axis (the
@@ -221,15 +215,6 @@ def _report(levels: list, label: str, extra: dict) -> ResidualReport:
     return replace(fine, refinement_ratio=ratio, fitted_order=order, label=label, extra=extra)
 
 
-def _ig_table(params: IGParams, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The subordinator density at xs by ts: the IG(delta t, gamma) marginal
-    densities, broadcast over x and t, equal to `ig_pdf` at each t."""
-    x = _finite_positive(xs, "ig_pdf: x")[:, None]
-    a = _finite_positive(params.delta * ts, "a")
-    return _ig_pdf(x, a, params.gamma, np.array([math.log(v) for v in a.tolist()]),
-                   np.array([v ** 2 for v in a.tolist()]))
-
-
 def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:
     n = int(round((hi - lo) / h))
     return lo + h * np.arange(-margin, n + margin + 1)
@@ -319,7 +304,7 @@ def residual_ig_pde(params: IGParams, box: GridBox, *, perturb=None) -> Residual
     """Interior residual of g_tt - 2 delta gamma g_t - 2 delta^2 g_x on the
     subordinator density g(x, t) = IG(delta t, gamma) pdf at x."""
     d, g = params.delta, params.gamma
-    return _pde(lambda xs, ts: _ig_table(params, xs, ts), box,
+    return _pde(lambda xs, ts: ig_pdf(xs[:, None], ts, params), box,
                 [(1.0, _T, 2), (-2.0 * d * g, _T, 1), (-2.0 * d * d, _X, 1)],
                 perturb, "ig_pde", {"delta": d, "gamma": g})[0]
 
@@ -399,7 +384,7 @@ def residual_frac_ig(box: GridBox, *, perturb=None) -> ResidualReport:
     The Caputo derivative acts in space; refinement halves the space step.
     """
     params = IGParams(1.0, 0.0)
-    return _pde(lambda xs, ts: _ig_table(params, xs, ts), box,
+    return _pde(lambda xs, ts: ig_pdf(xs[:, None], ts, params), box,
                 [(_SQRT2, _X, _HALF), (1.0, _T, 1)], perturb, "frac_ig",
                 {"alpha": 0.5})[0]
 

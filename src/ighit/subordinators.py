@@ -9,7 +9,6 @@ global RNG state anywhere in the package.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,17 @@ def _check_size(size, what: str) -> None:
     """DomainError if a sampler's `size` (None, an int or a shape) has a negative entry."""
     if size is not None and np.any(np.asarray(size) < 0):
         raise DomainError(f"{what}: size must be nonnegative")
+
+
+def _check_scale(base: float, power: float, what: str) -> float:
+    """base ** power, the scale of a sampler's draws; DomainError where it overflows a float."""
+    try:
+        scale = base ** power
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"{what}: the scale {base:g}^{power:g} of the draws overflows")
+    return scale
 
 
 def _laplace_arg(s, lower: float, what: str) -> np.ndarray:
@@ -73,48 +83,27 @@ class IGParams:
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError("gamma must be finite and nonnegative")
 
-    def marginal(self, t: float) -> "IGMarginal":
-        """Marginal law of the process increment over an interval of length t."""
-        return IGMarginal(self.delta * t, self.gamma)
+
+def _ig_shape(t, p: IGParams, what: str):
+    """a = delta t of the IG(delta t, gamma) law at t; DomainError unless finite and > 0."""
+    return _finite_positive(p.delta * _finite_positive(t, f"{what}: t"), f"{what}: delta t")
 
 
-@dataclass(frozen=True)
-class IGMarginal:
-    """IG(a, b) marginal parameters; b = 0 gives the one-sided 1/2-stable law."""
+def ig_pdf(x, t, p: IGParams):
+    """Density of G(t) ~ IG(a, gamma), a = delta t, at x; x and t broadcast.
 
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise DomainError("a must be finite and positive")
-        if not (math.isfinite(self.b) and self.b >= 0):
-            raise DomainError("b must be finite and nonnegative")
-
-    @property
-    def mean(self) -> float:
-        if self.b == 0.0:
-            return math.inf
-        return self.a / self.b
-
-
-def _ig_pdf(x, a, b: float, log_a, a_sq):
-    """IG(a, b) density at x > 0, broadcast over x and a.
-
-    log_a and a_sq are log(a) and a ** 2 taken per a by math.log and float
-    power: numpy's log and square differ from those in the last bit for some
-    a, so a table over an array of a rounds as `ig_pdf` at each a only if the
-    caller takes them that way.
+    a x^(-3/2) exp(a gamma - (a^2/x + gamma^2 x)/2) / sqrt(2 pi).  log a and
+    a^2 are taken per a by math.log and float power, so that a table over
+    many t rounds exactly as each t alone.
     """
-    return np.exp(log_a - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(x)
-                  + a * b - 0.5 * (a_sq / x + b ** 2 * x))
-
-
-def ig_pdf(x, m: IGMarginal):
-    """IG(a, b) density a x^(-3/2) exp(ab - (a^2/x + b^2 x)/2) / sqrt(2 pi)."""
     x_arr = _finite_positive(x, "ig_pdf: x")
-    out = _ig_pdf(x_arr, m.a, m.b, math.log(m.a), m.a ** 2)
-    return float(out) if x_arr.ndim == 0 else out
+    a, b = _ig_shape(t, p, "ig_pdf"), p.gamma
+    flat = a.ravel().tolist()
+    log_a = np.reshape([math.log(v) for v in flat], a.shape)
+    a_sq = np.reshape([v ** 2 for v in flat], a.shape)
+    out = np.exp(log_a - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(x_arr)
+                 + a * b - 0.5 * (a_sq / x_arr + b ** 2 * x_arr))
+    return float(out) if out.ndim == 0 else out
 
 
 def _ig_cdf(x, a, b: float):
@@ -134,39 +123,48 @@ def _ig_cdf(x, a, b: float):
     return np.clip(np.where(small, plain, stable), 0.0, 1.0)
 
 
-def ig_cdf(x, m: IGMarginal):
-    """IG(a, b) distribution function, overflow-safe for large ab; 0 at x <= 0, 1 at x = inf."""
+def ig_cdf(x, t, p: IGParams):
+    """P(G(t) <= x), broadcast over x and t; overflow-safe for large a gamma.
+
+    0 at x <= 0 and 1 at x = inf; NaN x raises DomainError.
+    """
     x_arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(x_arr)):
         raise DomainError("ig_cdf: x must not be NaN")
-    scalar = x_arr.ndim == 0
+    a = _ig_shape(t, p, "ig_cdf")
+    if a.ndim:
+        x_arr, a = np.broadcast_arrays(x_arr, a)
     out = np.where(x_arr == math.inf, 1.0, 0.0)
     pos = (x_arr > 0) & (x_arr < math.inf)
     if pos.any():
-        out[pos] = _ig_cdf(x_arr[pos], m.a, m.b)
-    return float(out) if scalar else out
+        # a single t keeps a scalar, which spares a gather and an exp per point
+        out[pos] = _ig_cdf(x_arr[pos], a[pos] if a.ndim else a, p.gamma)
+    return float(out) if out.ndim == 0 else out
 
 
-def ig_sample(m: IGMarginal, rng: np.random.Generator, size=None):
-    """Exact IG(a, b) draws by the transformation-with-rejection scheme.
+def ig_sample(t: float, p: IGParams, rng: np.random.Generator, size=None):
+    """Exact draws of G(t) ~ IG(a, b), a = delta t, b = gamma, by transformation with rejection.
 
     A chi-square(1) variate nu gives the smaller quadratic root
     x0 = a/b + nu/(2 b^2) - sqrt(4 a b nu + nu^2)/(2 b^2), accepted with
     probability a/(a + b x0), else (a/b)^2 / x0 is returned.  b = 0 delegates
-    to the one-sided 1/2-stable representation a^2 / Z^2.
+    to the one-sided 1/2-stable representation a^2 / Z^2.  DomainError where
+    the law's scale, (a/b)^2 or at b = 0 a^2, overflows a float.
     """
+    a, b = float(_ig_shape(t, p, "ig_sample")), p.gamma
+    mu = a / b if b > 0 else a
+    scale = _check_scale(mu, 2.0, "ig_sample")
     _check_size(size, "ig_sample")
     shape = () if size is None else size
-    if m.b == 0.0:
+    if b == 0.0:
         z = rng.standard_normal(shape)
-        out = (m.a / z) ** 2
+        out = (a / z) ** 2
         return float(out) if size is None else out
     nu = rng.standard_normal(shape) ** 2
-    mu = m.a / m.b
-    x0 = mu + nu / (2.0 * m.b ** 2) - np.sqrt(4.0 * m.a * m.b * nu + nu ** 2) / (2.0 * m.b ** 2)
+    x0 = mu + nu / (2.0 * b ** 2) - np.sqrt(4.0 * a * b * nu + nu ** 2) / (2.0 * b ** 2)
     x0 = np.maximum(x0, 1e-300)
-    accept = rng.uniform(size=shape) <= m.a / (m.a + m.b * x0)
-    out = np.where(accept, x0, mu ** 2 / x0)
+    accept = rng.uniform(size=shape) <= a / (a + b * x0)
+    out = np.where(accept, x0, scale / x0)
     return float(out) if size is None else out
 
 
@@ -424,6 +422,9 @@ def ts_half_ig_params(mu: float) -> IGParams:
 # compactions run in place on a few arrays of this size, which stay in cache.
 PASS_BLOCK = 16384
 
+# `ts_sample`'s budget of proposals per requested draw
+TRIAL_CAP = 10_000
+
 
 def _exponential_power(e, beta: float):
     """E^((1-beta)/beta) in place in the exponentials e, as `_kanter_draws` takes it.
@@ -501,14 +502,6 @@ def _kanter_draws(t: float, beta: float, u, e, w):
     return u
 
 
-def _check_scale(t: float, beta: float, what: str) -> None:
-    """DomainError where t^(1/beta), the scale of the stable draws at t, overflows."""
-    try:
-        t ** (1.0 / beta)
-    except OverflowError:
-        raise DomainError(f"{what}: t^(1/beta) overflows at t = {t}, beta = {beta}") from None
-
-
 def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     """Exact positive-stable draws with Laplace transform e^(-t s^beta).
 
@@ -538,7 +531,7 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "stable_sample: t")
-    _check_scale(t, beta, "stable_sample")
+    _check_scale(t, 1.0 / beta, "stable_sample")
     _check_size(size, "stable_sample")
     u = rng.random(() if size is None else size)
     e = _exponential_power(rng.standard_exponential(u.shape), beta)
@@ -546,8 +539,7 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     return float(draws) if size is None else draws
 
 
-def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
-              size=None, trial_cap: int = 10_000):
+def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator, size=None):
     """Tempered stable draws by exponential-tilting rejection.
 
     Stable proposals X are accepted with probability e^(-mu X); the expected
@@ -575,28 +567,26 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
     workspace is four arrays and a mask of at most `PASS_BLOCK` slots, plus
     the output.
 
-    trial_cap, a positive integer, is a budget of proposals per requested
-    draw: a block that would take the proposals of the call past trial_cap
-    times the draws requested raises BudgetExceeded instead (lam too large
-    for naive tilting).  Where the expected proposals per draw, e^lam, alone
-    exceed trial_cap, the call raises before it draws anything.
+    `TRIAL_CAP` is a budget of proposals per requested draw: a block that
+    would take the proposals of the call past `TRIAL_CAP` times the draws
+    requested raises BudgetExceeded instead (lam too large for naive
+    tilting).  Where the expected proposals per draw, e^lam, alone exceed
+    `TRIAL_CAP`, the call raises before it draws anything.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     _finite_positive(t, "ts_sample: t")
     mu = _finite_nonnegative(mu, "ts_sample: mu")
     _check_size(size, "ts_sample")
-    if not (isinstance(trial_cap, numbers.Integral) and trial_cap > 0):
-        raise DomainError("ts_sample: trial_cap must be a positive integer")
     if beta == 0.5:
-        return ig_sample(ts_half_ig_params(mu).marginal(t), rng, size)
-    _check_scale(t, beta, "ts_sample")
+        return ig_sample(t, ts_half_ig_params(mu), rng, size)
+    _check_scale(t, 1.0 / beta, "ts_sample")
     n = 1 if size is None else int(np.prod(size))
     lam = mu ** beta * t
-    if lam > math.log(trial_cap):
+    if lam > math.log(TRIAL_CAP):
         raise BudgetExceeded(
             f"tempered stable rejection expects e^(mu^beta t) proposals per draw, "
-            f"mu^beta t = {lam:.3g}, beyond trial_cap = {trial_cap}")
+            f"mu^beta t = {lam:.3g}, beyond {TRIAL_CAP}")
     # past e^lam = PASS_BLOCK every block is full, so e^lam stops there and
     # cannot overflow
     growth = math.exp(min(lam, math.log(PASS_BLOCK)))
@@ -609,9 +599,9 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator,
     while filled < n:
         m = min(PASS_BLOCK, math.ceil((n - filled) * growth))
         proposed += m
-        if proposed > trial_cap * n:
+        if proposed > TRIAL_CAP * n:
             raise BudgetExceeded(
-                f"tempered stable rejection exceeded {trial_cap} proposals per draw "
+                f"tempered stable rejection exceeded {TRIAL_CAP} proposals per draw "
                 f"(expected proposals per draw e^(mu^beta t), mu^beta t = {lam:.3g})")
         # stage 1: E^ratio in first, V in second, the squeeze in third
         p = _exponential_power(rng.standard_exponential(out=first[:m]), beta)
@@ -686,14 +676,10 @@ class IGSubordinator:
         return ig_levy_tail(u, self.params)
 
     def marginal_pdf(self, u, x):
-        """The IG(delta x, gamma) density at u; u and x broadcast."""
-        u_arr = _finite_positive(u, "ig_pdf: x")
-        a = _finite_positive(self.params.delta * np.asarray(x, dtype=float), "a")
-        out = _ig_pdf(u_arr, a, self.params.gamma, np.log(a), a * a)
-        return float(out) if out.ndim == 0 else out
+        return ig_pdf(u, x, self.params)
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
-        return ig_sample(self.params.marginal(dt), rng, size)
+        return ig_sample(dt, self.params, rng, size)
 
 
 @dataclass(frozen=True)
@@ -781,16 +767,29 @@ def simulate_path(model, horizon: float, dt: float, rng: np.random.Generator) ->
 
 def simulate_until(model, level: float, chunk: float, dt: float,
                    rng: np.random.Generator) -> SamplePath:
-    """Grid path built from `simulate_path` pieces of length `chunk` until it exceeds `level`.
+    """Grid path built from `simulate_path` pieces until it exceeds `level`.
 
-    Each piece continues from the end of the last, so the result is one path
-    at step dt whose final value lies above `level`, as `invert_path` needs.
+    The first two pieces have length `chunk`, and each later one twice the
+    length of the one before.  Each piece continues from the end of the last,
+    so the result is one path at step dt whose final value lies above
+    `level`, as `invert_path` needs.  A piece that would carry the path past
+    `_MAX_PATH_STEPS` steps raises DomainError instead of being drawn.
     """
     if not math.isfinite(level):
         raise DomainError("level must be finite")
     path = simulate_path(model, chunk, dt, rng)
-    while path.values[-1] <= level:
-        ext = simulate_path(model, chunk, dt, rng)
-        path = SamplePath(np.concatenate([path.times, path.times[-1] + ext.times[1:]]),
-                          np.concatenate([path.values, path.values[-1] + ext.values[1:]]))
-    return path
+    times, values = [path.times], [path.values]
+    end_t, end_v, steps = path.times[-1], path.values[-1], path.times.size - 1
+    piece = chunk
+    while end_v <= level:
+        if steps + piece / dt > _MAX_PATH_STEPS:
+            raise DomainError(f"the path did not pass level {level} within "
+                              f"{_MAX_PATH_STEPS} steps")
+        ext = simulate_path(model, piece, dt, rng)
+        times.append(end_t + ext.times[1:])
+        values.append(end_v + ext.values[1:])
+        end_t, end_v, steps = times[-1][-1], values[-1][-1], steps + ext.times.size - 1
+        piece *= 2.0
+    if len(times) == 1:
+        return path
+    return SamplePath(np.concatenate(times), np.concatenate(values))

@@ -47,7 +47,6 @@ from ighit.residuals import (
 )
 from ighit.subordinated import SubordinatedEval, sub_cdf_interpolant, sub_pdf_table
 from ighit.subordinators import (
-    IGMarginal,
     IGParams,
     IGSubordinator,
     ig_cdf,
@@ -258,17 +257,17 @@ def test_criterion_11_stable_family():
 
 
 def test_criterion_12_samplers():
-    m = IGMarginal(1.0, 1.0)
+    p = IGParams(1.0, 1.0)
     rng = np.random.default_rng(1234)
-    draws = ig_sample(m, rng, size=10 ** 6)
+    draws = ig_sample(1.0, p, rng, size=10 ** 6)
     se_mean = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - 1.0) < 4.0 * se_mean
     center = draws - draws.mean()
     m4 = np.mean(center ** 4)
     se_var = math.sqrt((m4 - draws.var() ** 2) / draws.size)
     assert abs(draws.var() - 1.0) < 4.0 * se_var
-    ks_draws = ig_sample(m, np.random.default_rng(77), size=10 ** 5)
-    d = ecdf_ks(ks_draws, lambda x: ig_cdf(x, m))
+    ks_draws = ig_sample(1.0, p, np.random.default_rng(77), size=10 ** 5)
+    d = ecdf_ks(ks_draws, lambda x: ig_cdf(x, 1.0, p))
     assert d < ks_critical_1pct(ks_draws.size)
     stable = stable_sample(1.0, 0.5, np.random.default_rng(5150), size=10 ** 6)
     vals = np.exp(-stable)

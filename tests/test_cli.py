@@ -134,6 +134,14 @@ class TestPathsCommand:
         assert "must not exceed 10000000 steps" in capsys.readouterr().err
         assert not (tmp_path / "paths_h.csv").exists()
 
+    @pytest.mark.parametrize("gamma", ["1", "0"], ids=["drift", "driftless"])
+    def test_overflowing_draw_scale_is_usage_error(self, tmp_path, capsys, gamma):
+        # an IG(1e199, gamma) draw's scale, (1e199 / gamma)^2 or 1e199^2, overflows
+        assert run_in(tmp_path, ["paths", "--T", "1e200", "--dt", "1e199",
+                                 "--gamma", gamma]) == 2
+        assert "of the draws overflows" in capsys.readouterr().err
+        assert not (tmp_path / "paths_h.csv").exists()
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_flag_value(self, tmp_path):

@@ -50,12 +50,13 @@ from ighit.hitting import (
 )
 from ighit.montecarlo import ks_critical_1pct
 from ighit.subordinators import (
-    IGMarginal,
     IGParams,
     IGSubordinator,
     SamplePath,
     TemperedStableSubordinator,
+    ig_cdf,
     ig_levy_tail,
+    ig_pdf,
     simulate_until,
     stable_pdf,
     ts_half_ig_params,
@@ -247,8 +248,8 @@ class TestDensityRoutes:
     lambda: IGParams(INF, 1.0),
     lambda: IGParams(1.0, NAN),
     lambda: IGParams(1.0, INF),
-    lambda: IGMarginal(NAN, 1.0),
-    lambda: IGMarginal(1.0, NAN),
+    lambda: ig_pdf(1.0, NAN, P11),
+    lambda: ig_cdf(1.0, NAN, P11),
     lambda: integrate_interval(np.exp, 0.0, 1.0, abs_tol=NAN),
     lambda: integrate_interval(np.exp, 0.0, 1.0, rel_tol=INF),
     lambda: hit_pdf_table(np.array([0.5, NAN]), 1.0, EV11),
@@ -279,7 +280,7 @@ class TestDensityRoutes:
     lambda: hit_moment(NAN, 1.0, P11),
     lambda: hit_moment(INF, 1.0, P11),
     lambda: hit_llt(NAN, 1.0, P11),
-], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "a_nan", "b_nan",
+], ids=["delta_nan", "delta_inf", "gamma_nan", "gamma_inf", "ig_pdf_t_nan", "ig_cdf_t_nan",
         "abs_tol_nan", "rel_tol_inf", "table_x_nan", "table_t_nan",
         "table_t_inf", "integral_x_nan", "integral_t_inf", "cdf_x_nan", "cdf_t_nan", "cdf_x_inf",
         "survival_x_nan", "survival_t_inf", "sample_t_nan", "sample_t_inf", "sample_dt_nan",

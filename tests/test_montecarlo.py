@@ -62,11 +62,11 @@ class TestEstimateMoment:
         assert est.value == 2.0 and est.n_samples == 10
 
     def test_subordinator_increment_mean(self):
-        from ighit.subordinators import IGMarginal, ig_sample
-        m = IGMarginal(1.0, 1.0)
-        est = estimate_moment(lambda n, rng: ig_sample(m, rng, n), 1.0,
+        from ighit.subordinators import IGParams, ig_sample
+        p = IGParams(1.0, 1.0)
+        est = estimate_moment(lambda n, rng: ig_sample(1.0, p, rng, n), 1.0,
                               300_000, seed=41)
-        assert abs(est.value - m.mean) < 4.0 * est.std_error
+        assert abs(est.value - p.delta / p.gamma) < 4.0 * est.std_error
 
 
 class TestKolmogorovSmirnov:

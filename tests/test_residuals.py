@@ -27,7 +27,6 @@ from ighit.residuals import (
     residual_subordinated_frac,
     residual_ts_pde,
     _grid,
-    _ig_table,
     _numeric_lt,
 )
 from ighit.subordinators import IGParams, ig_pdf, ig_psi
@@ -121,15 +120,15 @@ class TestResidualTables:
     ], ids=["ig", "ig_fine", "frac_ig", "frac_ig_fine"])
     def test_ig_table_matches_per_t_calls(self, gamma, xs, ts):
         params = IGParams(1.0, gamma)
-        loop = np.stack([ig_pdf(xs, params.marginal(float(t))) for t in ts], axis=1)
-        assert np.array_equal(_ig_table(params, xs, ts), loop)
+        loop = np.stack([ig_pdf(xs, float(t), params) for t in ts], axis=1)
+        assert np.array_equal(ig_pdf(xs[:, None], ts, params), loop)
 
     def test_ig_table_rejects_nonpositive_points(self):
         params = IGParams(1.0, 1.0)
         with pytest.raises(DomainError):
-            _ig_table(params, np.array([0.0, 1.0]), np.array([1.0]))
+            ig_pdf(np.array([0.0, 1.0])[:, None], np.array([1.0]), params)
         with pytest.raises(DomainError):
-            _ig_table(params, np.array([1.0]), np.array([0.0, 1.0]))
+            ig_pdf(np.array([1.0])[:, None], np.array([0.0, 1.0]), params)
 
     @pytest.mark.parametrize("dt", [1 / 64, 1 / 128], ids=["coarse", "fine"])
     def test_driftless_hitting_table_matches_general_form(self, dt):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ighit import subordinators
 from ighit.errors import BudgetExceeded, DomainError
 from ighit.numerics import (
     integrate_interval,
@@ -16,7 +17,6 @@ from ighit.numerics import (
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import (
     PASS_BLOCK,
-    IGMarginal,
     IGParams,
     IGSubordinator,
     SamplePath,
@@ -49,63 +49,78 @@ LOOSE = {"abs_tol": 1e-9, "rel_tol": 1e-7}
 class TestIGDistribution:
     def test_pdf_value_at_unit_point(self):
         # exponent ab - (a^2 + b^2)/2 vanishes at x = a = b = 1
-        assert ig_pdf(1.0, IGMarginal(1.0, 1.0)) == pytest.approx(
+        assert ig_pdf(1.0, 1.0, IGParams(1.0, 1.0)) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-14)
 
     def test_pdf_mass_and_mean(self):
-        m = IGMarginal(2.0, 0.5)
-        mass = integrate_semi_infinite(lambda x: ig_pdf(x, m))
-        mean = integrate_semi_infinite(lambda x: x * ig_pdf(x, m))
+        p = IGParams(2.0, 0.5)
+        mass = integrate_semi_infinite(lambda x: ig_pdf(x, 1.0, p))
+        mean = integrate_semi_infinite(lambda x: x * ig_pdf(x, 1.0, p))
         assert mass == pytest.approx(1.0, abs=1e-8)
-        assert mean == pytest.approx(m.mean, abs=1e-7)
-        assert m.mean == 4.0
+        assert mean == pytest.approx(p.delta / p.gamma, abs=1e-7)
+
+    def test_model_density_is_ig_pdf(self):
+        # the model's marginal density and ig_pdf round alike: at this a, 22
+        # of the 40 values differed when the model took numpy's log and square
+        p = IGParams(1.0, 0.7)
+        u = np.linspace(0.05, 4.0, 40)
+        a = 1.5201862298474473
+        assert np.array_equal(IGSubordinator(p).marginal_pdf(u, a), ig_pdf(u, a, p))
+
+    def test_pdf_and_cdf_broadcast_over_time(self):
+        p = IGParams(1.3, 0.7)
+        xs, ts = np.linspace(0.1, 3.0, 7), np.array([0.25, 1.0, 2.5])
+        rows = np.stack([ig_pdf(xs, float(t), p) for t in ts], axis=1)
+        assert np.array_equal(ig_pdf(xs[:, None], ts, p), rows)
+        rows = np.stack([ig_cdf(xs, float(t), p) for t in ts], axis=1)
+        assert np.array_equal(ig_cdf(xs[:, None], ts, p), rows)
+        assert type(ig_pdf(1.0, 1.0, p)) is float and type(ig_cdf(1.0, 1.0, p)) is float
 
     def test_pdf_domain(self):
         with pytest.raises(DomainError):
-            ig_pdf(0.0, IGMarginal(1.0, 1.0))
+            ig_pdf(0.0, 1.0, IGParams(1.0, 1.0))
         with pytest.raises(DomainError):
-            IGMarginal(-1.0, 1.0)
+            ig_pdf(1.0, -1.0, IGParams(1.0, 1.0))
 
     def test_cdf_limits(self):
-        m = IGMarginal(2.0, 0.5)
-        assert ig_cdf(0.0, m) == 0.0
-        assert ig_cdf(-3.0, m) == 0.0
-        assert ig_cdf(1e9, m) == pytest.approx(1.0, abs=1e-12)
+        p = IGParams(2.0, 0.5)
+        assert ig_cdf(0.0, 1.0, p) == 0.0
+        assert ig_cdf(-3.0, 1.0, p) == 0.0
+        assert ig_cdf(1e9, 1.0, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_cdf_infinite_limits(self):
-        m = IGMarginal(1.0, 1.0)
+        p = IGParams(1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ig_cdf(math.inf, m) == 1.0
-            assert ig_cdf(-math.inf, m) == 0.0
-            assert np.array_equal(ig_cdf(np.array([-math.inf, 0.0, math.inf]), m),
+            assert ig_cdf(math.inf, 1.0, p) == 1.0
+            assert ig_cdf(-math.inf, 1.0, p) == 0.0
+            assert np.array_equal(ig_cdf(np.array([-math.inf, 0.0, math.inf]), 1.0, p),
                                   [0.0, 0.0, 1.0])
-        assert isinstance(ig_cdf(math.inf, m), float)
+        assert isinstance(ig_cdf(math.inf, 1.0, p), float)
 
     def test_cdf_matches_quadrature(self):
-        m = IGMarginal(2.0, 0.5)
-        quad = integrate_interval(lambda x: ig_pdf(np.maximum(x, 1e-300), m), 0.0, 3.0)
-        assert ig_cdf(3.0, m) == pytest.approx(quad, abs=1e-8)
+        p = IGParams(2.0, 0.5)
+        quad = integrate_interval(lambda x: ig_pdf(np.maximum(x, 1e-300), 1.0, p), 0.0, 3.0)
+        assert ig_cdf(3.0, 1.0, p) == pytest.approx(quad, abs=1e-8)
 
     def test_cdf_overflow_safe_branch(self):
         # 2ab far beyond exp overflow territory
-        m = IGMarginal(40.0, 40.0)
-        val = ig_cdf(1.0, m)
+        val = ig_cdf(1.0, 1.0, IGParams(40.0, 40.0))
         assert 0.0 <= val <= 1.0 and math.isfinite(val)
         assert val == pytest.approx(0.5, abs=0.2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.01, 20.0), st.floats(0.01, 20.0))
     def test_cdf_monotone(self, x1, x2):
-        m = IGMarginal(1.5, 0.8)
+        p = IGParams(1.5, 0.8)
         lo, hi = min(x1, x2), max(x1, x2)
-        assert ig_cdf(lo, m) <= ig_cdf(hi, m) + 1e-15
+        assert ig_cdf(lo, 1.0, p) <= ig_cdf(hi, 1.0, p) + 1e-15
 
 
 class TestIGSampler:
     def test_moments(self):
         rng = np.random.default_rng(2024)
-        d = ig_sample(IGMarginal(1.0, 1.0), rng, size=10 ** 6)
+        d = ig_sample(1.0, IGParams(1.0, 1.0), rng, size=10 ** 6)
         se_mean = d.std() / math.sqrt(d.size)
         assert abs(d.mean() - 1.0) < 4.0 * se_mean
         m4 = np.mean((d - d.mean()) ** 4)
@@ -114,16 +129,16 @@ class TestIGSampler:
 
     def test_ks_against_cdf(self):
         rng = np.random.default_rng(7)
-        m = IGMarginal(1.0, 1.0)
-        d = ig_sample(m, rng, size=10 ** 5)
-        assert ecdf_ks(d, lambda x: ig_cdf(x, m)) < ks_critical_1pct(d.size)
+        p = IGParams(1.0, 1.0)
+        d = ig_sample(1.0, p, rng, size=10 ** 5)
+        assert ecdf_ks(d, lambda x: ig_cdf(x, 1.0, p)) < ks_critical_1pct(d.size)
 
     def test_driftless_delegates_to_stable_representation(self):
         rng = np.random.default_rng(11)
-        m = IGMarginal(1.3, 0.0)
-        d = ig_sample(m, rng, size=10 ** 5)
+        a = 1.3
+        d = ig_sample(1.0, IGParams(a, 0.0), rng, size=10 ** 5)
         # one-sided 1/2-stable law: P(X <= x) = erfc(a / sqrt(2x))
-        cdf = lambda x: np.array([math.erfc(m.a / math.sqrt(2.0 * xi)) for xi in x])
+        cdf = lambda x: np.array([math.erfc(a / math.sqrt(2.0 * xi)) for xi in x])
         assert ecdf_ks(d, cdf) < ks_critical_1pct(d.size)
 
 
@@ -263,7 +278,7 @@ class TestStableFamily:
         # both transforms are exp(-a sqrt(2 s))
         a = 1.3
         for x in (0.2, 0.7, 2.5):
-            assert ig_pdf(x, IGMarginal(a, 0.0)) == pytest.approx(
+            assert ig_pdf(x, 1.0, IGParams(a, 0.0)) == pytest.approx(
                 stable_pdf(x, a * math.sqrt(2.0), 0.5), rel=1e-13)
 
     def test_third_index_lt_consistency(self):
@@ -438,7 +453,7 @@ NAN = math.nan
 @pytest.mark.parametrize("call", [
     lambda: ig_levy_tail(NAN, IGParams(1.0, 1.0)),
     lambda: ig_levy_tail(np.array([0.5, math.inf]), IGParams(1.0, 1.0)),
-    lambda: ig_pdf(NAN, IGMarginal(1.0, 1.0)),
+    lambda: ig_pdf(NAN, 1.0, IGParams(1.0, 1.0)),
     lambda: stable_levy_tail(NAN, 0.5),
     lambda: ts_levy_tail(NAN, 0.5, 1.0),
     lambda: ts_levy_tail(NAN, 1.0 / 3.0, 0.0),
@@ -461,8 +476,8 @@ NAN = math.nan
     lambda: ts_levy_tail(1.0, 1.0 / 3.0, NAN),
     lambda: stable_cdf(NAN, 1.0, 0.5),
     lambda: stable_cdf(1.0, NAN, 0.5),
-    lambda: ig_cdf(NAN, IGMarginal(1.0, 1.0)),
-    lambda: ig_cdf(np.array([0.5, NAN, math.inf]), IGMarginal(1.0, 1.0)),
+    lambda: ig_cdf(NAN, 1.0, IGParams(1.0, 1.0)),
+    lambda: ig_cdf(np.array([0.5, NAN, math.inf]), 1.0, IGParams(1.0, 1.0)),
     lambda: ig_psi(NAN, IGParams(1.0, 1.0)),
     lambda: ig_psi(np.array([1.0, math.inf]), IGParams(1.0, 1.0)),
     lambda: ig_psi(complex(NAN, 1.0), IGParams(1.0, 1.0)),
@@ -497,30 +512,26 @@ def test_non_finite_input_rejected(call):
     lambda rng: ts_sample(1.0, 1.0 / 3.0, math.inf, rng, size=3),
     # an index outside (0, 1) is a domain error, not an exhausted budget, and
     # so is a negative size, at every index
-    lambda rng: ts_sample(1.0, 1.5, 1.0, rng, size=3, trial_cap=1),
+    lambda rng: ts_sample(1.0, 1.5, 1.0, rng, size=3),
     lambda rng: ts_sample(1.0, 0.0, 1.0, rng, size=3),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=-2),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=(2, -1)),
     lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=-2),
     lambda rng: stable_sample(1.0, 1.0 / 3.0, rng, size=-2),
     lambda rng: stable_sample(1.0, 0.7, rng, size=(2, -1)),
-    # the trial budget is a positive integer number of proposals per draw, at
-    # every index
-    lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=3, trial_cap=2.5),
-    lambda rng: ts_sample(1.0, 0.7, 1.0, rng, size=3, trial_cap=0),
-    lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, trial_cap=-1),
-    lambda rng: ts_sample(1.0, 0.5, 1.0, rng, size=3, trial_cap=0),
-    lambda rng: ig_sample(IGMarginal(1.0, 1.0), rng, size=-2),
-    lambda rng: ig_sample(IGMarginal(1.0, 0.0), rng, size=(2, -1)),
+    lambda rng: ig_sample(1.0, IGParams(1.0, 1.0), rng, size=-2),
+    lambda rng: ig_sample(1.0, IGParams(1.0, 0.0), rng, size=(2, -1)),
     # the draws scale by t^(1/beta), which overflows a float here
     lambda rng: stable_sample(1e100, 0.2, rng),
     lambda rng: ts_sample(1e100, 0.2, 0.0, rng, size=3),
+    # the IG draws scale by (delta t / gamma)^2, and by (delta t)^2 at gamma = 0
+    lambda rng: ig_sample(1e200, IGParams(1.0, 1.0), rng, size=3),
+    lambda rng: ig_sample(1e200, IGParams(1.0, 0.0), rng, size=3),
 ], ids=["stable_t_inf", "ts_t_nan", "ts_mu_inf", "ts_beta_above_one", "ts_beta_zero",
         "ts_size_negative", "ts_shape_negative", "ts_half_size_negative",
-        "stable_size_negative", "stable_shape_negative", "ts_trial_cap_fractional",
-        "ts_trial_cap_zero", "ts_trial_cap_negative", "ts_half_trial_cap_zero",
-        "ig_size_negative", "ig_driftless_shape_negative", "stable_scale_overflow",
-        "ts_scale_overflow"])
+        "stable_size_negative", "stable_shape_negative", "ig_size_negative",
+        "ig_driftless_shape_negative", "stable_scale_overflow", "ts_scale_overflow",
+        "ig_scale_overflow", "ig_driftless_scale_overflow"])
 def test_samplers_reject_before_drawing(draw):
     rng = np.random.default_rng(10)
     with pytest.raises(DomainError):
@@ -747,21 +758,22 @@ class TestSamplers:
         empty = ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=0)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
-    def test_ts_budget_exceeded(self):
+    def test_ts_budget_exceeded(self, monkeypatch):
         rng = np.random.default_rng(9)
         with pytest.raises(BudgetExceeded):
-            ts_sample(4.0, 1.0 / 3.0, 400.0, rng, size=4, trial_cap=50)
+            ts_sample(4.0, 1.0 / 3.0, 400.0, rng, size=4)
         # mu^beta t = 1.6e6: e^(mu^beta t) overflows a float, yet the budget,
         # not an OverflowError, ends the call
         with pytest.raises(BudgetExceeded):
             ts_sample(100.0, 0.7, 1e6, rng, size=2)
-        # e^(mu^beta t) alone beyond trial_cap raises before the first block,
-        # with the generator untouched
+        # e^(mu^beta t) alone beyond the budget raises before the first
+        # block, with the generator untouched
         rng = np.random.default_rng(9)
         with pytest.raises(BudgetExceeded):
             ts_sample(100.0, 0.7, 1e6, rng, size=4096)
+        monkeypatch.setattr(subordinators, "TRIAL_CAP", 8)
         with pytest.raises(BudgetExceeded):
-            ts_sample(1.0, 0.7, 3.0, rng, size=4, trial_cap=8)
+            ts_sample(1.0, 0.7, 3.0, rng, size=4)
         assert rng.random() == np.random.default_rng(9).random()
 
     def test_ts_half_index_is_the_ig_law(self):
@@ -769,8 +781,7 @@ class TestSamplers:
         # the same numbers as ig_sample on the same generator, no rejection
         for mu in (0.0, 1.0, 400.0):
             d = ts_sample(4.0, 0.5, mu, np.random.default_rng(25), size=(3, 4))
-            ig = ig_sample(ts_half_ig_params(mu).marginal(4.0), np.random.default_rng(25),
-                           (3, 4))
+            ig = ig_sample(4.0, ts_half_ig_params(mu), np.random.default_rng(25), (3, 4))
             assert np.array_equal(d, ig)
         assert type(ts_sample(1.0, 0.5, 1.0, np.random.default_rng(25))) is float
 
@@ -796,10 +807,24 @@ class TestPaths:
         # G(1) built from dt = 1/16 increments follows IG(delta, gamma) exactly
         rng = np.random.default_rng(13)
         p = IGParams(1.0, 1.0)
-        incs = ig_sample(p.marginal(1 / 16), rng, size=(10 ** 5, 16))
+        incs = ig_sample(1 / 16, p, rng, size=(10 ** 5, 16))
         g1 = incs.sum(axis=1)
-        assert ecdf_ks(g1, lambda x: ig_cdf(x, p.marginal(1.0))) \
-            < ks_critical_1pct(g1.size)
+        assert ecdf_ks(g1, lambda x: ig_cdf(x, 1.0, p)) < ks_critical_1pct(g1.size)
+
+    def test_extension_stops_at_the_step_cap(self, monkeypatch):
+        # a level the path cannot reach within the cap raises, without
+        # drawing the piece that would pass it
+        monkeypatch.setattr(subordinators, "_MAX_PATH_STEPS", 1000)
+        model = IGSubordinator(IGParams(1.0, 1.0))
+        with pytest.raises(DomainError):
+            simulate_until(model, 1e6, 1.0, 1 / 16, np.random.default_rng(5))
+
+    def test_extension_doubles_its_pieces(self):
+        # pieces of 1, 1, 2, 4, ... time units at dt = 1/16 from the start
+        path = simulate_until(IGSubordinator(IGParams(1.0, 1.0)), 20.0, 1.0, 1 / 16,
+                              np.random.default_rng(6))
+        assert path.values[-1] > 20.0 and path.is_nondecreasing
+        assert path.times.size - 1 in {16 * (2 ** k) for k in range(1, 8)}
 
     def test_increments_uncorrelated(self):
         rng = np.random.default_rng(14)
