@@ -46,7 +46,7 @@ from .subordinators import (
     IGSubordinator,
     SamplePath,
     _finite_nonnegative,
-    _ig_cdf,
+    ig_cdf,
     ig_levy_tail,
     ig_psi,
     simulate_until,
@@ -298,7 +298,7 @@ def hit_survival(x, t: float, params: IGParams):
     out = np.ones_like(x_arr)
     pos = x_arr > 0
     if pos.any():
-        out[pos] = _ig_cdf(t, params.delta * x_arr[pos], params.gamma)
+        out[pos] = ig_cdf(t, x_arr[pos], params)
     return float(out) if scalar else out
 
 
@@ -492,7 +492,7 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
     """First x = max(1, 2 gamma t/delta) * 2^k, k < 60, with x^q * P(H(t) > x) < tail_tol.
 
     Broadcast over t: all 60 candidates of every t go through one
-    `_ig_cdf` call, the duality route of `hit_survival`.  Used to truncate
+    `ig_cdf` call, the duality route of `hit_survival`.  Used to truncate
     quadratures of the density: the exact survival only picks the truncation
     point, it never enters the integral value.
     """
@@ -500,7 +500,7 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
     t_arr = np.asarray(t, dtype=float)
     x0 = np.maximum(1.0, 2.0 * params.gamma * t_arr / params.delta)
     xs = x0[..., None] * _DOUBLINGS
-    tail = xs ** weight_power * _ig_cdf(t_arr[..., None], params.delta * xs, params.gamma)
+    tail = xs ** weight_power * ig_cdf(t_arr[..., None], xs, params)
     below = tail < tail_tol
     if not below.any(axis=-1).all():
         raise NonConvergence("could not locate a density support cutoff")
@@ -647,10 +647,10 @@ def invert_path(g_path: SamplePath, t_grid) -> SamplePath:
 def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     """A subordinator path G at step dt that passes `horizon`, and its inverse H.
 
-    G is extended (`simulate_until`) in pieces of 2 horizon, times gamma/delta
-    for an IG model whose mean rate delta/gamma is below 1, and of at least
-    4 dt; H is on the grid dt * arange(round(horizon / dt) + 1).  Returns
-    (G, H).
+    G is extended (`simulate_until`) from pieces of 2 horizon, times
+    gamma/delta for an IG model whose mean rate delta/gamma is below 1, and
+    of at least 4 dt; H is on the grid dt * arange(round(horizon / dt) + 1).
+    Returns (G, H).
     """
     if horizon <= 0 or not 0 < dt <= horizon:
         raise DomainError("need horizon > 0 and 0 < dt <= horizon")

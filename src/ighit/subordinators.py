@@ -772,8 +772,9 @@ def simulate_until(model, level: float, chunk: float, dt: float,
     The first two pieces have length `chunk`, and each later one twice the
     length of the one before.  Each piece continues from the end of the last,
     so the result is one path at step dt whose final value lies above
-    `level`, as `invert_path` needs.  A piece that would carry the path past
-    `_MAX_PATH_STEPS` steps raises DomainError instead of being drawn.
+    `level`, as `invert_path` needs.  The last piece is cut to the steps
+    that `_MAX_PATH_STEPS` leaves; a path that has used them all without
+    passing `level` raises DomainError.
     """
     if not math.isfinite(level):
         raise DomainError("level must be finite")
@@ -782,14 +783,13 @@ def simulate_until(model, level: float, chunk: float, dt: float,
     end_t, end_v, steps = path.times[-1], path.values[-1], path.times.size - 1
     piece = chunk
     while end_v <= level:
-        if steps + piece / dt > _MAX_PATH_STEPS:
+        if steps >= _MAX_PATH_STEPS:
             raise DomainError(f"the path did not pass level {level} within "
                               f"{_MAX_PATH_STEPS} steps")
+        piece = min(piece, (_MAX_PATH_STEPS - steps) * dt)
         ext = simulate_path(model, piece, dt, rng)
         times.append(end_t + ext.times[1:])
         values.append(end_v + ext.values[1:])
         end_t, end_v, steps = times[-1][-1], values[-1][-1], steps + ext.times.size - 1
         piece *= 2.0
-    if len(times) == 1:
-        return path
     return SamplePath(np.concatenate(times), np.concatenate(values))

@@ -510,9 +510,10 @@ def test_non_finite_input_rejected(call):
     lambda rng: stable_sample(math.inf, 0.5, rng, size=3),
     lambda rng: ts_sample(NAN, 1.0 / 3.0, 1.0, rng, size=3),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, math.inf, rng, size=3),
-    # an index outside (0, 1) is a domain error, not an exhausted budget, and
+    # an index outside (0, 1) is a domain error, not an exhausted budget
+    # (mu^beta t = 1e6 lies far beyond log TRIAL_CAP), and
     # so is a negative size, at every index
-    lambda rng: ts_sample(1.0, 1.5, 1.0, rng, size=3),
+    lambda rng: ts_sample(1.0, 1.5, 1e4, rng, size=3),
     lambda rng: ts_sample(1.0, 0.0, 1.0, rng, size=3),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=-2),
     lambda rng: ts_sample(1.0, 1.0 / 3.0, 1.0, rng, size=(2, -1)),
@@ -812,12 +813,22 @@ class TestPaths:
         assert ecdf_ks(g1, lambda x: ig_cdf(x, 1.0, p)) < ks_critical_1pct(g1.size)
 
     def test_extension_stops_at_the_step_cap(self, monkeypatch):
-        # a level the path cannot reach within the cap raises, without
-        # drawing the piece that would pass it
+        # a level the path cannot reach within the cap raises once the path
+        # has used every step the cap allows
         monkeypatch.setattr(subordinators, "_MAX_PATH_STEPS", 1000)
         model = IGSubordinator(IGParams(1.0, 1.0))
         with pytest.raises(DomainError):
             simulate_until(model, 1e6, 1.0, 1 / 16, np.random.default_rng(5))
+
+    def test_extension_cuts_its_last_piece_to_the_cap(self, monkeypatch):
+        # pieces of 16, 16, 32, ..., 256 steps end at 512; a doubled piece
+        # would pass the cap of 1000, so the last one takes the 488 left,
+        # and this path passes the level only within those
+        monkeypatch.setattr(subordinators, "_MAX_PATH_STEPS", 1000)
+        path = simulate_until(IGSubordinator(IGParams(1.0, 1.0)), 45.0, 1.0, 1 / 16,
+                              np.random.default_rng(3))
+        assert path.times.size - 1 == 1000
+        assert path.values[512] <= 45.0 < path.values[-1]
 
     def test_extension_doubles_its_pieces(self):
         # pieces of 1, 1, 2, 4, ... time units at dt = 1/16 from the start
