@@ -62,37 +62,13 @@ def convolution_tables(ig, np) -> list:
     """The Levy-tail convolution oracle at the points `ighit verify` gives it:
     density_two_routes' 15 (delta = gamma = 1, x in {0.25, 0.5, 1, 2, 4} at
     t in {0.5, 1, 2}) and pde_ts_n2's 5 (index 1/2, mu = 1, the corners and
-    centre of its box), one call per t.  A checkout whose convolution takes
-    one x per call (it raises ValueError on an array) gets one call per point.
+    centre of its box), one call per t.
     """
     ig_model = ig.IGSubordinator(ig.IGParams(1.0, 1.0))
     ts_model = ig.TemperedStableSubordinator(0.5, 1.0)
     sets = [(ig_model, t, [0.25, 0.5, 1.0, 2.0, 4.0]) for t in (0.5, 1.0, 2.0)]
     sets += [(ts_model, 0.7, [0.4, 1.0]), (ts_model, 1.1, [0.4, 1.0]), (ts_model, 0.9, [0.7])]
-    out = []
-    for model, t, xs in sets:
-        try:
-            out.append(ig.hit_pdf_convolution(np.array(xs), t, model))
-        except ValueError:
-            out.append([ig.hit_pdf_convolution(x, t, model) for x in xs])
-    return out
-
-
-def ig_cdf(ig, xs):
-    """The IG(1, 1) distribution function at xs; a checkout with the
-    `IGMarginal` parameter type takes it in place of (t, params)."""
-    if hasattr(ig, "IGMarginal"):
-        return ig.ig_cdf(xs, ig.IGMarginal(1.0, 1.0))
-    return ig.ig_cdf(xs, 1.0, ig.IGParams(1.0, 1.0))
-
-
-def ig_pdf_table(ig, xs, ts):
-    """The driftless unit-slope IG density at xs by ts, as `residual_frac_ig`
-    tabulates it; a checkout with `residuals._ig_table` runs that."""
-    params = ig.IGParams(1.0, 0.0)
-    if hasattr(ig.residuals, "_ig_table"):
-        return ig.residuals._ig_table(params, xs, ts)
-    return ig.ig_pdf(xs[:, None], ts, params)
+    return [ig.hit_pdf_convolution(np.array(xs), t, model) for model, t, xs in sets]
 
 
 # name, items per call, call(ig, np, rng, n)
@@ -125,11 +101,21 @@ LAYERS = (
     # 12 nodes), a size where per-call overhead outweighs per-point cost
     ("erfcx_rule", 1164,
      lambda ig, np, rng, n: ig.erfcx(np.linspace(0.0, 6.0, n))),
-    ("ig_cdf", 10 ** 6, lambda ig, np, rng, n: ig_cdf(ig, np.linspace(1e-3, 10.0, n))),
+    ("ig_cdf", 10 ** 6,
+     lambda ig, np, rng, n: ig.ig_cdf(np.linspace(1e-3, 10.0, n), 1.0, ig.IGParams(1.0, 1.0))),
     # the IG density on the fine grid of the pde_frac_ig record (192 x 131)
     ("ig_pdf_table", 192 * 131,
-     lambda ig, np, rng, n: ig_pdf_table(ig, np.arange(1, 193) / 128.0,
-                                         0.5 + np.arange(-1, 130) / 256.0)),
+     lambda ig, np, rng, n: ig.ig_pdf((np.arange(1, 193) / 128.0)[:, None],
+                                      0.5 + np.arange(-1, 130) / 256.0, ig.IGParams(1.0, 0.0))),
+    # `ighit paths` at its defaults (T = 5, dt = 0.001: a first piece of
+    # 10,000 steps), and a tempered stable path of mean rate 5e-4 that
+    # doubles its pieces to about 204,800 steps before it passes T = 1
+    ("hitting_path_ig", 1,
+     lambda ig, np, rng, n: ig.hitting_path(ig.IGSubordinator(ig.IGParams(1.0, 1.0)),
+                                            5.0, 0.001, rng)),
+    ("hitting_path_ts_extend", 1,
+     lambda ig, np, rng, n: ig.hitting_path(ig.TemperedStableSubordinator(0.5, 1e6),
+                                            1.0, 0.01, rng)),
     # the kernels of the index-1/3 tempered-stable Levy tail (upper_gamma: the
     # series below x = 1, the continued fraction above) and stable density
     ("upper_gamma_minus_third", 10 ** 4,

@@ -31,8 +31,6 @@ from .subordinators import (
     ig_pdf,
     ig_psi,
     ig_sample,
-    simulate_path,
-    simulate_until,
     stable_cdf,
     stable_pdf,
     stable_sample,

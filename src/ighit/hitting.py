@@ -49,7 +49,6 @@ from .subordinators import (
     ig_cdf,
     ig_levy_tail,
     ig_psi,
-    simulate_until,
     stable_cdf,
     stable_pdf,
 )
@@ -415,8 +414,9 @@ def hit_lt_space_closed(mu, t, params: IGParams):
     -z0 <= z1 < 0 and e^(-z0^2) folds into erfcx(z1) ~ 2 e^(z1^2): the value
     is (|z1| e^((z1 - z0)(z1 + z0)) erfc(z1) + z0 erfc(z0)) / (z0 + |z1|),
     in which nothing exceeds 2 |z1| + z0, so nothing overflows at z1^2 > 709.
-    mu = 0 gives exactly 1.  The integral form `hit_lt_space`, kept as the
-    oracle, needs mu > delta*gamma.
+    mu = 0 gives exactly 1, and mu >= delta*gamma gives 0 where
+    e^(-gamma^2 t/2) underflows.  The integral form `hit_lt_space`, kept as
+    the oracle, needs mu > delta*gamma.
     """
     mu_arr = np.asarray(mu, dtype=float)
     t_arr = np.asarray(t, dtype=float)
@@ -430,9 +430,13 @@ def hit_lt_space_closed(mu, t, params: IGParams):
     z0 = g * r
     z1 = (mu_arr / d - g) * r
     below = z1 < 0
-    out = np.empty(z1.shape)
-    m = ~below
-    out[m] = np.exp(-0.5 * g * g * t_arr[m]) * (erfcx(z1[m]) + z0[m] * _erfcx_slope(z0[m], z1[m]))
+    out = np.zeros(z1.shape)
+    decay = np.zeros(z1.shape)
+    decay[~below] = np.exp(-0.5 * g * g * t_arr[~below])
+    # where the factor underflows the transform is 0, and the bracket is not
+    # formed: its Taylor recurrence overflows at large z
+    m = decay > 0
+    out[m] = decay[m] * (erfcx(z1[m]) + z0[m] * _erfcx_slope(z0[m], z1[m]))
     m = below
     fold = np.exp((z1[m] - z0[m]) * (mu_arr[m] / d * r[m])) * erfc(z1[m])
     out[m] = (-z1[m] * fold + z0[m] * erfc(z0[m])) / (z0[m] - z1[m])
@@ -609,6 +613,8 @@ def _tail_grid(t, x_grid) -> np.ndarray:
 
 
 def _fit_envelope(xs, surv, shape, stretch, t, label, extra) -> TailBoundReport:
+    if not np.all(np.isfinite(shape) & (shape > 0)):
+        raise NumericalInstability(f"{label}: the envelope over- or underflows on the grid")
     c = float(np.max(surv / shape))
     with np.errstate(divide="ignore"):
         log_surv = -np.log(np.maximum(surv, 1e-300))
@@ -644,12 +650,22 @@ def invert_path(g_path: SamplePath, t_grid) -> SamplePath:
     return SamplePath(t_arr, g_path.times[idx])
 
 
+# The most steps of one `hitting_path` path; the tests take at most 40,000
+# and `ighit paths` at its defaults 10,000.
+_MAX_PATH_STEPS = 10 ** 7
+
+
 def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     """A subordinator path G at step dt that passes `horizon`, and its inverse H.
 
-    G is extended (`simulate_until`) from pieces of 2 horizon, times
-    gamma/delta for an IG model whose mean rate delta/gamma is below 1, and
-    of at least 4 dt; H is on the grid dt * arange(round(horizon / dt) + 1).
+    G cumulates exact i.i.d. increments `model.sample_increment(dt, ...)`, so
+    its values on the grid dt * arange(steps + 1) are exact marginals; dt only
+    sets the resolution of H.  G is drawn in pieces until it passes
+    `horizon`: the first two of 2 horizon, times gamma/delta for an IG model
+    whose mean rate delta/gamma is below 1, and of at least 4 dt; each later
+    piece twice the one before, the last cut to the steps `_MAX_PATH_STEPS`
+    leaves.  A path that has used them all without passing `horizon` raises
+    DomainError.  H is on the grid dt * arange(round(horizon / dt) + 1).
     Returns (G, H).
     """
     if horizon <= 0 or not 0 < dt <= horizon:
@@ -657,7 +673,21 @@ def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     chunk = 2.0 * horizon
     if isinstance(model, IGSubordinator):
         chunk *= max(model.params.gamma / model.params.delta, 1.0)
-    g_path = simulate_until(model, horizon, max(chunk, 4.0 * dt), dt, rng)
+    steps = max(chunk, 4.0 * dt) / dt
+    if not steps <= _MAX_PATH_STEPS:
+        raise DomainError(f"horizon / dt must not exceed {_MAX_PATH_STEPS} steps")
+    pieces, used = [np.zeros(1)], 0
+    while pieces[-1][-1] <= horizon:
+        if used == _MAX_PATH_STEPS:
+            raise DomainError(f"the path did not pass horizon {horizon} within "
+                              f"{_MAX_PATH_STEPS} steps")
+        n = min(int(round(steps)), _MAX_PATH_STEPS - used)
+        pieces.append(pieces[-1][-1] + np.cumsum(model.sample_increment(dt, rng, size=n)))
+        used += n
+        if len(pieces) > 2:
+            steps *= 2.0
+    values = np.concatenate(pieces)
+    g_path = SamplePath(dt * np.arange(values.size), values)
     return g_path, invert_path(g_path, dt * np.arange(int(round(horizon / dt)) + 1))
 
 
@@ -672,7 +702,7 @@ def sample_hitting_times(t_eval: float, n: int, params: IGParams, dt: float,
     Methods in Financial Engineering, 2004, section 6.4).  G has no drift, so
     G(k dt) > t exactly when k dt > H(t): S is the first grid time at which a
     path of G at step dt exceeds t_eval, the law `invert_path` gives on a
-    path from `simulate_path`.  The draws come from the substream (seed, 0).
+    path from `hitting_path`.  The draws come from the substream (seed, 0).
     """
     _check_t(t_eval)
     _check_t(dt)

@@ -147,9 +147,13 @@ def ig_sample(t: float, p: IGParams, rng: np.random.Generator, size=None):
 
     A chi-square(1) variate nu gives the smaller quadratic root
     x0 = a/b + nu/(2 b^2) - sqrt(4 a b nu + nu^2)/(2 b^2), accepted with
-    probability a/(a + b x0), else (a/b)^2 / x0 is returned.  b = 0 delegates
-    to the one-sided 1/2-stable representation a^2 / Z^2.  DomainError where
-    the law's scale, (a/b)^2 or at b = 0 a^2, overflows a float.
+    probability a/(a + b x0), else (a/b)^2 / x0 is returned.  x0 is taken
+    as 2a (a / D), D = 2ab + nu + sqrt(nu^2 + 4 a b nu): the same root
+    without the subtraction, which cancels as ab -> 0.  It tends to a^2 / nu
+    as b -> 0, and 2a (a / D) in place of 2a^2 / D keeps a^2 from
+    overflowing.  b = 0 delegates to the one-sided 1/2-stable representation
+    a^2 / Z^2.  DomainError where the law's scale, (a/b)^2 or at b = 0 a^2,
+    overflows a float.
     """
     a, b = float(_ig_shape(t, p, "ig_sample")), p.gamma
     mu = a / b if b > 0 else a
@@ -161,10 +165,11 @@ def ig_sample(t: float, p: IGParams, rng: np.random.Generator, size=None):
         out = (a / z) ** 2
         return float(out) if size is None else out
     nu = rng.standard_normal(shape) ** 2
-    x0 = mu + nu / (2.0 * b ** 2) - np.sqrt(4.0 * a * b * nu + nu ** 2) / (2.0 * b ** 2)
-    x0 = np.maximum(x0, 1e-300)
-    accept = rng.uniform(size=shape) <= a / (a + b * x0)
-    out = np.where(accept, x0, scale / x0)
+    x0 = 2.0 * a * (a / (2.0 * a * b + nu + np.sqrt(nu ** 2 + 4.0 * a * b * nu)))
+    reject = rng.uniform(size=shape) > a / (a + b * x0)
+    # the larger root only where it is drawn: an accepted x0 is 0 where a^2
+    # underflows, and (a/b)^2 / x0 may overflow there
+    out = np.divide(scale, x0, out=np.array(x0, dtype=float), where=reject)
     return float(out) if size is None else out
 
 
@@ -631,7 +636,7 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator, size=N
 
 
 # ---------------------------------------------------------------------------
-# Model objects and grid path simulation
+# Model objects and sample paths
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -738,58 +743,3 @@ class TemperedStableSubordinator:
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
         return ts_sample(dt, self.beta, self.mu, rng, size)
-
-
-# The most steps of one `simulate_path` call; the tests take at most 40,000
-# and `ighit paths` at its defaults 10,000.
-_MAX_PATH_STEPS = 10 ** 7
-
-
-def simulate_path(model, horizon: float, dt: float, rng: np.random.Generator) -> SamplePath:
-    """Grid path by cumulating exact i.i.d. increments over steps of length dt.
-
-    Marginals at grid times are exact (no discretisation error); dt only sets
-    the resolution available to downstream path inversion.
-    """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise DomainError("horizon must be finite and positive")
-    if not 0 < dt <= horizon:
-        raise DomainError("dt must satisfy 0 < dt <= horizon")
-    n_steps = horizon / dt
-    if not n_steps <= _MAX_PATH_STEPS:
-        raise DomainError(f"horizon / dt must not exceed {_MAX_PATH_STEPS} steps")
-    n_steps = int(round(n_steps))
-    times = dt * np.arange(n_steps + 1)
-    increments = model.sample_increment(dt, rng, size=n_steps)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    return SamplePath(times, values)
-
-
-def simulate_until(model, level: float, chunk: float, dt: float,
-                   rng: np.random.Generator) -> SamplePath:
-    """Grid path built from `simulate_path` pieces until it exceeds `level`.
-
-    The first two pieces have length `chunk`, and each later one twice the
-    length of the one before.  Each piece continues from the end of the last,
-    so the result is one path at step dt whose final value lies above
-    `level`, as `invert_path` needs.  The last piece is cut to the steps
-    that `_MAX_PATH_STEPS` leaves; a path that has used them all without
-    passing `level` raises DomainError.
-    """
-    if not math.isfinite(level):
-        raise DomainError("level must be finite")
-    path = simulate_path(model, chunk, dt, rng)
-    times, values = [path.times], [path.values]
-    end_t, end_v, steps = path.times[-1], path.values[-1], path.times.size - 1
-    piece = chunk
-    while end_v <= level:
-        if steps >= _MAX_PATH_STEPS:
-            raise DomainError(f"the path did not pass level {level} within "
-                              f"{_MAX_PATH_STEPS} steps")
-        piece = min(piece, (_MAX_PATH_STEPS - steps) * dt)
-        ext = simulate_path(model, piece, dt, rng)
-        times.append(end_t + ext.times[1:])
-        values.append(end_v + ext.values[1:])
-        end_t, end_v, steps = times[-1][-1], values[-1][-1], steps + ext.times.size - 1
-        piece *= 2.0
-    return SamplePath(np.concatenate(times), np.concatenate(values))

@@ -191,6 +191,20 @@ class TestExitCodes:
         assert float(cols["lt_space"][0]) == pytest.approx(
             math.erfc(1.0 / math.sqrt(2.0)), rel=1e-15)
 
+    def test_space_transform_where_the_decay_underflows(self, tmp_path):
+        # e^(-gamma^2 t/2) underflows at t = 1e300; mu = 2 = 2 delta gamma wrote NaN
+        assert run_in(tmp_path, ["lt", "--which", "space", "--t", "1e300"]) == 0
+        assert read_csv(tmp_path / "lt.csv")["lt_space"] == ["0", "0"]
+
+    @pytest.mark.parametrize("argv", [["--t", "1e-300"], ["--t", "1", "--gamma", "1e300"]],
+                             ids=["envelope_underflows", "envelope_overflows"])
+    def test_tail_with_a_non_finite_envelope_is_numeric_failure(self, tmp_path, argv, capsys):
+        # the envelope e^(dg x - x^2/4t)/x is 0 or inf on the grid: the bounds were NaN
+        with np.errstate(over="ignore"):
+            assert run_in(tmp_path, ["tail", *argv]) == 3
+        assert "envelope" in capsys.readouterr().err
+        assert not (tmp_path / "tail.csv").exists()
+
     def test_unknown_flag_is_hard_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_in(tmp_path, ["density", "--t", "1", "--bogus", "3"])

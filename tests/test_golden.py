@@ -49,7 +49,7 @@ CASES = {
     "stable_0.7.csv": ["stable", "--beta", "0.7", *_STABLE_X],
     "subordinated.csv": ["subordinated", "--with-path", "--x=-2:2:0.5",
                          "--T", "0.25", "--dt", "0.015625"],
-    # at these seeds the first chunk of the subordinator path stays below --T,
+    # at these seeds the first piece of the subordinator path stays below --T,
     # so `paths` has to extend it
     "paths_ig": [*_PATHS, "--seed", "2"],
     "paths_stable": [*_PATHS, "--model", "stable", "--seed", "2"],

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +58,6 @@ from ighit.subordinators import (
     ig_cdf,
     ig_levy_tail,
     ig_pdf,
-    simulate_until,
     stable_pdf,
     ts_half_ig_params,
 )
@@ -639,6 +639,14 @@ class TestTransforms:
             table = hit_lt_space_closed(np.array([[0.0], [0.1]]), np.array([0.5, 3.0]), params)
             assert np.all(table[0] == 1.0) and np.all(table[1] < 1.0)
 
+    def test_space_transform_where_the_decay_underflows(self):
+        # e^(-gamma^2 t/2) = 0 at t = 1e300; at mu = 2 delta gamma, z0 = z1 and
+        # the bracket's Taylor recurrence overflowed, and 0 * inf gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hit_lt_space_closed(np.array([0.0, 1.0, 2.0, 3.0]), 1e300, IGParams(1.0, 1.0))
+        assert np.array_equal(out, [1.0, 0.0, 0.0, 0.0])
+
     def test_space_transform_continuous_at_drift(self):
         # the two forms meet at mu = delta*gamma, where z1 = 0
         params = IGParams(1.0, 0.5)
@@ -812,6 +820,13 @@ class TestBoundaryAndTail:
         assert rep.fitted_gaussian_rate == pytest.approx(0.5, abs=0.05)
         assert abs(rep.fitted_gaussian_rate - 0.25) > 0.2
 
+    @pytest.mark.parametrize("t, params", [(1e-300, IGParams(1.0, 1.0)),
+                                           (1.0, IGParams(1.0, 1e300))],
+                             ids=["envelope_underflows", "envelope_overflows"])
+    def test_tail_report_rejects_a_non_finite_envelope(self, t, params):
+        with np.errstate(over="ignore"), pytest.raises(NumericalInstability, match="envelope"):
+            tail_report(t, params, np.linspace(2.0, 8.0, 25))
+
     def test_tail_report_serialisation(self, params_11, tmp_path):
         rep = tail_report(1.0, params_11, np.linspace(2.0, 6.0, 9))
         rep.to_json(tmp_path / "tail.json")
@@ -860,7 +875,7 @@ class TestPathInversion:
         n, dt = 4000, 1 / 64
         rng = np.random.default_rng(33)
         model = IGSubordinator(params_11)
-        paths = np.array([invert_path(simulate_until(model, 1.0, 2.0, dt, rng), [1.0]).values[0]
+        paths = np.array([hitting.hitting_path(model, 1.0, dt, rng)[1].values[-1]
                           for _ in range(n)])
         sampled = sample_hitting_times(1.0, n, params_11, dt, seed=33)
         k = np.arange(1, 641)  # P(H(1) > 10) is below 1e-15

@@ -10,7 +10,7 @@ from ighit.hitting import (
     density_support_cutoff,
     hit_mean,
     hit_pdf_table,
-    invert_path,
+    hitting_path,
 )
 from ighit.numerics import composite_gauss, integrate_interval
 from ighit.residuals import _grid
@@ -23,7 +23,7 @@ from ighit.subordinated import (
     sub_sample_path,
     sub_sample_values,
 )
-from ighit.subordinators import IGParams, IGSubordinator, simulate_until
+from ighit.subordinators import IGParams, IGSubordinator
 
 
 def _mass_and_second_moment(t, ev):
@@ -191,11 +191,9 @@ class TestPaths:
         seed = 9
         dt = 1 / 128
         x_path = sub_sample_path(params_11, 1.0, dt, np.random.default_rng(seed))
-        # rebuild the driving subordinator path with the same stream to locate
-        # the clock plateaus
-        g_path = simulate_until(IGSubordinator(params_11), 1.0, max(2.0, 4.0 * dt), dt,
-                                np.random.default_rng(seed))
-        h_path = invert_path(g_path, x_path.times)
+        # rebuild the driving clock with the same stream to locate its plateaus
+        h_path = hitting_path(IGSubordinator(params_11), 1.0, dt, np.random.default_rng(seed))[1]
+        assert np.array_equal(h_path.times, x_path.times)
         dh = np.diff(h_path.values)
         dx = np.diff(x_path.values)
         plateaus = dh == 0.0

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ighit import subordinators
+from ighit import hitting, subordinators
 from ighit.errors import BudgetExceeded, DomainError
 from ighit.numerics import (
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
 )
+from ighit.hitting import hitting_path
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import (
     PASS_BLOCK,
@@ -30,8 +31,6 @@ from ighit.subordinators import (
     ig_pdf,
     ig_psi,
     ig_sample,
-    simulate_path,
-    simulate_until,
     stable_cdf,
     stable_levy_tail,
     stable_pdf,
@@ -132,6 +131,22 @@ class TestIGSampler:
         p = IGParams(1.0, 1.0)
         d = ig_sample(1.0, p, rng, size=10 ** 5)
         assert ecdf_ks(d, lambda x: ig_cdf(x, 1.0, p)) < ks_critical_1pct(d.size)
+
+    def test_ks_at_small_shape_times_drift(self):
+        # a gamma = 1e-8: the smaller root a/b + nu/(2b^2) - sqrt(.)/(2b^2)
+        # cancelled here, and 18 % of the draws fell to a clamp at 1e-300
+        rng = np.random.default_rng(1)
+        p = IGParams(1e-4, 1e-4)
+        d = ig_sample(1.0, p, rng, size=10 ** 5)
+        assert ecdf_ks(d, lambda x: ig_cdf(x, 1.0, p)) < ks_critical_1pct(d.size)
+
+    def test_underflowing_drift_squared_gives_finite_draws(self):
+        # gamma^2 underflows to 0 while (delta t / gamma)^2 = 1e-200 does not
+        # overflow; every draw is accepted, where a^2 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = ig_sample(1.0, IGParams(1e-300, 1e-200), np.random.default_rng(0), 4)
+        assert np.all(np.isfinite(d) & (d >= 0))
 
     def test_driftless_delegates_to_stable_representation(self):
         rng = np.random.default_rng(11)
@@ -485,12 +500,12 @@ NAN = math.nan
     lambda: ts_psi(-math.inf, 0.5, 1.0),
     lambda: StableSubordinator(0.5).psi(NAN),
     lambda: TemperedStableSubordinator(0.5, 1.0).psi(math.inf),
-    lambda: simulate_path(IGSubordinator(IGParams(1.0, 1.0)), math.inf, 0.1,
-                          np.random.default_rng(0)),
-    lambda: simulate_until(IGSubordinator(IGParams(1.0, 1.0)), math.inf, 1.0, 0.1,
-                           np.random.default_rng(0)),
-    lambda: simulate_path(IGSubordinator(IGParams(1.0, 1.0)), 1e300, 1e-300,
-                          np.random.default_rng(0)),
+    lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), math.inf, 0.1,
+                         np.random.default_rng(0)),
+    lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), NAN, 0.1,
+                         np.random.default_rng(0)),
+    lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1e300, 1e-300,
+                         np.random.default_rng(0)),
 ], ids=["ig_tail_u_nan", "ig_tail_u_inf", "ig_pdf_x_nan", "stable_tail_u_nan",
         "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
         "ts_pdf_t_inf", "stable_pdf_u_nan", "stable_pdf_t_nan", "stable_pdf_inverted_u_nan",
@@ -499,8 +514,8 @@ NAN = math.nan
         "ts_pdf_mu_nan", "ts_psi_mu_nan", "ts_tail_mu_nan", "stable_cdf_x_nan", "stable_cdf_t_nan",
         "ig_cdf_x_nan", "ig_cdf_x_array_nan", "ig_psi_s_nan", "ig_psi_s_inf",
         "ig_psi_s_complex_nan", "ts_psi_s_nan", "ts_psi_s_minus_inf", "stable_psi_s_nan",
-        "ts_model_psi_s_inf", "simulate_path_horizon_inf", "simulate_until_level_inf",
-        "simulate_path_step_count_inf"])
+        "ts_model_psi_s_inf", "hitting_path_horizon_inf", "hitting_path_horizon_nan",
+        "hitting_path_step_count_inf"])
 def test_non_finite_input_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -790,8 +805,10 @@ class TestSamplers:
 class TestPaths:
     def test_monotone_and_shape(self):
         rng = np.random.default_rng(3)
-        path = simulate_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 16, rng)
-        assert path.times.size == 17
+        path = hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 16, rng)[0]
+        # a first piece of 2 horizon, 32 steps, on the grid dt k
+        assert path.times.size >= 33
+        assert np.array_equal(path.times, np.arange(path.times.size) / 16)
         assert path.values[0] == 0.0
         assert path.is_nondecreasing
         assert np.all(np.diff(path.values) > 0)
@@ -799,7 +816,7 @@ class TestPaths:
     def test_endpoint_mean(self):
         rng = np.random.default_rng(12)
         model = IGSubordinator(IGParams(1.0, 1.0))
-        ends = np.array([simulate_path(model, 1.0, 1 / 8, rng).values[-1]
+        ends = np.array([hitting_path(model, 1.0, 1 / 8, rng)[0].values[8]
                          for _ in range(10 ** 4)])
         se = ends.std() / math.sqrt(ends.size)
         assert abs(ends.mean() - 1.0) < 4.0 * se
@@ -813,40 +830,40 @@ class TestPaths:
         assert ecdf_ks(g1, lambda x: ig_cdf(x, 1.0, p)) < ks_critical_1pct(g1.size)
 
     def test_extension_stops_at_the_step_cap(self, monkeypatch):
-        # a level the path cannot reach within the cap raises once the path
-        # has used every step the cap allows
-        monkeypatch.setattr(subordinators, "_MAX_PATH_STEPS", 1000)
-        model = IGSubordinator(IGParams(1.0, 1.0))
-        with pytest.raises(DomainError):
-            simulate_until(model, 1e6, 1.0, 1 / 16, np.random.default_rng(5))
+        # a horizon the path cannot reach within the cap (its mean rate is
+        # 5e-4) raises once the path has used every step the cap allows
+        monkeypatch.setattr(hitting, "_MAX_PATH_STEPS", 1000)
+        model = TemperedStableSubordinator(0.5, 1e6)
+        with pytest.raises(DomainError, match="did not pass"):
+            hitting_path(model, 1.0, 1 / 16, np.random.default_rng(5))
 
     def test_extension_cuts_its_last_piece_to_the_cap(self, monkeypatch):
-        # pieces of 16, 16, 32, ..., 256 steps end at 512; a doubled piece
+        # pieces of 32, 32, 64, 128 and 256 steps end at 512; a doubled piece
         # would pass the cap of 1000, so the last one takes the 488 left,
-        # and this path passes the level only within those
-        monkeypatch.setattr(subordinators, "_MAX_PATH_STEPS", 1000)
-        path = simulate_until(IGSubordinator(IGParams(1.0, 1.0)), 45.0, 1.0, 1 / 16,
-                              np.random.default_rng(3))
+        # and this path passes the horizon only within those
+        monkeypatch.setattr(hitting, "_MAX_PATH_STEPS", 1000)
+        path = hitting_path(TemperedStableSubordinator(0.5, 500.0), 1.0, 1 / 16,
+                            np.random.default_rng(3))[0]
         assert path.times.size - 1 == 1000
-        assert path.values[512] <= 45.0 < path.values[-1]
+        assert path.values[512] <= 1.0 < path.values[-1]
 
     def test_extension_doubles_its_pieces(self):
-        # pieces of 1, 1, 2, 4, ... time units at dt = 1/16 from the start
-        path = simulate_until(IGSubordinator(IGParams(1.0, 1.0)), 20.0, 1.0, 1 / 16,
-                              np.random.default_rng(6))
-        assert path.values[-1] > 20.0 and path.is_nondecreasing
-        assert path.times.size - 1 in {16 * (2 ** k) for k in range(1, 8)}
+        # pieces of 2, 2, 4, 8, ... time units at dt = 1/16 from the start
+        path = hitting_path(TemperedStableSubordinator(0.5, 100.0), 1.0, 1 / 16,
+                            np.random.default_rng(6))[0]
+        assert path.values[-1] > 1.0 and path.is_nondecreasing
+        assert path.times.size - 1 in {32 * (2 ** k) for k in range(1, 8)}
 
     def test_increments_uncorrelated(self):
         rng = np.random.default_rng(14)
-        path = simulate_path(IGSubordinator(IGParams(1.0, 1.0)), 2500.0, 1 / 16, rng)
+        path = hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1250.0, 1 / 16, rng)[0]
         incs = np.diff(path.values)
         lag1 = np.corrcoef(incs[:-1], incs[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(incs.size)
 
     def test_path_serialisation_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)
-        path = simulate_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 4, rng)
+        path = hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 4, rng)[0]
         csv_file = tmp_path / "path.csv"
         path.to_csv(csv_file)
         rows = csv_file.read_text().strip().split("\n")
@@ -855,18 +872,18 @@ class TestPaths:
         assert np.array_equal(parsed[:, 0], path.times)
         assert np.array_equal(parsed[:, 1], path.values)
 
-    def test_simulate_until_extends_past_level(self):
-        # at seed 1 the first 2-long piece of this tempered stable path stays
-        # below the level, so the path must be extended
+    def test_extension_continues_the_first_piece(self):
+        # at seed 1 the first piece (2 horizon, 200 steps) of this tempered
+        # stable path stays below the horizon, so the path must be extended
         model = TemperedStableSubordinator(0.5, 1.0)
         dt = 1 / 100
-        first = simulate_path(model, 2.0, dt, np.random.default_rng(1))
-        assert first.values[-1] <= 2.0
-        path = simulate_until(model, 2.0, 2.0, dt, np.random.default_rng(1))
-        assert path.values[-1] > 2.0
-        assert path.times.size > first.times.size
-        assert np.array_equal(path.values[:first.values.size], first.values)
-        assert np.allclose(np.diff(path.times), dt, rtol=1e-9, atol=0)
+        first = np.cumsum(model.sample_increment(dt, np.random.default_rng(1), size=200))
+        assert first[-1] <= 1.0
+        path = hitting_path(model, 1.0, dt, np.random.default_rng(1))[0]
+        assert path.values[-1] > 1.0
+        assert path.times.size > 201
+        assert np.array_equal(path.values[:201], np.r_[0.0, first])
+        assert np.array_equal(path.times, dt * np.arange(path.times.size))
         assert path.is_nondecreasing
 
     def test_bad_grid_rejected(self):
