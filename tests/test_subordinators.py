@@ -148,6 +148,14 @@ class TestIGSampler:
             d = ig_sample(1.0, IGParams(1e-300, 1e-200), np.random.default_rng(0), 4)
         assert np.all(np.isfinite(d) & (d >= 0))
 
+    def test_overflowing_shape_times_drift_gives_the_mean(self):
+        # a gamma = 1e350 overflows a float while the mean a/gamma = 1e50 does
+        # not; the law's relative spread, sqrt(mean / a^2) = 1e-175, is nil
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = ig_sample(1.0, IGParams(1e200, 1e150), np.random.default_rng(0), 100)
+        assert np.allclose(d, 1e50, rtol=1e-14, atol=0.0)
+
     def test_driftless_delegates_to_stable_representation(self):
         rng = np.random.default_rng(11)
         a = 1.3
