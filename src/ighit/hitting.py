@@ -658,15 +658,11 @@ _MAX_PATH_STEPS = 10 ** 7
 def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     """A subordinator path G at step dt that passes `horizon`, and its inverse H.
 
-    G cumulates exact i.i.d. increments `model.sample_increment(dt, ...)`, so
-    its values on the grid dt * arange(steps + 1) are exact marginals; dt only
-    sets the resolution of H.  G is drawn in pieces until it passes
-    `horizon`: the first two of 2 horizon, times gamma/delta for an IG model
-    whose mean rate delta/gamma is below 1, and of at least 4 dt; each later
-    piece twice the one before, the last cut to the steps `_MAX_PATH_STEPS`
-    leaves.  A path that has used them all without passing `horizon` raises
-    DomainError.  H is on the grid dt * arange(round(horizon / dt) + 1).
-    Returns (G, H).
+    G cumulates exact increments on the grid dt * k, in pieces until it
+    passes `horizon`: two of 2 horizon (times gamma/delta for an IG model
+    with delta/gamma < 1) and at least 4 dt, then each twice the last, the
+    final cut to what `_MAX_PATH_STEPS` leaves; DomainError once all are
+    used up.  H is on dt * arange(round(horizon / dt) + 1).  Returns (G, H).
     """
     if horizon <= 0 or not 0 < dt <= horizon:
         raise DomainError("need horizon > 0 and 0 < dt <= horizon")

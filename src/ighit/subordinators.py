@@ -147,13 +147,11 @@ def ig_sample(t: float, p: IGParams, rng: np.random.Generator, size=None):
 
     A chi-square(1) variate nu gives the smaller quadratic root
     x0 = a/b + nu/(2 b^2) - sqrt(4 a b nu + nu^2)/(2 b^2), accepted with
-    probability a/(a + b x0), else (a/b)^2 / x0 is returned.  x0 is taken
-    as 2a / (2b + nu/a + sqrt(nu/a) sqrt(nu/a + 4b)), the same root without
-    the subtraction, which cancels as ab -> 0, and without the products
-    a^2, ab and nu^2, which over- or underflow; it tends to a^2 / nu as
-    b -> 0.  b = 0 delegates to the one-sided 1/2-stable representation
-    a^2 / Z^2.  DomainError where the law's scale, (a/b)^2 or at b = 0 a^2,
-    overflows a float.
+    probability a/(a + b x0), else (a/b)^2 / x0 is returned; x0 is taken as
+    2a / (2b + nu/a + sqrt(nu/a) sqrt(nu/a + 4b)), which does not cancel as
+    ab -> 0 or overflow as ab grows.  b = 0 delegates to the one-sided
+    1/2-stable representation a^2 / Z^2.  DomainError where the law's
+    scale, (a/b)^2 or at b = 0 a^2, overflows a float.
     """
     a, b = float(_ig_shape(t, p, "ig_sample")), p.gamma
     mu = a / b if b > 0 else a
@@ -165,13 +163,12 @@ def ig_sample(t: float, p: IGParams, rng: np.random.Generator, size=None):
         out = (a / z) ** 2
         return float(out) if size is None else out
     nu = rng.standard_normal(shape) ** 2
-    # the denominator overflows only where a is subnormal, and x0 ~ a^2/nu is 0
+    # the denominator overflows only at subnormal a, where x0 ~ a^2/nu is 0
     with np.errstate(over="ignore"):
         r = nu / a
         x0 = 2.0 * a / (2.0 * b + r + np.sqrt(r) * np.sqrt(r + 4.0 * b))
     reject = rng.uniform(size=shape) > a / (a + b * x0)
-    # the larger root only where it is drawn: an accepted x0 is 0 where a^2
-    # underflows, and (a/b)^2 / x0 may overflow there
+    # an accepted x0 may be 0, or make (a/b)^2 / x0 overflow
     out = np.divide(scale, x0, out=np.array(x0, dtype=float), where=reject)
     return float(out) if size is None else out
 
