@@ -211,6 +211,25 @@ _TS_NODES = 16
 _TS_PANELS_PER_DECADE = 16
 
 
+def _interpolant_integral(vals, z, w, s):
+    """int_-1^s of the polynomial through vals at Gauss nodes z (weights w), on vals' last axis.
+
+    The polynomial is sum_k (k + 1/2) c_k P_k with c_k = sum_i w_i vals_i P_k(z_i), and
+    (k + 1/2) int_-1^s P_k is (P_k+1(s) - P_k-1(s)) / 2, or (s + 1) / 2 at k = 0; P_k at z
+    and s come from Bonnet's recurrence.
+    """
+    n = z.size
+    x = np.concatenate((z, s.ravel()))
+    p = np.empty((n + 1, x.size))
+    p[0], p[1] = 1.0, x
+    for k in range(1, n):
+        p[k + 1] = ((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1)
+    coef = vals @ (w[:, None] * p[:n, :n].T)
+    p_s = p[:, n:].T.reshape(s.shape + (n + 1,))
+    ints = np.concatenate(((s + 1.0)[..., None], p_s[..., 2:] - p_s[..., :-2]), axis=-1)
+    return 0.5 * np.sum(coef * ints, axis=-1)
+
+
 def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     """Tempered stable hitting density on the grid xs x ts, shape (xs.size, ts.size).
 
@@ -254,8 +273,6 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     at = np.clip(np.floor(count / span * np.log(u / w0)), 0, count - 1).astype(int)
     s = np.clip((u - mid[at]) / half[at], -1.0, 1.0)
     rows = np.arange(xs.size)[:, None]
-    # numpy.polynomial loads on first use, so commands that make no table never import it
-    leg = np.polynomial.legendre
     tables = []
     for nodes in (_TS_NODES, 2 * _TS_NODES):
         z, w = _gauss_rule(nodes)
@@ -263,9 +280,7 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
         f = (scale * y - mean[..., None]) * np.exp(lam[..., None] - mu * scale * y) \
             * (half[:, None] * stable_pdf(y, 1.0, beta))
         panels = np.pad(f @ w, ((0, 0), (1, 1)))
-        # Legendre coefficients of the interpolant on u's panel, integrated from -1 to s
-        coef = f[rows, at] @ (w[:, None] * leg.legvander(z, nodes - 1) * (np.arange(nodes) + 0.5))
-        part = leg.legval(s, np.moveaxis(leg.legint(coef, lbnd=-1, axis=-1), -1, 0), tensor=False)
+        part = _interpolant_integral(f[rows, at], z, w, s)
         left = np.cumsum(panels[:, :-1], axis=1)[rows, at] + part
         right = np.cumsum(panels[:, :0:-1], axis=1)[:, ::-1][rows, at] - part
         tables.append(table + mu / (beta * xs[:, None]) * np.where(ts <= mean, left, -right))
@@ -626,7 +641,8 @@ def tail_report(t: float, params: IGParams, x_grid) -> TailBoundReport:
     """Survival of H(t) on a grid against the envelope x^(-1) e^(dg x - x^2/4t)."""
     xs = _tail_grid(t, x_grid)
     d, g = params.delta, params.gamma
-    shape = np.exp(d * g * xs - xs ** 2 / (4.0 * t)) / xs
+    with np.errstate(over="ignore"):  # `_fit_envelope` rejects a non-finite envelope
+        shape = np.exp(d * g * xs - xs ** 2 / (4.0 * t)) / xs
     return _fit_envelope(xs, hit_survival(xs, t, params), shape, xs ** 2, t,
                          "ig_hitting", {"delta": d, "gamma": g})
 

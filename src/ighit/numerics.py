@@ -12,7 +12,6 @@ integral and `GS_TERMS` Gaver-Stehfest terms per inversion.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -293,10 +292,64 @@ def bessel_k(nu: float, z) -> np.ndarray:
 _N_LOW, _N_HIGH = 15, 31
 
 
+# The non-negative half of each Gauss-Legendre rule the package uses, nodes then
+# weights, bit for bit as numpy's legendre.leggauss(n) gives them; leggauss makes
+# its rules exactly symmetric, so the mirror image is the other half.  Tabulated,
+# as QUADPACK does, so that no process imports numpy's polynomial package and
+# solves an eigenproblem for fixed constants.
+_GAUSS_HALVES = {
+    12: ((0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+          0.9041172563704748, 0.9815606342467192),
+         (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+          0.10693932599531907, 0.04717533638651141)),
+    15: ((0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+          0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854),
+         (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+          0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203)),
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+          0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)),
+    31: ((0.0, 0.09955531215234152, 0.19812119933557062, 0.29471806998170164,
+          0.38838590160823294, 0.4781937820449025, 0.5632491614071492, 0.6427067229242603,
+          0.7157767845868533, 0.781733148416625, 0.8399203201462674, 0.8897600299482711,
+          0.9307569978966481, 0.9625039250929497, 0.9846859096651525, 0.997087481819477),
+         (0.0997205447934261, 0.09922501122667202, 0.09774333538632848, 0.09529024291231925,
+          0.09189011389364123, 0.08757674060847759, 0.08239299176158914, 0.07639038659877635,
+          0.06962858323541009, 0.06217478656102821, 0.05410308242491654, 0.04549370752720094,
+          0.03643227391238576, 0.027009019184978878, 0.017318620790311608, 0.00747083157925088)),
+    32: ((0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+          0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+          0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+          0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+         (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+          0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+          0.06582222277636168, 0.058684093478535565, 0.05099805926237609,
+          0.042835898022226836, 0.034273862913021765, 0.025392065309262024,
+          0.016274394730905743, 0.007018610009470506)),
+    40: ((0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+          0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+          0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+          0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+          0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591),
+         (0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+          0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+          0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+          0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+          0.022245849194166653, 0.016421058381906828, 0.010498284531153814,
+          0.004521277098536349)),
+}
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    if n not in _GAUSS_HALVES:
+        raise DomainError(f"no tabulated Gauss-Legendre rule of {n} points")
+    nodes, weights = (np.array(half) for half in _GAUSS_HALVES[n])
+    # an odd rule's middle node 0 is in its half once
+    return (np.concatenate((-nodes[n % 2:][::-1], nodes)),
+            np.concatenate((weights[n % 2:][::-1], weights)))
 
 
 def composite_gauss(edges: np.ndarray, n: int = 12):
@@ -479,12 +532,12 @@ def stehfest_weights(n_terms: int) -> np.ndarray:
     fac = math.factorial
     weights = []
     for k in range(1, n_terms + 1):
-        acc = Fraction(0)
-        for j in range((k + 1) // 2, min(k, m2) + 1):
-            acc += Fraction(
-                j ** m2 * fac(2 * j),
-                fac(m2 - j) * fac(j) * fac(j - 1) * fac(k - j) * fac(2 * j - k))
-        weights.append((-1) ** (k + m2) * float(acc))
+        # each term's denominator divides m2!^3 k!^2; int / int rounds correctly
+        common = fac(m2) ** 3 * fac(k) ** 2
+        acc = sum(j ** m2 * fac(2 * j)
+                  * (common // (fac(m2 - j) * fac(j) * fac(j - 1) * fac(k - j) * fac(2 * j - k)))
+                  for j in range((k + 1) // 2, min(k, m2) + 1))
+        weights.append((-1) ** (k + m2) * (acc / common))
     return np.array(weights, dtype=float)
 
 

@@ -322,13 +322,17 @@ def stable_pdf(u, t, beta: float):
     u_arr = _finite_positive(u, "stable_pdf: u")
     # a scalar t stays a Python float, so scalar calls round as they always have
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
-    if beta == 0.5:
-        out = t / (2.0 * math.sqrt(math.pi)) * u_arr ** -1.5 * np.exp(-t * t / (4.0 * u_arr))
-    elif beta == 1.0 / 3.0:
-        # closed Bessel form: density of the unit 1/3-stable law at w is
-        # (1/(3 pi)) w^(-3/2) K_(1/3)(2 / sqrt(27 w)); scaled by t^(1/beta)
-        arg = 2.0 / math.sqrt(27.0) * t ** 1.5 / np.sqrt(u_arr)
-        out = t ** 1.5 / (3.0 * math.pi) * u_arr ** -1.5 * bessel_k(1.0 / 3.0, arg)
+    if beta in (0.5, 1.0 / 3.0):
+        # at tiny u, u^(-3/2) overflows to inf where the damping factor is 0: the density is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if beta == 0.5:
+                lead, damp = t / (2.0 * math.sqrt(math.pi)), np.exp(-t * t / (4.0 * u_arr))
+            else:
+                # closed Bessel form: density of the unit 1/3-stable law at w is
+                # (1/(3 pi)) w^(-3/2) K_(1/3)(2 / sqrt(27 w)); scaled by t^(1/beta)
+                arg = 2.0 / math.sqrt(27.0) * t ** 1.5 / np.sqrt(u_arr)
+                lead, damp = t ** 1.5 / (3.0 * math.pi), bessel_k(1.0 / 3.0, arg)
+            out = np.where(damp == 0.0, 0.0, lead * u_arr ** -1.5 * damp)
     else:
         scale = t ** (-1.0 / beta)
         out = scale * _unit_stable_cdf_pdf(u_arr * scale, beta)[1]

@@ -1,7 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,17 @@ class TestExitCodes:
         assert "envelope" in capsys.readouterr().err
         assert not (tmp_path / "tail.csv").exists()
 
+    def test_overflowing_envelope_prints_only_the_failure(self, tmp_path):
+        # numpy's overflow warning came before the exit-3 message
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        out = subprocess.run([sys.executable, "-m", "ighit", "tail", "--t", "1", "--gamma",
+                              "1e300"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("ighit: numeric failure")
+
     def test_unknown_flag_is_hard_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_in(tmp_path, ["density", "--t", "1", "--bogus", "3"])
@@ -277,6 +292,15 @@ class TestStableCommand:
         assert xs.size == 80 and xs[-1] == 4.0
         assert np.array_equal(dens, stable_hit_pdf(xs, 1.0, 0.7))
         assert np.all(dens > 0)
+
+
+    @pytest.mark.parametrize("beta", ["0.5", repr(1.0 / 3.0)], ids=["half", "third"])
+    def test_tiny_time_writes_zeros(self, tmp_path, beta):
+        # every row was NaN, with exit 0 and numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_in(tmp_path, ["stable", "--beta", beta, "--t", "1e-300"]) == 0
+        assert read_csv(tmp_path / "stable.csv")["stable_hitting_density"] == ["0"] * 80
 
 
 class TestSubordinatedCommand:

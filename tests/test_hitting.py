@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ighit import convolution, hitting
 from ighit.errors import DomainError, NonConvergence, NumericalInstability
 from ighit.numerics import (
+    _gauss_rule,
     erfcx,
     integrate_interval,
     integrate_semi_infinite,
@@ -425,6 +426,33 @@ class TestTemperedStableTables:
         table = ts_hit_pdf_table(np.linspace(0.05, 4.0, 80), np.linspace(0.1, 3.0, 30), beta, mu)
         assert table.shape == (80, 30) and np.all(np.isfinite(table))
         assert np.all(table >= -1e-12 * table.max(axis=0))
+
+    @pytest.mark.parametrize("mu", [1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.7, 0.9])
+    def test_partial_panel_integral_matches_numpy_polynomial(self, beta, mu, monkeypatch):
+        # the partial-panel integral as numpy.polynomial's Legendre series gives it
+        def legendre_series(vals, z, w, s):
+            leg, n = np.polynomial.legendre, z.size
+            coef = vals @ (w[:, None] * leg.legvander(z, n - 1) * (np.arange(n) + 0.5))
+            return leg.legval(s, np.moveaxis(leg.legint(coef, lbnd=-1, axis=-1), -1, 0),
+                              tensor=False)
+
+        grid = (np.linspace(0.05, 4.0, 80), np.linspace(0.1, 3.0, 30), beta, mu)
+        table = ts_hit_pdf_table(*grid)
+        monkeypatch.setattr(hitting, "_interpolant_integral", legendre_series)
+        ref = ts_hit_pdf_table(*grid)
+        assert np.all(np.abs(table - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_interpolant_integral_is_exact_on_polynomials(self, n):
+        # the n-node interpolant of a polynomial of degree below n is that polynomial
+        z, w = _gauss_rule(n)
+        s = np.linspace(-1.0, 1.0, 9)
+        for degree in (0, 1, 5, n - 1):
+            vals = np.broadcast_to(z ** degree, s.shape + (n,))
+            exact = (s ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+            np.testing.assert_allclose(hitting._interpolant_integral(vals, z, w, s), exact,
+                                       rtol=0.0, atol=1e-14)
 
     def test_index_near_one_point(self):
         # scipy quad of the duality formula at epsrel 1e-13, from the prototype
@@ -898,6 +926,17 @@ class TestStableHitting:
                 closed = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
                 assert stable_hit_pdf(x, t, 0.5) == pytest.approx(closed, rel=1e-12)
         assert stable_hit_pdf(1.0, 1.0, 0.5) == pytest.approx(0.439391, abs=5e-7)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0], ids=["half", "third"])
+    def test_tiny_time_density_is_zero(self, beta):
+        # u = t x^-2 is so small that u^(-3/2) overflows, where the closed
+        # forms' damping factor is 0: inf * 0 was NaN
+        xs = np.linspace(0.05, 4.0, 80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(stable_hit_pdf(xs, 1e-300, beta), np.zeros(80))
+            assert stable_hit_pdf(0.5, 1e-300, beta) == 0.0
+            assert stable_pdf(1e-320, 1.0, beta) == 0.0
 
     def test_normalisation(self):
         mass = integrate_semi_infinite(

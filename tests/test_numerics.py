@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,6 +405,33 @@ class TestFixedLadder:
         with pytest.raises(NonConvergence, match="tolerance"):
             integrate_ladder(lambda t: np.sin(200.0 * t) * np.exp(-t), 1e-3, 40.0,
                              abs_tol=1e-12, rel_tol=1e-10)
+
+
+class TestTabulatedConstants:
+    """The Gauss-Legendre rules and Stehfest weights are constants: exactly what
+    numpy.polynomial and exact rational arithmetic give."""
+
+    @pytest.mark.parametrize("n", [12, 15, 16, 31, 32, 40])
+    def test_gauss_rule_is_leggauss_bit_for_bit(self, n):
+        nodes, weights = _gauss_rule(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 20, 64])
+    def test_untabulated_rule_raises(self, n):
+        with pytest.raises(DomainError):
+            _gauss_rule(n)
+
+    @pytest.mark.parametrize("n_terms", range(2, 41, 2))
+    def test_stehfest_weights_are_the_rounded_fraction_sums(self, n_terms):
+        m2, fac = n_terms // 2, math.factorial
+        ref = [(-1) ** (k + m2) * float(sum(
+            (Fraction(j ** m2 * fac(2 * j),
+                      fac(m2 - j) * fac(j) * fac(j - 1) * fac(k - j) * fac(2 * j - k))
+             for j in range((k + 1) // 2, min(k, m2) + 1)), Fraction(0)))
+            for k in range(1, n_terms + 1)]
+        assert stehfest_weights(n_terms).tobytes() == np.array(ref).tobytes()
 
 
 class TestInverseLaplace:

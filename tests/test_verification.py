@@ -63,16 +63,26 @@ class TestRecordOracles:
         assert rec.discrepancy == pytest.approx(4.301755356694091e-05, rel=1e-9)
 
 
-def test_battery_leaves_numpy_ma_unimported():
-    # numpy imports numpy.ma on a first np.unique call, which costs a fresh
-    # `ighit verify` process 14-17 ms and 1.7 MB of peak memory
+# numpy imports numpy.ma on a first np.unique call, which costs a fresh `ighit
+# verify` process 14-17 ms and 1.7 MB of peak memory; numpy.polynomial (4-5 ms,
+# and 1.8 MB with a first leggauss) and fractions (2-3 ms) served only constants
+_UNIMPORTED = ("numpy.ma", "numpy.polynomial", "fractions")
+
+
+def _loaded_modules(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    code = ("import sys\n"
-            "from ighit.verification import run_verification\n"
-            "assert run_verification().ok\n"
-            "print('numpy.ma' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code += f"\nprint([m for m in {_UNIMPORTED!r} if m in sys.modules])\n"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_battery_leaves_numpy_ma_unimported():
+    assert _loaded_modules("from ighit.verification import run_verification\n"
+                           "assert run_verification().ok") == "[]"
+
+
+def test_import_leaves_numpy_ma_polynomial_and_fractions_unimported():
+    assert _loaded_modules("import ighit") == "[]"
