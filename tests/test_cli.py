@@ -293,7 +293,6 @@ class TestStableCommand:
         assert np.array_equal(dens, stable_hit_pdf(xs, 1.0, 0.7))
         assert np.all(dens > 0)
 
-
     @pytest.mark.parametrize("beta", ["0.5", repr(1.0 / 3.0)], ids=["half", "third"])
     def test_tiny_time_writes_zeros(self, tmp_path, beta):
         # every row was NaN, with exit 0 and numpy warnings
