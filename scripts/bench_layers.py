@@ -141,6 +141,10 @@ LAYERS = (
     # Kanter's rule near index 1 (0.999), far in the tail (w about 1e5)
     ("stable_cdf_0.999", 64,
      lambda ig, np, rng, n: ig.stable_cdf(np.linspace(0.9e5, 1.1e5, n), 1.0, 0.999)),
+    # and nearer (0.9999) in the bulk, where Kanter's panel edges took
+    # powers of 4 beyond the float range
+    ("stable_cdf_0.9999", 200,
+     lambda ig, np, rng, n: ig.stable_cdf(np.linspace(0.2, 3.0, n), 1.0, 0.9999)),
     ("hit_pdf_table", 256,
      lambda ig, np, rng, n: ig.hit_pdf_table(np.linspace(0.0, 4.0, n), 1.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 1.0)))),

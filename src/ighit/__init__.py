@@ -24,7 +24,6 @@ from .subordinators import (
     IGParams,
     IGSubordinator,
     SamplePath,
-    StableSubordinator,
     TemperedStableSubordinator,
     ig_cdf,
     ig_levy_tail,

@@ -44,7 +44,6 @@ from .subordinated import SubordinatedEval, sub_pdf_table, sub_sample_path
 from .subordinators import (
     IGParams,
     IGSubordinator,
-    StableSubordinator,
     TemperedStableSubordinator,
 )
 from .residuals import (
@@ -221,9 +220,7 @@ def cmd_lt(args) -> int:
 def _model_from(args):
     if args.model == "ig":
         return IGSubordinator(_params_from(args))
-    if args.model == "stable":
-        return StableSubordinator(args.beta)
-    return TemperedStableSubordinator(args.beta, args.mu)
+    return TemperedStableSubordinator(args.beta, 0.0 if args.model == "stable" else args.mu)
 
 
 def cmd_paths(args) -> int:

@@ -45,6 +45,7 @@ from .subordinators import (
     IGParams,
     IGSubordinator,
     SamplePath,
+    _check_beta,
     _finite_nonnegative,
     ig_cdf,
     ig_levy_tail,
@@ -500,7 +501,25 @@ def hit_second_moment(t: float, params: IGParams) -> float:
 
 
 def hit_variance(t: float, params: IGParams) -> float:
-    return hit_second_moment(t, params) - hit_mean(t, params) ** 2
+    """Variance of H(t): second moment less squared mean below y = gamma sqrt(t/2) = 0.75.
+
+    Above, where that cancels, delta^2 Var = t - (3/4 + R)/gamma^2 with
+    R = 2y^3 g - e (2y^4 + y^2 + 1) + (y g - e (y^2 + 1/2))^2, g = e^(-y^2)/sqrt(pi)
+    and e = erfc y = e^(-y^2) erfcx(y): the two closed forms subtracted.
+    """
+    _check_t(t)
+    d, g = params.delta, params.gamma
+    y = g * math.sqrt(0.5 * t)
+    if y < 0.75:
+        return hit_second_moment(t, params) - hit_mean(t, params) ** 2
+    gauss = math.exp(-y * y)
+    r = 0.0
+    if gauss > 0.0:
+        e = gauss * erfcx(y)
+        gauss *= INV_SQRT_PI
+        r = (2.0 * y ** 3 * gauss - e * (2.0 * y ** 4 + y * y + 1.0)
+             + (y * gauss - e * (y * y + 0.5)) ** 2)
+    return (t - (0.75 + r) / (g * g)) / (d * d)
 
 
 _DOUBLINGS = 2.0 ** np.arange(60)
@@ -738,8 +757,7 @@ def stable_hit_pdf(x, t: float, beta: float):
 
     At beta = 1/2 the composition collapses to e^(-x^2/4t)/sqrt(pi t).
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must lie in (0, 1)")
+    _check_beta(beta)
     _check_t(t)
     x_arr = np.asarray(x, dtype=float)
     _check_x(x_arr)

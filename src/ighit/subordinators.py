@@ -1,7 +1,7 @@
-"""Driving increasing Levy processes: inverse Gaussian, stable, tempered stable.
+"""Driving increasing Levy processes: inverse Gaussian and tempered stable (mu = 0: stable).
 
-All three families sit behind one small interface (Laplace exponent, Levy
-tail, marginal density, exact increment sampler) consumed by the hitting-time
+Both families sit behind one small interface (Laplace exponent, Levy tail,
+marginal density, exact increment sampler) consumed by the hitting-time
 machinery.  Samplers take an explicit numpy Generator; there is no hidden
 global RNG state anywhere in the package.
 """
@@ -16,7 +16,11 @@ import numpy as np
 from .errors import BudgetExceeded, DomainError
 from .numerics import _gauss_rule, bessel_k, erfc, erfcx, norm_cdf, upper_gamma
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+def _check_beta(beta: float) -> None:
+    """DomainError unless the stable index beta lies in (0, 1)."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta must lie in (0, 1)")
 
 
 def _finite_positive(value, what: str) -> np.ndarray:
@@ -110,17 +114,30 @@ def _ig_cdf(x, a, b: float):
     """IG(a, b) distribution function at x > 0, broadcast over x and a.
 
     Plain form Phi(b sqrt(x) - a/sqrt(x)) + e^(2ab) Phi(-b sqrt(x) - a/sqrt(x))
-    for moderate ab; for 2ab > 30 the second term is evaluated through erfcx
-    so the e^(2ab) factor never materialises.
+    where 2ab <= 30; elsewhere the second term is evaluated through erfcx so
+    the e^(2ab) factor never materialises.
     """
-    sq = np.sqrt(x)
-    u = b * sq - a / sq
-    v = b * sq + a / sq
     with np.errstate(over="ignore"):
-        small = 2.0 * a * b <= 30.0
-        plain = norm_cdf(u) + np.where(small, np.exp(2.0 * a * b), 0.0) * norm_cdf(-v)
-        stable = norm_cdf(u) + 0.5 * np.exp(-0.5 * u * u) * erfcx(v / math.sqrt(2.0))
-    return np.clip(np.where(small, plain, stable), 0.0, 1.0)
+        sq = np.sqrt(x)
+        u = b * sq - a / sq
+        v = b * sq + a / sq
+        two_ab = 2.0 * a * b
+
+        # each point evaluates one form of the second term
+        def plain(i):
+            return np.exp(two_ab[i]) * norm_cdf(-v[i])
+
+        def scaled(i):
+            return 0.5 * np.exp(-0.5 * u[i] * u[i]) * erfcx(v[i] / math.sqrt(2.0))
+
+        if np.ndim(two_ab) == 0:
+            second = plain(...) if two_ab <= 30.0 else scaled(...)
+        else:
+            small = two_ab <= 30.0
+            second = np.empty_like(u)
+            second[small] = plain(small)
+            second[~small] = scaled(~small)
+        return np.clip(norm_cdf(u) + second, 0.0, 1.0)
 
 
 def ig_cdf(x, t, p: IGParams):
@@ -283,13 +300,16 @@ def _unit_stable_cdf_pdf(w, beta: float):
         _KANTER_LEVELS + k * np.log(flat[live]), excess[::-1], _KANTER_GRID[::-1])))
     scale, least = flat[live] ** beta, expo[live]
     slow = np.ceil(np.log(vt / v1) / math.log(ratio))[:, None]
+    # fast x4 steps past vt reach pi: the powers of 4 stop there, short of overflow
+    fast = np.ceil(np.log(math.pi / vt) / math.log(4.0))[:, None]
     steps = np.arange(slow.max(initial=0.0) + math.ceil(
         math.log(math.pi / vt.min(initial=math.pi), 4.0)) + 1)
     step = max(1, 16384 // steps.size)
     for first in range(0, live.size, step):
         sub = slice(first, first + step)
         at, low = live[sub], least[sub]
-        grow = ratio ** np.minimum(steps, slow[sub]) * 4.0 ** np.maximum(steps - slow[sub], 0.0)
+        grow = ratio ** np.minimum(steps, slow[sub]) * 4.0 ** np.clip(
+            steps - slow[sub], 0.0, fast[sub])
         edges = np.concatenate([v50[sub, None], np.minimum(v1[sub, None] * grow, math.pi)], axis=1)
         edges[:, -1] = math.pi
         a, b = edges[:, :-1], edges[:, 1:]
@@ -316,8 +336,7 @@ def stable_pdf(u, t, beta: float):
     IG(a, 0) coincides with this density at beta = 1/2 under t = a sqrt(2):
     both transforms equal e^(-a sqrt(2 s)).
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must lie in (0, 1)")
+    _check_beta(beta)
     t_arr = _finite_positive(t, "stable_pdf: t")
     u_arr = _finite_positive(u, "stable_pdf: u")
     # a scalar t stays a Python float, so scalar calls round as they always have
@@ -346,8 +365,7 @@ def stable_cdf(x, t, beta: float):
     (`_unit_stable_cdf_pdf`) at x t^(-1/beta) otherwise.  0 for x <= 0 and 1
     at x = inf; NaN x raises DomainError.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must lie in (0, 1)")
+    _check_beta(beta)
     t_arr = _finite_positive(t, "stable_cdf: t")
     x_arr = np.asarray(x, dtype=float)
     if np.isnan(x_arr).any():
@@ -360,14 +378,6 @@ def stable_cdf(x, t, beta: float):
         out[pos] = erfc(t_arr[pos] / (2.0 * np.sqrt(x_arr[pos])))
     else:
         out[pos] = _unit_stable_cdf_pdf(x_arr[pos] * t_arr[pos] ** (-1.0 / beta), beta)[0]
-    return float(out) if scalar else out
-
-
-def stable_levy_tail(u, beta: float):
-    """Levy tail u^(-beta) / Gamma(1 - beta) of the stable subordinator."""
-    u_arr = _finite_positive(u, "stable_levy_tail: u")
-    scalar = u_arr.ndim == 0
-    out = u_arr ** (-beta) / math.gamma(1.0 - beta)
     return float(out) if scalar else out
 
 
@@ -386,17 +396,17 @@ def ts_levy_tail(u, beta: float, mu: float):
     """Integrated tempered stable Levy density c e^(-mu y) y^(-beta-1) beyond u.
 
     c = beta / Gamma(1 - beta); the integral is mu^beta * Gamma(-beta, mu u)
-    via the upper incomplete gamma with negative parameter.
+    via the upper incomplete gamma with negative parameter; u^(-beta) /
+    Gamma(1 - beta) at mu = 0.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must lie in (0, 1)")
+    _check_beta(beta)
     mu = _finite_nonnegative(mu, "ts_levy_tail: mu")
     u_arr = _finite_positive(u, "ts_levy_tail: u")
     scalar = u_arr.ndim == 0
-    c = beta / math.gamma(1.0 - beta)
     if mu == 0.0:
-        out = (c / beta) * u_arr ** (-beta)
+        out = u_arr ** (-beta) / math.gamma(1.0 - beta)
         return float(out) if scalar else out
+    c = beta / math.gamma(1.0 - beta)
     if beta == 0.5:
         # Gamma(-1/2, z) = 2 (e^-z / sqrt(z) - sqrt(pi) erfc(sqrt(z))), vectorised
         z = mu * u_arr
@@ -537,8 +547,7 @@ def stable_sample(t: float, beta: float, rng: np.random.Generator, size=None):
     two drawn arrays and one scratch array, the code `ts_sample` runs on its
     blocks; a single draw runs it on 0-d arrays.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must lie in (0, 1)")
+    _check_beta(beta)
     _finite_positive(t, "stable_sample: t")
     _check_scale(t, 1.0 / beta, "stable_sample")
     _check_size(size, "stable_sample")
@@ -552,9 +561,9 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator, size=N
     """Tempered stable draws by exponential-tilting rejection.
 
     Stable proposals X are accepted with probability e^(-mu X); the expected
-    number of proposals per draw is e^lam with lam = mu^beta t.  At
-    beta = 1/2 the law is the IG marginal at `ts_half_ig_params(mu)`, drawn by
-    `ig_sample` without rejection.
+    number of proposals per draw is e^lam with lam = mu^beta t.  mu = 0 is
+    `stable_sample`, and beta = 1/2 the IG marginal at `ts_half_ig_params(mu)`
+    drawn by `ig_sample`, both without rejection.
 
     Proposals go in blocks of m = min(`PASS_BLOCK`, ceil(missing e^lam)),
     where missing counts the draws still to find.  A block draws E with
@@ -582,11 +591,12 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator, size=N
     tilting).  Where the expected proposals per draw, e^lam, alone exceed
     `TRIAL_CAP`, the call raises before it draws anything.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must lie in (0, 1)")
+    _check_beta(beta)
     _finite_positive(t, "ts_sample: t")
     mu = _finite_nonnegative(mu, "ts_sample: mu")
     _check_size(size, "ts_sample")
+    if mu == 0.0:
+        return stable_sample(t, beta, rng, size)
     if beta == 0.5:
         return ig_sample(t, ts_half_ig_params(mu), rng, size)
     _check_scale(t, 1.0 / beta, "ts_sample")
@@ -692,44 +702,14 @@ class IGSubordinator:
 
 
 @dataclass(frozen=True)
-class StableSubordinator:
-    """beta-stable subordinator with transform e^(-t s^beta)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise DomainError("beta must lie in (0, 1)")
-
-    @property
-    def tail_exponent(self) -> float:
-        return self.beta
-
-    def psi(self, s):
-        s_arr = _laplace_arg(s, 0.0, "stable psi")
-        out = s_arr ** self.beta
-        return out.item() if np.ndim(s) == 0 else out
-
-    def levy_tail(self, u):
-        return stable_levy_tail(u, self.beta)
-
-    def marginal_pdf(self, u, x: float):
-        return stable_pdf(u, x, self.beta)
-
-    def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
-        return stable_sample(dt, self.beta, rng, size)
-
-
-@dataclass(frozen=True)
 class TemperedStableSubordinator:
-    """Tempered stable subordinator with transform e^(-t ((s+mu)^beta - mu^beta))."""
+    """Tempered stable subordinator, transform e^(-t ((s+mu)^beta - mu^beta)); mu = 0: stable."""
 
     beta: float
     mu: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise DomainError("beta must lie in (0, 1)")
+        _check_beta(self.beta)
         _finite_nonnegative(self.mu, "mu")
 
     @property

@@ -67,7 +67,6 @@ from .subordinators import (
 
 P11 = IGParams(1.0, 1.0)
 P10 = IGParams(1.0, 0.0)
-P205 = IGParams(2.0, 0.5)
 
 
 @dataclass(frozen=True)

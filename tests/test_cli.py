@@ -32,6 +32,15 @@ def run_in(tmp_path, argv):
         os.chdir(cwd)
 
 
+def run_module(tmp_path, argv, flags=()):
+    """`python [flags] -m ighit argv` in tmp_path, with this checkout's src/ first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    return subprocess.run([sys.executable, *flags, "-m", "ighit", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -211,11 +220,7 @@ class TestExitCodes:
 
     def test_overflowing_envelope_prints_only_the_failure(self, tmp_path):
         # numpy's overflow warning came before the exit-3 message
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-        out = subprocess.run([sys.executable, "-m", "ighit", "tail", "--t", "1", "--gamma",
-                              "1e300"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        out = run_module(tmp_path, ["tail", "--t", "1", "--gamma", "1e300"])
         assert out.returncode == 3
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("ighit: numeric failure")
@@ -292,6 +297,12 @@ class TestStableCommand:
         assert xs.size == 80 and xs[-1] == 4.0
         assert np.array_equal(dens, stable_hit_pdf(xs, 1.0, 0.7))
         assert np.all(dens > 0)
+
+    def test_near_index_one_prints_no_warning(self, tmp_path):
+        # numpy's "overflow encountered in power" from Kanter's rule went to stderr
+        out = run_module(tmp_path, ["stable", "--beta", "0.9999"], flags=["-W", "error"])
+        assert out.returncode == 0
+        assert out.stderr == ""
 
     @pytest.mark.parametrize("beta", ["0.5", repr(1.0 / 3.0)], ids=["half", "third"])
     def test_tiny_time_writes_zeros(self, tmp_path, beta):

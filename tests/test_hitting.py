@@ -112,8 +112,8 @@ class TestDensityRoutes:
     def test_stable_convolution_matches_closed_form(self):
         # half-index subordinator: convolution route against the scaled
         # Gaussian hitting density
-        from ighit.subordinators import StableSubordinator
-        model = StableSubordinator(0.5)
+        from ighit.subordinators import TemperedStableSubordinator
+        model = TemperedStableSubordinator(0.5, 0.0)
         for x in (0.5, 1.0, 2.0):
             closed = math.exp(-x * x / 4.0) / math.sqrt(math.pi)
             assert hit_pdf_convolution(x, 1.0, model) == pytest.approx(closed, abs=1e-8)
@@ -786,6 +786,27 @@ class TestMoments:
     def test_variance_driftless(self, params_10):
         assert hit_variance(1.0, params_10) == pytest.approx(1.0 - 2.0 / math.pi,
                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("delta, gamma, t, exact", [
+        (0.5, 3.0, 800.0, 3199.6666666666666667),
+        (1.0, 10.0, 1e4, 9999.9925),
+        (1.0, 30.0, 1e5, 99999.999166666666667),
+        (1.0, 1.0, 1e8, 99999999.25),
+        (1.0, 100.0, 1e6, 999999.999925),
+    ])
+    def test_variance_without_cancellation(self, delta, gamma, t, exact):
+        # 60-digit evaluations of the second moment less the squared mean;
+        # the difference in doubles was 2e-6 relative off at (1, 100, 1e6)
+        assert hit_variance(t, IGParams(delta, gamma)) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("y", [0.7, 0.75, 0.8, 1.0, 1.5])
+    def test_variance_forms_agree_at_the_switch(self, y):
+        # y = gamma sqrt(t/2) = 0.75 switches from the difference of the
+        # moments to the form without cancellation
+        p = IGParams(1.3, 0.9)
+        t = 2.0 * (y / p.gamma) ** 2
+        assert hit_variance(t, p) == pytest.approx(
+            hit_second_moment(t, p) - hit_mean(t, p) ** 2, rel=1e-14)
 
     def test_variance_small_t(self, params_11):
         t = 1e-4

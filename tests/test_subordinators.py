@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from ighit import hitting, subordinators
 from ighit.errors import BudgetExceeded, DomainError
 from ighit.numerics import (
+    erfcx,
     integrate_interval,
     integrate_semi_infinite,
     invert_laplace,
+    norm_cdf,
 )
 from ighit.hitting import hitting_path
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
@@ -21,8 +23,8 @@ from ighit.subordinators import (
     IGParams,
     IGSubordinator,
     SamplePath,
-    StableSubordinator,
     TemperedStableSubordinator,
+    _ig_cdf,
     _kanter_draws,
     _kanter_floor,
     _unit_stable_cdf_pdf,
@@ -32,7 +34,6 @@ from ighit.subordinators import (
     ig_psi,
     ig_sample,
     stable_cdf,
-    stable_levy_tail,
     stable_pdf,
     stable_sample,
     ts_levy_tail,
@@ -188,14 +189,14 @@ class TestLevyTailAndExponent:
         # the branch points themselves are admitted: s = -gamma^2/2, -mu, 0
         assert ig_psi(-0.5, IGParams(2.0, 1.0)) == -2.0
         assert ts_psi(-1.0, 0.5, 1.0) == -1.0
-        assert StableSubordinator(0.5).psi(0.0) == 0.0
+        assert TemperedStableSubordinator(0.5, 0.0).psi(0.0) == 0.0
 
     @pytest.mark.parametrize("call", [
         lambda: ig_psi(-0.5 - 1e-9, IGParams(1.0, 1.0)),
         lambda: ig_psi(np.array([1.0, -1e-12]), IGParams(1.0, 0.0)),
         lambda: ts_psi(-2.0, 0.5, 1.0),
         lambda: ts_psi(-1e-12, 1.0 / 3.0, 0.0),
-        lambda: StableSubordinator(0.5).psi(-1.0),
+        lambda: TemperedStableSubordinator(0.5, 0.0).psi(-1.0),
         lambda: TemperedStableSubordinator(0.5, 1.0).psi(np.array([0.0, -1.5])),
         lambda: IGSubordinator(IGParams(1.0, 1.0)).psi(complex(-1.0, 0.0)),
     ], ids=["ig", "ig_driftless_array", "ts", "ts_untempered", "stable", "ts_model",
@@ -214,7 +215,7 @@ class TestLevyTailAndExponent:
         exact = 2.0 * p.delta * s / (np.sqrt(p.gamma ** 2 + 2.0 * s) + p.gamma)
         assert np.array_equal(ig_psi(s, p), exact)
         assert np.array_equal(ts_psi(s, 0.5, 1.0), (s + 1.0) ** 0.5 - 1.0)
-        assert np.array_equal(StableSubordinator(1.0 / 3.0).psi(s), s ** (1.0 / 3.0))
+        assert np.array_equal(TemperedStableSubordinator(1.0 / 3.0, 0.0).psi(s), s ** (1.0 / 3.0))
         assert ig_psi(complex(0.3, -2.0), p) == (2.0 * p.delta * complex(0.3, -2.0)
                                                  / (np.sqrt(complex(1.6, -4.0)) + 1.0))
         driftless = IGParams(1.0, 0.0)
@@ -223,7 +224,7 @@ class TestLevyTailAndExponent:
     def test_psi_increasing_and_concave(self):
         ss = np.linspace(0.0, 8.0, 200)
         for model in (IGSubordinator(IGParams(1.0, 1.0)),
-                      StableSubordinator(0.5),
+                      TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             vals = np.asarray(model.psi(ss))
             assert vals[0] == pytest.approx(0.0, abs=1e-14)
@@ -233,7 +234,7 @@ class TestLevyTailAndExponent:
     def test_levy_tail_nonincreasing(self):
         us = np.linspace(0.05, 5.0, 120)
         for model in (IGSubordinator(IGParams(1.0, 1.0)),
-                      StableSubordinator(0.5),
+                      TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             tails = np.asarray(model.levy_tail(us))
             assert np.all(np.diff(tails) < 0)
@@ -249,7 +250,7 @@ class TestLevyTailAndExponent:
     def test_tail_exponent_consistency(self):
         # s * LT(levy_tail)(s) recovers the Laplace exponent
         for model in (IGSubordinator(IGParams(1.0, 1.0)),
-                      StableSubordinator(0.5),
+                      TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             p_exp = model.tail_exponent
             q = 1.0 / (1.0 - p_exp)
@@ -263,7 +264,7 @@ class TestLevyTailAndExponent:
     def test_marginal_lt_consistency(self):
         # LT of the marginal density equals exp(-x psi(s))
         for model in (IGSubordinator(IGParams(1.0, 1.0)),
-                      StableSubordinator(0.5),
+                      TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             for x in (0.5, 1.0, 2.0):
                 for s in (0.5, 1.0, 2.0):
@@ -275,7 +276,7 @@ class TestLevyTailAndExponent:
 
     def test_marginal_mass(self):
         for model in (IGSubordinator(IGParams(1.0, 1.0)),
-                      StableSubordinator(0.5),
+                      TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             for x in (0.5, 1.0, 2.0):
                 mass = integrate_semi_infinite(
@@ -408,6 +409,19 @@ class TestStableFamily:
         assert ts_pdf(1.0, 1.0, 0.5, 0.0) == pytest.approx(
             stable_pdf(1.0, 1.0, 0.5), rel=1e-14)
 
+    @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5, 0.7], ids=["third", "half", "general"])
+    def test_untempered_model_is_the_stable_one(self, beta):
+        # at mu = 0 the tempered model's pieces are the stable ones, bit for bit
+        model = TemperedStableSubordinator(beta, 0.0)
+        s = np.array([0.0, 0.3, 1.0, 7.5])
+        u = np.geomspace(1e-3, 40.0, 9)
+        assert np.array_equal(model.psi(s), s ** beta)
+        assert model.psi(2.0) == 2.0 ** beta
+        assert np.array_equal(model.levy_tail(u), u ** (-beta) / math.gamma(1.0 - beta))
+        assert model.levy_tail(0.7) == np.asarray(0.7) ** (-beta) / math.gamma(1.0 - beta)
+        assert np.array_equal(model.marginal_pdf(u, 1.3), stable_pdf(u, 1.3, beta))
+        assert model.marginal_pdf(0.7, 1.3) == stable_pdf(0.7, 1.3, beta)
+
     def test_ts_mass(self):
         mass = integrate_semi_infinite(
             lambda u: ts_pdf(np.maximum(u, 1e-300), 1.0, 0.5, 1.0))
@@ -477,7 +491,7 @@ NAN = math.nan
     lambda: ig_levy_tail(NAN, IGParams(1.0, 1.0)),
     lambda: ig_levy_tail(np.array([0.5, math.inf]), IGParams(1.0, 1.0)),
     lambda: ig_pdf(NAN, 1.0, IGParams(1.0, 1.0)),
-    lambda: stable_levy_tail(NAN, 0.5),
+    lambda: ts_levy_tail(NAN, 0.5, 0.0),
     lambda: ts_levy_tail(NAN, 0.5, 1.0),
     lambda: ts_levy_tail(NAN, 1.0 / 3.0, 0.0),
     lambda: ts_pdf(NAN, 1.0, 1.0 / 3.0, 1.0),
@@ -506,7 +520,7 @@ NAN = math.nan
     lambda: ig_psi(complex(NAN, 1.0), IGParams(1.0, 1.0)),
     lambda: ts_psi(NAN, 0.5, 1.0),
     lambda: ts_psi(-math.inf, 0.5, 1.0),
-    lambda: StableSubordinator(0.5).psi(NAN),
+    lambda: TemperedStableSubordinator(0.5, 0.0).psi(NAN),
     lambda: TemperedStableSubordinator(0.5, 1.0).psi(math.inf),
     lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), math.inf, 0.1,
                          np.random.default_rng(0)),
@@ -637,14 +651,15 @@ BLOCK_EDGE_IDS = ["scalar", "one", "block_less_one", "block", "block_plus_one",
 
 
 @pytest.mark.parametrize("size", BLOCK_EDGE_SIZES, ids=BLOCK_EDGE_IDS)
-@pytest.mark.parametrize("mu", [0.0, 1.0], ids=["untempered", "tempered"])
+@pytest.mark.parametrize("mu", [1e-300, 1.0], ids=["untempered", "tempered"])
 @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.7], ids=["third", "general"])
 def test_ts_blocks_bit_identical_to_whole_passes(beta, mu, size):
     # the in-place two-stage blocks draw the same numbers, in the same order,
-    # and leave the generator where the whole-array blocks do; at mu = 0 a
-    # block holds as many proposals as draws are missing, so the sizes land on
-    # block edges; single draws repeat, since a last-bit difference shows in a
-    # few percent
+    # and leave the generator where the whole-array blocks do; at mu = 1e-300
+    # e^lam rounds to 1 and no proposal is rejected, so a block holds as many
+    # proposals as draws are missing and the sizes land on block edges (mu = 0
+    # itself is `stable_sample`); single draws repeat, since a last-bit
+    # difference shows in a few percent
     rng, ref = np.random.default_rng(31), np.random.default_rng(31)
     for _ in range(300 if size is None else 1):
         d = ts_sample(1.3, beta, mu, rng, size)
@@ -652,6 +667,19 @@ def test_ts_blocks_bit_identical_to_whole_passes(beta, mu, size):
         assert type(d) is type(expected)
         assert np.array_equal(d, expected)
         assert np.shape(d) == np.shape(expected)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES, ids=BLOCK_EDGE_IDS)
+@pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5, 0.7], ids=["third", "half", "general"])
+def test_ts_untempered_is_stable_sample(beta, size):
+    # mu = 0 draws `stable_sample`'s numbers and leaves the generator where it does
+    rng, ref = np.random.default_rng(33), np.random.default_rng(33)
+    d = ts_sample(1.3, beta, 0.0, rng, size)
+    expected = stable_sample(1.3, beta, ref, size)
+    assert type(d) is type(expected)
+    assert np.array_equal(d, expected)
+    assert np.shape(d) == np.shape(expected)
     assert rng.random() == ref.random()
 
 
@@ -680,6 +708,39 @@ def test_stable_in_place_bit_identical_to_whole_arrays(beta, size):
         assert np.array_equal(d, expected)
         assert np.shape(d) == np.shape(expected)
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("beta", [0.999, 0.9999, 0.99999])
+def test_kanter_near_index_one_raises_no_warning(beta):
+    # the points of `ighit stable`'s default grid, x in 0.05:4:0.05 at t = 1;
+    # at 0.9999 the powers of 4 of Kanter's panel edges overflowed
+    u = np.arange(1, 81) * 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = stable_pdf(u ** (-1.0 / beta), 1.0, beta)
+        cdf = stable_cdf(u ** (-1.0 / beta), 1.0, beta)
+    assert np.all(np.isfinite(dens)) and np.all((cdf >= 0.0) & (cdf <= 1.0))
+
+
+def _ig_cdf_both_forms(x, a, b):
+    """`_ig_cdf` with the plain and the erfcx form evaluated at every point."""
+    sq = np.sqrt(x)
+    u = b * sq - a / sq
+    v = b * sq + a / sq
+    with np.errstate(over="ignore"):
+        small = 2.0 * a * b <= 30.0
+        plain = norm_cdf(u) + np.where(small, np.exp(2.0 * a * b), 0.0) * norm_cdf(-v)
+        scaled = norm_cdf(u) + 0.5 * np.exp(-0.5 * u * u) * erfcx(v / math.sqrt(2.0))
+    return np.clip(np.where(small, plain, scaled), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (20.0, 2.0), (0.3, 0.01), (5.0, 3.0)])
+def test_ig_cdf_takes_one_form_per_point(a, b):
+    # each point evaluates only the form it keeps, to the same bits
+    x = np.geomspace(1e-4, 1e4, 10 ** 5)
+    assert np.array_equal(_ig_cdf(x, np.asarray(a), b), _ig_cdf_both_forms(x, np.asarray(a), b))
+    shapes = np.geomspace(0.01, 50.0, x.size)
+    assert np.array_equal(_ig_cdf(x, shapes, b), _ig_cdf_both_forms(x, shapes, b))
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.7], ids=["half", "third", "inverted"])
@@ -803,7 +864,7 @@ class TestSamplers:
     def test_ts_half_index_is_the_ig_law(self):
         # index 1/2 draws the IG marginal at ts_half_ig_params(mu) directly:
         # the same numbers as ig_sample on the same generator, no rejection
-        for mu in (0.0, 1.0, 400.0):
+        for mu in (1.0, 400.0):
             d = ts_sample(4.0, 0.5, mu, np.random.default_rng(25), size=(3, 4))
             ig = ig_sample(4.0, ts_half_ig_params(mu), np.random.default_rng(25), (3, 4))
             assert np.array_equal(d, ig)
