@@ -15,13 +15,16 @@ does.
 The second form compares this checkout with another one at ROOT (for example
 a clone of the commit before a change).  For each of PAIRS pairs, with the
 order of the two sides alternating, it runs the first form for both
-checkouts in fresh interpreters, then `bench/run.py --workload W --seed
-101+pair --seconds S` in each checkout for every workload W and the run
-length S that BENCHMARK.json declares.  It writes one JSON file with the
-host's core count and Python and numpy versions, every layer timing, every
-benchmark run (its last standard-output line and its standard-error detail
-line), and per side the median and quartiles of each metric.  A comparison
-takes about 25 minutes on a 2-core host.
+checkouts in fresh interpreters, then times each of PROCESSES whole (a
+bare `import ighit` and five `python -m ighit` commands, in a scratch
+directory), then `bench/run.py --workload W --seed 101+pair --seconds S` in
+each checkout for every workload W and the run length S that BENCHMARK.json
+declares.  It writes one JSON file with the host's core count and Python and
+numpy versions, every layer timing, every process time, every benchmark run
+(its last standard-output line and its standard-error detail line), and per
+side the median and quartiles of each metric, with the number of pairs in
+which the checkout read lower.  A comparison takes about 25 minutes on a
+2-core host.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -201,6 +205,18 @@ LAYERS = (
 )
 
 
+# whole processes, as a user starts them: a bare import, and the commands at
+# their default flags (density and cdf require a --t)
+PROCESSES = (
+    ("import", ["-c", "import ighit"]),
+    ("verify", ["-m", "ighit", "verify"]),
+    ("density", ["-m", "ighit", "density", "--t", "1"]),
+    ("cdf", ["-m", "ighit", "cdf", "--t", "1"]),
+    ("moments", ["-m", "ighit", "moments"]),
+    ("stable", ["-m", "ighit", "stable"]),
+)
+
+
 def one_core() -> None:
     """Run this process, and the BLAS pools numpy starts, on a single core."""
     for var in THREAD_VARS:
@@ -233,6 +249,23 @@ def time_layers(src: Path) -> dict:
     return out
 
 
+def time_processes(src: Path) -> dict:
+    """Wall seconds of each of PROCESSES in a fresh interpreter importing ighit from src.
+
+    The processes run with one BLAS thread, as bench/run.py's do, and write
+    their outputs into a scratch directory.
+    """
+    env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(THREAD_VARS, "1")}
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="bench_layers_") as tmp:
+        for name, argv in PROCESSES:
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *argv], cwd=tmp, env=env, check=True,
+                           capture_output=True)
+            out[name] = time.perf_counter() - start
+    return out
+
+
 def host() -> dict:
     import numpy as np
     return {"cores": os.cpu_count(), "machine": platform.machine(),
@@ -250,6 +283,7 @@ def compare(baseline: Path) -> dict:
     seconds = declared["run_seconds"]
     sides = {"baseline": baseline.resolve(), "current": ROOT}
     layers = {side: [] for side in sides}
+    processes = {side: [] for side in sides}
     runs = {w: {side: [] for side in sides} for w in workloads}
     for pair in range(PAIRS):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -259,6 +293,8 @@ def compare(baseline: Path) -> dict:
                 [sys.executable, __file__, "--src", str(sides[side] / "src")],
                 capture_output=True, text=True, check=True)
             layers[side].append(json.loads(proc.stdout))
+        for side in order:
+            processes[side].append(time_processes(sides[side] / "src"))
         for workload in workloads:
             for side in order:
                 proc = subprocess.run(
@@ -279,9 +315,10 @@ def compare(baseline: Path) -> dict:
                                                      for r in by_side[side]])
                                     for side in sides}
                              for name in metrics}
-        summary[workload]["round_s_lower_pairs"] = sum(
-            c["result"]["metrics"]["round_s"]["value"] < b["result"]["metrics"]["round_s"]["value"]
-            for b, c in zip(by_side["baseline"], by_side["current"]))
+        for name in metrics:
+            summary[workload][f"{name}_lower_pairs"] = sum(
+                c["result"]["metrics"][name]["value"] < b["result"]["metrics"][name]["value"]
+                for b, c in zip(by_side["baseline"], by_side["current"]))
         summary[workload]["all_correct"] = all(
             r["result"]["correct"] and r["result"]["failed"] == 0
             for side in sides for r in by_side[side])
@@ -291,9 +328,16 @@ def compare(baseline: Path) -> dict:
     fault_summary = {side: {name: quartiles([run[name]["minflt"] for run in layers[side]])
                             for name, _, _ in LAYERS}
                      for side in sides}
+    process_summary = {side: {name: quartiles([run[name] for run in processes[side]])
+                              for name, _ in PROCESSES}
+                       for side in sides}
+    process_summary["lower_pairs"] = {
+        name: sum(c[name] < b[name] for b, c in zip(processes["baseline"], processes["current"]))
+        for name, _ in PROCESSES}
     return {"host": host(), "pairs": PAIRS, "seconds": seconds,
             "layers": {"summary_s": layer_summary, "summary_minflt": fault_summary,
                        "runs": layers},
+            "processes": {"summary_s": process_summary, "runs": processes},
             "workloads": {"summary": summary, "runs": runs}}
 
 

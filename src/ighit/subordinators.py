@@ -352,6 +352,14 @@ def stable_pdf(u, t, beta: float):
                 arg = 2.0 / math.sqrt(27.0) * t ** 1.5 / np.sqrt(u_arr)
                 lead, damp = t ** 1.5 / (3.0 * math.pi), bessel_k(1.0 / 3.0, arg)
             out = np.where(damp == 0.0, 0.0, lead * u_arr ** -1.5 * damp)
+            over = np.isinf(out) & (damp > 0.0)
+            if over.any():
+                # u^(-3/2) alone overflowed: the same density formed from t/u
+                if beta == 0.5:
+                    tall = t / u_arr / np.sqrt(u_arr) * damp / (2.0 * math.sqrt(math.pi))
+                else:
+                    tall = (t / u_arr) ** 1.5 * damp / (3.0 * math.pi)
+                out = np.where(over, tall, out)
     else:
         scale = t ** (-1.0 / beta)
         out = scale * _unit_stable_cdf_pdf(u_arr * scale, beta)[1]
@@ -387,6 +395,8 @@ def ts_pdf(u, t, beta: float, mu: float):
     u_arr = _finite_positive(u, "ts_pdf: u")
     t_arr = _finite_positive(t, "ts_pdf: t")
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
+    if mu == 0.0:
+        return stable_pdf(u_arr, t, beta)
     tilt = np.exp(-mu * u_arr + mu ** beta * t)
     out = tilt * stable_pdf(u_arr, t, beta)
     return float(out) if np.ndim(out) == 0 else out
@@ -421,7 +431,8 @@ def ts_levy_tail(u, beta: float, mu: float):
 def ts_psi(s, beta: float, mu: float):
     """Laplace exponent (s + mu)^beta - mu^beta of the tempered stable process."""
     mu = _finite_nonnegative(mu, "ts_psi: mu")
-    s_arr = _laplace_arg(s, -mu, "ts_psi")
+    # 0.0 - mu, not -mu: at mu = 0 the bound prints as 0, not -0
+    s_arr = _laplace_arg(s, 0.0 - mu, "ts_psi")
     out = (s_arr + mu) ** beta - mu ** beta
     return out.item() if np.ndim(s) == 0 else out
 

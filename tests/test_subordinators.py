@@ -205,6 +205,15 @@ class TestLevyTailAndExponent:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: TemperedStableSubordinator(0.5, 0.0).psi(-1.0),
+        lambda: ts_psi(np.array([1.0, -1e-12]), 1.0 / 3.0, 0.0),
+    ], ids=["model", "array"])
+    def test_untempered_psi_bound_reads_zero(self, call):
+        # the lower end -mu is -0.0 at mu = 0, which printed as "-0"
+        with pytest.raises(DomainError, match=r"^ts_psi: real s must be >= 0$"):
+            call()
+
     def test_psi_on_talbot_contour_unchanged(self):
         # the fixed-Talbot nodes: one on the positive real axis, the rest above it
         m, t = 24, 0.7
@@ -421,6 +430,40 @@ class TestStableFamily:
         assert model.levy_tail(0.7) == np.asarray(0.7) ** (-beta) / math.gamma(1.0 - beta)
         assert np.array_equal(model.marginal_pdf(u, 1.3), stable_pdf(u, 1.3, beta))
         assert model.marginal_pdf(0.7, 1.3) == stable_pdf(0.7, 1.3, beta)
+
+    @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5, 0.7], ids=["third", "half", "general"])
+    def test_untempered_density_skips_the_tilt(self, beta):
+        # at mu = 0 ts_pdf is stable_pdf, bit for bit the old product with e^0
+        cases = [(0.7, 1.3), (np.geomspace(1e-3, 40.0, 9), 1.3),
+                 (0.7, np.array([0.5, 1.3, 2.0])),
+                 (np.geomspace(1e-3, 40.0, 9)[None, :], np.array([0.5, 1.3, 2.0])[:, None])]
+        for u, t in cases:
+            got = ts_pdf(u, t, beta, 0.0)
+            want = np.exp(0.0 * np.asarray(u)) * stable_pdf(u, t, beta)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        assert type(ts_pdf(0.7, 1.3, beta, 0.0)) is float
+        with pytest.raises(DomainError, match="ts_pdf: u"):
+            ts_pdf(-1.0, 1.0, beta, 0.0)
+        with pytest.raises(DomainError, match="ts_pdf: t"):
+            ts_pdf(1.0, 0.0, beta, 0.0)
+
+    @pytest.mark.parametrize("beta, value", [
+        (0.5, 2.8209479177387814347e164), (1.0 / 3.0, 2.4616270387388277098e129)],
+        ids=["half", "third"])
+    def test_closed_forms_finite_where_the_power_overflows(self, beta, value):
+        # u^(-3/2) overflows at u = 1e-210 but the density, at t = 1e-150, does
+        # not.  References: mpmath 1.3.0 at 40 digits, evaluating the closed
+        # forms t u^(-3/2) e^(-t^2/(4u)) / (2 sqrt(pi)) (index 1/2) and
+        # t^(3/2) u^(-3/2) K_(1/3)(2 t^(3/2) / sqrt(27 u)) / (3 pi) (index 1/3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = stable_pdf(1e-210, 1e-150, beta)
+            table = stable_pdf(np.array([1e-210, 1.0]), 1e-150, beta)
+            tiny = stable_pdf(1e-300, 1.0, beta)
+        assert scalar == pytest.approx(value, rel=1e-13)
+        assert table[0] == scalar and table[1] == stable_pdf(1.0, 1e-150, beta)
+        # where the damping factor underflows the density is still 0
+        assert tiny == 0.0
 
     def test_ts_mass(self):
         mass = integrate_semi_infinite(

@@ -69,11 +69,11 @@ class TestRecordOracles:
 _UNIMPORTED = ("numpy.ma", "numpy.polynomial", "fractions")
 
 
-def _loaded_modules(code):
+def _loaded_modules(code, names=_UNIMPORTED):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    code += f"\nprint([m for m in {_UNIMPORTED!r} if m in sys.modules])\n"
+    code += f"\nprint([m for m in {names!r} if m in sys.modules])\n"
     out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
@@ -86,3 +86,13 @@ def test_battery_leaves_numpy_ma_unimported():
 
 def test_import_leaves_numpy_ma_polynomial_and_fractions_unimported():
     assert _loaded_modules("import ighit") == "[]"
+
+
+def test_import_leaves_the_layers_unimported():
+    # `import ighit` runs errors and montecarlo; each other module waits for
+    # the first access to one of its names
+    layers = tuple(f"ighit.{m}" for m in (
+        "numerics", "subordinators", "hitting", "convolution", "subordinated",
+        "residuals", "verification", "tables", "cli"))
+    assert _loaded_modules("import ighit", layers) == "[]"
+    assert _loaded_modules("import ighit\nighit.erfcx", layers) == "['ighit.numerics']"
