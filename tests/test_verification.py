@@ -89,10 +89,11 @@ def test_import_leaves_numpy_ma_polynomial_and_fractions_unimported():
 
 
 def test_import_leaves_the_layers_unimported():
-    # `import ighit` runs errors and montecarlo; each other module waits for
-    # the first access to one of its names
+    # `import ighit` runs errors, numerics and montecarlo; each other module
+    # waits for the first access to one of its names
     layers = tuple(f"ighit.{m}" for m in (
-        "numerics", "subordinators", "hitting", "convolution", "subordinated",
-        "residuals", "verification", "tables", "cli"))
+        "subordinators", "hitting", "convolution", "subordinated", "residuals",
+        "verification", "tables", "cli"))
     assert _loaded_modules("import ighit", layers) == "[]"
-    assert _loaded_modules("import ighit\nighit.erfcx", layers) == "['ighit.numerics']"
+    assert _loaded_modules("import ighit\nighit.erfcx", layers) == "[]"
+    assert _loaded_modules("import ighit\nighit.stable_pdf", layers) == "['ighit.subordinators']"
