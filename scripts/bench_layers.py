@@ -17,7 +17,7 @@ a clone of the commit before a change).  For each of PAIRS pairs, with the
 order of the two sides alternating, it runs the first form for both
 checkouts in fresh interpreters, then times each of PROCESSES whole (a
 bare `import ighit` and five `python -m ighit` commands, in a scratch
-directory), then `bench/run.py --workload W --seed 101+pair --seconds S` in
+directory, the median of REPEAT runs on one core), then `bench/run.py --workload W --seed 101+pair --seconds S` in
 each checkout for every workload W and the run length S that BENCHMARK.json
 declares.  It writes one JSON file with the host's core count and Python and
 numpy versions, every layer timing, every process time, every benchmark run
@@ -250,19 +250,25 @@ def time_layers(src: Path) -> dict:
 
 
 def time_processes(src: Path) -> dict:
-    """Wall seconds of each of PROCESSES in a fresh interpreter importing ighit from src.
+    """Median wall seconds, over REPEAT runs, of each of PROCESSES in a fresh
+    interpreter importing ighit from src.
 
-    The processes run with one BLAS thread, as bench/run.py's do, and write
-    their outputs into a scratch directory.
+    The processes run on one core with one BLAS thread, as bench/run.py's do,
+    and write their outputs into a scratch directory.
     """
     env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(THREAD_VARS, "1")}
+    core = {min(os.sched_getaffinity(0))}
     out = {}
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as tmp:
         for name, argv in PROCESSES:
-            start = time.perf_counter()
-            subprocess.run([sys.executable, *argv], cwd=tmp, env=env, check=True,
-                           capture_output=True)
-            out[name] = time.perf_counter() - start
+            runs = []
+            for _ in range(REPEAT):
+                start = time.perf_counter()
+                subprocess.run([sys.executable, *argv], cwd=tmp, env=env, check=True,
+                               capture_output=True,
+                               preexec_fn=lambda: os.sched_setaffinity(0, core))
+                runs.append(time.perf_counter() - start)
+            out[name] = statistics.median(runs)
     return out
 
 
