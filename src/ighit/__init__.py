@@ -16,14 +16,21 @@ from importlib import import_module as _import_module
 from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
 # eager: every layer imports numerics; compiled first, this large module
 # leaves transient compiler memory that the later compiles reuse, not stack on
-from .numerics import (bessel_k, erf, erfc, erfcx, integrate_interval, integrate_semi_infinite,
-                       invert_laplace, invert_laplace_talbot, upper_gamma)
+from . import numerics
 # eager: bench/tracing.py reads sys.modules["ighit.montecarlo"] after importing ighit
-from .montecarlo import (HistogramTable, MCEstimate, ecdf_ks, estimate_moment,
-                         histogram_density, ks_critical_1pct)
+from .montecarlo import (
+    HistogramTable,
+    MCEstimate,
+    ecdf_ks,
+    estimate_moment,
+    histogram_density,
+    ks_critical_1pct,
+)
 
 # module -> its public names, resolved by __getattr__ on first access
 _LAZY = {
+    "numerics": "bessel_k erf erfc erfcx integrate_interval integrate_semi_infinite "
+                "invert_laplace invert_laplace_talbot upper_gamma",
     "subordinators": "IGParams IGSubordinator SamplePath TemperedStableSubordinator ig_cdf "
                      "ig_levy_tail ig_pdf ig_psi ig_sample stable_cdf stable_pdf stable_sample "
                      "ts_half_ig_params ts_levy_tail ts_pdf ts_psi ts_sample",
