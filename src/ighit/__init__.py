@@ -11,23 +11,11 @@ public name, and every submodule, is imported on first access (PEP 562).
 
 __version__ = "0.1.0"
 
+import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
-from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
-# eager: every layer imports numerics; compiled first, this large module
-# leaves transient compiler memory that the later compiles reuse, not stack on
-from . import numerics
-# eager: bench/tracing.py reads sys.modules["ighit.montecarlo"] after importing ighit
-from .montecarlo import (
-    HistogramTable,
-    MCEstimate,
-    ecdf_ks,
-    estimate_moment,
-    histogram_density,
-    ks_critical_1pct,
-)
-
-# module -> its public names, resolved by __getattr__ on first access
+# module -> its public names, bound here when the module loads
 _LAZY = {
     "numerics": "bessel_k erf erfc erfcx integrate_interval integrate_semi_infinite "
                 "invert_laplace invert_laplace_talbot upper_gamma",
@@ -52,15 +40,39 @@ _MODULE_OF = {name: module for module, names in _LAZY.items()
               for name in [module, *names.split()]}
 
 
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        # the import system binds each loaded submodule here: bind its public
+        # names with it, so every loaded name is in the namespace, as when all
+        # were imported eagerly (bench/tracing.py patches and restores them)
+        for public in _LAZY.get(name, "").split():
+            super().__setattr__(public, getattr(value, public))
+
+
+_sys.modules[__name__].__class__ = _Package
+
+from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
+# eager: every layer imports numerics; compiling it first lowers the peak
+# memory of a verify process
+from . import numerics
+# eager: bench/tracing.py reads sys.modules["ighit.montecarlo"] after importing ighit
+from .montecarlo import (
+    HistogramTable,
+    MCEstimate,
+    ecdf_ks,
+    estimate_moment,
+    histogram_density,
+    ks_critical_1pct,
+)
+
+
 def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = _import_module(f"{__name__}.{module}")
-    if name != module:
-        value = getattr(value, name)
-    globals()[name] = value
-    return value
+    return value if name == module else getattr(value, name)
 
 
 def __dir__():

@@ -13,6 +13,14 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 
 from __future__ import annotations
 
+import argparse
+import math
+import re
+import sys
+from dataclasses import replace
+
+import numpy as np
+
 from . import __version__
 from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
 from .hitting import (
@@ -51,18 +59,6 @@ from .residuals import (
 )
 from .tables import write_csv, write_json, write_svg_lines
 from .verification import run_verification
-
-# imported after the package's modules: compiled (without a bytecode cache)
-# before argparse loads, they reuse each other's transient compiler memory
-# instead of stacking it above argparse's objects, which lowers the peak
-import argparse
-import math
-import re
-import sys
-from dataclasses import replace
-
-import numpy as np
-
 
 def positive_float(text: str) -> float:
     try:

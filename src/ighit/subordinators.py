@@ -395,8 +395,6 @@ def ts_pdf(u, t, beta: float, mu: float):
     u_arr = _finite_positive(u, "ts_pdf: u")
     t_arr = _finite_positive(t, "ts_pdf: t")
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
-    if mu == 0.0:
-        return stable_pdf(u_arr, t, beta)
     tilt = np.exp(-mu * u_arr + mu ** beta * t)
     out = tilt * stable_pdf(u_arr, t, beta)
     return float(out) if np.ndim(out) == 0 else out

@@ -102,3 +102,28 @@ def test_tracer_installs_after_a_bare_import():
             "tracer.uninstall()\n"
             "print(wrapped, hasattr(ighit.estimate_moment, '__wrapped__'))\n")
     assert _fresh(code).split() == ["True", "False"]
+
+
+def test_loading_a_module_binds_its_names():
+    # a module loaded by any import, not only by attribute access, puts its
+    # names in the package namespace
+    code = ("import ighit, ighit.verification\n"
+            "print(all(n in vars(ighit) for n in ('hit_mean', 'ts_pdf', 'GridBox',"
+            " 'sub_pdf', 'run_verification')))\n"
+            "print(ighit.hit_mean is ighit.hitting.hit_mean)\n")
+    assert _fresh(code).split() == ["True", "True"]
+
+
+def test_tracer_restores_a_name_first_read_while_installed():
+    # the tracer restores only the bindings present when it installs; a name
+    # read for the first time while it is installed must be among them
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+            "import ighit, tracing\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "wrapped = hasattr(ighit.hit_pdf_table, '__wrapped__')\n"
+            "tracer.uninstall()\n"
+            "print(wrapped, ighit.hit_pdf_table is ighit.hitting.hit_pdf_table,\n"
+            "      hasattr(ighit.hit_pdf_table, '__wrapped__'))\n")
+    assert _fresh(code).split() == ["True", "True", "False"]

@@ -431,22 +431,6 @@ class TestStableFamily:
         assert np.array_equal(model.marginal_pdf(u, 1.3), stable_pdf(u, 1.3, beta))
         assert model.marginal_pdf(0.7, 1.3) == stable_pdf(0.7, 1.3, beta)
 
-    @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5, 0.7], ids=["third", "half", "general"])
-    def test_untempered_density_skips_the_tilt(self, beta):
-        # at mu = 0 ts_pdf is stable_pdf, bit for bit the old product with e^0
-        cases = [(0.7, 1.3), (np.geomspace(1e-3, 40.0, 9), 1.3),
-                 (0.7, np.array([0.5, 1.3, 2.0])),
-                 (np.geomspace(1e-3, 40.0, 9)[None, :], np.array([0.5, 1.3, 2.0])[:, None])]
-        for u, t in cases:
-            got = ts_pdf(u, t, beta, 0.0)
-            want = np.exp(0.0 * np.asarray(u)) * stable_pdf(u, t, beta)
-            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-        assert type(ts_pdf(0.7, 1.3, beta, 0.0)) is float
-        with pytest.raises(DomainError, match="ts_pdf: u"):
-            ts_pdf(-1.0, 1.0, beta, 0.0)
-        with pytest.raises(DomainError, match="ts_pdf: t"):
-            ts_pdf(1.0, 0.0, beta, 0.0)
-
     @pytest.mark.parametrize("beta, value", [
         (0.5, 2.8209479177387814347e164), (1.0 / 3.0, 2.4616270387388277098e129)],
         ids=["half", "third"])
