@@ -53,8 +53,8 @@ class _Package(_ModuleType):
 _sys.modules[__name__].__class__ = _Package
 
 from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
-# eager: every layer imports numerics; compiling it first lowers the peak
-# memory of a verify process
+# eager: every layer imports numerics; compiled first, inside `import ighit`,
+# it read a lower peak memory in verify processes
 from . import numerics
 # eager: bench/tracing.py reads sys.modules["ighit.montecarlo"] after importing ighit
 from .montecarlo import (
