@@ -11,11 +11,9 @@ public name, and every submodule, is imported on first access (PEP 562).
 
 __version__ = "0.1.0"
 
-import sys as _sys
 from importlib import import_module as _import_module
-from types import ModuleType as _ModuleType
 
-# module -> its public names, bound here when the module loads
+# module -> its public names, each resolved from the module on every access
 _LAZY = {
     "numerics": "bessel_k erf erfc erfcx integrate_interval integrate_semi_infinite "
                 "invert_laplace invert_laplace_talbot upper_gamma",
@@ -38,19 +36,6 @@ _LAZY = {
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items()
               for name in [module, *names.split()]}
-
-
-class _Package(_ModuleType):
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        # the import system binds each loaded submodule here: bind its public
-        # names with it, so every loaded name is in the namespace, as when all
-        # were imported eagerly (bench/tracing.py patches and restores them)
-        for public in _LAZY.get(name, "").split():
-            super().__setattr__(public, getattr(value, public))
-
-
-_sys.modules[__name__].__class__ = _Package
 
 from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
 # eager: every layer imports numerics; compiled first, inside `import ighit`,

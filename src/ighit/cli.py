@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import replace
@@ -22,7 +21,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstability
+from .errors import (
+    BudgetExceeded,
+    DomainError,
+    NonConvergence,
+    NumericalInstability,
+    _finite,
+    _finite_nonnegative,
+    _finite_positive,
+)
 from .hitting import (
     HittingDensityEval,
     hit_cdf,
@@ -48,6 +55,7 @@ from .subordinators import (
 )
 from .residuals import (
     PDE_BOXES,
+    _PSEUDO_LT_GRIDS,
     residual_frac_hitting,
     residual_frac_ig,
     residual_hitting_pde,
@@ -60,24 +68,23 @@ from .residuals import (
 from .tables import write_csv, write_json, write_svg_lines
 from .verification import run_verification
 
-def positive_float(text: str) -> float:
+
+def _float_flag(text: str, check) -> float:
+    """`text` as a float that `check` passes, else argparse's usage error (exit 2)."""
     try:
-        value = float(text)
+        return check(float(text), repr(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
-    if not value > 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+
+
+def positive_float(text: str) -> float:
+    return _float_flag(text, _finite_positive)
 
 
 def nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
-    if value < 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {text!r}")
-    return value
+    return _float_flag(text, _finite_nonnegative)
 
 
 # The most steps a grid flag may ask for; the defaults take at most 80.
@@ -89,12 +96,7 @@ def grid_spec(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"non-numeric grid entry in {text!r}") from exc
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise argparse.ArgumentTypeError(f"non-finite grid entry in {text!r}")
+    start, stop, step = (_float_flag(p, _finite) for p in parts)
     if step <= 0 or stop <= start:
         raise argparse.ArgumentTypeError("grid needs stop > start and step > 0")
     n = (stop - start) / step
@@ -300,8 +302,7 @@ def cmd_pde_check(args) -> int:
     elif args.pde == "frac-subordinated":
         rep = residual_subordinated_frac(box)
     else:
-        rep = residual_pseudo_lt(params, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
-                                 source=args.source)
+        rep = residual_pseudo_lt(params, *_PSEUDO_LT_GRIDS, source=args.source)
     out = args.out or f"pde_{args.pde.replace('-', '_')}.json"
     rep.to_json(out)
     if args.residual_csv:

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convolution import _convolution_table, _lower_end
-from .errors import DomainError, NonConvergence, NumericalInstability
+from .errors import (
+    DomainError,
+    NonConvergence,
+    NumericalInstability,
+    _finite,
+    _finite_nonnegative,
+    _finite_positive,
+)
 from .numerics import (
     INV_SQRT_PI,
     _gauss_rule,
@@ -46,7 +53,6 @@ from .subordinators import (
     IGSubordinator,
     SamplePath,
     _check_beta,
-    _finite_nonnegative,
     ig_cdf,
     ig_levy_tail,
     ig_psi,
@@ -59,22 +65,6 @@ SQRT2 = math.sqrt(2.0)
 # of exp(-t omega^2) at omega_max, where the integral routes truncate
 _PDF_ABS_TOL = 1e-10
 _TRUNCATION_EPS = 1e-16
-
-
-def _check_x(x) -> None:
-    # a float (np.float64 included) takes math.isfinite, far cheaper than numpy
-    ok = math.isfinite(x) if isinstance(x, float) else np.all(np.isfinite(x))
-    if not ok:
-        raise DomainError("x must be finite")
-
-
-def _check_t(t) -> None:
-    if isinstance(t, float):
-        ok = math.isfinite(t) and t > 0
-    else:
-        ok = np.all(np.isfinite(t) & (np.asarray(t) > 0))
-    if not ok:
-        raise DomainError("t must be finite and positive")
 
 
 def _osc_noise_estimate(log_pref: float, delta: float) -> float:
@@ -113,10 +103,8 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     cells follow the oscillation half-periods up to the truncation point
     omega_max = sqrt(-ln(1e-16)/t).
     """
-    _check_x(x)
-    _check_t(t)
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    _finite_nonnegative(x, "hit_pdf_integral: x")
+    _finite_positive(t, "hit_pdf_integral: t")
     p = ev.params
     if x == 0.0:
         return hit_boundary_value(t, p)
@@ -162,12 +150,8 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
     h(x, t) = delta e^(-a^2/2) [sqrt(2/(pi t)) - gamma erfcx(v/sqrt(2))]
     (Borodin & Salminen, Handbook of Brownian Motion, 2002, section 2.1).
     """
-    xs = np.asarray(xs, dtype=float)
-    t = np.asarray(t, dtype=float)
-    _check_x(xs)
-    _check_t(t)
-    if np.any(xs < 0):
-        raise DomainError("x must be nonnegative")
+    xs = _finite_nonnegative(np.asarray(xs, dtype=float), "hit_pdf_table: x")
+    t = _finite_positive(np.asarray(t, dtype=float), "hit_pdf_table: t")
     d, g = ev.params.delta, ev.params.gamma
     sq = np.sqrt(t)
     if g == 0.0:
@@ -196,12 +180,8 @@ def hit_pdf_convolution(xs, t: float, model):
     model.tail_exponent), integrably; t - y = v^(1/(1-p)) flattens it.
     NumericalInstability is raised where both rules miss their self-check.
     """
-    x_arr = np.asarray(xs, dtype=float)
-    _check_x(x_arr)
-    _check_t(t)
-    if not np.all(x_arr > 0):
-        raise DomainError("x must be positive")
-    t = float(t)
+    x_arr = _finite_positive(np.asarray(xs, dtype=float), "hit_pdf_convolution: x")
+    t = float(_finite_positive(t, "hit_pdf_convolution: t"))
     q = _convolution_table(x_arr.ravel(), t, model, _lower_end(model, float(x_arr.min()), t))
     q = q.reshape(x_arr.shape)
     return float(q) if q.ndim == 0 else q
@@ -258,7 +238,7 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     if xs.ndim != 1 or ts.ndim != 1:
         raise DomainError("xs and ts must be 1-d arrays")
-    mu = _finite_nonnegative(mu, "ts_hit_pdf_table: mu")
+    mu = _finite_nonnegative(float(mu), "ts_hit_pdf_table: mu")
     lam = xs[:, None] * mu ** beta
     table = np.exp(lam - mu * ts) * stable_hit_pdf(xs[:, None], ts, beta)
     if mu == 0.0 or table.size == 0:
@@ -298,17 +278,14 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
 
 def hit_cdf(x, t: float, params: IGParams):
     """P(H(t) <= x) = P(G(x) >= t) = 1 - `hit_survival`, for x >= 0."""
-    out = 1.0 - hit_survival(x, t, params)
-    if np.any(np.asarray(x) < 0):
-        raise DomainError("x must be nonnegative")
-    return out
+    _finite_nonnegative(x, "hit_cdf: x")
+    return 1.0 - hit_survival(x, t, params)
 
 
 def hit_survival(x, t: float, params: IGParams):
     """P(H(t) > x) = P(G(x) < t); the duality route used by tail reports."""
-    _check_t(t)
-    x_arr = np.asarray(x, dtype=float)
-    _check_x(x_arr)
+    _finite_positive(t, "hit_survival: t")
+    x_arr = _finite(np.asarray(x, dtype=float), "hit_survival: x")
     scalar = x_arr.ndim == 0
     out = np.ones_like(x_arr)
     pos = x_arr > 0
@@ -338,9 +315,7 @@ def hit_lt_time(x: float, s, params: IGParams):
 
     At s = 0 it is the limit delta/gamma, the time integral of h(x, .).
     """
-    _check_x(x)
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    _finite_nonnegative(x, "hit_lt_time: x")
     s_arr = np.asarray(s)
     psi = ig_psi(s_arr, params)
     at_zero = _zero_s(s_arr, params)
@@ -378,8 +353,8 @@ def hit_lt_space(mu: float, t: float, params: IGParams) -> float:
     `integrate_interval`'s default tolerances.  For gamma = 0, delta = 1 this
     reduces to erfcx(mu sqrt(t/2)).
     """
-    _check_x(mu)
-    _check_t(t)
+    _finite(mu, "hit_lt_space: mu")
+    _finite_positive(t, "hit_lt_space: t")
     d, g = params.delta, params.gamma
     if mu <= d * g:
         raise DomainError("spatial transform exists only for mu > delta*gamma")
@@ -434,12 +409,8 @@ def hit_lt_space_closed(mu, t, params: IGParams):
     e^(-gamma^2 t/2) underflows.  The integral form `hit_lt_space`, kept as
     the oracle, needs mu > delta*gamma.
     """
-    mu_arr = np.asarray(mu, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    _check_x(mu_arr)
-    _check_t(t_arr)
-    if np.any(mu_arr < 0):
-        raise DomainError("mu must be nonnegative")
+    mu_arr = _finite_nonnegative(np.asarray(mu, dtype=float), "hit_lt_space_closed: mu")
+    t_arr = _finite_positive(np.asarray(t, dtype=float), "hit_lt_space_closed: t")
     d, g = params.delta, params.gamma
     mu_arr, t_arr = np.broadcast_arrays(mu_arr, t_arr)
     r = np.sqrt(0.5 * t_arr)
@@ -466,7 +437,7 @@ def hit_lt_space_closed(mu, t, params: IGParams):
 
 def hit_mean(t: float, params: IGParams) -> float:
     """Mean of H(t) in closed form (driftless branch sqrt(2t/pi)/delta)."""
-    _check_t(t)
+    _finite_positive(t, "hit_mean: t")
     d, g = params.delta, params.gamma
     if g == 0.0:
         return math.sqrt(2.0 * t / math.pi) / d
@@ -486,7 +457,7 @@ def hit_second_moment(t: float, params: IGParams) -> float:
     + y e^(-y^2)/sqrt(pi) - P(y)/(4y^2)], P(y) = erf y - 2y e^(-y^2)/sqrt(pi);
     below y = 0.5 the cancelling P(y)/(4y^2) comes from its alternating series.
     """
-    _check_t(t)
+    _finite_positive(t, "hit_second_moment: t")
     y = params.gamma * math.sqrt(0.5 * t)
     erf_y = erf(y)
     gauss = math.exp(-y * y) / math.sqrt(math.pi)
@@ -507,7 +478,7 @@ def hit_variance(t: float, params: IGParams) -> float:
     R = 2y^3 g - e (2y^4 + y^2 + 1) + (y g - e (y^2 + 1/2))^2, g = e^(-y^2)/sqrt(pi)
     and e = erfc y = e^(-y^2) erfcx(y): the two closed forms subtracted.
     """
-    _check_t(t)
+    _finite_positive(t, "hit_variance: t")
     d, g = params.delta, params.gamma
     y = g * math.sqrt(0.5 * t)
     if y < 0.75:
@@ -534,7 +505,7 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
     quadratures of the density: the exact survival only picks the truncation
     point, it never enters the integral value.
     """
-    _check_t(t)
+    _finite_positive(t, "density_support_cutoff: t")
     t_arr = np.asarray(t, dtype=float)
     x0 = np.maximum(1.0, 2.0 * params.gamma * t_arr / params.delta)
     xs = x0[..., None] * _DOUBLINGS
@@ -567,9 +538,8 @@ def hit_moment(q: float, t: float, params: IGParams) -> float:
     positive; where Gamma(1+q) overflows (q above about 170) the moment
     raises NumericalInstability.
     """
-    if not (math.isfinite(q) and q > 0):
-        raise DomainError("q must be finite and positive")
-    _check_t(t)
+    _finite_positive(q, "hit_moment: q")
+    _finite_positive(t, "hit_moment: t")
     try:
         gamma_factor = math.gamma(1.0 + q)
     except OverflowError as exc:
@@ -588,7 +558,7 @@ def hit_moment(q: float, t: float, params: IGParams) -> float:
 def hit_boundary_value(t: float, params: IGParams) -> float:
     """h(0+, t), the Levy tail at t; the printed prefactor gives this value
     times `printed_prefactor_ratio`."""
-    _check_t(t)
+    _finite_positive(t, "hit_boundary_value: t")
     return ig_levy_tail(t, params)
 
 
@@ -638,8 +608,8 @@ class TailBoundReport:
                   zip(self.x_grid, self.survival, self.bound_values))
 
 
-def _tail_grid(t, x_grid) -> np.ndarray:
-    _check_t(t)
+def _tail_grid(t, x_grid, what: str) -> np.ndarray:
+    _finite_positive(t, f"{what}: t")
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3 or not np.all(np.diff(xs) > 0) or xs[0] <= 0:
         raise DomainError("x_grid must be increasing, positive, with >= 3 points")
@@ -658,7 +628,7 @@ def _fit_envelope(xs, surv, shape, stretch, t, label, extra) -> TailBoundReport:
 
 def tail_report(t: float, params: IGParams, x_grid) -> TailBoundReport:
     """Survival of H(t) on a grid against the envelope x^(-1) e^(dg x - x^2/4t)."""
-    xs = _tail_grid(t, x_grid)
+    xs = _tail_grid(t, x_grid, "tail_report")
     d, g = params.delta, params.gamma
     with np.errstate(over="ignore"):  # `_fit_envelope` rejects a non-finite envelope
         shape = np.exp(d * g * xs - xs ** 2 / (4.0 * t)) / xs
@@ -735,8 +705,8 @@ def sample_hitting_times(t_eval: float, n: int, params: IGParams, dt: float,
     path of G at step dt exceeds t_eval, the law `invert_path` gives on a
     path from `hitting_path`.  The draws come from the substream (seed, 0).
     """
-    _check_t(t_eval)
-    _check_t(dt)
+    _finite_positive(t_eval, "sample_hitting_times: t_eval")
+    _finite_positive(dt, "sample_hitting_times: dt")
     if n <= 0:
         raise DomainError("n must be positive")
     rng = np.random.default_rng([seed, 0])
@@ -758,12 +728,9 @@ def stable_hit_pdf(x, t: float, beta: float):
     At beta = 1/2 the composition collapses to e^(-x^2/4t)/sqrt(pi t).
     """
     _check_beta(beta)
-    _check_t(t)
-    x_arr = np.asarray(x, dtype=float)
-    _check_x(x_arr)
+    _finite_positive(t, "stable_hit_pdf: t")
+    x_arr = _finite_positive(np.asarray(x, dtype=float), "stable_hit_pdf: x")
     scalar = x_arr.ndim == 0
-    if np.any(x_arr <= 0):
-        raise DomainError("x must be positive")
     arg = t * x_arr ** (-1.0 / beta)
     out = (t / beta) * x_arr ** (-1.0 - 1.0 / beta) * stable_pdf(arg, 1.0, beta)
     return float(out) if scalar else out
@@ -771,7 +738,9 @@ def stable_hit_pdf(x, t: float, beta: float):
 
 def stable_hit_survival(x, t: float, beta: float):
     """P(E(t) > x) = P(D(x) <= t) by duality, broadcast over x > 0."""
-    return stable_cdf(t, x, beta)
+    _finite_positive(t, "stable_hit_survival: t")
+    x_arr = _finite_positive(np.asarray(x, dtype=float), "stable_hit_survival: x")
+    return stable_cdf(t, x_arr, beta)
 
 
 def stable_hit_tail_report(t: float, beta: float, x_grid) -> TailBoundReport:
@@ -781,7 +750,7 @@ def stable_hit_tail_report(t: float, beta: float, x_grid) -> TailBoundReport:
     stable bound through the scaling substitution, (1-beta/2)/(beta(1-beta)) -
     1 - 1/beta (zero at beta = 1/2, matching the closed form).
     """
-    xs = _tail_grid(t, x_grid)
+    xs = _tail_grid(t, x_grid, "stable_hit_tail_report")
     rate_n = (1.0 - beta) * (t / beta) ** (beta / (beta - 1.0))
     power = (1.0 - 0.5 * beta) / (beta * (1.0 - beta)) - 1.0 - 1.0 / beta
     stretch = xs ** (1.0 / (1.0 - beta))

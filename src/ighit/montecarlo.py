@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 # asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
@@ -48,8 +48,7 @@ def estimate_moment(sampler, q: float, n: int, seed: int) -> MCEstimate:
     """
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise DomainError("need an integral number of at least two samples")
-    if not math.isfinite(q):
-        raise DomainError("moment order q must be finite")
+    _finite(q, "estimate_moment: q")
     start = time.perf_counter()
     total = 0.0
     total_sq = 0.0

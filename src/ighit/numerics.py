@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, NumericalInstability
+from .errors import DomainError, NonConvergence, NumericalInstability, _finite_positive
 
 LN2 = math.log(2.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -192,11 +192,7 @@ def upper_gamma(a: float, x):
     each run over all of its elements at once until every one has converged;
     handles the a < 0 case needed for tempered-stable tail integrals.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("upper_gamma requires finite x")
-    if np.any(x_arr <= 0.0):
-        raise DomainError("upper_gamma requires x > 0")
+    x_arr = _finite_positive(np.asarray(x, dtype=float), "upper_gamma: x")
     flat = x_arr.ravel()
     out = np.empty_like(flat)
     cf = flat >= max(1.0, a + 1.0)
@@ -266,8 +262,9 @@ def bessel_k(nu: float, z) -> np.ndarray:
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     flat = z_arr.ravel()
-    if np.any(flat <= 0):
-        raise DomainError("bessel_k requires z > 0")
+    # NaN raises as z <= 0 does; z = +inf gives K = 0
+    if not np.all(flat > 0):
+        raise DomainError("bessel_k: z must be > 0")
     out = np.zeros_like(flat)
     live = np.flatnonzero(flat < 700.0)
     if live.size > _BESSEL_CHUNK:
@@ -428,8 +425,8 @@ def integrate_interval(f, a: float, b: float, *, edges=None,
     than MAX_SUBDIVISIONS bisections have not, and NumericalInstability where
     the error estimate is not finite (a NaN or inf integrand value).
     """
-    if not (math.isfinite(abs_tol) and abs_tol > 0 and math.isfinite(rel_tol) and rel_tol > 0):
-        raise DomainError("tolerances must be finite and positive")
+    _finite_positive(abs_tol, "integrate_interval: abs_tol")
+    _finite_positive(rel_tol, "integrate_interval: rel_tol")
     if b <= a:
         return 0.0
     lo, hi = _cells(a, b, edges)
@@ -601,9 +598,7 @@ def invert_laplace(fn, t):
     achievable accuracy, or a non-finite estimate, raises
     NumericalInstability rather than returning a silently wrong value.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr) & (t_arr > 0)):
-        raise DomainError("Laplace inversion requires finite t > 0")
+    t_arr = _finite_positive(np.asarray(t, dtype=float), "invert_laplace: t")
     flat = t_arr.ravel()
     f_hi = _gs_core(fn, flat, GS_TERMS)
     f_lo = _gs_core(fn, flat, GS_TERMS - 2)
@@ -626,8 +621,7 @@ def invert_laplace_talbot(fn, t: float) -> float:
     100 max(1e-10, 1e-7 |f|), or a non-finite estimate, raises
     NumericalInstability.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError("Laplace inversion requires finite t > 0")
+    _finite_positive(t, "invert_laplace_talbot: t")
     f_hi = _fixed_talbot(fn, t, 24)
     f_lo = _fixed_talbot(fn, t, 20)
     allowed = 100.0 * max(_ILT_ABS_TOL, 1e-7 * abs(f_hi))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _finite_nonnegative, _finite_positive
 from .numerics import integrate_ladder
 from .hitting import (
     HittingDensityEval,
@@ -52,10 +52,12 @@ class GridBox:
     dt: float
 
     def __post_init__(self):
+        for name in ("x0", "x1", "t0", "t1"):
+            _finite(getattr(self, name), f"GridBox: {name}")
+        _finite_positive(self.dx, "GridBox: dx")
+        _finite_positive(self.dt, "GridBox: dt")
         if not (self.x1 > self.x0 and self.t1 > self.t0):
             raise DomainError("box must have positive extent")
-        if not (self.dx > 0 and self.dt > 0):
-            raise DomainError("steps must be positive")
         for name, lo, hi, h in (("dx", self.x0, self.x1, self.dx),
                                 ("dt", self.t0, self.t1, self.dt)):
             if max(abs(lo), abs(hi)) / h > _MAX_STEPS:
@@ -74,6 +76,9 @@ PDE_BOXES = {
     "frac-ig": GridBox(0.3, 1.5, 0.5, 1.0, 1 / 64, 1 / 256),
     "frac-subordinated": GridBox(0.25, 1.25, 0.3, 0.75, 1 / 128, 1 / 64),
 }
+# The s and x grids of `ighit pde-check --pde pseudo-lt` and of the closed-form
+# half of the `verify` record
+_PSEUDO_LT_GRIDS = ((0.5, 1.0, 2.0), (0.3, 0.7, 1.1))
 
 
 @dataclass(frozen=True)
@@ -437,12 +442,11 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
     """
     if source not in ("closed", "numeric"):
         raise DomainError("source must be 'closed' or 'numeric'")
-    s_arr = np.asarray(s_grid, dtype=float)
-    x_arr = np.asarray(x_grid, dtype=float)
-    if s_arr.size == 0 or not np.all(np.isfinite(s_arr) & (s_arr > 0)):
-        raise DomainError("s_grid must be nonempty, finite and positive")
-    if x_arr.size == 0 or not np.all(np.isfinite(x_arr) & (x_arr >= 0)):
-        raise DomainError("x_grid must be nonempty, finite and nonnegative")
+    s_arr = _finite_positive(np.asarray(s_grid, dtype=float), "residual_pseudo_lt: s_grid")
+    x_arr = _finite_nonnegative(np.asarray(x_grid, dtype=float), "residual_pseudo_lt: x_grid")
+    if s_arr.size == 0 or x_arr.size == 0:
+        empty = "x_grid" if s_arr.size else "s_grid"
+        raise DomainError(f"residual_pseudo_lt: {empty} must be nonempty")
     if source == "numeric" and np.any(x_arr <= _LT_STEP):
         raise DomainError(f"x_grid must exceed the step {_LT_STEP} at source='numeric'")
     psi = ig_psi(s_arr, params)

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _finite, _finite_positive
 from .numerics import composite_gauss, geomspace, integrate_interval
 from .hitting import (
     HittingDensityEval,
-    _check_t,
-    _check_x,
     density_support_cutoff,
     hit_pdf_table,
     hitting_path,
@@ -59,8 +58,8 @@ def _v_cutoff(t, ev: SubordinatedEval):
 
 def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     """Density of X(t) at x; even in x, finite at x = 0."""
-    _check_x(x)
-    _check_t(t)
+    _finite(x, "sub_pdf: x")
+    _finite_positive(t, "sub_pdf: t")
     v_max = float(_v_cutoff(t, ev))
     hev = HittingDensityEval(ev.params)
     x2 = x * x
@@ -91,9 +90,8 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     several times.  The weights come from broadcast hit_pdf_table calls of
     WEIGHT_BLOCK points or fewer.
     """
-    _check_t(t)
-    xs = np.asarray(xs, dtype=float)
-    _check_x(xs)
+    _finite_positive(t, "sub_pdf_table: t")
+    xs = _finite(np.asarray(xs, dtype=float), "sub_pdf_table: x")
     t_arr = np.asarray(t, dtype=float)
     ts = t_arr.ravel()
     cuts = _v_cutoff(ts, ev)
@@ -138,7 +136,7 @@ def sub_cdf_interpolant(t: float, ev: SubordinatedEval):
     """Distribution function of X(t) as a callable built from a dense table."""
     xs = np.linspace(0.0, 8.0 * float(_v_cutoff(t, ev)), 4001)
     dens = sub_pdf_table(xs, t, ev)
-    # cumulative composite Simpson on the uniform half-grid
+    # cumulative trapezoid rule on the uniform half-grid
     dx = xs[1] - xs[0]
     cum = np.zeros_like(xs)
     cum[1:] = np.cumsum(0.5 * dx * (dens[1:] + dens[:-1]))

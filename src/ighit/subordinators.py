@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, _finite_nonnegative, _finite_positive
 from .numerics import _gauss_rule, bessel_k, erfc, erfcx, norm_cdf, upper_gamma
 
 
@@ -21,22 +21,6 @@ def _check_beta(beta: float) -> None:
     """DomainError unless the stable index beta lies in (0, 1)."""
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
-
-
-def _finite_positive(value, what: str) -> np.ndarray:
-    """`value` as a float array; DomainError unless every entry is finite and > 0."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr > 0)):
-        raise DomainError(f"{what} must be finite and positive")
-    return arr
-
-
-def _finite_nonnegative(value, what: str) -> float:
-    """`value` as a float; DomainError unless it is finite and >= 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"{what} must be finite and nonnegative")
-    return value
 
 
 def _check_size(size, what: str) -> None:
@@ -82,15 +66,14 @@ class IGParams:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise DomainError("delta must be finite and positive")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise DomainError("gamma must be finite and nonnegative")
+        _finite_positive(self.delta, "IGParams: delta")
+        _finite_nonnegative(self.gamma, "IGParams: gamma")
 
 
 def _ig_shape(t, p: IGParams, what: str):
     """a = delta t of the IG(delta t, gamma) law at t; DomainError unless finite and > 0."""
-    return _finite_positive(p.delta * _finite_positive(t, f"{what}: t"), f"{what}: delta t")
+    t_arr = _finite_positive(np.asarray(t, dtype=float), f"{what}: t")
+    return _finite_positive(np.asarray(p.delta * t_arr), f"{what}: delta t")
 
 
 def ig_pdf(x, t, p: IGParams):
@@ -100,7 +83,7 @@ def ig_pdf(x, t, p: IGParams):
     a^2 are taken per a by math.log and float power, so that a table over
     many t rounds exactly as each t alone.
     """
-    x_arr = _finite_positive(x, "ig_pdf: x")
+    x_arr = _finite_positive(np.asarray(x, dtype=float), "ig_pdf: x")
     a, b = _ig_shape(t, p, "ig_pdf"), p.gamma
     flat = a.ravel().tolist()
     log_a = np.reshape([math.log(v) for v in flat], a.shape)
@@ -197,7 +180,7 @@ def ig_levy_tail(u, p: IGParams):
     evaluated as e^(-gamma^2 u/2) * (sqrt(2/(pi u)) - gamma erfcx(...)) so both
     factors stay bounded for large gamma^2 u.
     """
-    u_arr = _finite_positive(u, "ig_levy_tail: u")
+    u_arr = _finite_positive(np.asarray(u, dtype=float), "ig_levy_tail: u")
     scalar = u_arr.ndim == 0
     g = p.gamma
     bracket = np.sqrt(2.0 / (math.pi * u_arr))
@@ -337,8 +320,13 @@ def stable_pdf(u, t, beta: float):
     both transforms equal e^(-a sqrt(2 s)).
     """
     _check_beta(beta)
-    t_arr = _finite_positive(t, "stable_pdf: t")
-    u_arr = _finite_positive(u, "stable_pdf: u")
+    t_arr = _finite_positive(np.asarray(t, dtype=float), "stable_pdf: t")
+    u_arr = _finite_positive(np.asarray(u, dtype=float), "stable_pdf: u")
+    return _stable_pdf(u_arr, t_arr, beta)
+
+
+def _stable_pdf(u_arr, t_arr, beta: float):
+    """`stable_pdf` at float arrays u_arr and t_arr that it has checked."""
     # a scalar t stays a Python float, so scalar calls round as they always have
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
     if beta in (0.5, 1.0 / 3.0):
@@ -374,7 +362,7 @@ def stable_cdf(x, t, beta: float):
     at x = inf; NaN x raises DomainError.
     """
     _check_beta(beta)
-    t_arr = _finite_positive(t, "stable_cdf: t")
+    t_arr = _finite_positive(np.asarray(t, dtype=float), "stable_cdf: t")
     x_arr = np.asarray(x, dtype=float)
     if np.isnan(x_arr).any():
         raise DomainError("stable_cdf: x must not be NaN")
@@ -391,12 +379,13 @@ def stable_cdf(x, t, beta: float):
 
 def ts_pdf(u, t, beta: float, mu: float):
     """Tempered stable density e^(-mu u + mu^beta t) * stable density; u and t broadcast."""
-    mu = _finite_nonnegative(mu, "ts_pdf: mu")
-    u_arr = _finite_positive(u, "ts_pdf: u")
-    t_arr = _finite_positive(t, "ts_pdf: t")
+    mu = _finite_nonnegative(float(mu), "ts_pdf: mu")
+    u_arr = _finite_positive(np.asarray(u, dtype=float), "ts_pdf: u")
+    t_arr = _finite_positive(np.asarray(t, dtype=float), "ts_pdf: t")
+    _check_beta(beta)
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
     tilt = np.exp(-mu * u_arr + mu ** beta * t)
-    out = tilt * stable_pdf(u_arr, t, beta)
+    out = tilt * _stable_pdf(u_arr, t_arr, beta)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -408,8 +397,8 @@ def ts_levy_tail(u, beta: float, mu: float):
     Gamma(1 - beta) at mu = 0.
     """
     _check_beta(beta)
-    mu = _finite_nonnegative(mu, "ts_levy_tail: mu")
-    u_arr = _finite_positive(u, "ts_levy_tail: u")
+    mu = _finite_nonnegative(float(mu), "ts_levy_tail: mu")
+    u_arr = _finite_positive(np.asarray(u, dtype=float), "ts_levy_tail: u")
     scalar = u_arr.ndim == 0
     if mu == 0.0:
         out = u_arr ** (-beta) / math.gamma(1.0 - beta)
@@ -428,7 +417,7 @@ def ts_levy_tail(u, beta: float, mu: float):
 
 def ts_psi(s, beta: float, mu: float):
     """Laplace exponent (s + mu)^beta - mu^beta of the tempered stable process."""
-    mu = _finite_nonnegative(mu, "ts_psi: mu")
+    mu = _finite_nonnegative(float(mu), "ts_psi: mu")
     # 0.0 - mu, not -mu: at mu = 0 the bound prints as 0, not -0
     s_arr = _laplace_arg(s, 0.0 - mu, "ts_psi")
     out = (s_arr + mu) ** beta - mu ** beta
@@ -442,7 +431,7 @@ def ts_half_ig_params(mu: float) -> IGParams:
     delta = 1/sqrt(2), gamma = sqrt(2 mu): one Laplace exponent, so one law
     and one hitting time.
     """
-    mu = _finite_nonnegative(mu, "ts_half_ig_params: mu")
+    mu = _finite_nonnegative(float(mu), "ts_half_ig_params: mu")
     return IGParams(1.0 / math.sqrt(2.0), math.sqrt(2.0 * mu))
 
 
@@ -602,7 +591,7 @@ def ts_sample(t: float, beta: float, mu: float, rng: np.random.Generator, size=N
     """
     _check_beta(beta)
     _finite_positive(t, "ts_sample: t")
-    mu = _finite_nonnegative(mu, "ts_sample: mu")
+    mu = _finite_nonnegative(float(mu), "ts_sample: mu")
     _check_size(size, "ts_sample")
     if mu == 0.0:
         return stable_sample(t, beta, rng, size)
@@ -719,7 +708,7 @@ class TemperedStableSubordinator:
 
     def __post_init__(self):
         _check_beta(self.beta)
-        _finite_nonnegative(self.mu, "mu")
+        _finite_nonnegative(self.mu, "TemperedStableSubordinator: mu")
 
     @property
     def tail_exponent(self) -> float:

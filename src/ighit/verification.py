@@ -48,6 +48,7 @@ from .hitting import (
 from .numerics import integrate_interval, integrate_ladder, integrate_semi_infinite
 from .residuals import (
     PDE_BOXES,
+    _PSEUDO_LT_GRIDS,
     residual_frac_hitting,
     residual_frac_ig,
     residual_hitting_pde,
@@ -427,8 +428,7 @@ def _rec_pde_ts_n3_sign() -> VerificationRecord:
 
 
 def _rec_pde_pseudo_lt() -> VerificationRecord:
-    rep_closed = residual_pseudo_lt(P11, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1],
-                                    source="closed")
+    rep_closed = residual_pseudo_lt(P11, *_PSEUDO_LT_GRIDS, source="closed")
     rep_num = residual_pseudo_lt(P11, [0.5, 1.0], [0.5, 0.9], source="numeric")
     ok = rep_closed.norms["max_abs"] < 1e-12 and rep_num.norms["max_abs"] < 1e-4
     return VerificationRecord(

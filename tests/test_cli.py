@@ -11,12 +11,20 @@ import numpy as np
 import pytest
 
 from ighit.cli import build_parser, grid_spec, main
-from ighit.hitting import HittingDensityEval, hit_pdf_table, printed_prefactor_ratio
+from ighit.hitting import (
+    HittingDensityEval,
+    hit_llt,
+    hit_lt_space_closed,
+    hit_lt_time,
+    hit_pdf_table,
+    printed_prefactor_ratio,
+)
 from ighit.residuals import (
     PDE_BOXES,
     GridBox,
     residual_frac_hitting,
     residual_hitting_pde,
+    residual_pseudo_lt,
     residual_ts_pde,
 )
 from ighit.subordinators import IGParams
@@ -346,7 +354,36 @@ def test_every_grid_flag_takes_a_negative_start_after_a_space(argv, flag):
         assert np.array_equal(getattr(args, flag), grid_spec(grid))
 
 
+class TestLtCommand:
+    """Each transform flag reaches the library call: the file is that call's table."""
+
+    @pytest.mark.parametrize("argv, column, expected", [
+        (["--which", "time", "--x", "0.4", "--s", "0.25,3"], "s",
+         lambda p: ([0.25, 3.0], hit_lt_time(0.4, [0.25, 3.0], p))),
+        (["--which", "llt", "--u", "2.5", "--s", "0,0.75"], "s",
+         lambda p: ([0.0, 0.75], hit_llt(2.5, [0.0, 0.75], p))),
+        (["--which", "space", "--t", "0.6", "--mu", "0,0.3,5"], "mu",
+         lambda p: ([0.0, 0.3, 5.0], hit_lt_space_closed(np.array([0.0, 0.3, 5.0]), 0.6, p))),
+    ], ids=["time_s", "llt_u_s", "space_mu"])
+    def test_flags_reach_the_transform(self, tmp_path, argv, column, expected):
+        assert run_in(tmp_path, ["lt", "--delta", "1.5", "--gamma", "0.5", *argv]) == 0
+        args, values = expected(IGParams(1.5, 0.5))
+        name = {"time": "lt_time", "llt": "llt", "space": "lt_space"}[argv[1]]
+        write_csv(tmp_path / "expected.csv", [column, name], zip(args, values))
+        assert (tmp_path / "lt.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 class TestPdeCheckCommand:
+    @pytest.mark.parametrize("pde", ["hitting", "pseudo-lt"])
+    def test_residual_csv_is_the_reports_table(self, tmp_path, pde):
+        assert run_in(tmp_path, ["pde-check", "--pde", pde, "--residual-csv", "res.csv"]) == 0
+        params = IGParams(1.0, 1.0)
+        rep = residual_hitting_pde(params, PDE_BOXES["hitting"]) if pde == "hitting" else \
+            residual_pseudo_lt(params, [0.5, 1.0, 2.0], [0.3, 0.7, 1.1])
+        rep.to_csv(tmp_path / "expected.csv")
+        assert (tmp_path / "res.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert len(read_csv(tmp_path / "res.csv")["residual"]) == rep.residuals.size
+
     def test_report_written(self, tmp_path):
         assert run_in(tmp_path, ["pde-check", "--pde", "ig", "--delta", "1",
                                  "--gamma", "1"]) == 0

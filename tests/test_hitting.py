@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ighit import convolution, hitting
-from ighit.errors import DomainError, NonConvergence, NumericalInstability
+from ighit.errors import (
+    DomainError,
+    NonConvergence,
+    NumericalInstability,
+    _finite,
+    _finite_nonnegative,
+    _finite_positive,
+)
 from ighit.numerics import (
     _gauss_rule,
     erfcx,
@@ -21,8 +28,6 @@ from ighit.hitting import (
     _PDF_ABS_TOL,
     HittingDensityEval,
     TailBoundReport,
-    _check_t,
-    _check_x,
     _osc_noise_estimate,
     density_support_cutoff,
     hit_boundary_slope,
@@ -205,22 +210,33 @@ class TestDensityRoutes:
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_float_checks_reject_non_finite(self, bad, kind):
-        with pytest.raises(DomainError, match="x must be finite"):
-            _check_x(kind(bad))
-        with pytest.raises(DomainError, match="t must be finite and positive"):
-            _check_t(kind(bad))
-        with pytest.raises(DomainError):
+        for check in (_finite, _finite_nonnegative, _finite_positive):
+            with pytest.raises(DomainError, match="^f: x must be finite"):
+                check(kind(bad), "f: x")
+        with pytest.raises(DomainError, match="^hit_pdf_integral: x must be finite"):
             hit_pdf_integral(kind(bad), 1.0, EV11)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^hit_pdf_integral: t must be finite and positive"):
             hit_pdf_integral(0.5, kind(bad), EV11)
 
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_float_checks_bound_t_below(self, kind):
-        _check_x(kind(-0.5))
-        _check_t(kind(0.5))
+        # a float passes through as it is, of its own type
+        for value, check in ((-0.5, _finite), (0.0, _finite_nonnegative), (0.5, _finite_positive)):
+            out = check(kind(value), "x")
+            assert type(out) is kind and out == value
+        with pytest.raises(DomainError, match="^x must be finite and nonnegative$"):
+            _finite_nonnegative(kind(-0.5), "x")
         for bad_t in (0.0, -0.5):
-            with pytest.raises(DomainError, match="t must be finite and positive"):
-                _check_t(kind(bad_t))
+            with pytest.raises(DomainError, match="^t must be finite and positive$"):
+                _finite_positive(kind(bad_t), "t")
+
+    def test_array_checks_test_every_entry(self):
+        out = _finite_positive([0.5, 2], "t")
+        assert isinstance(out, np.ndarray) and out.tolist() == [0.5, 2]
+        assert _finite(np.array([]), "x").size == 0
+        for bad in (NAN, INF, -INF, 0.0):
+            with pytest.raises(DomainError, match="^t must be finite and positive$"):
+                _finite_positive(np.array([[1.0, 2.0], [3.0, bad]]), "t")
 
     def test_table_broadcasts_over_x_and_t(self, params_11):
         ev = HittingDensityEval(params_11)

@@ -261,6 +261,18 @@ class TestIncompleteGammaAndBessel:
         assert np.array_equal(out[order], bessel_k(1.0 / 3.0, zs[order]))
         assert np.array_equal(bessel_k(1.0 / 3.0, zs.reshape(20, 35)), out.reshape(20, 35))
 
+    @pytest.mark.parametrize("z", [math.nan, [1.0, math.nan], 0.0, [2.0, -1.0]],
+                             ids=["nan", "nan_entry", "zero", "negative_entry"])
+    def test_bessel_k_rejects_nan_as_it_does_nonpositive_z(self, z):
+        # a NaN argument read 0, as if it were z >= 700
+        with pytest.raises(DomainError, match="^bessel_k: z must be > 0$"):
+            bessel_k(1.0 / 3.0, z)
+
+    def test_bessel_k_is_zero_at_infinity(self):
+        # stable_pdf at index 1/3 forms K at t^1.5/sqrt(u) = inf where the power overflows
+        assert bessel_k(1.0 / 3.0, math.inf) == 0.0
+        assert bessel_k(1.0 / 3.0, [1.0, math.inf])[1] == 0.0
+
 
 class TestQuadrature:
     def test_geomspace_matches_numpy(self):

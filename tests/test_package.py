@@ -105,11 +105,13 @@ def test_tracer_installs_after_a_bare_import():
 
 
 def test_loading_a_module_binds_its_names():
-    # a module loaded by any import, not only by attribute access, puts its
-    # names in the package namespace
+    # a module loaded by any import, not only by attribute access, serves its
+    # names through the package: each is the loaded module's own object
     code = ("import ighit, ighit.verification\n"
-            "print(all(n in vars(ighit) for n in ('hit_mean', 'ts_pdf', 'GridBox',"
-            " 'sub_pdf', 'run_verification')))\n"
+            "from ighit import hitting, residuals, subordinated, subordinators, verification\n"
+            "print(all(getattr(ighit, n) is getattr(m, n) for m, n in ("
+            "(hitting, 'hit_mean'), (subordinators, 'ts_pdf'), (residuals, 'GridBox'),"
+            " (subordinated, 'sub_pdf'), (verification, 'run_verification'))))\n"
             "print(ighit.hit_mean is ighit.hitting.hit_mean)\n")
     assert _fresh(code).split() == ["True", "True"]
 

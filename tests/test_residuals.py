@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,13 @@ class TestResidualTables:
         params = IGParams(1.0, gamma)
         loop = np.stack([ig_pdf(xs, float(t), params) for t in ts], axis=1)
         assert np.array_equal(ig_pdf(xs[:, None], ts, params), loop)
+
+    @pytest.mark.parametrize("field", ["x0", "x1", "t0", "t1", "dx", "dt"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_box_rejects_a_non_finite_field(self, field, bad):
+        # dx = inf passed, x1 = inf read as a too fine step, and NaN failed later
+        with pytest.raises(DomainError, match=f"^GridBox: {field} must be finite"):
+            dataclasses.replace(PDE_BOXES["hitting"], **{field: bad})
 
     def test_ig_table_rejects_nonpositive_points(self):
         params = IGParams(1.0, 1.0)
