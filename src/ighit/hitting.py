@@ -519,6 +519,7 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
 
 def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval) -> float:
     """E H(t)^q by direct quadrature of the closed-form density (q = 0: mass)."""
+    _finite(q, "hit_moment_quadrature: q")
     x_max = density_support_cutoff(t, ev.params, weight_power=q, tail_tol=1e-10)
 
     def f(xs):
@@ -610,9 +611,9 @@ class TailBoundReport:
 
 def _tail_grid(t, x_grid, what: str) -> np.ndarray:
     _finite_positive(t, f"{what}: t")
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 3 or not np.all(np.diff(xs) > 0) or xs[0] <= 0:
-        raise DomainError("x_grid must be increasing, positive, with >= 3 points")
+    xs = _finite_positive(np.asarray(x_grid, dtype=float), f"{what}: x_grid")
+    if xs.ndim != 1 or xs.size < 3 or not np.all(np.diff(xs) > 0):
+        raise DomainError(f"{what}: x_grid must be increasing, with >= 3 points")
     return xs
 
 
@@ -739,8 +740,8 @@ def stable_hit_pdf(x, t: float, beta: float):
 def stable_hit_survival(x, t: float, beta: float):
     """P(E(t) > x) = P(D(x) <= t) by duality, broadcast over x > 0."""
     _finite_positive(t, "stable_hit_survival: t")
-    x_arr = _finite_positive(np.asarray(x, dtype=float), "stable_hit_survival: x")
-    return stable_cdf(t, x_arr, beta)
+    _finite_positive(x, "stable_hit_survival: x")
+    return stable_cdf(t, x, beta)
 
 
 def stable_hit_tail_report(t: float, beta: float, x_grid) -> TailBoundReport:

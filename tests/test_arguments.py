@@ -142,11 +142,15 @@ CASES = [
     ("hit_variance: t", lambda v: hit_variance(v, P), -1.0),
     ("hit_moment: q", lambda v: hit_moment(v, 1.0, P), 0.0),
     ("hit_moment: t", lambda v: hit_moment(0.5, v, P), 0.0),
+    ("hit_moment_quadrature: q", lambda v: hit_moment_quadrature(v, 1.0, EV), None),
     ("density_support_cutoff: t", lambda v: hit_moment_quadrature(0.5, v, EV), 0.0),
     ("hit_boundary_value: t", lambda v: hit_boundary_value(v, P), 0.0),
     ("hit_boundary_value: t", lambda v: hit_boundary_slope(v, P), 0.0),
     ("tail_report: t", lambda v: tail_report(v, P, GRID), 0.0),
+    ("tail_report: x_grid", lambda v: tail_report(1.0, P, [v, *GRID]), 0.0),
     ("stable_hit_tail_report: t", lambda v: stable_hit_tail_report(v, 0.4, GRID), 0.0),
+    ("stable_hit_tail_report: x_grid", lambda v: stable_hit_tail_report(1.0, 0.4, [*GRID, v]),
+     -1.0),
     ("sample_hitting_times: t_eval", lambda v: sample_hitting_times(v, 4, P, 0.1, 0), 0.0),
     ("sample_hitting_times: dt", lambda v: sample_hitting_times(1.0, 4, P, v, 0), 0.0),
     ("sample_hitting_times: dt", lambda v: sub_sample_values(1.0, 4, P, v, 0), -1.0),
