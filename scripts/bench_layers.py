@@ -75,7 +75,10 @@ def convolution_tables(ig, np) -> list:
     return [ig.hit_pdf_convolution(np.array(xs), t, model) for model, t, xs in sets]
 
 
-# name, items per call, call(ig, np, rng, n)
+# name, items per call, call(ig, np, rng, n).  The density layers pass their
+# IGParams through HittingDensityEval/SubordinatedEval because --baseline runs
+# these calls against older checkouts too, whose density functions take only
+# that wrapper.
 LAYERS = (
     # the sample workload's call shape: estimate_moment asks the sampler for
     # chunks of 65,536 draws, 64 of them here.  It runs first because a larger

@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from ighit.hitting import HittingDensityEval, hit_cdf, hit_pdf_table, sample_hitting_times
+from ighit.hitting import hit_cdf, hit_pdf_table, sample_hitting_times
 from ighit.montecarlo import ecdf_ks, histogram_density, ks_critical_1pct
 from ighit.subordinators import IGParams
 from ighit.tables import write_csv
@@ -33,7 +33,7 @@ def main() -> None:
     draws = sample_hitting_times(args.t, args.n, params, args.dt, args.seed)
     hist = histogram_density(draws, args.bins)
     centers = hist.centers()
-    dens = hit_pdf_table(centers, args.t, HittingDensityEval(params))
+    dens = hit_pdf_table(centers, args.t, params)
     write_csv(args.out, ["bin_center", "empirical_density", "density"],
               zip(centers, hist.heights, dens))
 

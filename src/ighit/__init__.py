@@ -56,7 +56,8 @@ def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = _import_module(f"{__name__}.{module}")
+    # the import system binds a loaded submodule here, so only the first read imports
+    value = globals().get(module) or _import_module(f"{__name__}.{module}")
     return value if name == module else getattr(value, name)
 
 

@@ -31,7 +31,6 @@ from .errors import (
     _finite_positive,
 )
 from .hitting import (
-    HittingDensityEval,
     hit_cdf,
     hit_lt_space_closed,
     hit_lt_time,
@@ -47,7 +46,7 @@ from .hitting import (
     stable_hit_tail_report,
     tail_report,
 )
-from .subordinated import SubordinatedEval, sub_pdf_table, sub_sample_path
+from .subordinated import sub_pdf_table, sub_sample_path
 from .subordinators import (
     IGParams,
     IGSubordinator,
@@ -148,7 +147,7 @@ def _add_common(p, with_params=True, with_format=True):
 def cmd_density(args) -> int:
     params = _params_from(args)
     xs = args.x
-    dens = hit_pdf_table(xs, args.t, HittingDensityEval(params))
+    dens = hit_pdf_table(xs, args.t, params)
     if args.mode == "literal":
         dens = dens * printed_prefactor_ratio(args.t, params)
     meta = {"delta": params.delta, "gamma": params.gamma, "t": args.t, "mode": args.mode}
@@ -247,9 +246,8 @@ def cmd_paths(args) -> int:
 
 def cmd_subordinated(args) -> int:
     params = _params_from(args)
-    ev = SubordinatedEval(params)
     xs = args.x
-    dens = sub_pdf_table(xs, args.t, ev)
+    dens = sub_pdf_table(xs, args.t, params)
     meta = {"delta": params.delta, "gamma": params.gamma, "t": args.t}
     _emit_table(args, {"x": xs, "subordinated_density": dens}, meta)
     if args.with_path:

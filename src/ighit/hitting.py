@@ -73,11 +73,11 @@ def _osc_noise_estimate(log_pref: float, delta: float) -> float:
     return math.exp(log_pref) * delta / math.pi * 2e-16
 
 
-@dataclass(frozen=True)
-class HittingDensityEval:
-    """Parameters of the hitting density."""
-
-    params: IGParams
+def HittingDensityEval(params: IGParams) -> IGParams:
+    """`params` itself: the density functions take IGParams, and the benchmark
+    builds its queries with this name (`subordinated.SubordinatedEval` is the
+    same function)."""
+    return params
 
 
 def printed_prefactor_ratio(t, params: IGParams):
@@ -95,7 +95,7 @@ def printed_prefactor_ratio(t, params: IGParams):
 # Density, route 1: oscillatory integral representation
 # ---------------------------------------------------------------------------
 
-def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
+def hit_pdf_integral(x: float, t: float, params: IGParams) -> float:
     """Hitting-time density h(x, t) by the oscillatory integral representation.
 
     After the substitution omega = sqrt(y) the integrand decays like
@@ -105,44 +105,43 @@ def hit_pdf_integral(x: float, t: float, ev: HittingDensityEval) -> float:
     """
     _finite_nonnegative(x, "hit_pdf_integral: x")
     _finite_positive(t, "hit_pdf_integral: t")
-    p = ev.params
+    d, g = params.delta, params.gamma
     if x == 0.0:
-        return hit_boundary_value(t, p)
-    log_pref = p.delta * p.gamma * x - 0.5 * t * p.gamma ** 2
-    if _osc_noise_estimate(log_pref, p.delta) > 0.25 * _PDF_ABS_TOL:
+        return hit_boundary_value(t, params)
+    log_pref = d * g * x - 0.5 * t * g ** 2
+    if _osc_noise_estimate(log_pref, d) > 0.25 * _PDF_ABS_TOL:
         # far enough into the exp(delta*gamma*x) regime that the oscillatory
         # cancellation exceeds the error budget; evaluate through the
         # analytically equal, absolutely convergent convolution form
-        return hit_pdf_convolution(x, t, IGSubordinator(p))
-    kappa = p.delta * SQRT2 * x
+        return hit_pdf_convolution(x, t, IGSubordinator(params))
+    kappa = d * SQRT2 * x
     omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
-    g2 = 0.5 * p.gamma ** 2
+    g2 = 0.5 * g ** 2
 
     def integrand(w):
         w2 = w * w
         kw = kappa * w
-        osc = 2.0 * p.gamma * w * np.sin(kw) + 2.0 * SQRT2 * w2 * np.cos(kw)
+        osc = 2.0 * g * w * np.sin(kw) + 2.0 * SQRT2 * w2 * np.cos(kw)
         return np.exp(-t * w2) / (w2 + g2) * osc
 
     # the exp(delta*gamma*x) prefactor amplifies inner-quadrature error, so the
     # inner tolerance shrinks with it, down to the float64 cancellation floor
     floor = 5e-17 * max(1.0, omega_max)
-    inner_abs = max(_PDF_ABS_TOL * math.exp(min(0.0, -log_pref)) * math.pi / p.delta,
-                    floor)
+    inner_abs = max(_PDF_ABS_TOL * math.exp(min(0.0, -log_pref)) * math.pi / d, floor)
     # one cell per oscillation half-period, plus a geometric ladder resolving
     # the width-gamma/sqrt(2) peak of 1/(w^2 + gamma^2/2) for small gamma
     edges = _period_edges(0.0, omega_max, math.pi / kappa)
-    if p.gamma > 0:
-        peak = p.gamma / SQRT2
+    if g > 0:
+        peak = g / SQRT2
         edges = np.concatenate([edges, peak * geomspace(0.1, min(1e4, omega_max / peak), 11)])
     val = integrate_interval(integrand, 0.0, omega_max, edges=edges, abs_tol=inner_abs)
-    h = p.delta / math.pi * math.exp(log_pref) * val
+    h = d / math.pi * math.exp(log_pref) * val
     if h < 0 and abs(h) <= 10.0 * max(_PDF_ABS_TOL, floor * math.exp(log_pref)):
         return 0.0
     return h
 
 
-def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
+def hit_pdf_table(xs, t, params: IGParams) -> np.ndarray:
     """h(x, t) in closed form, broadcast over arrays of x and t.
 
     H(t) is the running maximum of W_s + gamma*s over s <= t, divided by
@@ -152,7 +151,7 @@ def hit_pdf_table(xs, t, ev: HittingDensityEval) -> np.ndarray:
     """
     xs = _finite_nonnegative(np.asarray(xs, dtype=float), "hit_pdf_table: x")
     t = _finite_positive(np.asarray(t, dtype=float), "hit_pdf_table: t")
-    d, g = ev.params.delta, ev.params.gamma
+    d, g = params.delta, params.gamma
     sq = np.sqrt(t)
     if g == 0.0:
         # v >= 0 puts erfcx(v/sqrt(2)) in (0, 1], so the erfcx term is exactly 0
@@ -517,13 +516,16 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
     return float(cut) if t_arr.ndim == 0 else cut
 
 
-def hit_moment_quadrature(q: float, t: float, ev: HittingDensityEval) -> float:
-    """E H(t)^q by direct quadrature of the closed-form density (q = 0: mass)."""
+def hit_moment_quadrature(q: float, t: float, params: IGParams) -> float:
+    """E H(t)^q by direct quadrature of the closed-form density (q = 0: mass),
+    for finite q > -1; E H(t)^q diverges at q <= -1."""
     _finite(q, "hit_moment_quadrature: q")
-    x_max = density_support_cutoff(t, ev.params, weight_power=q, tail_tol=1e-10)
+    if q <= -1.0:
+        raise DomainError("hit_moment_quadrature: q must be > -1")
+    x_max = density_support_cutoff(t, params, weight_power=q, tail_tol=1e-10)
 
     def f(xs):
-        vals = hit_pdf_table(xs, t, ev)
+        vals = hit_pdf_table(xs, t, params)
         return vals if q == 0.0 else xs ** q * vals
 
     edges = np.linspace(0.0, x_max, max(9, int(2 * x_max) + 1))
@@ -670,6 +672,8 @@ def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     final cut to what `_MAX_PATH_STEPS` leaves; DomainError once all are
     used up.  H is on dt * arange(round(horizon / dt) + 1).  Returns (G, H).
     """
+    _finite(horizon, "hitting_path: horizon")
+    _finite(dt, "hitting_path: dt")
     if horizon <= 0 or not 0 < dt <= horizon:
         raise DomainError("need horizon > 0 and 0 < dt <= horizon")
     chunk = 2.0 * horizon

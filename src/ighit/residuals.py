@@ -24,13 +24,8 @@ import numpy as np
 
 from .errors import DomainError, _finite, _finite_nonnegative, _finite_positive
 from .numerics import integrate_ladder
-from .hitting import (
-    HittingDensityEval,
-    hit_lt_time,
-    hit_pdf_table,
-    ts_hit_pdf_table,
-)
-from .subordinated import SubordinatedEval, sub_pdf_table
+from .hitting import hit_lt_time, hit_pdf_table, ts_hit_pdf_table
+from .subordinated import sub_pdf_table
 from .subordinators import IGParams, ig_pdf, ig_psi, ts_half_ig_params
 
 
@@ -298,9 +293,8 @@ def _pde(table, box: GridBox, terms: list, perturb, label: str, extra: dict,
 def residual_hitting_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:
     """Interior residual of h_xx - 2 delta gamma h_x - 2 delta^2 h_t on the
     tabulated hitting density."""
-    ev = HittingDensityEval(params)
     d, g = params.delta, params.gamma
-    return _pde(lambda xs, ts: hit_pdf_table(xs[:, None], ts[None, :], ev), box,
+    return _pde(lambda xs, ts: hit_pdf_table(xs[:, None], ts[None, :], params), box,
                 [(1.0, _X, 2), (-2.0 * d * g, _X, 1), (-2.0 * d * d, _T, 1)],
                 perturb, "hitting_pde", {"delta": d, "gamma": g})[0]
 
@@ -332,10 +326,10 @@ def residual_ts_pde(n: int, mu: float, box: GridBox, *,
     """
     if n not in (2, 3):
         raise DomainError("n must be 2 or 3")
-    ev = HittingDensityEval(ts_half_ig_params(mu))
+    params = ts_half_ig_params(mu)
 
     def table(xs, ts):
-        return (hit_pdf_table(xs[:, None], ts[None, :], ev) if n == 2
+        return (hit_pdf_table(xs[:, None], ts[None, :], params) if n == 2
                 else ts_hit_pdf_table(xs, ts, 1.0 / n, mu))
 
     space = ([(1.0, _X, 2), (-2.0 * math.sqrt(mu), _X, 1)] if n == 2 else
@@ -351,9 +345,8 @@ def residual_subordinated(params: IGParams, box: GridBox, *,
                           perturb=None) -> ResidualReport:
     """Residual of 2 delta^2 u_t = (1/4) u_xxxx + delta gamma u_xx on the
     subordinated density, interior to x != 0, t > 0."""
-    ev = SubordinatedEval(params)
     d, g = params.delta, params.gamma
-    return _pde(lambda xs, ts: sub_pdf_table(xs, ts, ev), box,
+    return _pde(lambda xs, ts: sub_pdf_table(xs, ts, params), box,
                 [(2.0 * d * d, _T, 1), (-0.25, _X, 4), (-d * g, _X, 2)],
                 perturb, "subordinated_pde", {"delta": d, "gamma": g})[0]
 
@@ -376,8 +369,8 @@ def residual_frac_hitting(box: GridBox, *, perturb=None) -> ResidualReport:
 
     Refinement halves the time step only.
     """
-    ev = HittingDensityEval(IGParams(1.0, 0.0))
-    return _pde(lambda xs, ts: hit_pdf_table(xs[:, None], ts[None, :], ev), box,
+    params = IGParams(1.0, 0.0)
+    return _pde(lambda xs, ts: hit_pdf_table(xs[:, None], ts[None, :], params), box,
                 [(_SQRT2, _T, _HALF), (1.0, _X, 1)], perturb, "frac_hitting",
                 {"alpha": 0.5})[0]
 
@@ -400,8 +393,8 @@ def residual_subordinated_frac(box: GridBox, *, perturb=None) -> ResidualReport:
 
     Refinement halves the time step only.
     """
-    ev = SubordinatedEval(IGParams(1.0, 0.0))
-    return _pde(lambda xs, ts: sub_pdf_table(xs, ts, ev), box,
+    params = IGParams(1.0, 0.0)
+    return _pde(lambda xs, ts: sub_pdf_table(xs, ts, params), box,
                 [(_SQRT2, _T, _HALF), (-0.5, _X, 2)], perturb, "subordinated_frac",
                 {"alpha": 0.5})[0]
 
@@ -422,9 +415,8 @@ def _numeric_lt(params: IGParams, xs: np.ndarray, s_arr: np.ndarray) -> np.ndarr
     t_hi >= 40/s_min is below delta sqrt(2/(pi t_hi)) e^(-s_min t_hi)/s_min."""
     dx, g = params.delta * float(xs.min()), params.gamma
     t_lo = dx * dx / (dx * g + 40.0 + math.sqrt(1600.0 + 80.0 * dx * g))
-    ev = HittingDensityEval(params)
     return integrate_ladder(
-        lambda ts: np.exp(-s_arr[:, None] * ts) * hit_pdf_table(xs[:, None, None], ts, ev),
+        lambda ts: np.exp(-s_arr[:, None] * ts) * hit_pdf_table(xs[:, None, None], ts, params),
         t_lo, max(40.0 / s_arr.min(), 10.0 * t_lo), abs_tol=1e-12, rel_tol=1e-10)
 
 

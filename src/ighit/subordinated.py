@@ -10,7 +10,6 @@ nondecreasing H-grid, and marginal sampling uses X = sqrt(H) Z exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,29 +43,25 @@ _FLOOR_VALUE = np.exp(KERNEL_FLOOR)  # by numpy's exp, so the shift is exact
 NODE_CHUNK = 192
 
 
-@dataclass(frozen=True)
-class SubordinatedEval:
-    """Parameters of the subordinated density."""
-
-    params: IGParams
+# the benchmark's spelling of the parameters of the subordinated density
+SubordinatedEval = HittingDensityEval
 
 
-def _v_cutoff(t, ev: SubordinatedEval):
+def _v_cutoff(t, params: IGParams):
     """Upper end of the v-range of the mixture, broadcast over t."""
-    return np.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
+    return np.sqrt(density_support_cutoff(t, params, tail_tol=1e-11))
 
 
-def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
+def sub_pdf(x: float, t: float, params: IGParams) -> float:
     """Density of X(t) at x; even in x, finite at x = 0."""
     _finite(x, "sub_pdf: x")
     _finite_positive(t, "sub_pdf: t")
-    v_max = float(_v_cutoff(t, ev))
-    hev = HittingDensityEval(ev.params)
+    v_max = float(_v_cutoff(t, params))
     x2 = x * x
 
     def integrand(v):
         gauss = np.exp(-x2 / (2.0 * v * v))
-        return gauss * hit_pdf_table(v * v, t, hev)
+        return gauss * hit_pdf_table(v * v, t, params)
 
     # one panel per stretch of the Gaussian boundary layer near v ~ |x|
     edges = geomspace(max(v_max * 1e-3, 1e-6), v_max, 17)
@@ -74,7 +69,7 @@ def sub_pdf(x: float, t: float, ev: SubordinatedEval) -> float:
     return SQRT_2_OVER_PI * val
 
 
-def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
+def sub_pdf_table(xs, t, params: IGParams) -> np.ndarray:
     """Vectorised density on an array of x, broadcast over an array of t.
 
     The result has shape xs.shape + t.shape.  All x and t share one v-rule:
@@ -94,17 +89,16 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     xs = _finite(np.asarray(xs, dtype=float), "sub_pdf_table: x")
     t_arr = np.asarray(t, dtype=float)
     ts = t_arr.ravel()
-    cuts = _v_cutoff(ts, ev)
+    cuts = _v_cutoff(ts, params)
     c_min, c_max = float(cuts.min()), float(cuts.max())
     panels = 95 + math.ceil(23.75 * math.log10(c_max / c_min))
     pts, wts = composite_gauss(
         np.concatenate([[0.0], geomspace(c_min * 1e-4, c_max, panels + 1)]), 12)
     v2 = pts * pts
-    hev = HittingDensityEval(ev.params)
     weights = np.empty((v2.size, ts.size))
     step = max(1, WEIGHT_BLOCK // v2.size)
     for i in range(0, ts.size, step):
-        np.multiply(wts[:, None], hit_pdf_table(v2[:, None], ts[None, i:i + step], hev),
+        np.multiply(wts[:, None], hit_pdf_table(v2[:, None], ts[None, i:i + step], params),
                     out=weights[:, i:i + step])
     neg_inv_2v2 = -1.0 / (2.0 * v2)
     chunk = v2.size if ts.size == 1 else NODE_CHUNK
@@ -132,10 +126,10 @@ def sub_pdf_table(xs, t, ev: SubordinatedEval) -> np.ndarray:
     return out.reshape(xs.shape + t_arr.shape)
 
 
-def sub_cdf_interpolant(t: float, ev: SubordinatedEval):
+def sub_cdf_interpolant(t: float, params: IGParams):
     """Distribution function of X(t) as a callable built from a dense table."""
-    xs = np.linspace(0.0, 8.0 * float(_v_cutoff(t, ev)), 4001)
-    dens = sub_pdf_table(xs, t, ev)
+    xs = np.linspace(0.0, 8.0 * float(_v_cutoff(t, params)), 4001)
+    dens = sub_pdf_table(xs, t, params)
     # cumulative trapezoid rule on the uniform half-grid
     dx = xs[1] - xs[0]
     cum = np.zeros_like(xs)

@@ -23,7 +23,6 @@ from . import __version__
 from .errors import DomainError, NonConvergence, NumericalInstability
 from .numerics import erfcx, invert_laplace
 from .hitting import (
-    HittingDensityEval,
     density_support_cutoff,
     hit_boundary_slope,
     hit_boundary_value,
@@ -124,12 +123,11 @@ def _verdict(printed_disc, corrected_disc, tol) -> str:
 def _rec_density_two_routes() -> VerificationRecord:
     worst = 0.0
     model = IGSubordinator(P11)
-    ev = HittingDensityEval(P11)
     xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     for t in (0.5, 1.0, 2.0):
         conv = hit_pdf_convolution(xs, t, model)
         for x, c in zip(xs.tolist(), conv.tolist()):
-            worst = max(worst, abs(hit_pdf_integral(x, t, ev) - c))
+            worst = max(worst, abs(hit_pdf_integral(x, t, P11) - c))
     tol = 1e-6
     return VerificationRecord(
         "density_two_routes",
@@ -140,7 +138,7 @@ def _rec_density_two_routes() -> VerificationRecord:
 
 def _rec_density_prefactor() -> VerificationRecord:
     t = 4.0
-    corrected = hit_moment_quadrature(0.0, t, HittingDensityEval(P11))
+    corrected = hit_moment_quadrature(0.0, t, P11)
     literal = corrected * printed_prefactor_ratio(t, P11)
     tol = 1e-6
     return VerificationRecord(
@@ -155,7 +153,7 @@ def _rec_density_prefactor() -> VerificationRecord:
 
 def _rec_mean_m1() -> VerificationRecord:
     closed = hit_mean(1.0, P11)
-    quad = hit_moment_quadrature(1.0, 1.0, HittingDensityEval(P11))
+    quad = hit_moment_quadrature(1.0, 1.0, P11)
     ilt = hit_moment(1.0, 1.0, P11)
     disc = max(abs(closed - quad), abs(closed - ilt) / closed)
     tol = 1e-4
@@ -169,9 +167,9 @@ def _rec_mean_m1() -> VerificationRecord:
 def _rec_second_moment_m2() -> VerificationRecord:
     corrected = hit_second_moment(1.0, P11)
     printed = 2.0 * corrected
-    quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(P11))
+    quad = hit_moment_quadrature(2.0, 1.0, P11)
     ilt = hit_moment(2.0, 1.0, P11)
-    quad_driftless = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(P10))
+    quad_driftless = hit_moment_quadrature(2.0, 1.0, P10)
     tol = 1e-4
     disc_corr = max(abs(corrected - quad), abs(corrected - ilt) / corrected)
     disc_printed = abs(printed - quad)
@@ -186,7 +184,7 @@ def _rec_second_moment_m2() -> VerificationRecord:
 
 
 def _rec_moment_lt_numerator() -> VerificationRecord:
-    quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(P11))
+    quad = hit_moment_quadrature(2.0, 1.0, P11)
     corrected = hit_moment(2.0, 1.0, P11)    # numerator Gamma(1+q)
     printed = 2.0 * corrected                # numerator q * Gamma(1+q) at q = 2
     tol = 1e-3
@@ -200,11 +198,10 @@ def _rec_moment_lt_numerator() -> VerificationRecord:
 
 
 def _rec_lt_time_inversion() -> VerificationRecord:
-    ev = HittingDensityEval(P11)
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         inv = invert_laplace(lambda s: hit_lt_time(0.7, s, P11), t)
-        dens = hit_pdf_integral(0.7, t, ev)
+        dens = hit_pdf_integral(0.7, t, P11)
         worst = max(worst, abs(inv - dens) / dens)
     tol = 1e-4
     return VerificationRecord(
@@ -215,13 +212,12 @@ def _rec_lt_time_inversion() -> VerificationRecord:
 
 def _rec_spatial_lt_prefactor() -> VerificationRecord:
     params = IGParams(1.0, 0.5)
-    ev = HittingDensityEval(params)
     mu, t = 1.0, 2.0
     corrected = hit_lt_space(mu, t, params)
     literal = corrected * printed_prefactor_ratio(t, params)
     x_max = density_support_cutoff(t, params)
     direct = integrate_interval(
-        lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, ev), 0.0, x_max,
+        lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, params), 0.0, x_max,
         edges=np.linspace(0.0, x_max, 33))
     driftless = hit_lt_space(1.0, 1.0, P10)
     driftless_closed = erfcx(1.0 / math.sqrt(2.0))
@@ -270,8 +266,7 @@ def _rec_boundary_value() -> VerificationRecord:
 
 
 def _rec_boundary_slope() -> VerificationRecord:
-    ev = HittingDensityEval(P11)
-    fd = (hit_pdf_integral(2e-3, 1.0, ev) - hit_pdf_integral(0.0, 1.0, ev)) / 2e-3
+    fd = (hit_pdf_integral(2e-3, 1.0, P11) - hit_pdf_integral(0.0, 1.0, P11)) / 2e-3
     closed = hit_boundary_slope(1.0, P11)
     tol = 1e-3
     disc = abs(fd - closed)
@@ -399,7 +394,7 @@ def _rec_pde_ts_n2() -> VerificationRecord:
     # the tempered stable model checks it at the box's corners and centre
     xs = np.array([box.x0, box.x0, box.x1, box.x1, 0.5 * (box.x0 + box.x1)])
     ts = np.array([box.t0, box.t1, box.t0, box.t1, 0.5 * (box.t0 + box.t1)])
-    closed = hit_pdf_table(xs, ts, HittingDensityEval(ts_half_ig_params(mu)))
+    closed = hit_pdf_table(xs, ts, ts_half_ig_params(mu))
     model = TemperedStableSubordinator(0.5, mu)
     conv = np.empty_like(xs)
     for t in sorted(set(ts.tolist())):

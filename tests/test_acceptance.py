@@ -13,7 +13,6 @@ import pytest
 
 from ighit.cli import main as cli_main
 from ighit.hitting import (
-    HittingDensityEval,
     density_support_cutoff,
     hit_cdf,
     hit_lt_space,
@@ -45,7 +44,7 @@ from ighit.residuals import (
     residual_subordinated_frac,
     residual_ts_pde,
 )
-from ighit.subordinated import SubordinatedEval, sub_cdf_interpolant, sub_pdf_table
+from ighit.subordinated import sub_cdf_interpolant, sub_pdf_table
 from ighit.subordinators import (
     IGParams,
     IGSubordinator,
@@ -63,12 +62,12 @@ def report(criterion: int, text: str) -> None:
 
 
 def test_criterion_01_driftless_closed_form():
-    ev = HittingDensityEval(IGParams(1.0, 0.0))
+    params = IGParams(1.0, 0.0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         for x in np.arange(0.0, 5.0001, 0.05):
             closed = math.sqrt(2.0 / (math.pi * t)) * math.exp(-x * x / (2.0 * t))
-            worst = max(worst, abs(hit_pdf_integral(float(x), t, ev) - closed))
+            worst = max(worst, abs(hit_pdf_integral(float(x), t, params) - closed))
     assert worst <= 1e-8
     report(1, f"max closed-form deviation {worst:.2e} <= 1e-8")
 
@@ -76,11 +75,10 @@ def test_criterion_01_driftless_closed_form():
 def test_criterion_02_two_route_density_equality():
     worst = 0.0
     for params in PARAM_SET:
-        ev = HittingDensityEval(params)
         model = IGSubordinator(params)
         for t in (0.5, 1.0, 2.0):
             for x in (0.25, 0.5, 1.0, 2.0, 4.0):
-                diff = abs(hit_pdf_integral(x, t, ev)
+                diff = abs(hit_pdf_integral(x, t, params)
                            - hit_pdf_convolution(x, t, model))
                 worst = max(worst, diff)
     assert worst <= 1e-6
@@ -90,14 +88,12 @@ def test_criterion_02_two_route_density_equality():
 def test_criterion_03_normalisation_and_errata_detection():
     worst = 0.0
     for params in PARAM_SET:
-        ev = HittingDensityEval(params)
         for t in (0.5, 1.0, 4.0):
-            worst = max(worst, abs(hit_moment_quadrature(0.0, t, ev) - 1.0))
+            worst = max(worst, abs(hit_moment_quadrature(0.0, t, params) - 1.0))
     assert worst <= 1e-6
     lit_mass = {}
     for params, t in ((IGParams(1.0, 1.0), 4.0), (IGParams(2.0, 0.5), 0.5)):
-        ev = HittingDensityEval(params)
-        mass = hit_moment_quadrature(0.0, t, ev) * printed_prefactor_ratio(t, params)
+        mass = hit_moment_quadrature(0.0, t, params) * printed_prefactor_ratio(t, params)
         assert abs(mass - 1.0) > 10.0 * 1e-6
         expected = math.exp(0.5 * params.gamma ** 2 * (t - 1.0))
         assert mass == pytest.approx(expected, rel=1e-6)
@@ -107,10 +103,9 @@ def test_criterion_03_normalisation_and_errata_detection():
 
 def test_criterion_04_duality_cdf(h1_samples_11):
     params = IGParams(1.0, 1.0)
-    ev = HittingDensityEval(params)
     step = 1e-4
     fd = (hit_cdf(0.7 + step, 1.0, params) - hit_cdf(0.7 - step, 1.0, params)) / (2 * step)
-    dens = hit_pdf_integral(0.7, 1.0, ev)
+    dens = hit_pdf_integral(0.7, 1.0, params)
     assert abs(fd - dens) <= 1e-5
     n = h1_samples_11.size
     assert n == 100_000
@@ -125,8 +120,8 @@ def test_criterion_05_moments(h1_samples_11, h1_samples_10):
     # closed form vs quadrature vs inversion
     m1 = hit_mean(1.0, p11)
     m2 = hit_second_moment(1.0, p11)
-    assert abs(m1 - hit_moment_quadrature(1.0, 1.0, HittingDensityEval(p11))) <= 1e-6
-    assert abs(m2 - hit_moment_quadrature(2.0, 1.0, HittingDensityEval(p11))) <= 1e-6
+    assert abs(m1 - hit_moment_quadrature(1.0, 1.0, p11)) <= 1e-6
+    assert abs(m2 - hit_moment_quadrature(2.0, 1.0, p11)) <= 1e-6
     assert abs(m1 - hit_moment(1.0, 1.0, p11)) / m1 <= 1e-4
     assert abs(m2 - hit_moment(2.0, 1.0, p11)) / m2 <= 1e-4
     # Monte Carlo, 4 standard errors
@@ -137,7 +132,7 @@ def test_criterion_05_moments(h1_samples_11, h1_samples_10):
     assert abs(sq.mean() - m2) < 4.0 * se2
     # driftless special case: the quadrature/MC value is 1.0, not 2t
     p10 = IGParams(1.0, 0.0)
-    quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(p10))
+    quad = hit_moment_quadrature(2.0, 1.0, p10)
     assert quad == pytest.approx(1.0, abs=1e-6)
     sq0 = h1_samples_10 ** 2
     se0 = sq0.std() / math.sqrt(sq0.size)
@@ -176,17 +171,16 @@ def test_criterion_07_tail_bound():
 
 def test_criterion_08_transforms():
     p11 = IGParams(1.0, 1.0)
-    ev = HittingDensityEval(p11)
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         inv = invert_laplace(lambda s: hit_lt_time(0.7, s, p11), t)
-        dens = hit_pdf_integral(0.7, t, ev)
+        dens = hit_pdf_integral(0.7, t, p11)
         worst = max(worst, abs(inv - dens) / dens)
     assert worst <= 1e-4
     p105 = IGParams(1.0, 0.5)
     x_max = density_support_cutoff(1.0, p105)
     direct = integrate_interval(
-        lambda xs: np.exp(-xs) * hit_pdf_table(xs, 1.0, HittingDensityEval(p105)),
+        lambda xs: np.exp(-xs) * hit_pdf_table(xs, 1.0, p105),
         0.0, x_max, edges=np.linspace(0.0, x_max, 33))
     space = hit_lt_space(1.0, 1.0, p105)
     assert abs(space - direct) <= 1e-5
@@ -279,15 +273,14 @@ def test_criterion_12_samplers():
 
 def test_criterion_13_subordinated(x1_samples_11):
     p11 = IGParams(1.0, 1.0)
-    ev = SubordinatedEval(p11)
     from ighit.subordinated import sub_pdf
-    assert sub_pdf(1.3, 1.0, ev) == sub_pdf(-1.3, 1.0, ev)
+    assert sub_pdf(1.3, 1.0, p11) == sub_pdf(-1.3, 1.0, p11)
     # mass and E X^2 by quadrature of the even density over [0, 8 sqrt(r_max)]
     x_max = 8.0 * math.sqrt(density_support_cutoff(1.0, p11, tail_tol=1e-11))
     edges = np.linspace(0.0, x_max, 65)
-    mass = 2.0 * integrate_interval(lambda xs: sub_pdf_table(xs, 1.0, ev), 0.0, x_max,
+    mass = 2.0 * integrate_interval(lambda xs: sub_pdf_table(xs, 1.0, p11), 0.0, x_max,
                                     edges=edges)
-    second = 2.0 * integrate_interval(lambda xs: xs * xs * sub_pdf_table(xs, 1.0, ev),
+    second = 2.0 * integrate_interval(lambda xs: xs * xs * sub_pdf_table(xs, 1.0, p11),
                                       0.0, x_max, edges=edges)
     assert abs(mass - 1.0) <= 1e-6
     m1 = hit_mean(1.0, p11)
@@ -295,7 +288,7 @@ def test_criterion_13_subordinated(x1_samples_11):
     sq = x1_samples_11 ** 2
     se = sq.std() / math.sqrt(sq.size)
     assert abs(sq.mean() - m1) < 4.0 * se
-    cdf = sub_cdf_interpolant(1.0, ev)
+    cdf = sub_cdf_interpolant(1.0, p11)
     d = ecdf_ks(x1_samples_11, cdf)
     assert d < ks_critical_1pct(x1_samples_11.size)
     report(13, f"symmetric, mass {mass:.8f}, E X^2 vs clock mean off by "

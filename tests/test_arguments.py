@@ -11,7 +11,6 @@ import pytest
 
 from ighit.errors import DomainError
 from ighit.hitting import (
-    HittingDensityEval,
     hit_boundary_slope,
     hit_boundary_value,
     hit_cdf,
@@ -27,6 +26,7 @@ from ighit.hitting import (
     hit_second_moment,
     hit_survival,
     hit_variance,
+    hitting_path,
     sample_hitting_times,
     stable_hit_pdf,
     stable_hit_survival,
@@ -44,7 +44,6 @@ from ighit.numerics import (
 )
 from ighit.residuals import PDE_BOXES, GridBox, residual_pseudo_lt, residual_ts_pde
 from ighit.subordinated import (
-    SubordinatedEval,
     sub_cdf_interpolant,
     sub_pdf,
     sub_pdf_table,
@@ -69,8 +68,6 @@ from ighit.subordinators import (
 )
 
 P = IGParams(1.0, 1.0)
-EV = HittingDensityEval(P)
-SEV = SubordinatedEval(P)
 GRID = [2.0, 3.0, 4.0]
 BOX = (0.4, 1.6, 0.5, 1.5, 1 / 32, 1 / 32)
 
@@ -119,10 +116,10 @@ CASES = [
     ("ts_half_ig_params: mu", lambda v: residual_ts_pde(2, v, PDE_BOXES["ts2"]), -0.5),
     ("ts_sample: t", lambda v: ts_sample(v, 0.4, 1.0, _rng()), 0.0),
     ("ts_sample: mu", lambda v: ts_sample(1.0, 0.4, v, _rng()), -0.5),
-    ("hit_pdf_integral: x", lambda v: hit_pdf_integral(v, 1.0, EV), -0.5),
-    ("hit_pdf_integral: t", lambda v: hit_pdf_integral(0.5, v, EV), 0.0),
-    ("hit_pdf_table: x", lambda v: hit_pdf_table([0.5, v], 1.0, EV), -0.5),
-    ("hit_pdf_table: t", lambda v: hit_pdf_table(0.5, [1.0, v], EV), 0.0),
+    ("hit_pdf_integral: x", lambda v: hit_pdf_integral(v, 1.0, P), -0.5),
+    ("hit_pdf_integral: t", lambda v: hit_pdf_integral(0.5, v, P), 0.0),
+    ("hit_pdf_table: x", lambda v: hit_pdf_table([0.5, v], 1.0, P), -0.5),
+    ("hit_pdf_table: t", lambda v: hit_pdf_table(0.5, [1.0, v], P), 0.0),
     ("hit_pdf_convolution: x", lambda v: hit_pdf_convolution(v, 1.0, IGSubordinator(P)), 0.0),
     ("hit_pdf_convolution: t", lambda v: hit_pdf_convolution(0.5, v, IGSubordinator(P)), 0.0),
     ("ts_hit_pdf_table: mu", lambda v: ts_hit_pdf_table([0.5], [1.0], 0.4, v), -0.5),
@@ -142,8 +139,8 @@ CASES = [
     ("hit_variance: t", lambda v: hit_variance(v, P), -1.0),
     ("hit_moment: q", lambda v: hit_moment(v, 1.0, P), 0.0),
     ("hit_moment: t", lambda v: hit_moment(0.5, v, P), 0.0),
-    ("hit_moment_quadrature: q", lambda v: hit_moment_quadrature(v, 1.0, EV), None),
-    ("density_support_cutoff: t", lambda v: hit_moment_quadrature(0.5, v, EV), 0.0),
+    ("hit_moment_quadrature: q", lambda v: hit_moment_quadrature(v, 1.0, P), None),
+    ("density_support_cutoff: t", lambda v: hit_moment_quadrature(0.5, v, P), 0.0),
     ("hit_boundary_value: t", lambda v: hit_boundary_value(v, P), 0.0),
     ("hit_boundary_value: t", lambda v: hit_boundary_slope(v, P), 0.0),
     ("tail_report: t", lambda v: tail_report(v, P, GRID), 0.0),
@@ -151,6 +148,8 @@ CASES = [
     ("stable_hit_tail_report: t", lambda v: stable_hit_tail_report(v, 0.4, GRID), 0.0),
     ("stable_hit_tail_report: x_grid", lambda v: stable_hit_tail_report(1.0, 0.4, [*GRID, v]),
      -1.0),
+    ("hitting_path: horizon", lambda v: hitting_path(IGSubordinator(P), v, 0.5, _rng()), None),
+    ("hitting_path: dt", lambda v: hitting_path(IGSubordinator(P), 1.0, v, _rng()), None),
     ("sample_hitting_times: t_eval", lambda v: sample_hitting_times(v, 4, P, 0.1, 0), 0.0),
     ("sample_hitting_times: dt", lambda v: sample_hitting_times(1.0, 4, P, v, 0), 0.0),
     ("sample_hitting_times: dt", lambda v: sub_sample_values(1.0, 4, P, v, 0), -1.0),
@@ -158,11 +157,11 @@ CASES = [
     ("stable_hit_pdf: t", lambda v: stable_hit_pdf(0.5, v, 0.4), 0.0),
     ("stable_hit_survival: x", lambda v: stable_hit_survival(v, 1.0, 0.4), 0.0),
     ("stable_hit_survival: t", lambda v: stable_hit_survival(0.5, v, 0.4), 0.0),
-    ("sub_pdf: x", lambda v: sub_pdf(v, 1.0, SEV), None),
-    ("sub_pdf: t", lambda v: sub_pdf(0.5, v, SEV), 0.0),
-    ("sub_pdf_table: x", lambda v: sub_pdf_table([0.5, v], 1.0, SEV), None),
-    ("sub_pdf_table: t", lambda v: sub_pdf_table(0.5, v, SEV), 0.0),
-    ("density_support_cutoff: t", lambda v: sub_cdf_interpolant(v, SEV), 0.0),
+    ("sub_pdf: x", lambda v: sub_pdf(v, 1.0, P), None),
+    ("sub_pdf: t", lambda v: sub_pdf(0.5, v, P), 0.0),
+    ("sub_pdf_table: x", lambda v: sub_pdf_table([0.5, v], 1.0, P), None),
+    ("sub_pdf_table: t", lambda v: sub_pdf_table(0.5, v, P), 0.0),
+    ("density_support_cutoff: t", lambda v: sub_cdf_interpolant(v, P), 0.0),
     ("GridBox: x0", _box(0), None),
     ("GridBox: x1", _box(1), None),
     ("GridBox: t0", _box(2), None),

@@ -12,7 +12,6 @@ import pytest
 
 from ighit.cli import build_parser, grid_spec, main
 from ighit.hitting import (
-    HittingDensityEval,
     hit_llt,
     hit_lt_space_closed,
     hit_lt_time,
@@ -108,8 +107,7 @@ class TestDensityCommand:
         xs = np.array([float(v) for v in cols["x"]])
         dens = np.array([float(v) for v in cols["hitting_density"]])
         params = IGParams(1.0, 1.5)
-        expected = hit_pdf_table(xs, 2.5, HittingDensityEval(params)) \
-            * printed_prefactor_ratio(2.5, params)
+        expected = hit_pdf_table(xs, 2.5, params) * printed_prefactor_ratio(2.5, params)
         assert np.array_equal(dens, expected)
 
 

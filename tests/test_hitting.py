@@ -26,7 +26,6 @@ from ighit.numerics import (
 )
 from ighit.hitting import (
     _PDF_ABS_TOL,
-    HittingDensityEval,
     TailBoundReport,
     _osc_noise_estimate,
     density_support_cutoff,
@@ -80,7 +79,6 @@ def assert_density_close(value, closed):
 
 
 P11 = IGParams(1.0, 1.0)
-EV11 = HittingDensityEval(P11)
 NAN, INF = math.nan, math.inf
 # the integral oracles at tolerances below the closed forms' rounding
 TIGHT = {"abs_tol": 1e-16, "rel_tol": 1e-14}
@@ -88,19 +86,17 @@ TIGHT = {"abs_tol": 1e-16, "rel_tol": 1e-14}
 
 class TestDensityRoutes:
     def test_driftless_closed_form(self, params_10):
-        ev = HittingDensityEval(params_10)
         for t in (0.5, 1.0, 2.0):
             for x in (0.0, 0.3, 1.0, 2.7):
-                assert hit_pdf_integral(x, t, ev) == pytest.approx(
+                assert hit_pdf_integral(x, t, params_10) == pytest.approx(
                     half_normal_pdf(x, t), abs=1e-10)
         assert half_normal_pdf(1.0, 1.0) == pytest.approx(0.483941, abs=5e-7)
 
     def test_two_routes_agree(self, params_11):
-        ev = HittingDensityEval(params_11)
         model = IGSubordinator(params_11)
         for t in (0.5, 1.0):
             for x in (0.25, 0.5, 1.0, 2.0):
-                assert hit_pdf_integral(x, t, ev) == pytest.approx(
+                assert hit_pdf_integral(x, t, params_11) == pytest.approx(
                     hit_pdf_convolution(x, t, model), abs=1e-8)
 
     def test_convolution_collapses_to_levy_tail_at_origin(self, params_11):
@@ -124,17 +120,16 @@ class TestDensityRoutes:
             assert hit_pdf_convolution(x, 1.0, model) == pytest.approx(closed, abs=1e-8)
 
     def test_normalisation_and_literal_failure(self, params_11):
-        ev = HittingDensityEval(params_11)
-        assert hit_moment_quadrature(0.0, 2.0, ev) == pytest.approx(1.0, abs=1e-8)
-        mass = hit_moment_quadrature(0.0, 2.0, ev) * printed_prefactor_ratio(2.0, params_11)
+        assert hit_moment_quadrature(0.0, 2.0, params_11) == pytest.approx(1.0, abs=1e-8)
+        mass = (hit_moment_quadrature(0.0, 2.0, params_11)
+                * printed_prefactor_ratio(2.0, params_11))
         assert mass == pytest.approx(math.exp(0.5), rel=1e-8)
         assert abs(mass - 1.0) > 1e-5
 
     def test_table_matches_scalar(self, params_11):
-        ev = HittingDensityEval(params_11)
         xs = np.linspace(0.0, 4.0, 23)
-        tab = hit_pdf_table(xs, 1.0, ev)
-        scal = np.array([hit_pdf_integral(float(x), 1.0, ev) for x in xs])
+        tab = hit_pdf_table(xs, 1.0, params_11)
+        scal = np.array([hit_pdf_integral(float(x), 1.0, params_11) for x in xs])
         assert np.max(np.abs(tab - scal)) < 1e-11
 
     @settings(max_examples=60, deadline=None)
@@ -149,10 +144,9 @@ class TestDensityRoutes:
     @example(delta=3.0, gamma=3.0, t=1.0, frac=1.0)
     def test_closed_form_matches_both_oracles(self, delta, gamma, t, frac):
         params = IGParams(delta, gamma)
-        ev = HittingDensityEval(params)
         x = frac * (gamma * t + 6.0 * math.sqrt(t)) / delta
-        closed = float(hit_pdf_table(x, t, ev))
-        assert_density_close(hit_pdf_integral(x, t, ev), closed)
+        closed = float(hit_pdf_table(x, t, params))
+        assert_density_close(hit_pdf_integral(x, t, params), closed)
         assert_density_close(hit_pdf_convolution(x, t, IGSubordinator(params)), closed)
 
     @pytest.mark.parametrize("delta,gamma,t,x", [
@@ -164,9 +158,9 @@ class TestDensityRoutes:
         (1.800922532974708, 0.17343985951489324, 1.0735234377212077, 0.1342961070399304),
     ])
     def test_integral_route_resolves_small_gamma_peak(self, delta, gamma, t, x):
-        ev = HittingDensityEval(IGParams(delta, gamma))
-        closed = float(hit_pdf_table(x, t, ev))
-        assert hit_pdf_integral(x, t, ev) == pytest.approx(closed, rel=1e-8)
+        params = IGParams(delta, gamma)
+        closed = float(hit_pdf_table(x, t, params))
+        assert hit_pdf_integral(x, t, params) == pytest.approx(closed, rel=1e-8)
 
     # (delta, gamma, t, x, h): h from the oscillatory route at the first 16
     # points (4 driftless) and from its convolution fallback at the last 8,
@@ -201,10 +195,10 @@ class TestDensityRoutes:
     def test_integral_route_reference_values(self):
         fallbacks = []
         for delta, gamma, t, x, h in self.INTEGRAL_REFERENCE:
-            ev = HittingDensityEval(IGParams(delta, gamma))
+            params = IGParams(delta, gamma)
             log_pref = delta * gamma * x - 0.5 * t * gamma ** 2
             fallbacks.append(_osc_noise_estimate(log_pref, delta) > 0.25 * _PDF_ABS_TOL)
-            assert hit_pdf_integral(x, t, ev) == pytest.approx(h, rel=1e-13, abs=0.0)
+            assert hit_pdf_integral(x, t, params) == pytest.approx(h, rel=1e-13, abs=0.0)
         assert fallbacks == [False] * 16 + [True] * 8
 
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
@@ -214,9 +208,9 @@ class TestDensityRoutes:
             with pytest.raises(DomainError, match="^f: x must be finite"):
                 check(kind(bad), "f: x")
         with pytest.raises(DomainError, match="^hit_pdf_integral: x must be finite"):
-            hit_pdf_integral(kind(bad), 1.0, EV11)
+            hit_pdf_integral(kind(bad), 1.0, P11)
         with pytest.raises(DomainError, match="^hit_pdf_integral: t must be finite and positive"):
-            hit_pdf_integral(0.5, kind(bad), EV11)
+            hit_pdf_integral(0.5, kind(bad), P11)
 
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_float_checks_bound_t_below(self, kind):
@@ -239,25 +233,23 @@ class TestDensityRoutes:
                 _finite_positive(np.array([[1.0, 2.0], [3.0, bad]]), "t")
 
     def test_table_broadcasts_over_x_and_t(self, params_11):
-        ev = HittingDensityEval(params_11)
         xs = np.linspace(0.0, 3.0, 7)
         ts = np.array([0.5, 1.0, 2.0])
-        grid = hit_pdf_table(xs[:, None], ts[None, :], ev)
+        grid = hit_pdf_table(xs[:, None], ts[None, :], params_11)
         assert grid.shape == (7, 3)
         ratio = printed_prefactor_ratio(ts, params_11)
         assert ratio.shape == (3,)
         for j, t in enumerate(ts):
-            assert np.array_equal(grid[:, j], hit_pdf_table(xs, t, ev))
+            assert np.array_equal(grid[:, j], hit_pdf_table(xs, t, params_11))
             assert ratio[j] == printed_prefactor_ratio(t, params_11)
         assert grid[0, 2] == pytest.approx(hit_boundary_value(2.0, params_11), rel=1e-14)
         assert ratio[2] == pytest.approx(math.exp(0.5), rel=1e-15)
 
     def test_domain_errors(self, params_11):
-        ev = HittingDensityEval(params_11)
         with pytest.raises(DomainError):
-            hit_pdf_integral(-0.1, 1.0, ev)
+            hit_pdf_integral(-0.1, 1.0, params_11)
         with pytest.raises(DomainError):
-            hit_pdf_integral(1.0, 0.0, ev)
+            hit_pdf_integral(1.0, 0.0, params_11)
 
 
 @pytest.mark.parametrize("call", [
@@ -269,11 +261,11 @@ class TestDensityRoutes:
     lambda: ig_cdf(1.0, NAN, P11),
     lambda: integrate_interval(np.exp, 0.0, 1.0, abs_tol=NAN),
     lambda: integrate_interval(np.exp, 0.0, 1.0, rel_tol=INF),
-    lambda: hit_pdf_table(np.array([0.5, NAN]), 1.0, EV11),
-    lambda: hit_pdf_table(0.5, NAN, EV11),
-    lambda: hit_pdf_table(0.5, np.array([1.0, INF]), EV11),
-    lambda: hit_pdf_integral(NAN, 1.0, EV11),
-    lambda: hit_pdf_integral(0.5, INF, EV11),
+    lambda: hit_pdf_table(np.array([0.5, NAN]), 1.0, P11),
+    lambda: hit_pdf_table(0.5, NAN, P11),
+    lambda: hit_pdf_table(0.5, np.array([1.0, INF]), P11),
+    lambda: hit_pdf_integral(NAN, 1.0, P11),
+    lambda: hit_pdf_integral(0.5, INF, P11),
     lambda: hit_cdf(NAN, 1.0, P11),
     lambda: hit_cdf(0.5, NAN, P11),
     lambda: hit_cdf(INF, 1.0, P11),
@@ -316,21 +308,22 @@ class TestConvolutionTable:
     def test_verify_points_match_the_closed_form(self, params_11):
         # density_two_routes' 15 points, boundary_value's x = 1e-4 at t = 2
         # and pde_ts_n2's corners and centre, at index 1/2, mu = 1
-        ev, model = HittingDensityEval(params_11), IGSubordinator(params_11)
+        model = IGSubordinator(params_11)
         xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
         for t in (0.5, 1.0, 2.0):
             np.testing.assert_allclose(hit_pdf_convolution(xs, t, model),
-                                       hit_pdf_table(xs, t, ev), rtol=1e-13, atol=0.0)
+                                       hit_pdf_table(xs, t, params_11), rtol=1e-13, atol=0.0)
         near_zero = hit_pdf_convolution(1e-4, 2.0, model)
         assert isinstance(near_zero, float)
-        assert near_zero == pytest.approx(float(hit_pdf_table(1e-4, 2.0, ev)), rel=1e-13, abs=0.0)
+        assert near_zero == pytest.approx(float(hit_pdf_table(1e-4, 2.0, params_11)),
+                                          rel=1e-13, abs=0.0)
         box = GridBox(0.4, 1.0, 0.7, 1.1, 1 / 16, 1 / 16)
-        ev_half = HittingDensityEval(ts_half_ig_params(1.0))
+        params = ts_half_ig_params(1.0)
         model = TemperedStableSubordinator(0.5, 1.0)
         for t, xs in ((box.t0, [box.x0, box.x1]), (box.t1, [box.x0, box.x1]),
                       (0.5 * (box.t0 + box.t1), [0.5 * (box.x0 + box.x1)])):
             np.testing.assert_allclose(hit_pdf_convolution(np.array(xs), t, model),
-                                       hit_pdf_table(np.array(xs), t, ev_half),
+                                       hit_pdf_table(np.array(xs), t, params),
                                        rtol=1e-13, atol=0.0)
 
     def test_keeps_the_shape_of_x(self, params_11):
@@ -365,8 +358,8 @@ class TestConvolutionTable:
         assert hit_pdf_convolution(np.array([0.25, 4.0]), 0.5, model).shape == (2,)
         assert hit_pdf_convolution(0.7, 0.9, TemperedStableSubordinator(0.5, 1.0)) > 0
         delta, gamma, t, x, h = TestDensityRoutes.INTEGRAL_REFERENCE[-1]
-        ev = HittingDensityEval(IGParams(delta, gamma))
-        assert hit_pdf_integral(x, t, ev) == pytest.approx(h, rel=1e-13, abs=0.0)
+        params = IGParams(delta, gamma)
+        assert hit_pdf_integral(x, t, params) == pytest.approx(h, rel=1e-13, abs=0.0)
 
 
 _DUALITY_GRID = (np.array([0.05, 0.5, 1.0, 4.0]), np.array([0.1, 1.0, 3.0]))
@@ -382,10 +375,10 @@ class TestTemperedStableTables:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0])
     def test_index_half_is_the_ig_closed_form(self, mu):
-        ev = HittingDensityEval(ts_half_ig_params(mu))
+        params = ts_half_ig_params(mu)
         model = TemperedStableSubordinator(0.5, mu)
         for x, t in ((0.3, 0.6), (0.8, 1.0), (1.6, 0.9), (0.5, 2.0)):
-            assert float(hit_pdf_table(x, t, ev)) == pytest.approx(
+            assert float(hit_pdf_table(x, t, params)) == pytest.approx(
                 hit_pdf_convolution(x, t, model), rel=1e-8)
 
     @staticmethod
@@ -524,11 +517,10 @@ class TestDistributionFunction:
         assert val == pytest.approx(0.682689, abs=5e-7)
 
     def test_derivative_matches_density(self, params_11):
-        ev = HittingDensityEval(params_11)
         step = 1e-4
         fd = (hit_cdf(0.7 + step, 1.0, params_11)
               - hit_cdf(0.7 - step, 1.0, params_11)) / (2.0 * step)
-        assert fd == pytest.approx(hit_pdf_integral(0.7, 1.0, ev), abs=1e-5)
+        assert fd == pytest.approx(hit_pdf_integral(0.7, 1.0, params_11), abs=1e-5)
 
     def test_monotone_in_x_and_t(self, params_11):
         xs = np.linspace(0.0, 6.0, 61)
@@ -543,20 +535,18 @@ class TestDistributionFunction:
 
 class TestTransforms:
     def test_time_transform_inverts_to_density(self, params_11):
-        ev = HittingDensityEval(params_11)
         for t in (0.5, 1.0, 2.0):
             val = invert_laplace(lambda s: hit_lt_time(0.7, s, params_11), t)
-            assert val == pytest.approx(hit_pdf_integral(0.7, t, ev), rel=1e-4)
+            assert val == pytest.approx(hit_pdf_integral(0.7, t, params_11), rel=1e-4)
 
     def test_time_transform_talbot_cross_check(self, params_11):
         # the fixed-Talbot contour evaluates Psi off the real axis
         def transform(s):
             return hit_lt_time(0.7, s, params_11)
 
-        ev = HittingDensityEval(params_11)
         for t in (0.5, 1.0, 2.0):
             tb = invert_laplace_talbot(transform, t)
-            assert tb == pytest.approx(float(hit_pdf_table(0.7, t, ev)), rel=1e-11)
+            assert tb == pytest.approx(float(hit_pdf_table(0.7, t, params_11)), rel=1e-11)
             assert invert_laplace(transform, t) == pytest.approx(tb, rel=1e-4)
 
     def test_llt_total_mass_limit(self, params_11):
@@ -614,10 +604,9 @@ class TestTransforms:
 
     def test_space_transform_against_quadrature(self):
         params = IGParams(1.0, 0.5)
-        ev = HittingDensityEval(params)
         x_max = density_support_cutoff(1.0, params)
         direct = integrate_interval(
-            lambda xs: np.exp(-xs) * hit_pdf_table(xs, 1.0, ev), 0.0, x_max,
+            lambda xs: np.exp(-xs) * hit_pdf_table(xs, 1.0, params), 0.0, x_max,
             edges=np.linspace(0.0, x_max, 33))
         assert hit_lt_space(1.0, 1.0, params) == pytest.approx(direct, abs=1e-5)
 
@@ -670,10 +659,9 @@ class TestTransforms:
         # quadrature of e^(-mu x) times the closed-form density; gamma = 40
         # puts z1^2 and z0^2 above 709, where erfcx(z1) alone overflows
         params = IGParams(delta, gamma)
-        ev = HittingDensityEval(params)
         x_max = (gamma * t + 12.0 * math.sqrt(t)) / delta
         direct = integrate_interval(
-            lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, ev), 0.0, x_max,
+            lambda xs: np.exp(-mu * xs) * hit_pdf_table(xs, t, params), 0.0, x_max,
             edges=np.linspace(0.0, x_max, 65), **TIGHT)
         assert hit_lt_space_closed(mu, t, params) == pytest.approx(direct, rel=1e-12)
 
@@ -706,11 +694,10 @@ class TestTransforms:
     def test_forward_lt_of_density_matches_closed_form(self, params_11):
         # numerically transforming the tabulated density over t recovers the
         # closed-form time transform
-        ev = HittingDensityEval(params_11)
         x = 0.7
         for s in (0.5, 1.0, 2.0):
             def f(ts):
-                dens = np.array([hit_pdf_integral(x, float(t), ev) for t in ts])
+                dens = np.array([hit_pdf_integral(x, float(t), params_11) for t in ts])
                 return np.exp(-s * ts) * dens
             val = integrate_semi_infinite(f, abs_tol=1e-11, rel_tol=1e-9)
             assert val == pytest.approx(hit_lt_time(x, s, params_11), abs=1e-5)
@@ -764,25 +751,38 @@ class TestMoments:
 
     def test_mean_matches_quadrature(self, params_11, params_205):
         for params in (params_11, params_205):
-            quad = hit_moment_quadrature(1.0, 1.0, HittingDensityEval(params))
+            quad = hit_moment_quadrature(1.0, 1.0, params)
             assert hit_mean(1.0, params) == pytest.approx(quad, abs=1e-6)
 
     def test_second_moment_matches_quadrature(self, params_11, params_205):
         for params in (params_11, params_205):
-            quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(params))
+            quad = hit_moment_quadrature(2.0, 1.0, params)
             assert hit_second_moment(1.0, params) == pytest.approx(quad, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [1e-8, 1e-10, 1e-12])
     def test_second_moment_stable_as_gamma_vanishes(self, gamma):
         params = IGParams(1.0, gamma)
-        quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(params))
+        quad = hit_moment_quadrature(2.0, 1.0, params)
         assert hit_second_moment(1.0, params) == pytest.approx(quad, rel=1e-10)
 
     def test_driftless_second_moment_is_t(self, params_10):
         # the half-normal second moment; the often-quoted 2t fails this
         assert hit_second_moment(1.0, params_10) == 1.0
-        quad = hit_moment_quadrature(2.0, 1.0, HittingDensityEval(params_10))
+        quad = hit_moment_quadrature(2.0, 1.0, params_10)
         assert quad == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("q", [-1.0, -2.0])
+    def test_quadrature_moment_needs_q_above_minus_one(self, params_11, q):
+        # E H(t)^q diverges at q <= -1: rejected before any quadrature runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^hit_moment_quadrature: q must be > -1$"):
+                hit_moment_quadrature(q, 1.0, params_11)
+
+    def test_quadrature_moment_of_negative_order(self, params_10):
+        # the half-normal H(1): E |Z|^(-1/2) = 2^(-1/4) Gamma(1/4) / sqrt(pi)
+        exact = 2.0 ** -0.25 * math.gamma(0.25) / math.sqrt(math.pi)
+        assert hit_moment_quadrature(-0.5, 1.0, params_10) == pytest.approx(exact, rel=1e-7)
 
     def test_moment_transform_consistency(self, params_11, params_205):
         assert hit_moment(1.0, 1.0, params_11) == pytest.approx(
@@ -862,8 +862,8 @@ class TestBoundaryAndTail:
             math.sqrt(2.0 / math.pi), rel=1e-13)
 
     def test_boundary_slope_fd(self, params_11):
-        ev = HittingDensityEval(params_11)
-        fd = (hit_pdf_integral(2e-3, 1.0, ev) - hit_pdf_integral(0.0, 1.0, ev)) / 2e-3
+        fd = (hit_pdf_integral(2e-3, 1.0, params_11)
+              - hit_pdf_integral(0.0, 1.0, params_11)) / 2e-3
         assert fd == pytest.approx(hit_boundary_slope(1.0, params_11), abs=1e-3)
 
     def test_survival_driftless_value(self, params_10):

@@ -611,6 +611,3 @@ class TestNumericSpec:
         assert with_tols == {"integrate_interval", "integrate_semi_infinite"}
         for name in ("NumericSpec", "DEFAULT_SPEC", "LaplaceFunction"):
             assert not hasattr(ighit, name)
-        params = ighit.IGParams(1.0, 1.0)
-        assert ighit.HittingDensityEval(params).params is params
-        assert ighit.SubordinatedEval(params).params is params

@@ -83,6 +83,13 @@ def test_star_import_gives_every_name():
     assert all(scope[module] is getattr(ighit, module) for module in SUBMODULES)
 
 
+def test_benchmark_spelling_of_the_density_parameters_is_the_identity():
+    # bench/workloads.py wraps its IGParams in these two names
+    params = ighit.IGParams(1.0, 1.0)
+    assert ighit.HittingDensityEval(params) is params
+    assert ighit.SubordinatedEval(params) is params
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ighit.no_such_name

@@ -7,7 +7,6 @@ import pytest
 from ighit import residuals
 from ighit.errors import DomainError
 from ighit.hitting import (
-    HittingDensityEval,
     hit_lt_time,
     hit_pdf_table,
     printed_prefactor_ratio,
@@ -149,7 +148,7 @@ class TestResidualTables:
         a, v = (d * xs - g * ts) / sq, (d * xs + g * ts) / sq
         general = d * np.exp(-0.5 * a * a) * (np.sqrt(2.0 / (math.pi * ts))
                                               - g * erfcx(v / math.sqrt(2.0)))
-        table = hit_pdf_table(xs, ts, HittingDensityEval(IGParams(d, g)))
+        table = hit_pdf_table(xs, ts, IGParams(d, g))
         assert np.array_equal(table, general)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from ighit.errors import DomainError
 from ighit.hitting import (
-    HittingDensityEval,
     density_support_cutoff,
     hit_mean,
     hit_pdf_table,
@@ -16,7 +15,6 @@ from ighit.numerics import composite_gauss, integrate_interval
 from ighit.residuals import _grid
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinated import (
-    SubordinatedEval,
     sub_cdf_interpolant,
     sub_pdf,
     sub_pdf_table,
@@ -26,23 +24,23 @@ from ighit.subordinated import (
 from ighit.subordinators import IGParams, IGSubordinator
 
 
-def _mass_and_second_moment(t, ev):
+def _mass_and_second_moment(t, params):
     """(integral of u, integral of x^2 u) over the line: quadrature of the even
     table over [0, 8 sqrt(r_max)], r_max the hitting density's support cutoff."""
-    x_max = 8.0 * math.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
+    x_max = 8.0 * math.sqrt(density_support_cutoff(t, params, tail_tol=1e-11))
     edges = np.linspace(0.0, x_max, 65)
-    mass = integrate_interval(lambda xs: sub_pdf_table(xs, t, ev), 0.0, x_max, edges=edges)
-    second = integrate_interval(lambda xs: xs * xs * sub_pdf_table(xs, t, ev), 0.0, x_max,
+    mass = integrate_interval(lambda xs: sub_pdf_table(xs, t, params), 0.0, x_max, edges=edges)
+    second = integrate_interval(lambda xs: xs * xs * sub_pdf_table(xs, t, params), 0.0, x_max,
                                 edges=edges)
     return 2.0 * mass, 2.0 * second
 
 
-def _table_at_one_time(xs, t, ev):
+def _table_at_one_time(xs, t, params):
     """The one-time tabulation as a loop over batches of x, kernel built afresh."""
-    v_max = math.sqrt(density_support_cutoff(t, ev.params, tail_tol=1e-11))
+    v_max = math.sqrt(density_support_cutoff(t, params, tail_tol=1e-11))
     edges = np.unique(np.concatenate([[0.0], np.geomspace(v_max * 1e-4, v_max, 96)]))
     pts, wts = composite_gauss(edges, 12)
-    weights = wts * hit_pdf_table(pts * pts, t, HittingDensityEval(ev.params))
+    weights = wts * hit_pdf_table(pts * pts, t, params)
     inv_2v2 = 1.0 / (2.0 * pts * pts)
     out = np.empty_like(xs)
     for start in range(0, xs.size, 256):
@@ -53,46 +51,42 @@ def _table_at_one_time(xs, t, ev):
 
 class TestDensity:
     def test_symmetry(self, params_11):
-        ev = SubordinatedEval(params_11)
-        assert sub_pdf(1.3, 1.0, ev) == sub_pdf(-1.3, 1.0, ev)
+        assert sub_pdf(1.3, 1.0, params_11) == sub_pdf(-1.3, 1.0, params_11)
         xs = np.array([-2.0, -0.7, 0.7, 2.0])
-        tab = sub_pdf_table(xs, 1.0, ev)
+        tab = sub_pdf_table(xs, 1.0, params_11)
         assert tab[0] == pytest.approx(tab[3], rel=1e-12)
         assert tab[1] == pytest.approx(tab[2], rel=1e-12)
 
     @pytest.mark.parametrize("call", [
-        lambda ev: sub_pdf(math.nan, 1.0, ev),
-        lambda ev: sub_pdf(math.inf, 1.0, ev),
-        lambda ev: sub_pdf(0.5, math.nan, ev),
-        lambda ev: sub_pdf(0.5, math.inf, ev),
-        lambda ev: sub_pdf_table(np.array([0.5, math.nan]), 1.0, ev),
-        lambda ev: sub_pdf_table(np.array([0.5, 1.0]), math.nan, ev),
+        lambda params: sub_pdf(math.nan, 1.0, params),
+        lambda params: sub_pdf(math.inf, 1.0, params),
+        lambda params: sub_pdf(0.5, math.nan, params),
+        lambda params: sub_pdf(0.5, math.inf, params),
+        lambda params: sub_pdf_table(np.array([0.5, math.nan]), 1.0, params),
+        lambda params: sub_pdf_table(np.array([0.5, 1.0]), math.nan, params),
     ], ids=["pdf_x_nan", "pdf_x_inf", "pdf_t_nan", "pdf_t_inf", "table_x_nan", "table_t_nan"])
     def test_non_finite_input_rejected(self, params_11, call):
         with pytest.raises(DomainError):
-            call(SubordinatedEval(params_11))
+            call(params_11)
 
     @pytest.mark.parametrize("delta,gamma", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_mass_and_conditional_variance(self, delta, gamma, t):
         params = IGParams(delta, gamma)
-        ev = SubordinatedEval(params)
-        mass, second = _mass_and_second_moment(t, ev)
+        mass, second = _mass_and_second_moment(t, params)
         assert mass == pytest.approx(1.0, abs=1e-8)
         # E X(t)^2 = E H(t): the Gaussian layer contributes its clock variance
         assert second == pytest.approx(hit_mean(t, params), abs=1e-7)
 
     def test_driftless_second_moment(self, params_10):
-        ev = SubordinatedEval(params_10)
-        mass, second = _mass_and_second_moment(1.0, ev)
+        mass, second = _mass_and_second_moment(1.0, params_10)
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert second == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-7)
 
     def test_table_matches_scalar(self, params_11):
-        ev = SubordinatedEval(params_11)
         xs = np.array([0.0, 0.4, 1.1, 2.6])
-        tab = sub_pdf_table(xs, 1.0, ev)
-        scal = np.array([sub_pdf(float(x), 1.0, ev) for x in xs])
+        tab = sub_pdf_table(xs, 1.0, params_11)
+        scal = np.array([sub_pdf(float(x), 1.0, params_11) for x in xs])
         assert np.max(np.abs(tab - scal)) < 1e-10
 
     @pytest.mark.parametrize("gamma,xs,ts", [
@@ -109,11 +103,11 @@ class TestDensity:
         # a grid's columns share one ladder over all its cutoffs, so they are
         # not the one-time tables bit for bit; test_grid_matches_mixture
         # pins their accuracy
-        ev = SubordinatedEval(IGParams(1.0, gamma))
-        assert sub_pdf_table(xs, ts, ev).shape == (xs.size, ts.size)
+        params = IGParams(1.0, gamma)
+        assert sub_pdf_table(xs, ts, params).shape == (xs.size, ts.size)
         for t in ts:
-            assert np.array_equal(sub_pdf_table(xs, float(t), ev),
-                                  _table_at_one_time(xs, float(t), ev))
+            assert np.array_equal(sub_pdf_table(xs, float(t), params),
+                                  _table_at_one_time(xs, float(t), params))
 
     @pytest.mark.parametrize("gamma,xs,ts,points", [
         # the fine levels of the pde_subordinated and pde_frac_subordinated
@@ -142,7 +136,7 @@ class TestDensity:
         ]),
     ], ids=["pde_box", "frac_box"])
     def test_grid_matches_mixture(self, gamma, xs, ts, points):
-        grid = sub_pdf_table(xs, ts, SubordinatedEval(IGParams(1.0, gamma)))
+        grid = sub_pdf_table(xs, ts, IGParams(1.0, gamma))
         for i, j, ref in points:
             assert abs(grid[i, j] - ref) < 1e-14 * grid[:, j].max()
 
@@ -150,34 +144,33 @@ class TestDensity:
         # the pde_frac_subordinated record's fine grid, 131 x by 96 t: blocked
         # weights keep the table under the battery's peak (pde_frac_hitting)
         xs, ts = _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128
-        ev = SubordinatedEval(IGParams(1.0, 0.0))
+        params = IGParams(1.0, 0.0)
         tracemalloc.start()
         try:
-            sub_pdf_table(xs, ts, ev)
+            sub_pdf_table(xs, ts, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3e6
 
     def test_grid_shape_and_scalar_oracle(self, params_11):
-        ev = SubordinatedEval(params_11)
         xs = np.array([[0.0, 0.4], [1.1, 2.6]])
         ts = np.array([0.5, 1.0, 1.7])
-        grid = sub_pdf_table(xs, ts, ev)
+        grid = sub_pdf_table(xs, ts, params_11)
         assert grid.shape == (2, 2, 3)
-        assert sub_pdf_table(xs, 1.0, ev).shape == (2, 2)
-        scal = np.array([[sub_pdf(float(x), float(t), ev) for t in ts] for x in xs.ravel()])
+        assert sub_pdf_table(xs, 1.0, params_11).shape == (2, 2)
+        scal = np.array([[sub_pdf(float(x), float(t), params_11) for t in ts]
+                         for x in xs.ravel()])
         assert np.max(np.abs(grid.reshape(4, 3) - scal)) < 1e-10
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "minus_inf"])
     def test_grid_rejects_non_finite_t(self, params_11, bad):
         with pytest.raises(DomainError):
-            sub_pdf_table(np.array([0.5, 1.0]), np.array([0.5, bad]),
-                          SubordinatedEval(params_11))
+            sub_pdf_table(np.array([0.5, 1.0]), np.array([0.5, bad]), params_11)
 
     def test_cdf_interpolant(self, params_11):
-        cdf = sub_cdf_interpolant(1.0, SubordinatedEval(params_11))
+        cdf = sub_cdf_interpolant(1.0, params_11)
         assert float(cdf(0.0)) == 0.5
         assert float(cdf(12.0)) == pytest.approx(1.0, abs=1e-8)
         assert float(cdf(-12.0)) == pytest.approx(0.0, abs=1e-8)
@@ -202,7 +195,7 @@ class TestPaths:
         assert np.any(dx[~plateaus] != 0.0)
 
     def test_marginal_against_density(self, params_11, x1_samples_11):
-        cdf = sub_cdf_interpolant(1.0, SubordinatedEval(params_11))
+        cdf = sub_cdf_interpolant(1.0, params_11)
         n = 100_000
         assert x1_samples_11.size == n
         assert ecdf_ks(x1_samples_11, cdf) < ks_critical_1pct(n)
