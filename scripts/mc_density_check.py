@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from ighit.hitting import hit_cdf, hit_pdf_table, sample_hitting_times
-from ighit.montecarlo import ecdf_ks, histogram_density, ks_critical_1pct
+from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import IGParams
 from ighit.tables import write_csv
 
@@ -31,11 +31,11 @@ def main() -> None:
 
     params = IGParams(args.delta, args.gamma)
     draws = sample_hitting_times(args.t, args.n, params, args.dt, args.seed)
-    hist = histogram_density(draws, args.bins)
-    centers = hist.centers()
+    heights, edges = np.histogram(draws, bins=args.bins, density=True)
+    centers = 0.5 * (edges[1:] + edges[:-1])
     dens = hit_pdf_table(centers, args.t, params)
     write_csv(args.out, ["bin_center", "empirical_density", "density"],
-              zip(centers, hist.heights, dens))
+              zip(centers, heights, dens))
 
     d = ecdf_ks(draws, lambda x: hit_cdf(x, args.t, params))
     crit = ks_critical_1pct(args.n)

@@ -17,7 +17,7 @@ from importlib import import_module as _import_module
 _LAZY = {
     "numerics": "bessel_k erf erfc erfcx integrate_interval integrate_semi_infinite "
                 "invert_laplace invert_laplace_talbot upper_gamma",
-    "subordinators": "IGParams IGSubordinator SamplePath TemperedStableSubordinator ig_cdf "
+    "subordinators": "IGParams SamplePath TemperedStableSubordinator ig_cdf "
                      "ig_levy_tail ig_pdf ig_psi ig_sample stable_cdf stable_pdf stable_sample "
                      "ts_half_ig_params ts_levy_tail ts_pdf ts_psi ts_sample",
     "hitting": "HittingDensityEval TailBoundReport hit_boundary_slope hit_boundary_value "
@@ -42,14 +42,7 @@ from .errors import BudgetExceeded, DomainError, NonConvergence, NumericalInstab
 # it read a lower peak memory in verify processes
 from . import numerics
 # eager: bench/tracing.py reads sys.modules["ighit.montecarlo"] after importing ighit
-from .montecarlo import (
-    HistogramTable,
-    MCEstimate,
-    ecdf_ks,
-    estimate_moment,
-    histogram_density,
-    ks_critical_1pct,
-)
+from .montecarlo import MCEstimate, ecdf_ks, estimate_moment, ks_critical_1pct
 
 
 def __getattr__(name):

@@ -47,11 +47,7 @@ from .hitting import (
     tail_report,
 )
 from .subordinated import sub_pdf_table, sub_sample_path
-from .subordinators import (
-    IGParams,
-    IGSubordinator,
-    TemperedStableSubordinator,
-)
+from .subordinators import IGParams, TemperedStableSubordinator
 from .residuals import (
     PDE_BOXES,
     _PSEUDO_LT_GRIDS,
@@ -220,7 +216,7 @@ def cmd_lt(args) -> int:
 
 def _model_from(args):
     if args.model == "ig":
-        return IGSubordinator(_params_from(args))
+        return _params_from(args)
     return TemperedStableSubordinator(args.beta, 0.0 if args.model == "stable" else args.mu)
 
 

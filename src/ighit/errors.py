@@ -4,10 +4,12 @@ Every finite, finite-and-nonnegative and finite-and-positive argument check
 of the package is `_finite`, `_finite_nonnegative` or `_finite_positive`:
 each returns its argument (a float as it is, anything else as an array)
 and raises DomainError "<what> must be finite[ and <bound>]", where
-`what` names the function and the argument.
+`what` names the function and the argument.  A count of draws is checked by
+`_count`, which raises "<what> must be an integer >= <least>".
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -53,3 +55,10 @@ def _finite_nonnegative(value, what: str):
 def _finite_positive(value, what: str):
     """`value` as `_finite` returns it; DomainError unless every entry is finite and > 0."""
     return _checked(value, what, " and positive", lambda v: v > 0)
+
+
+def _count(value, least: int, what: str):
+    """`value`; DomainError unless it is an integer (numpy's included) >= least."""
+    if isinstance(value, numbers.Integral) and value >= least:
+        return value
+    raise DomainError(f"{what} must be an integer >= {least}")

@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     NonConvergence,
     NumericalInstability,
+    _count,
     _finite,
     _finite_nonnegative,
     _finite_positive,
@@ -50,7 +51,6 @@ from .numerics import (
 )
 from .subordinators import (
     IGParams,
-    IGSubordinator,
     SamplePath,
     _check_beta,
     ig_cdf,
@@ -113,7 +113,7 @@ def hit_pdf_integral(x: float, t: float, params: IGParams) -> float:
         # far enough into the exp(delta*gamma*x) regime that the oscillatory
         # cancellation exceeds the error budget; evaluate through the
         # analytically equal, absolutely convergent convolution form
-        return hit_pdf_convolution(x, t, IGSubordinator(params))
+        return hit_pdf_convolution(x, t, params)
     kappa = d * SQRT2 * x
     omega_max = math.sqrt(-math.log(_TRUNCATION_EPS) / t)
     g2 = 0.5 * g ** 2
@@ -370,26 +370,28 @@ def hit_lt_space(mu: float, t: float, params: IGParams) -> float:
 
 
 def _erfcx_slope(a, b):
-    """Divided difference (erfcx(a) - erfcx(b)) / (a - b), continuous at a = b.
+    """Divided difference (erfcx(a) - erfcx(b)) / (a - b) of two 1-d arrays of
+    one shape, continuous at a = b.
 
     Where |a - b| < 0.02 it is the Taylor series about m = (a + b)/2 in
     h = (a - b)/2, f1 + f3 h^2/3! + f5 h^4/5! + f7 h^6/7! with fn the n-th
     derivative at m, whose next term is below 1e-17 of the first; the
     derivatives follow from f1 = 2m f - 2/sqrt(pi) and
-    f(n+1) = 2m fn + 2n f(n-1).
+    f(n+1) = 2m fn + 2n f(n-1).  The series runs at those points only: at
+    large m or h its recurrence and powers overflow.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    m = 0.5 * (a + b)
     h = 0.5 * (a - b)
-    f = [erfcx(m)]
-    f.append(2.0 * m * f[0] - 2.0 * INV_SQRT_PI)
-    for n in range(1, 7):
-        f.append(2.0 * m * f[n] + 2.0 * n * f[n - 1])
-    h2 = h * h
-    series = f[1] + h2 * (f[3] / 6.0 + h2 * (f[5] / 120.0 + h2 * f[7] / 5040.0))
     near = np.abs(h) < 0.01
-    naive = (erfcx(a) - erfcx(b)) / np.where(near, 1.0, a - b)
-    return np.where(near, series, naive)
+    out = (erfcx(a) - erfcx(b)) / np.where(near, 1.0, a - b)
+    if near.any():
+        m, h = 0.5 * (a[near] + b[near]), h[near]
+        f = [erfcx(m)]
+        f.append(2.0 * m * f[0] - 2.0 * INV_SQRT_PI)
+        for n in range(1, 7):
+            f.append(2.0 * m * f[n] + 2.0 * n * f[n - 1])
+        h2 = h * h
+        out[near] = f[1] + h2 * (f[3] / 6.0 + h2 * (f[5] / 120.0 + h2 * f[7] / 5040.0))
+    return out
 
 
 def hit_lt_space_closed(mu, t, params: IGParams):
@@ -508,7 +510,10 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
     t_arr = np.asarray(t, dtype=float)
     x0 = np.maximum(1.0, 2.0 * params.gamma * t_arr / params.delta)
     xs = x0[..., None] * _DOUBLINGS
-    tail = xs ** weight_power * ig_cdf(t_arr[..., None], xs, params)
+    # x^q overflows at the far doublings for large q, where the survival is 0:
+    # those candidates read inf or NaN, never below the tolerance
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = xs ** weight_power * ig_cdf(t_arr[..., None], xs, params)
     below = tail < tail_tol
     if not below.any(axis=-1).all():
         raise NonConvergence("could not locate a density support cutoff")
@@ -518,17 +523,25 @@ def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
 
 def hit_moment_quadrature(q: float, t: float, params: IGParams) -> float:
     """E H(t)^q by direct quadrature of the closed-form density (q = 0: mass),
-    for finite q > -1; E H(t)^q diverges at q <= -1."""
+    for finite q > -1; E H(t)^q diverges at q <= -1.
+
+    For q < 0 it integrates in y = x^(1+q), where x^q dx = dy / (1+q) and
+    the integrand h(y^(1/(1+q)), t) / (1+q) has no singularity at 0.
+    """
     _finite(q, "hit_moment_quadrature: q")
     if q <= -1.0:
         raise DomainError("hit_moment_quadrature: q must be > -1")
     x_max = density_support_cutoff(t, params, weight_power=q, tail_tol=1e-10)
+    edges = np.linspace(0.0, x_max, max(9, int(2 * x_max) + 1))
+    if q < 0.0:
+        k = 1.0 / (1.0 + q)
+        return k * integrate_interval(lambda ys: hit_pdf_table(ys ** k, t, params), 0.0,
+                                      x_max ** (1.0 + q), edges=edges ** (1.0 + q))
 
     def f(xs):
         vals = hit_pdf_table(xs, t, params)
         return vals if q == 0.0 else xs ** q * vals
 
-    edges = np.linspace(0.0, x_max, max(9, int(2 * x_max) + 1))
     return integrate_interval(f, 0.0, x_max, edges=edges)
 
 
@@ -677,8 +690,8 @@ def hitting_path(model, horizon: float, dt: float, rng: np.random.Generator):
     if horizon <= 0 or not 0 < dt <= horizon:
         raise DomainError("need horizon > 0 and 0 < dt <= horizon")
     chunk = 2.0 * horizon
-    if isinstance(model, IGSubordinator):
-        chunk *= max(model.params.gamma / model.params.delta, 1.0)
+    if isinstance(model, IGParams):
+        chunk *= max(model.gamma / model.delta, 1.0)
     steps = max(chunk, 4.0 * dt) / dt
     if not steps <= _MAX_PATH_STEPS:
         raise DomainError(f"horizon / dt must not exceed {_MAX_PATH_STEPS} steps")
@@ -712,8 +725,7 @@ def sample_hitting_times(t_eval: float, n: int, params: IGParams, dt: float,
     """
     _finite_positive(t_eval, "sample_hitting_times: t_eval")
     _finite_positive(dt, "sample_hitting_times: dt")
-    if n <= 0:
-        raise DomainError("n must be positive")
+    _count(n, 1, "sample_hitting_times: n")
     rng = np.random.default_rng([seed, 0])
     y = rng.normal(params.gamma * t_eval, math.sqrt(t_eval), n)
     te = t_eval * rng.standard_exponential(n)

@@ -9,13 +9,12 @@ errors wide, keeping the whole suite's false-alarm rate negligible.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _count, _finite
 
 # asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
@@ -46,8 +45,7 @@ def estimate_moment(sampler, q: float, n: int, seed: int) -> MCEstimate:
     sampler(size, rng) must return a 1-d array of draws.  q must be finite
     and n an integer of at least 2.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 2):
-        raise DomainError("need an integral number of at least two samples")
+    _count(n, 2, "estimate_moment: n")
     _finite(q, "estimate_moment: q")
     start = time.perf_counter()
     total = 0.0
@@ -70,8 +68,11 @@ def estimate_moment(sampler, q: float, n: int, seed: int) -> MCEstimate:
 
 
 def ecdf_ks(samples, analytic_cdf) -> float:
-    """Two-sided sup distance between the empirical CDF and an analytic CDF."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    """Two-sided sup distance between the empirical CDF and an analytic CDF.
+
+    The samples must be finite, and there must be at least two.
+    """
+    s = np.sort(_finite(np.asarray(samples, dtype=float), "ecdf_ks: samples"))
     n = s.size
     if n < 2:
         raise DomainError("need at least two samples")
@@ -83,32 +84,5 @@ def ecdf_ks(samples, analytic_cdf) -> float:
 
 
 def ks_critical_1pct(n: int) -> float:
-    return KS_COEFF_1PCT / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class HistogramTable:
-    """A density-normalised histogram: sum(width * height) = 1."""
-
-    edges: np.ndarray
-    heights: np.ndarray
-
-    def mass(self) -> float:
-        return float(np.sum(np.diff(self.edges) * self.heights))
-
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[1:] + self.edges[:-1])
-
-    def to_csv(self, path) -> None:
-        from .tables import write_csv
-        write_csv(path, ["bin_left", "bin_right", "density"],
-                  zip(self.edges[:-1], self.edges[1:], self.heights))
-
-
-def histogram_density(samples, bins: int) -> HistogramTable:
-    """Histogram normalised to unit mass."""
-    if bins < 10:
-        raise DomainError("need at least 10 bins")
-    heights, edges = np.histogram(np.asarray(samples, dtype=float), bins=bins,
-                                  density=True)
-    return HistogramTable(edges, heights)
+    """The asymptotic 1 % critical value of `ecdf_ks` over n >= 1 samples."""
+    return KS_COEFF_1PCT / math.sqrt(_count(n, 1, "ks_critical_1pct: n"))

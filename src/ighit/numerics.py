@@ -106,8 +106,12 @@ def _erfcx_mid(y):
 
 
 def _erfcx_large(y):
-    # y > 4: returns exp(y^2) * erfc(y)
-    ysq = 1.0 / (y * y)
+    # y > 4: returns exp(y^2) * erfc(y).  Above y = 1e150, where y^2 may
+    # overflow, the y^-2 terms fall below half an ulp of 1/sqrt(pi) either
+    # way, so y is capped there
+    ysq = np.minimum(y, 1e150)
+    ysq *= ysq
+    np.divide(1.0, ysq, out=ysq)
     xnum, xden = _rational(ysq, _ERF_P, _ERF_Q, 4)
     xnum *= ysq
     xnum /= xden
@@ -117,7 +121,9 @@ def _erfcx_large(y):
 
 
 def _exp_nsq(y):
-    # exp(-y^2) with the split-argument trick to keep relative accuracy large y
+    # exp(-y^2) with the split-argument trick to keep relative accuracy large y;
+    # it is 0 from y = 27.3 on, so y is capped at 40, where y^2 cannot overflow
+    y = np.minimum(y, 40.0)
     ysq = np.floor(y * 16.0) / 16.0
     delta = (y - ysq) * (y + ysq)
     return np.exp(-ysq * ysq) * np.exp(-delta)

@@ -22,7 +22,7 @@ from .hitting import (
     hitting_path,
     sample_hitting_times,
 )
-from .subordinators import IGParams, IGSubordinator, SamplePath
+from .subordinators import IGParams, SamplePath
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Mixture weights per hit_pdf_table call of sub_pdf_table: bounds the call's
@@ -154,7 +154,7 @@ def sub_sample_path(params: IGParams, horizon: float, dt: float,
     the nondecreasing clock increments; zero clock increments give exactly
     constant stretches of X.
     """
-    h_path = hitting_path(IGSubordinator(params), horizon, dt, rng)[1]
+    h_path = hitting_path(params, horizon, dt, rng)[1]
     d_h = np.diff(h_path.values, prepend=0.0)
     gauss = rng.standard_normal(d_h.size)
     x_vals = np.cumsum(np.sqrt(d_h) * gauss)

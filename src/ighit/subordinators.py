@@ -64,10 +64,25 @@ class IGParams:
 
     delta: float
     gamma: float
+    # local power of the Levy tail at 0+ (Pi(u) ~ C u^-p); drives the endpoint
+    # substitution in the hitting-time convolution
+    tail_exponent = 0.5
 
     def __post_init__(self):
         _finite_positive(self.delta, "IGParams: delta")
         _finite_nonnegative(self.gamma, "IGParams: gamma")
+
+    def psi(self, s):
+        return ig_psi(s, self)
+
+    def levy_tail(self, u):
+        return ig_levy_tail(u, self)
+
+    def marginal_pdf(self, u, x):
+        return ig_pdf(u, x, self)
+
+    def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
+        return ig_sample(dt, self, rng, size)
 
 
 def _ig_shape(t, p: IGParams, what: str):
@@ -394,7 +409,8 @@ def ts_levy_tail(u, beta: float, mu: float):
 
     c = beta / Gamma(1 - beta); the integral is mu^beta * Gamma(-beta, mu u)
     via the upper incomplete gamma with negative parameter; u^(-beta) /
-    Gamma(1 - beta) at mu = 0.
+    Gamma(1 - beta) at mu = 0; at beta = 1/2 the IG tail of
+    `ts_half_ig_params(mu)`, the same law.
     """
     _check_beta(beta)
     mu = _finite_nonnegative(float(mu), "ts_levy_tail: mu")
@@ -403,15 +419,9 @@ def ts_levy_tail(u, beta: float, mu: float):
     if mu == 0.0:
         out = u_arr ** (-beta) / math.gamma(1.0 - beta)
         return float(out) if scalar else out
-    c = beta / math.gamma(1.0 - beta)
     if beta == 0.5:
-        # Gamma(-1/2, z) = 2 (e^-z / sqrt(z) - sqrt(pi) erfc(sqrt(z))), vectorised
-        z = mu * u_arr
-        sq = np.sqrt(z)
-        gam = 2.0 * (np.exp(-z) / sq - math.sqrt(math.pi) * erfc(sq))
-        out = c * math.sqrt(mu) * gam
-        return float(out) if scalar else out
-    out = c * mu ** beta * upper_gamma(-beta, mu * u_arr)
+        return ig_levy_tail(u_arr, ts_half_ig_params(mu))
+    out = beta / math.gamma(1.0 - beta) * mu ** beta * upper_gamma(-beta, mu * u_arr)
     return float(out) if scalar else out
 
 
@@ -675,28 +685,6 @@ class SamplePath:
     def to_csv(self, path) -> None:
         from .tables import write_csv
         write_csv(path, ["t", "value"], zip(self.times, self.values))
-
-
-@dataclass(frozen=True)
-class IGSubordinator:
-    """Inverse Gaussian subordinator as a SubordinatorModel instance."""
-
-    params: IGParams
-    # local power of the Levy tail at 0+ (Pi(u) ~ C u^-p); drives the endpoint
-    # substitution in the hitting-time convolution
-    tail_exponent = 0.5
-
-    def psi(self, s):
-        return ig_psi(s, self.params)
-
-    def levy_tail(self, u):
-        return ig_levy_tail(u, self.params)
-
-    def marginal_pdf(self, u, x):
-        return ig_pdf(u, x, self.params)
-
-    def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
-        return ig_sample(dt, self.params, rng, size)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ from .residuals import (
 )
 from .subordinators import (
     IGParams,
-    IGSubordinator,
     TemperedStableSubordinator,
     ig_levy_tail,
     ts_half_ig_params,
@@ -122,10 +121,9 @@ def _verdict(printed_disc, corrected_disc, tol) -> str:
 
 def _rec_density_two_routes() -> VerificationRecord:
     worst = 0.0
-    model = IGSubordinator(P11)
     xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     for t in (0.5, 1.0, 2.0):
-        conv = hit_pdf_convolution(xs, t, model)
+        conv = hit_pdf_convolution(xs, t, P11)
         for x, c in zip(xs.tolist(), conv.tolist()):
             worst = max(worst, abs(hit_pdf_integral(x, t, P11) - c))
     tol = 1e-6
@@ -253,7 +251,7 @@ def _rec_boundary_value() -> VerificationRecord:
     corrected = hit_boundary_value(t, P11)
     literal = corrected * printed_prefactor_ratio(t, P11)
     levy = ig_levy_tail(t, P11)
-    conv = hit_pdf_convolution(1e-4, t, IGSubordinator(P11))
+    conv = hit_pdf_convolution(1e-4, t, P11)
     tol = 1e-3
     disc_corr = max(abs(corrected - levy), abs(corrected - conv))
     return VerificationRecord(

@@ -47,7 +47,6 @@ from ighit.residuals import (
 from ighit.subordinated import sub_cdf_interpolant, sub_pdf_table
 from ighit.subordinators import (
     IGParams,
-    IGSubordinator,
     ig_cdf,
     ig_sample,
     stable_sample,
@@ -75,11 +74,10 @@ def test_criterion_01_driftless_closed_form():
 def test_criterion_02_two_route_density_equality():
     worst = 0.0
     for params in PARAM_SET:
-        model = IGSubordinator(params)
         for t in (0.5, 1.0, 2.0):
             for x in (0.25, 0.5, 1.0, 2.0, 4.0):
                 diff = abs(hit_pdf_integral(x, t, params)
-                           - hit_pdf_convolution(x, t, model))
+                           - hit_pdf_convolution(x, t, params))
                 worst = max(worst, diff)
     assert worst <= 1e-6
     report(2, f"max route disagreement {worst:.2e} <= 1e-6 on 5x3 grid, 3 parameter sets")

@@ -1,7 +1,8 @@
 """Every public entry point rejects a non-finite or out-of-bound number with DomainError.
 
 Each case passes NaN, +inf and, where the argument has a bound, a value past
-it; the message names the function that checks and the argument at fault.
+it; the message names the function that checks and the argument at fault.  A
+count of draws is an integer, and its message says so in place of "finite".
 """
 
 import math
@@ -34,7 +35,7 @@ from ighit.hitting import (
     tail_report,
     ts_hit_pdf_table,
 )
-from ighit.montecarlo import estimate_moment
+from ighit.montecarlo import ecdf_ks, estimate_moment, ks_critical_1pct
 from ighit.numerics import (
     integrate_interval,
     integrate_semi_infinite,
@@ -51,7 +52,6 @@ from ighit.subordinated import (
 )
 from ighit.subordinators import (
     IGParams,
-    IGSubordinator,
     TemperedStableSubordinator,
     ig_cdf,
     ig_levy_tail,
@@ -100,7 +100,7 @@ CASES = [
     ("ig_pdf: t", lambda v: ig_pdf(1.0, v, P), 0.0),
     ("ig_cdf: t", lambda v: ig_cdf(1.0, v, P), 0.0),
     ("ig_sample: t", lambda v: ig_sample(v, P, _rng()), 0.0),
-    ("ig_sample: t", lambda v: IGSubordinator(P).sample_increment(v, _rng()), -1.0),
+    ("ig_sample: t", lambda v: P.sample_increment(v, _rng()), -1.0),
     ("ig_levy_tail: u", lambda v: ig_levy_tail(v, P), 0.0),
     ("stable_pdf: u", lambda v: stable_pdf(v, 1.0, 0.4), 0.0),
     ("stable_pdf: t", lambda v: stable_pdf(1.0, v, 0.4), 0.0),
@@ -120,8 +120,8 @@ CASES = [
     ("hit_pdf_integral: t", lambda v: hit_pdf_integral(0.5, v, P), 0.0),
     ("hit_pdf_table: x", lambda v: hit_pdf_table([0.5, v], 1.0, P), -0.5),
     ("hit_pdf_table: t", lambda v: hit_pdf_table(0.5, [1.0, v], P), 0.0),
-    ("hit_pdf_convolution: x", lambda v: hit_pdf_convolution(v, 1.0, IGSubordinator(P)), 0.0),
-    ("hit_pdf_convolution: t", lambda v: hit_pdf_convolution(0.5, v, IGSubordinator(P)), 0.0),
+    ("hit_pdf_convolution: x", lambda v: hit_pdf_convolution(v, 1.0, P), 0.0),
+    ("hit_pdf_convolution: t", lambda v: hit_pdf_convolution(0.5, v, P), 0.0),
     ("ts_hit_pdf_table: mu", lambda v: ts_hit_pdf_table([0.5], [1.0], 0.4, v), -0.5),
     ("stable_hit_pdf: x", lambda v: ts_hit_pdf_table([v], [1.0], 0.4, 1.0), 0.0),
     ("stable_hit_pdf: t", lambda v: ts_hit_pdf_table([0.5], [v], 0.4, 1.0), 0.0),
@@ -148,8 +148,8 @@ CASES = [
     ("stable_hit_tail_report: t", lambda v: stable_hit_tail_report(v, 0.4, GRID), 0.0),
     ("stable_hit_tail_report: x_grid", lambda v: stable_hit_tail_report(1.0, 0.4, [*GRID, v]),
      -1.0),
-    ("hitting_path: horizon", lambda v: hitting_path(IGSubordinator(P), v, 0.5, _rng()), None),
-    ("hitting_path: dt", lambda v: hitting_path(IGSubordinator(P), 1.0, v, _rng()), None),
+    ("hitting_path: horizon", lambda v: hitting_path(P, v, 0.5, _rng()), None),
+    ("hitting_path: dt", lambda v: hitting_path(P, 1.0, v, _rng()), None),
     ("sample_hitting_times: t_eval", lambda v: sample_hitting_times(v, 4, P, 0.1, 0), 0.0),
     ("sample_hitting_times: dt", lambda v: sample_hitting_times(1.0, 4, P, v, 0), 0.0),
     ("sample_hitting_times: dt", lambda v: sub_sample_values(1.0, 4, P, v, 0), -1.0),
@@ -171,6 +171,14 @@ CASES = [
     ("residual_pseudo_lt: s_grid", lambda v: residual_pseudo_lt(P, [0.5, v], [0.5]), 0.0),
     ("residual_pseudo_lt: x_grid", lambda v: residual_pseudo_lt(P, [0.5], [0.5, v]), -0.5),
     ("estimate_moment: q", lambda v: estimate_moment(lambda n, rng: np.ones(n), v, 4, 0), None),
+    ("estimate_moment: n must be an integer >= 2",
+     lambda v: estimate_moment(lambda n, rng: np.ones(n), 1.0, v, 0), 2.5),
+    ("sample_hitting_times: n must be an integer >= 1",
+     lambda v: sample_hitting_times(1.0, v, P, 0.1, 0), 2.5),
+    ("sample_hitting_times: n must be an integer >= 1",
+     lambda v: sub_sample_values(1.0, v, P, 0.1, 0), 2.5),
+    ("ecdf_ks: samples", lambda v: ecdf_ks([0.5, v, 0.2], lambda x: x), None),
+    ("ks_critical_1pct: n must be an integer >= 1", ks_critical_1pct, 0),
 ]
 
 PARAMS = [pytest.param(what, call, value, id=f"{what}-{i}-{value}")
@@ -180,5 +188,6 @@ PARAMS = [pytest.param(what, call, value, id=f"{what}-{i}-{value}")
 
 @pytest.mark.parametrize("what, call, value", PARAMS)
 def test_bad_number_raises_naming_the_argument(what, call, value):
-    with pytest.raises(DomainError, match=f"^{what} must be finite"):
+    message = what if " must be " in what else f"{what} must be finite"
+    with pytest.raises(DomainError, match=f"^{message}"):
         call(value)

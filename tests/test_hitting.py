@@ -57,7 +57,6 @@ from ighit.hitting import (
 from ighit.montecarlo import ks_critical_1pct
 from ighit.subordinators import (
     IGParams,
-    IGSubordinator,
     SamplePath,
     TemperedStableSubordinator,
     ig_cdf,
@@ -93,14 +92,13 @@ class TestDensityRoutes:
         assert half_normal_pdf(1.0, 1.0) == pytest.approx(0.483941, abs=5e-7)
 
     def test_two_routes_agree(self, params_11):
-        model = IGSubordinator(params_11)
         for t in (0.5, 1.0):
             for x in (0.25, 0.5, 1.0, 2.0):
                 assert hit_pdf_integral(x, t, params_11) == pytest.approx(
-                    hit_pdf_convolution(x, t, model), abs=1e-8)
+                    hit_pdf_convolution(x, t, params_11), abs=1e-8)
 
     def test_convolution_collapses_to_levy_tail_at_origin(self, params_11):
-        val = hit_pdf_convolution(1e-4, 1.0, IGSubordinator(params_11))
+        val = hit_pdf_convolution(1e-4, 1.0, params_11)
         assert val == pytest.approx(ig_levy_tail(1.0, params_11), abs=1e-3)
 
     def test_ts_convolution_normalises(self):
@@ -147,7 +145,7 @@ class TestDensityRoutes:
         x = frac * (gamma * t + 6.0 * math.sqrt(t)) / delta
         closed = float(hit_pdf_table(x, t, params))
         assert_density_close(hit_pdf_integral(x, t, params), closed)
-        assert_density_close(hit_pdf_convolution(x, t, IGSubordinator(params)), closed)
+        assert_density_close(hit_pdf_convolution(x, t, params), closed)
 
     @pytest.mark.parametrize("delta,gamma,t,x", [
         (1.0, 1e-9, 1.0, 1.0),
@@ -282,7 +280,7 @@ class TestDensityRoutes:
     lambda: hit_lt_time(NAN, 1.0, P11),
     lambda: stable_hit_pdf(1.0, NAN, 0.5),
     lambda: stable_hit_pdf(np.array([1.0, NAN]), 1.0, 0.5),
-    lambda: hit_pdf_convolution(1.0, NAN, IGSubordinator(P11)),
+    lambda: hit_pdf_convolution(1.0, NAN, P11),
     lambda: hit_pdf_convolution(1.0, INF, TemperedStableSubordinator(1.0 / 3.0, 1.0)),
     lambda: hit_lt_space(NAN, 1.0, P11),
     lambda: hit_lt_space(2.0, INF, P11),
@@ -308,12 +306,11 @@ class TestConvolutionTable:
     def test_verify_points_match_the_closed_form(self, params_11):
         # density_two_routes' 15 points, boundary_value's x = 1e-4 at t = 2
         # and pde_ts_n2's corners and centre, at index 1/2, mu = 1
-        model = IGSubordinator(params_11)
         xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
         for t in (0.5, 1.0, 2.0):
-            np.testing.assert_allclose(hit_pdf_convolution(xs, t, model),
+            np.testing.assert_allclose(hit_pdf_convolution(xs, t, params_11),
                                        hit_pdf_table(xs, t, params_11), rtol=1e-13, atol=0.0)
-        near_zero = hit_pdf_convolution(1e-4, 2.0, model)
+        near_zero = hit_pdf_convolution(1e-4, 2.0, params_11)
         assert isinstance(near_zero, float)
         assert near_zero == pytest.approx(float(hit_pdf_table(1e-4, 2.0, params_11)),
                                           rel=1e-13, abs=0.0)
@@ -327,13 +324,12 @@ class TestConvolutionTable:
                                        rtol=1e-13, atol=0.0)
 
     def test_keeps_the_shape_of_x(self, params_11):
-        model = IGSubordinator(params_11)
         xs = np.array([[0.25, 0.5], [1.0, 2.0]])
-        grid = hit_pdf_convolution(xs, 1.0, model)
+        grid = hit_pdf_convolution(xs, 1.0, params_11)
         assert grid.shape == (2, 2)
-        assert np.array_equal(grid.ravel(), hit_pdf_convolution(xs.ravel(), 1.0, model))
+        assert np.array_equal(grid.ravel(), hit_pdf_convolution(xs.ravel(), 1.0, params_11))
         with pytest.raises(DomainError):
-            hit_pdf_convolution(np.array([0.5, 0.0]), 1.0, model)
+            hit_pdf_convolution(np.array([0.5, 0.0]), 1.0, params_11)
 
     def test_self_check_raises_on_a_rule_too_coarse(self, monkeypatch):
         xs = np.array([0.05, 0.5, 1.0, 4.0])
@@ -354,8 +350,7 @@ class TestConvolutionTable:
             raise AssertionError("adaptive quadrature called")
 
         monkeypatch.setattr(hitting, "integrate_interval", refuse)
-        model = IGSubordinator(params_11)
-        assert hit_pdf_convolution(np.array([0.25, 4.0]), 0.5, model).shape == (2,)
+        assert hit_pdf_convolution(np.array([0.25, 4.0]), 0.5, params_11).shape == (2,)
         assert hit_pdf_convolution(0.7, 0.9, TemperedStableSubordinator(0.5, 1.0)) > 0
         delta, gamma, t, x, h = TestDensityRoutes.INTEGRAL_REFERENCE[-1]
         params = IGParams(delta, gamma)
@@ -679,6 +674,16 @@ class TestTransforms:
             out = hit_lt_space_closed(np.array([0.0, 1.0, 2.0, 3.0]), 1e300, IGParams(1.0, 1.0))
         assert np.array_equal(out, [1.0, 0.0, 0.0, 0.0])
 
+    def test_space_transform_at_huge_mu_warns_nothing(self, params_11):
+        # the divided difference ran its Taylor recurrence at every point, where
+        # at mu = 1e200 the powers overflowed; E e^(-mu H) = h(0+, t)/mu + O(mu^-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hit_lt_space_closed(np.array([1e200, 1.0]), 1.0, params_11)
+        assert out[0] == pytest.approx(hit_boundary_value(1.0, params_11) / 1e200,
+                                       rel=1e-14, abs=0.0)
+        assert out[1] == hit_lt_space_closed(1.0, 1.0, params_11)
+
     def test_space_transform_continuous_at_drift(self):
         # the two forms meet at mu = delta*gamma, where z1 = 0
         params = IGParams(1.0, 0.5)
@@ -779,10 +784,37 @@ class TestMoments:
             with pytest.raises(DomainError, match="^hit_moment_quadrature: q must be > -1$"):
                 hit_moment_quadrature(q, 1.0, params_11)
 
-    def test_quadrature_moment_of_negative_order(self, params_10):
-        # the half-normal H(1): E |Z|^(-1/2) = 2^(-1/4) Gamma(1/4) / sqrt(pi)
-        exact = 2.0 ** -0.25 * math.gamma(0.25) / math.sqrt(math.pi)
-        assert hit_moment_quadrature(-0.5, 1.0, params_10) == pytest.approx(exact, rel=1e-7)
+    @pytest.mark.parametrize("q", [-0.5, -0.9, -0.99, -0.999])
+    def test_quadrature_moment_of_negative_order(self, params_10, q):
+        # the half-normal H(t): E H^q = (2t)^(q/2) Gamma((q+1)/2) / (sqrt(pi) delta^q).
+        # In x the quadrature bisected toward the x^q singularity at 0: at
+        # q = -0.99 x^q overflowed, and at q = -0.9 it was off by 6.5e-8
+        for delta, t in ((1.0, 1.0), (2.0, 0.7), (0.5, 3.0)):
+            exact = ((2.0 * t) ** (q / 2.0) * math.gamma((q + 1.0) / 2.0)
+                     / (math.sqrt(math.pi) * delta ** q))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hit_moment_quadrature(q, t, IGParams(delta, 0.0))
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_quadrature_moment_of_negative_order_with_drift(self, params_11):
+        # reference: mpmath 1.3.0 at 40 digits, the integral of x^q (h(x, 1) -
+        # h(0+, 1)) over (0, 1], plus h(0+, 1)/(1+q), plus that of x^q h(x, 1)
+        # beyond 1, h being the running-maximum density of W_s + s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hit_moment_quadrature(-0.99, 1.0, params_11)
+        assert got == pytest.approx(17.39934873368247367670553, rel=1e-12, abs=0.0)
+
+    def test_quadrature_moment_of_high_order_warns_nothing(self, params_10, params_11):
+        # the cutoff's x^q overflowed at the far doublings (2^59)^50; the
+        # half-normal E H(1)^50 = 2^25 Gamma(51/2) / sqrt(pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            driftless = hit_moment_quadrature(50.0, 1.0, params_10)
+            assert hit_moment_quadrature(50.0, 1.0, params_11) > driftless
+        exact = 2.0 ** 25 * math.gamma(25.5) / math.sqrt(math.pi)
+        assert driftless == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_moment_transform_consistency(self, params_11, params_205):
         assert hit_moment(1.0, 1.0, params_11) == pytest.approx(
@@ -915,7 +947,7 @@ class TestPathInversion:
     @pytest.mark.parametrize("horizon, dt", [(1.0, 2.0), (0.0, 0.1), (1.0, 0.0)])
     def test_path_needs_a_step_within_the_horizon(self, params_11, horizon, dt):
         with pytest.raises(DomainError, match="dt <= horizon"):
-            hitting.hitting_path(IGSubordinator(params_11), horizon, dt,
+            hitting.hitting_path(params_11, horizon, dt,
                                  np.random.default_rng(1))
 
     @settings(max_examples=60, deadline=None)
@@ -939,8 +971,7 @@ class TestPathInversion:
         # P(S <= k dt) = P(H(t) < k dt) = hit_cdf(k dt, t)
         n, dt = 4000, 1 / 64
         rng = np.random.default_rng(33)
-        model = IGSubordinator(params_11)
-        paths = np.array([hitting.hitting_path(model, 1.0, dt, rng)[1].values[-1]
+        paths = np.array([hitting.hitting_path(params_11, 1.0, dt, rng)[1].values[-1]
                           for _ in range(n)])
         sampled = sample_hitting_times(1.0, n, params_11, dt, seed=33)
         k = np.arange(1, 641)  # P(H(1) > 10) is below 1e-15

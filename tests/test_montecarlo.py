@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from ighit.errors import DomainError
-from ighit.montecarlo import (
-    HistogramTable,
-    MCEstimate,
-    ecdf_ks,
-    estimate_moment,
-    histogram_density,
-    ks_critical_1pct,
-)
+from ighit.montecarlo import MCEstimate, ecdf_ks, estimate_moment, ks_critical_1pct
 
 
 class TestEstimateMoment:
@@ -92,36 +85,16 @@ class TestKolmogorovSmirnov:
 
 
 class TestHistogram:
-    def test_uniform_heights(self):
-        u = np.random.default_rng(8).uniform(size=200_000)
-        hist = histogram_density(u, bins=10)
-        assert np.allclose(hist.heights, 1.0, atol=0.03)
-
-    def test_mass_exact(self):
-        d = np.random.default_rng(9).standard_normal(5000)
-        hist = histogram_density(d, bins=25)
-        assert hist.mass() == pytest.approx(1.0, rel=1e-12)
-        assert isinstance(hist, HistogramTable)
-
-    def test_min_bins(self):
-        with pytest.raises(DomainError):
-            histogram_density(np.arange(100.0), bins=5)
-
     def test_driftless_hitting_histogram_tracks_density(self, h1_samples_10):
         # bin heights follow the half-normal density within 3 sigma of the
         # per-bin sampling noise
-        hist = histogram_density(h1_samples_10, bins=40)
-        centers = hist.centers()
-        widths = np.diff(hist.edges)
+        heights, edges = np.histogram(h1_samples_10, bins=40, density=True)
+        centers = 0.5 * (edges[1:] + edges[:-1])
+        widths = np.diff(edges)
         density = np.sqrt(2.0 / math.pi) * np.exp(-centers ** 2 / 2.0)
         n = h1_samples_10.size
         p = density * widths
         sigma = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n) / widths
         core = density * widths * n > 50
-        assert np.all(np.abs(hist.heights[core] - density[core])
+        assert np.all(np.abs(heights[core] - density[core])
                       <= 3.0 * sigma[core] + 0.05 * density[core])
-
-    def test_serialisation(self, tmp_path):
-        hist = histogram_density(np.random.default_rng(10).uniform(size=1000), 10)
-        hist.to_csv(tmp_path / "h.csv")
-        assert (tmp_path / "h.csv").read_text().startswith("bin_left,bin_right,density\n")

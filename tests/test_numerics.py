@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,17 @@ class TestErrorFunctions:
             assert fn(np.array(z)) == fn(z)
         assert fn(np.array([])).shape == (0,)
         assert 0.0 < erfc(27.0) < np.finfo(float).tiny  # subnormal, kept exactly
+
+    def test_huge_arguments_warn_nothing(self):
+        # y^2 overflowed in the y > 4 rule and in exp(-y^2) from y = 1.3e154 on,
+        # and beyond 1.1e307 erf and erfc read NaN; there erfcx is 1/(sqrt(pi) y)
+        z = np.array([1e155, 1e300, 1.2e307, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(erf(z) == 1.0) and np.all(erf(-z) == -1.0)
+            assert np.all(erfc(z) == 0.0) and np.all(erfc(-z) == 2.0)
+            assert np.array_equal(erfcx(z), INV_SQRT_PI / z)
+            assert erfcx(1e155) == INV_SQRT_PI / 1e155
 
     @pytest.mark.parametrize("fn", [erf, erfc, erfcx], ids=["erf", "erfc", "erfcx"])
     def test_nan_gives_nan(self, fn):

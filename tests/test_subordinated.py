@@ -21,7 +21,7 @@ from ighit.subordinated import (
     sub_sample_path,
     sub_sample_values,
 )
-from ighit.subordinators import IGParams, IGSubordinator
+from ighit.subordinators import IGParams
 
 
 def _mass_and_second_moment(t, params):
@@ -185,7 +185,7 @@ class TestPaths:
         dt = 1 / 128
         x_path = sub_sample_path(params_11, 1.0, dt, np.random.default_rng(seed))
         # rebuild the driving clock with the same stream to locate its plateaus
-        h_path = hitting_path(IGSubordinator(params_11), 1.0, dt, np.random.default_rng(seed))[1]
+        h_path = hitting_path(params_11, 1.0, dt, np.random.default_rng(seed))[1]
         assert np.array_equal(h_path.times, x_path.times)
         dh = np.diff(h_path.values)
         dx = np.diff(x_path.values)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -21,7 +22,6 @@ from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import (
     PASS_BLOCK,
     IGParams,
-    IGSubordinator,
     SamplePath,
     TemperedStableSubordinator,
     _ig_cdf,
@@ -65,7 +65,19 @@ class TestIGDistribution:
         p = IGParams(1.0, 0.7)
         u = np.linspace(0.05, 4.0, 40)
         a = 1.5201862298474473
-        assert np.array_equal(IGSubordinator(p).marginal_pdf(u, a), ig_pdf(u, a, p))
+        assert np.array_equal(p.marginal_pdf(u, a), ig_pdf(u, a, p))
+
+    def test_params_are_the_model(self):
+        # the members delegate to the ig_* functions; tail_exponent is a class
+        # constant, not a field, so equality and hashing see delta and gamma only
+        p = IGParams(1.0, 0.7)
+        assert [f.name for f in dataclasses.fields(p)] == ["delta", "gamma"]
+        assert p.tail_exponent == 0.5 and p == IGParams(1.0, 0.7)
+        s = np.linspace(0.0, 4.0, 9)
+        assert np.array_equal(p.psi(s), ig_psi(s, p))
+        assert np.array_equal(p.levy_tail(s[1:]), ig_levy_tail(s[1:], p))
+        draws = p.sample_increment(0.3, np.random.default_rng(5), size=7)
+        assert np.array_equal(draws, ig_sample(0.3, p, np.random.default_rng(5), 7))
 
     def test_pdf_and_cdf_broadcast_over_time(self):
         p = IGParams(1.3, 0.7)
@@ -198,7 +210,7 @@ class TestLevyTailAndExponent:
         lambda: ts_psi(-1e-12, 1.0 / 3.0, 0.0),
         lambda: TemperedStableSubordinator(0.5, 0.0).psi(-1.0),
         lambda: TemperedStableSubordinator(0.5, 1.0).psi(np.array([0.0, -1.5])),
-        lambda: IGSubordinator(IGParams(1.0, 1.0)).psi(complex(-1.0, 0.0)),
+        lambda: IGParams(1.0, 1.0).psi(complex(-1.0, 0.0)),
     ], ids=["ig", "ig_driftless_array", "ts", "ts_untempered", "stable", "ts_model",
             "ig_model_on_cut"])
     def test_psi_rejects_real_s_below_domain(self, call):
@@ -232,7 +244,7 @@ class TestLevyTailAndExponent:
 
     def test_psi_increasing_and_concave(self):
         ss = np.linspace(0.0, 8.0, 200)
-        for model in (IGSubordinator(IGParams(1.0, 1.0)),
+        for model in (IGParams(1.0, 1.0),
                       TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             vals = np.asarray(model.psi(ss))
@@ -242,7 +254,7 @@ class TestLevyTailAndExponent:
 
     def test_levy_tail_nonincreasing(self):
         us = np.linspace(0.05, 5.0, 120)
-        for model in (IGSubordinator(IGParams(1.0, 1.0)),
+        for model in (IGParams(1.0, 1.0),
                       TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             tails = np.asarray(model.levy_tail(us))
@@ -258,7 +270,7 @@ class TestLevyTailAndExponent:
 
     def test_tail_exponent_consistency(self):
         # s * LT(levy_tail)(s) recovers the Laplace exponent
-        for model in (IGSubordinator(IGParams(1.0, 1.0)),
+        for model in (IGParams(1.0, 1.0),
                       TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             p_exp = model.tail_exponent
@@ -272,7 +284,7 @@ class TestLevyTailAndExponent:
 
     def test_marginal_lt_consistency(self):
         # LT of the marginal density equals exp(-x psi(s))
-        for model in (IGSubordinator(IGParams(1.0, 1.0)),
+        for model in (IGParams(1.0, 1.0),
                       TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             for x in (0.5, 1.0, 2.0):
@@ -284,7 +296,7 @@ class TestLevyTailAndExponent:
                                                 abs=1e-6)
 
     def test_marginal_mass(self):
-        for model in (IGSubordinator(IGParams(1.0, 1.0)),
+        for model in (IGParams(1.0, 1.0),
                       TemperedStableSubordinator(0.5, 0.0),
                       TemperedStableSubordinator(0.5, 1.0)):
             for x in (0.5, 1.0, 2.0):
@@ -475,6 +487,16 @@ class TestStableFamily:
             lambda y: c * np.exp(-mu * (0.7 + y)) * (0.7 + y) ** (-beta - 1.0))
         assert ts_levy_tail(0.7, beta, mu) == pytest.approx(quad, rel=1e-8)
 
+    @pytest.mark.parametrize("u, value", [
+        (10.0, 3.556945250450337202370249e-7), (316.0, 2.895729149014565647073973e-142)])
+    def test_half_index_tail_far_out(self, u, value):
+        # the index-1/2 tail is the IG tail of ts_half_ig_params(mu):
+        # e^(-mu u)/sqrt(pi u) - sqrt(mu) erfc(sqrt(mu u)), which cancels as mu u
+        # grows.  References: mpmath 1.3.0 at 50 digits, from that closed form
+        # and from Gamma(-1/2, mu u) / (2 sqrt(pi)) alike, at mu = 1
+        assert ts_levy_tail(u, 0.5, 1.0) == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert ts_levy_tail(u, 0.5, 1.0) == ig_levy_tail(u, ts_half_ig_params(1.0))
+
     def test_ts_levy_tail_third_index(self):
         beta, mu = 1.0 / 3.0, 0.8
         c = beta / math.gamma(1.0 - beta)
@@ -549,11 +571,11 @@ NAN = math.nan
     lambda: ts_psi(-math.inf, 0.5, 1.0),
     lambda: TemperedStableSubordinator(0.5, 0.0).psi(NAN),
     lambda: TemperedStableSubordinator(0.5, 1.0).psi(math.inf),
-    lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), math.inf, 0.1,
+    lambda: hitting_path(IGParams(1.0, 1.0), math.inf, 0.1,
                          np.random.default_rng(0)),
-    lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), NAN, 0.1,
+    lambda: hitting_path(IGParams(1.0, 1.0), NAN, 0.1,
                          np.random.default_rng(0)),
-    lambda: hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1e300, 1e-300,
+    lambda: hitting_path(IGParams(1.0, 1.0), 1e300, 1e-300,
                          np.random.default_rng(0)),
 ], ids=["ig_tail_u_nan", "ig_tail_u_inf", "ig_pdf_x_nan", "stable_tail_u_nan",
         "ts_tail_half_u_nan", "ts_tail_untempered_u_nan", "ts_pdf_u_nan", "ts_pdf_t_nan",
@@ -901,7 +923,7 @@ class TestSamplers:
 class TestPaths:
     def test_monotone_and_shape(self):
         rng = np.random.default_rng(3)
-        path = hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 16, rng)[0]
+        path = hitting_path(IGParams(1.0, 1.0), 1.0, 1 / 16, rng)[0]
         # a first piece of 2 horizon, 32 steps, on the grid dt k
         assert path.times.size >= 33
         assert np.array_equal(path.times, np.arange(path.times.size) / 16)
@@ -911,7 +933,7 @@ class TestPaths:
 
     def test_endpoint_mean(self):
         rng = np.random.default_rng(12)
-        model = IGSubordinator(IGParams(1.0, 1.0))
+        model = IGParams(1.0, 1.0)
         ends = np.array([hitting_path(model, 1.0, 1 / 8, rng)[0].values[8]
                          for _ in range(10 ** 4)])
         se = ends.std() / math.sqrt(ends.size)
@@ -952,14 +974,14 @@ class TestPaths:
 
     def test_increments_uncorrelated(self):
         rng = np.random.default_rng(14)
-        path = hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1250.0, 1 / 16, rng)[0]
+        path = hitting_path(IGParams(1.0, 1.0), 1250.0, 1 / 16, rng)[0]
         incs = np.diff(path.values)
         lag1 = np.corrcoef(incs[:-1], incs[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(incs.size)
 
     def test_path_serialisation_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)
-        path = hitting_path(IGSubordinator(IGParams(1.0, 1.0)), 1.0, 1 / 4, rng)[0]
+        path = hitting_path(IGParams(1.0, 1.0), 1.0, 1 / 4, rng)[0]
         csv_file = tmp_path / "path.csv"
         path.to_csv(csv_file)
         rows = csv_file.read_text().strip().split("\n")
