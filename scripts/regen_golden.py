@@ -6,8 +6,11 @@ writes its output files into tests/golden/ and prints one line per file: `new`,
 A change that moves a golden file names it, with its move, in CHANGES.md.
 
 Usage, from the repository root:  python3 scripts/regen_golden.py
+It takes no arguments: `--help` prints this usage, and any other argument is
+a usage error (exit 2); neither writes a file.
 """
 
+import argparse
 import contextlib
 import io
 import pathlib
@@ -20,7 +23,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from test_golden import CASES, GOLDEN_DIR, max_number_move, produce  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):

@@ -330,42 +330,37 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ighit",
-        description="Inverse Gaussian subordinator hitting times: densities, "
-                    "transforms, moments, paths, PDE residual checks, and a "
-                    "formula verification report.")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("density", help="hitting-time density on an x grid")
+def _density_flags(p):
     _add_common(p)
     p.add_argument("--t", type=positive_float, required=True)
     p.add_argument("--x", type=grid_spec, default=grid_spec("0:3:0.1"))
     p.add_argument("--mode", choices=("corrected", "literal"), default="corrected")
     p.set_defaults(func=cmd_density)
 
-    p = subs.add_parser("cdf", help="hitting-time distribution function")
+
+def _cdf_flags(p):
     _add_common(p)
     p.add_argument("--t", type=positive_float, required=True)
     p.add_argument("--x", type=grid_spec, default=grid_spec("0:3:0.1"))
     p.set_defaults(func=cmd_cdf)
 
-    p = subs.add_parser("moments", help="moments of the hitting time")
+
+def _moments_flags(p):
     _add_common(p)
     p.add_argument("--t", type=float_list, default=[1.0])
     p.add_argument("--q", type=float_list, default=[1.0, 2.0])
     p.add_argument("--variance", action="store_true")
     p.set_defaults(func=cmd_moments)
 
-    p = subs.add_parser("tail", help="survival values against the tail envelope")
+
+def _tail_flags(p):
     _add_common(p)
     p.add_argument("--t", type=positive_float, required=True)
     p.add_argument("--x", type=grid_spec, default=grid_spec("2:8:0.25"))
     p.set_defaults(func=cmd_tail)
 
-    p = subs.add_parser("lt", help="Laplace transforms of the density")
+
+def _lt_flags(p):
     _add_common(p)
     p.add_argument("--which", choices=("time", "space", "llt"), default="time")
     p.add_argument("--x", type=nonneg_float, default=0.7)
@@ -375,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float_list, default=[1.0, 2.0])
     p.set_defaults(func=cmd_lt)
 
-    p = subs.add_parser("paths", help="simulate a subordinator path and its inverse")
+
+def _paths_flags(p):
     _add_common(p, with_format=False)
     p.add_argument("--T", type=positive_float, default=5.0,
                    help="time horizon of the inverse process")
@@ -387,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true", help="also write an SVG plot")
     p.set_defaults(func=cmd_paths)
 
-    p = subs.add_parser("subordinated", help="density (and path) of Brownian "
-                                             "motion on the hitting-time clock")
+
+def _subordinated_flags(p):
     _add_common(p)
     p.add_argument("--t", type=positive_float, default=1.0)
     p.add_argument("--x", type=grid_spec, default=grid_spec("-4:4:0.1"))
@@ -398,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_subordinated)
 
-    p = subs.add_parser("stable", help="stable hitting-time density and tail")
+
+def _stable_flags(p):
     _add_common(p, with_params=False)
     p.add_argument("--beta", type=positive_float, default=0.5)
     p.add_argument("--t", type=positive_float, default=1.0)
@@ -407,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="x grid for a tail report (e.g. 8:16:0.5)")
     p.set_defaults(func=cmd_stable)
 
-    p = subs.add_parser("pde-check", help="finite-difference residual of a "
-                                          "differential identity")
+
+def _pde_check_flags(p):
     _add_common(p, with_format=False)
     p.add_argument("--pde", choices=sorted(list(PDE_BOXES) + ["pseudo-lt"]),
                    required=True)
@@ -421,17 +418,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual-csv", dest="residual_csv", default=None)
     p.set_defaults(func=cmd_pde_check)
 
-    p = subs.add_parser("verify", help="run the formula verification battery")
+
+def _verify_flags(p):
     _add_common(p, with_params=False, with_format=False)
     p.add_argument("--only", default=None,
                    help="run only records whose id contains this substring")
     p.set_defaults(func=cmd_verify)
 
+
+# command -> its help line and the function that adds its flags, in the order
+# of `ighit -h`
+_COMMANDS = {
+    "density": ("hitting-time density on an x grid", _density_flags),
+    "cdf": ("hitting-time distribution function", _cdf_flags),
+    "moments": ("moments of the hitting time", _moments_flags),
+    "tail": ("survival values against the tail envelope", _tail_flags),
+    "lt": ("Laplace transforms of the density", _lt_flags),
+    "paths": ("simulate a subordinator path and its inverse", _paths_flags),
+    "subordinated": ("density (and path) of Brownian motion on the hitting-time clock",
+                     _subordinated_flags),
+    "stable": ("stable hitting-time density and tail", _stable_flags),
+    "pde-check": ("finite-difference residual of a differential identity", _pde_check_flags),
+    "verify": ("run the formula verification battery", _verify_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone: a parser with one
+    subparser reads that command's argv as the full parser does, and its
+    usage names every command."""
+    parser = _Parser(
+        prog="ighit",
+        description="Inverse Gaussian subordinator hitting times: densities, "
+                    "transforms, moments, paths, PDE residual checks, and a "
+                    "formula verification report.")
+    parser.add_argument("--version", action="version", version=__version__)
+    # one subparser's usage still lists every command (argparse's own metavar
+    # for all of them, which their errors name "command")
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (text, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(subs.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argv that starts with a command needs that command's subparser alone;
+    # any other argv (`-h`, `--version`, an unknown command) needs all of them
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

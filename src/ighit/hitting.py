@@ -53,6 +53,7 @@ from .subordinators import (
     IGParams,
     SamplePath,
     _check_beta,
+    _ig_cdf,
     ig_cdf,
     ig_levy_tail,
     ig_psi,
@@ -186,8 +187,10 @@ def hit_pdf_convolution(xs, t: float, model):
     return float(q) if q.ndim == 0 else q
 
 
-# Gauss nodes per panel and panels per decade of w; the self-check doubles the nodes
+# Gauss nodes per panel of the returned rule and of its self-check, and panels
+# per decade of w
 _TS_NODES = 16
+_TS_CHECK_NODES = 12
 _TS_PANELS_PER_DECADE = 16
 
 
@@ -231,8 +234,10 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     own panel, the integral of the Legendre interpolant of its node values
     (int_-1^s P_n = (P_n+1(s) - P_n-1(s))/(2n + 1); Greengard, SIAM J. Numer.
     Anal. 28, 1991): no node is placed at any t.  NumericalInstability is
-    raised where the rule with doubled nodes differs by more than 1e-8 of a
-    column's peak.
+    raised where the 12-node rule on the same panels differs from the
+    returned 16-node one by more than 1e-8 of a column's peak: the 12-node
+    rule is the less accurate, so a pass bounds the 16-node table's error
+    at least as tightly as a pass against 32 nodes would.
     """
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     if xs.ndim != 1 or ts.ndim != 1:
@@ -254,7 +259,7 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     s = np.clip((u - mid[at]) / half[at], -1.0, 1.0)
     rows = np.arange(xs.size)[:, None]
     tables = []
-    for nodes in (_TS_NODES, 2 * _TS_NODES):
+    for nodes in (_TS_NODES, _TS_CHECK_NODES):
         z, w = _gauss_rule(nodes)
         y = mid[:, None] + half[:, None] * z
         f = (scale * y - mean[..., None]) * np.exp(lam[..., None] - mu * scale * y) \
@@ -264,10 +269,11 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
         left = np.cumsum(panels[:, :-1], axis=1)[rows, at] + part
         right = np.cumsum(panels[:, :0:-1], axis=1)[:, ::-1][rows, at] - part
         tables.append(table + mu / (beta * xs[:, None]) * np.where(ts <= mean, left, -right))
-    err = np.max(np.abs(tables[0] - tables[1]) / np.max(np.abs(tables[1]), axis=0))
+    err = np.max(np.abs(tables[0] - tables[1]) / np.max(np.abs(tables[0]), axis=0))
     if not err <= 1e-8:
-        raise NumericalInstability(f"the duality rule and its doubled nodes differ by {err:.2e} "
-                                   f"of a column's peak at index {beta}, mu {mu}")
+        raise NumericalInstability(f"the duality rule's {_TS_NODES} and {_TS_CHECK_NODES} nodes "
+                                   f"differ by {err:.2e} of a column's peak at index {beta}, "
+                                   f"mu {mu}")
     return tables[0]
 
 
@@ -276,9 +282,32 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def hit_cdf(x, t: float, params: IGParams):
-    """P(H(t) <= x) = P(G(x) >= t) = 1 - `hit_survival`, for x >= 0."""
-    _finite_nonnegative(x, "hit_cdf: x")
-    return 1.0 - hit_survival(x, t, params)
+    """P(H(t) <= x) = P(G(x) >= t), for x >= 0.
+
+    With A = (delta x - gamma t)/sqrt(t) and V = (delta x + gamma t)/sqrt(t)
+    it is (1/2) e^(-A^2/2) [erfcx(-A/sqrt(2)) - erfcx(V/sqrt(2))]
+    = -(1/2) delta x sqrt(2/t) e^(-A^2/2) s(-A/sqrt(2), V/sqrt(2)), s being
+    the divided difference `_erfcx_slope`, which is negative: nothing
+    cancels, so the left tail keeps its relative accuracy down to the
+    underflow of e^(-A^2/2).  That form is taken where A <= 1, and
+    1 - `hit_survival` above, where the survival is below 1/2.
+    """
+    x_arr = _finite_nonnegative(np.asarray(x, dtype=float), "hit_cdf: x")
+    t = float(_finite_positive(t, "hit_cdf: t"))
+    d, g = params.delta, params.gamma
+    sq = math.sqrt(t)
+    a = (d * x_arr - g * t) / sq
+    out = np.zeros(x_arr.shape)
+    right = a > 1.0
+    if right.any():
+        # `hit_survival`'s `ig_cdf` without its checks, which x and t have passed
+        out[right] = 1.0 - _ig_cdf(t, d * x_arr[right], g)
+    left = ~right & (x_arr > 0)
+    if left.any():
+        dx, al = d * x_arr[left], a[left]
+        out[left] = (-0.5 * dx * math.sqrt(2.0 / t) * np.exp(-0.5 * al * al)
+                     * _erfcx_slope(-al / SQRT2, (dx + g * t) / (sq * SQRT2)))
+    return float(out) if out.ndim == 0 else out
 
 
 def hit_survival(x, t: float, params: IGParams):
@@ -378,14 +407,17 @@ def _erfcx_slope(a, b):
     derivative at m, whose next term is below 1e-17 of the first; the
     derivatives follow from f1 = 2m f - 2/sqrt(pi) and
     f(n+1) = 2m fn + 2n f(n-1).  The series runs at those points only: at
-    large m or h its recurrence and powers overflow.
+    large m or h its recurrence and powers overflow.  One `erfcx` call, which
+    takes each point alone, serves a, b and those m.
     """
     h = 0.5 * (a - b)
     near = np.abs(h) < 0.01
-    out = (erfcx(a) - erfcx(b)) / np.where(near, 1.0, a - b)
+    m = 0.5 * (a[near] + b[near])
+    fa, fb, fm = np.split(erfcx(np.concatenate((a, b, m))), (a.size, 2 * a.size))
+    out = (fa - fb) / np.where(near, 1.0, a - b)
     if near.any():
-        m, h = 0.5 * (a[near] + b[near]), h[near]
-        f = [erfcx(m)]
+        h = h[near]
+        f = [fm]
         f.append(2.0 * m * f[0] - 2.0 * INV_SQRT_PI)
         for n in range(1, 7):
             f.append(2.0 * m * f[n] + 2.0 * n * f[n - 1])
@@ -495,30 +527,43 @@ def hit_variance(t: float, params: IGParams) -> float:
 
 
 _DOUBLINGS = 2.0 ** np.arange(60)
+# the doublings tried at every t; the rest only at the t where none of these is
+# short enough
+_FIRST_DOUBLINGS = 8
 
 
 def density_support_cutoff(t, params: IGParams, weight_power: float = 0.0,
                            tail_tol: float = 1e-9):
     """First x = max(1, 2 gamma t/delta) * 2^k, k < 60, with x^q * P(H(t) > x) < tail_tol.
 
-    Broadcast over t: all 60 candidates of every t go through one
-    `ig_cdf` call, the duality route of `hit_survival`.  Used to truncate
-    quadratures of the density: the exact survival only picks the truncation
-    point, it never enters the integral value.
+    Broadcast over t: the candidates k < 8 of every t go through one
+    `ig_cdf` call, the duality route of `hit_survival`, and the other 52
+    through a second call at only the t where none of the first 8 qualified.
+    `ig_cdf` takes each point alone, so the cutoff is the one a search over
+    all 60 would find.  Used to truncate quadratures of the density: the
+    exact survival only picks the truncation point, it never enters the
+    integral value.
     """
     _finite_positive(t, "density_support_cutoff: t")
     t_arr = np.asarray(t, dtype=float)
-    x0 = np.maximum(1.0, 2.0 * params.gamma * t_arr / params.delta)
-    xs = x0[..., None] * _DOUBLINGS
-    # x^q overflows at the far doublings for large q, where the survival is 0:
-    # those candidates read inf or NaN, never below the tolerance
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = xs ** weight_power * ig_cdf(t_arr[..., None], xs, params)
-    below = tail < tail_tol
-    if not below.any(axis=-1).all():
+    ts = t_arr.ravel()
+    x0 = np.maximum(1.0, 2.0 * params.gamma * ts / params.delta)
+    cut = np.empty(ts.shape)
+    todo = np.arange(ts.size)
+    for ks in (_DOUBLINGS[:_FIRST_DOUBLINGS], _DOUBLINGS[_FIRST_DOUBLINGS:]):
+        xs = x0[todo, None] * ks
+        # x^q overflows at the far doublings for large q, where the survival is 0:
+        # those candidates read inf or NaN, never below the tolerance
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = xs ** weight_power * ig_cdf(ts[todo, None], xs, params) < tail_tol
+        found = below.any(axis=-1)
+        cut[todo[found]] = xs[found, below[found].argmax(axis=-1)]
+        todo = todo[~found]
+        if todo.size == 0:
+            break
+    else:
         raise NonConvergence("could not locate a density support cutoff")
-    cut = np.take_along_axis(xs, below.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-    return float(cut) if t_arr.ndim == 0 else cut
+    return float(cut[0]) if t_arr.ndim == 0 else cut.reshape(t_arr.shape)
 
 
 def hit_moment_quadrature(q: float, t: float, params: IGParams) -> float:

@@ -75,7 +75,7 @@ def ecdf_ks(samples, analytic_cdf) -> float:
     s = np.sort(_finite(np.asarray(samples, dtype=float), "ecdf_ks: samples"))
     n = s.size
     if n < 2:
-        raise DomainError("need at least two samples")
+        raise DomainError("ecdf_ks: samples must hold at least two values")
     cdf_vals = np.asarray(analytic_cdf(s), dtype=float)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf_vals)

@@ -7,9 +7,10 @@ is a list of (coefficient, axis, order) terms, where orders 1 to 4 are
 central stencils and order 1/2 is the L1 Caputo derivative.  An
 integer-order check halves both steps at the second level, and a
 second-order stencil set should show a refinement ratio near 4; a Caputo
-check halves the step of its Caputo axis only, takes its coarse level as
-every other point of the fine table, and the L1 scheme should show a ratio
-near 2^(3/2).  Dirac source terms are
+check halves the step of its Caputo axis only, and the L1 scheme should
+show a ratio near 2^(3/2).  Every check tabulates once, at the fine steps,
+and takes its coarse level as every other point of that table along each
+halved axis.  Dirac source terms are
 handled by domain restriction: every grid is interior to the region where
 those terms vanish, so the identities hold classically there.  A negative
 control, such as the printed hitting density, is a `perturb(x, t, table)` hook.
@@ -215,11 +216,6 @@ def _report(levels: list, label: str, extra: dict) -> ResidualReport:
     return replace(fine, refinement_ratio=ratio, fitted_order=order, label=label, extra=extra)
 
 
-def _grid(lo: float, hi: float, h: float, margin: int) -> np.ndarray:
-    n = int(round((hi - lo) / h))
-    return lo + h * np.arange(-margin, n + margin + 1)
-
-
 # ---------------------------------------------------------------------------
 # Residuals of term-list operators
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def _pde(table, box: GridBox, terms: list, perturb, label: str, extra: dict,
          signs=(1.0,)) -> tuple:
     """Residual of the sum of c d^k F / d axis^k over `terms`, (c, axis, k)
     each, F being `table(xs, ts)`: one report per entry of `signs`, which
-    multiplies the t-terms, all from one tabulation per level.
+    multiplies the t-terms, all from one tabulation.
 
     An axis's grid margin is the widest stencil half-width on it, every term
     is cut to the reported points, and the terms are summed in the listed
@@ -243,51 +239,57 @@ def _pde(table, box: GridBox, terms: list, perturb, label: str, extra: dict,
     steps, unless a term has order 1/2: the grid of its axis then starts at 0,
     where F is 0 rather than tabulated, its points below the box are dropped,
     and its step alone is halved, the other being fixed small so that the fit
-    sees the L1 order.  Only the fine level is then tabulated; the coarse one
-    takes every other point of it along that axis.
+    sees the L1 order.  F is tabulated once, at the fine steps, over the
+    points of both levels: a halved axis runs from 2m fine steps below its
+    start (m its margin) to max(n_f, 2 n_c) + 2m above, n_f and n_c being the
+    fine and coarse step counts to the far edge, which need not be
+    n_f = 2 n_c.  The fine level takes its own points of that table, and the
+    coarse level every other point along each halved axis: start + (h/2)(2j)
+    is start + h j bit for bit.
     """
     frac = next((axis for _, axis, k in terms if k == _HALF), None)
     margin = [max((_STENCILS[k][1] for _, a, k in terms if a == axis), default=0)
               for axis in (_X, _T)]
     lo, hi = (box.x0, box.t0), (box.x1, box.t1)
+    start = [0.0 if a == frac else lo[a] for a in (_X, _T)]
+    coarse = (box.dx, box.dt)
+    halved = [2 if frac in (None, a) else 1 for a in (_X, _T)]
+    fine = tuple(h / r for h, r in zip(coarse, halved))
 
-    # one level's reports and its table before `perturb`; a given F is that
-    # table, sliced from a finer level's
-    def run(steps, F=None):
-        grids = [_grid(0.0 if a == frac else lo[a], hi[a], steps[a], margin[a])
-                 for a in (_X, _T)]
-        if F is None:
-            F = table(*(g[1:] if a == frac else g for a, g in enumerate(grids)))
-            if frac is not None:
-                F = np.insert(F, 0, 0.0, axis=frac)
-        tabulated = F
-        F = _perturbed(perturb, *grids, F)
-        # the [start, stop) of the reported points on each axis of F
+    def count(a, h):
+        return int(round((hi[a] - start[a]) / h))
+
+    grids = [start[a] + fine[a] * np.arange(-r * m, max(count(a, fine[a]), r * count(a, h))
+                                            + r * m + 1)
+             for a, (r, m, h) in enumerate(zip(halved, margin, coarse))]
+    F = table(*(g[1:] if a == frac else g for a, g in enumerate(grids)))
+    if frac is not None:
+        F = np.insert(F, 0, 0.0, axis=frac)
+
+    # the reports of the level whose step is q fine steps on each axis: its
+    # points j = -m .. n + m are every q-th point of the table from fine index -q m
+    def run(steps, q):
+        cut = tuple(slice((r - s) * m, r * m + s * (count(a, steps[a]) + m) + 1, s)
+                    for a, (r, s, m) in enumerate(zip(halved, q, margin)))
+        grids_l = [g[c] for g, c in zip(grids, cut)]
+        F_l = _perturbed(perturb, *grids_l, F[cut])
+        # the [start, stop) of the reported points on each axis of F_l
         keep = [(int(np.searchsorted(g, lo[a] - 1e-12)), g.size) if a == frac
-                else (margin[a], g.size - margin[a]) for a, g in enumerate(grids)]
+                else (margin[a], g.size - margin[a]) for a, g in enumerate(grids_l)]
         scaled = []
         for c, axis, k in terms:
             stencil, half = _STENCILS[k]
-            cut = tuple(slice(start - half * (a == axis), stop - half * (a == axis))
-                        for a, (start, stop) in enumerate(keep))
-            scaled.append((axis, c * stencil(F, steps[axis], axis)[cut]))
-        xs, ts = (g[start:stop] for g, (start, stop) in zip(grids, keep))
+            part = tuple(slice(begin - half * (a == axis), stop - half * (a == axis))
+                         for a, (begin, stop) in enumerate(keep))
+            scaled.append((axis, c * stencil(F_l, steps[axis], axis)[part]))
+        xs, ts = (g[begin:stop] for g, (begin, stop) in zip(grids_l, keep))
         signed = ([sign * P if axis == _T else P for axis, P in scaled] for sign in signs)
-        levels = [_level(xs, ts, sum(parts[1:], parts[0]), parts, steps) for parts in signed]
-        return levels, tabulated
+        return [_level(xs, ts, sum(parts[1:], parts[0]), parts, steps) for parts in signed]
 
-    coarse = (box.dx, box.dt)
-    fine = tuple(h / 2 if frac in (None, a) else h for a, h in enumerate(coarse))
-    if frac is None:
-        levels = run(coarse)[0], run(fine)[0]
-    else:
-        # the coarse Caputo grid is every other fine point from 0, bit for
-        # bit, and the other grid the same, so the coarse table is a slice of
-        # the fine one; the fine level runs first, which lowers the check's
-        # tracemalloc peak
-        fine_levels, F = run(fine)
-        levels = run(coarse, F[::2] if frac == _X else F[:, ::2])[0], fine_levels
-    return tuple(_report(pair, label, extra) for pair in zip(*levels))
+    # the fine level first: while its larger temporaries are alive, no other
+    # level's reports are held yet, which lowers the check's tracemalloc peak
+    fine_levels = run(fine, (1, 1))
+    return tuple(_report(pair, label, extra) for pair in zip(run(coarse, halved), fine_levels))
 
 
 def residual_hitting_pde(params: IGParams, box: GridBox, *, perturb=None) -> ResidualReport:
@@ -428,9 +430,10 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
     h~(x + step, s) = e^(-step Psi(s)) h~(x, s) on the closed-form transform,
     where it is exact and the residual is pure rounding; there is one level,
     so the refinement ratio is NaN.  source='numeric' tests the transform
-    obtained by integrating the tabulated density over t (`_numeric_lt`),
-    with a central difference in x at two steps for the refinement record;
-    there every x must exceed the coarse step.
+    obtained by integrating the tabulated density over t, with a central
+    difference in x at two steps for the refinement record: one
+    `_numeric_lt` table holds x and x -+ step at both steps.  There every x
+    must exceed the coarse step.
     """
     if source not in ("closed", "numeric"):
         raise DomainError("source must be 'closed' or 'numeric'")
@@ -443,21 +446,17 @@ def residual_pseudo_lt(params: IGParams, s_grid, x_grid, *,
         raise DomainError(f"x_grid must exceed the step {_LT_STEP} at source='numeric'")
     psi = ig_psi(s_arr, params)
 
-    def table(xs):
-        if source == "numeric":
-            return _numeric_lt(params, xs, s_arr)
-        return np.array([hit_lt_time(float(x), s_arr, params) for x in xs])
-
-    h = table(x_arr)
     if source == "closed":
-        shifted = table(x_arr + _LT_STEP)
+        h, shifted = (np.array([hit_lt_time(float(x), s_arr, params) for x in xs])
+                      for xs in (x_arr, x_arr + _LT_STEP))
         decayed = np.exp(-_LT_STEP * psi) * h
         level = _level(x_arr, s_arr, shifted - decayed, [shifted, decayed], (_LT_STEP, 0.0))
         return _report([level], "pseudo_lt_closed", {"source": source})
 
-    def run(step):
-        deriv = (table(x_arr + step) - table(x_arr - step)) / (2.0 * step)
-        return _level(x_arr, s_arr, deriv + psi * h, [psi * h], (step, 0.0))
-
-    return _report([run(_LT_STEP), run(_LT_STEP / 2)], "pseudo_lt_numeric",
-                   {"source": source})
+    steps = (_LT_STEP, _LT_STEP / 2)
+    shifts = np.array([0.0] + [sign * step for step in steps for sign in (1.0, -1.0)])
+    h, *shifted = _numeric_lt(params, (x_arr + shifts[:, None]).ravel(), s_arr).reshape(
+        shifts.size, x_arr.size, s_arr.size)
+    levels = [_level(x_arr, s_arr, (up - down) / (2.0 * step) + psi * h, [psi * h], (step, 0.0))
+              for step, up, down in zip(steps, shifted[::2], shifted[1::2])]
+    return _report(levels, "pseudo_lt_numeric", {"source": source})

@@ -126,7 +126,7 @@ CASES = [
     ("stable_hit_pdf: x", lambda v: ts_hit_pdf_table([v], [1.0], 0.4, 1.0), 0.0),
     ("stable_hit_pdf: t", lambda v: ts_hit_pdf_table([0.5], [v], 0.4, 1.0), 0.0),
     ("hit_cdf: x", lambda v: hit_cdf(v, 1.0, P), -0.5),
-    ("hit_survival: t", lambda v: hit_cdf(0.5, v, P), 0.0),
+    ("hit_cdf: t", lambda v: hit_cdf(0.5, v, P), 0.0),
     ("hit_survival: x", lambda v: hit_survival(v, 1.0, P), None),
     ("hit_survival: t", lambda v: hit_survival(0.5, v, P), 0.0),
     ("hit_lt_time: x", lambda v: hit_lt_time(v, 1.0, P), -0.5),

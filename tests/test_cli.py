@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ighit import cli
 from ighit.cli import build_parser, grid_spec, main
 from ighit.hitting import (
     hit_llt,
@@ -350,6 +351,56 @@ def test_every_grid_flag_takes_a_negative_start_after_a_space(argv, flag):
     for grid in ("-2:2:0.5", "-.5:1:0.5", "-1e-1:1:0.1"):
         args = build_parser().parse_args(argv + [f"--{flag}", grid])
         assert np.array_equal(getattr(args, flag), grid_spec(grid))
+
+
+def _parse_outcome(parse, argv, capsys):
+    """Exit code, standard output and standard error of parsing argv."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+class TestParserStartup:
+    """`main` builds the subparser of the command it runs, or all of them."""
+
+    # argv, exit code and a line that the output holds
+    CASES = {
+        "help": (["-h"], 0, "{density,cdf,moments,tail,lt,paths,subordinated,stable,pde-check,"
+                            "verify}"),
+        "command_help": (["density", "-h"], 0, "usage: ighit density [-h]"),
+        "unknown_command": (["foo"], 2, "ighit: error: argument command: invalid choice: "
+                                        "'foo' (choose from 'density', 'cdf'"),
+        "missing_t": (["density"], 2, "ighit density: error: the following arguments are "
+                                      "required: --t"),
+        "extra_argument": (["density", "--t", "1", "extra"], 2,
+                           "ighit: error: unrecognized arguments: extra"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_output_as_from_the_full_parser(self, name, capsys):
+        argv, code, line = self.CASES[name]
+        lazy = _parse_outcome(main, argv, capsys)
+        full = _parse_outcome(build_parser().parse_args, argv, capsys)
+        assert lazy == full and lazy[0] == code
+        assert line in (lazy[1] if code == 0 else lazy[2])
+
+    @pytest.mark.parametrize("argv,built", [
+        (["verify", "--only", "nothing-matches"], ["verify"]),
+        (["-h"], list(cli._COMMANDS)),
+        (["foo"], list(cli._COMMANDS)),
+    ], ids=["command", "help", "unknown"])
+    def test_builds_only_the_named_command(self, argv, built, monkeypatch, capsys, tmp_path):
+        added = []
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            name: (text, lambda p, add=add, name=name: (added.append(name), add(p)))
+            for name, (text, add) in cli._COMMANDS.items()})
+        try:
+            run_in(tmp_path, argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert added == built
 
 
 class TestLtCommand:

@@ -11,8 +11,12 @@ moved, and by how much.
 """
 
 import math
+import os
 import pathlib
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +114,21 @@ def test_number_comparison():
     assert max_number_move('{"a": 1.0}', '{"a": NaN}') == math.inf
     assert max_number_move('{"a": 1.0}', '{"b": 1.0}') is None
     assert max_number_move('{"a": [1.0]}', '{"a": [1.0, 2.0]}') is None
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2), (["x"], 2)],
+                         ids=["help", "unknown_flag", "positional"])
+def test_regen_script_refuses_arguments_without_writing(argv, code, tmp_path):
+    # a copy of the script and of this module, so that a script which ignored
+    # its arguments would rewrite the copy's golden files, not these
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for part in ("scripts/regen_golden.py", "tests/test_golden.py"):
+        (tmp_path / part).parent.mkdir(exist_ok=True)
+        shutil.copy(root / part, tmp_path / part)
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts/regen_golden.py"), *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert "usage: regen_golden.py" in (proc.stdout if code == 0 else proc.stderr)
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "regen_golden.py", "test_golden.py"]

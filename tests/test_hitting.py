@@ -65,7 +65,7 @@ from ighit.subordinators import (
     stable_pdf,
     ts_half_ig_params,
 )
-from ighit.residuals import GridBox, _grid
+from ighit.residuals import GridBox
 
 
 def half_normal_pdf(x, t):
@@ -376,22 +376,16 @@ class TestTemperedStableTables:
             assert float(hit_pdf_table(x, t, params)) == pytest.approx(
                 hit_pdf_convolution(x, t, model), rel=1e-8)
 
-    @staticmethod
-    def _levels():
-        # both refinement levels of the pde_ts_n3_sign record's grid
-        box = GridBox(0.5, 1.0, 0.6, 1.0, 1 / 8, 1 / 8)
-        for lev in range(2):
-            yield (_grid(box.x0, box.x1, box.dx / 2 ** lev, 2),
-                   _grid(box.t0, box.t1, box.dt / 2 ** lev, 1))
-
     def test_index_third_grid_matches_convolution(self):
+        # the one table of the pde_ts_n3_sign record: both levels' points and
+        # margins at the fine step 1/16
         rng = np.random.default_rng(5)
         model = TemperedStableSubordinator(1.0 / 3.0, 1.0)
-        for xs, ts in self._levels():
-            table = ts_hit_pdf_table(xs, ts, 1.0 / 3.0, 1.0)
-            for i, j in zip(rng.integers(xs.size, size=8), rng.integers(ts.size, size=8)):
-                assert table[i, j] == pytest.approx(
-                    hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
+        xs, ts = 0.5 + np.arange(-4, 13) / 16, 0.6 + np.arange(-2, 9) / 16
+        table = ts_hit_pdf_table(xs, ts, 1.0 / 3.0, 1.0)
+        for i, j in zip(rng.integers(xs.size, size=16), rng.integers(ts.size, size=16)):
+            assert table[i, j] == pytest.approx(
+                hit_pdf_convolution(float(xs[i]), float(ts[j]), model), rel=1e-8)
 
     def test_general_index_grid_matches_convolution(self):
         xs, ts = np.linspace(0.5, 1.0, 5), np.array([0.6, 0.8, 1.0])
@@ -424,9 +418,9 @@ class TestTemperedStableTables:
 
     @pytest.mark.parametrize("mu", [0.0, 1.0, 3.0])
     @pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.7, 0.9])
-    def test_full_grid_passes_its_doubled_rule(self, beta, mu):
+    def test_full_grid_passes_its_self_check(self, beta, mu):
         # the 80 x 30 grid of the ts_hit_table layers; NumericalInstability
-        # would mean the 16- and 32-node rules differ by 1e-8 of a column's peak
+        # would mean the 16- and 12-node rules differ by 1e-8 of a column's peak
         table = ts_hit_pdf_table(np.linspace(0.05, 4.0, 80), np.linspace(0.1, 3.0, 30), beta, mu)
         assert table.shape == (80, 30) and np.all(np.isfinite(table))
         assert np.all(table >= -1e-12 * table.max(axis=0))
@@ -478,16 +472,20 @@ class TestTemperedStableTables:
         full = sizes[1:]
         sizes.clear()
         ts_hit_pdf_table(np.array([0.05, 4.0]), np.array([0.1, 3.0]), 0.7, 1.0)
-        assert len(full) == 2 and full[1] == 2 * full[0] and sizes[1:] == full
+        # the returned 16-node rule, then its 12-node check on the same panels
+        assert len(full) == 2 and 12 * full[0] == 16 * full[1] and sizes[1:] == full
 
     @pytest.mark.parametrize("mu", [0.0, 1.0])
     def test_empty_grid(self, mu):
         assert ts_hit_pdf_table(np.array([]), np.array([1.0]), 0.7, mu).shape == (0, 1)
         assert ts_hit_pdf_table(np.array([1.0]), np.array([]), 0.7, mu).shape == (1, 0)
 
-    def test_short_rule_raises(self, monkeypatch):
-        # one panel per decade leaves the 16-node rule short of its doubling
-        monkeypatch.setattr(hitting, "_TS_PANELS_PER_DECADE", 1)
+    @pytest.mark.parametrize("per_decade", [1, 0.5, 2])
+    def test_short_rule_raises(self, per_decade, monkeypatch):
+        # coarse panels leave the 16-node rule and its 12-node check apart:
+        # by 3.8e-3 of a column's peak at one panel per decade, 0.17 at one per
+        # two decades and 4.4e-8 at two per decade
+        monkeypatch.setattr(hitting, "_TS_PANELS_PER_DECADE", per_decade)
         with pytest.raises(NumericalInstability):
             ts_hit_pdf_table(np.array([0.05, 0.5, 1.0, 4.0]), np.array([0.1, 1.0, 3.0]),
                              1.0 / 3.0, 1.0)
@@ -516,6 +514,44 @@ class TestDistributionFunction:
         fd = (hit_cdf(0.7 + step, 1.0, params_11)
               - hit_cdf(0.7 - step, 1.0, params_11)) / (2.0 * step)
         assert fd == pytest.approx(hit_pdf_integral(0.7, 1.0, params_11), abs=1e-5)
+
+    # (delta, gamma, t, x, P(H(t) <= x)): Phi(A) - e^(2 gamma delta x) Phi(-V),
+    # A, V = (delta x -+ gamma t)/sqrt(t), by mpmath 1.3.0 at 700 working
+    # digits, which leave over 60 after the cancellation, printed to 20.  They
+    # span A from -30 to 4.2, on both sides of the switch at A = 1
+    CDF_REFERENCE = [
+        (1, 1, 1, 1e-17, "1.6663094117537261035e-18"),
+        (1, 1, 1, 1e-12, "1.6663094117553922436e-13"),
+        (1, 1, 1, 1e-08, "1.6663094284168201505e-9"),
+        (1, 1, 1, 0.0001, "1.6664760457376888719e-5"),
+        (1, 1, 1, 0.5, "1.269367375066439458e-1"),
+        (1, 1, 1, 1.9, "7.325358100827190912e-1"),
+        (1, 1, 1, 2.1, "7.9980803086067513052e-1"),
+        (1, 1, 1, 4.0, "9.9779560567567855631e-1"),
+        (1, 0, 1, 1e-10, "7.9788456080286538495e-11"),
+        (1, 0, 2, 1.0, "5.2049987781304653768e-1"),
+        (1, 0, 0.5, 3.0, "9.9997790950300141456e-1"),
+        (0.1, 0.001, 1000.0, 1e-06, "2.424393983403599908e-9"),
+        (10, 20, 0.001, 0.001, "1.2022970572782955549e-1"),
+        (2, 5, 4, 0.001, "1.5099354259732599313e-27"),
+        (1, 20, 1, 1.0, "8.0828663732942988358e-82"),
+        (1, 2, 10, 15.0, "4.6678472365419341195e-2"),
+        (1, 1, 1000.0, 50.0, "1.3344622540294290756e-199"),
+        (0.5, 2, 0.01, 1e-14, "3.0689463586327954713e-14"),
+        (3, 0.5, 100, 2.0, "1.088759400643999119e-6"),
+        (1, 3, 2, 6.0, "4.5361171609973082281e-1"),
+        (5, 1, 0.001, 0.02, "9.9827070695937935015e-1"),
+        (1, 1, 1000.0, 900.0, "7.3797474013591917636e-4"),
+        (1, 1, 1000.0, 1031.6, "8.3740221716004598842e-1"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta,gamma,t,x,value", CDF_REFERENCE)
+    def test_matches_mpmath(self, delta, gamma, t, x, value):
+        # 1 - hit_survival returned 0 at x = 1e-17 and was 8.1e-5 off at 1e-12
+        got = hit_cdf(x, t, IGParams(delta, gamma))
+        assert got == pytest.approx(float(value), rel=1e-12, abs=0.0)
+        assert hit_cdf(np.array([x]), t, IGParams(delta, gamma))[0] == got
 
     def test_monotone_in_x_and_t(self, params_11):
         xs = np.linspace(0.0, 6.0, 61)
@@ -729,6 +765,27 @@ class TestSupportCutoff:
         assert np.array_equal(cut, scalar)
         walk = [_cutoff_by_doubling(float(t), params, weight_power) for t in ts[::20]]
         assert np.array_equal(cut[::20], walk)
+
+    def test_matches_a_search_over_all_sixty_doublings(self):
+        # the cutoff takes the first 8 doublings everywhere and the other 52 at
+        # the t that need them; a search over all 60 at every t agrees bit for bit
+        rng = np.random.default_rng(36)
+        late = 0
+        for _ in range(60):
+            params = IGParams(float(rng.uniform(0.1, 5.0)),
+                              float(rng.choice([0.0, rng.uniform(0.0, 20.0)])))
+            ts = np.exp(rng.uniform(-7.0, 7.0, int(rng.integers(1, 40))))
+            q, tol = float(rng.uniform(0.0, 40.0)), 10.0 ** rng.uniform(-14.0, -3.0)
+            x0 = np.maximum(1.0, 2.0 * params.gamma * ts / params.delta)
+            xs = x0[:, None] * 2.0 ** np.arange(60)
+            with np.errstate(over="ignore", invalid="ignore"):
+                below = xs ** q * ig_cdf(ts[:, None], xs, params) < tol
+            assert below.any(axis=-1).all()
+            k = below.argmax(axis=-1)
+            late += np.count_nonzero(k >= 8)
+            cut = density_support_cutoff(ts, params, weight_power=q, tail_tol=tol)
+            assert np.array_equal(cut, xs[np.arange(ts.size), k])
+        assert late > 0  # 64 of the 1,149 times need a doubling past the eighth
 
     def test_shape_follows_t(self):
         ts = np.array([[0.5, 1.0], [2.0, 4.0]])

@@ -78,6 +78,11 @@ class TestKolmogorovSmirnov:
         d = ecdf_ks(u, lambda x: np.clip(x, 0.0, 1.0))
         assert d > 5.0 * ks_critical_1pct(u.size)
 
+    @pytest.mark.parametrize("samples", [[], [0.5]], ids=["none", "one"])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(DomainError, match="^ecdf_ks: samples"):
+            ecdf_ks(samples, lambda x: x)
+
     def test_hitting_time_samples_match_duality_cdf(self, params_11, h1_samples_11):
         from ighit.hitting import hit_cdf
         d = ecdf_ks(h1_samples_11, lambda x: hit_cdf(x, 1.0, params_11))

@@ -26,11 +26,17 @@ from ighit.residuals import (
     residual_subordinated,
     residual_subordinated_frac,
     residual_ts_pde,
-    _grid,
     _numeric_lt,
 )
 from ighit.subordinators import IGParams, ig_pdf, ig_psi
 from ighit.verification import _rec_llt, _rec_pde_ts_n3_sign
+
+
+def _grid(lo, hi, h, margin):
+    """lo + h j for j = -margin .. n + margin, n = round((hi - lo) / h): one
+    axis of a check's box at step h with its stencil margin."""
+    n = int(round((hi - lo) / h))
+    return lo + h * np.arange(-margin, n + margin + 1)
 
 
 def perturb(x, t, values):
@@ -197,18 +203,6 @@ class TestSecondOrderResiduals:
         assert flipped.norms["max_rel"] > 10.0 * printed.norms["max_rel"]
         assert flipped.refinement_ratio < 1.5
 
-    def test_ts_one_tabulation_per_level_for_both_signs(self, monkeypatch):
-        calls = []
-        table = residuals.ts_hit_pdf_table
-
-        def counted(*args):
-            calls.append(args)
-            return table(*args)
-
-        monkeypatch.setattr(residuals, "ts_hit_pdf_table", counted)
-        reports = residual_ts_pde(3, 1.0, PDE_BOXES["ts3"])
-        assert len(calls) == 2 and len(reports) == 2
-
     def test_ts_n3_record_matches_separate_calls(self, ts_n3_signs):
         # the verify record tabulates F once for both signs
         printed, flipped = ts_n3_signs
@@ -279,12 +273,13 @@ class TestPseudoTransformResidual:
         params = IGParams(float(delta), float(gamma))
         s = np.array(s_grid)
         x = np.array(x_grid)
-        # every x the residual tabulates: the grid and its shifts by both steps
-        for xs in (x, x + _LT_STEP, x - _LT_STEP, x + _LT_STEP / 2, x - _LT_STEP / 2):
-            numeric = _numeric_lt(params, xs, s)
-            closed = np.array([[hit_lt_time(float(xv), float(sv), params) for sv in s]
-                               for xv in xs])
-            assert np.allclose(numeric, closed, rtol=1e-13, atol=0.0)
+        # the one table the residual takes: the grid and its shifts by both steps
+        xs = np.concatenate([x + shift for shift in
+                             (0.0, _LT_STEP, -_LT_STEP, _LT_STEP / 2, -_LT_STEP / 2)])
+        numeric = _numeric_lt(params, xs, s)
+        closed = np.array([[hit_lt_time(float(xv), float(sv), params) for sv in s]
+                           for xv in xs])
+        assert np.allclose(numeric, closed, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("source", ["closed", "numeric"])
     def test_empty_grids_rejected(self, params_11, source):
@@ -317,6 +312,125 @@ class TestPseudoTransformResidual:
         assert 3.0 <= rep.refinement_ratio <= 5.0
         rec = _rec_llt()
         assert rec.verdict == "confirmed" and rec.discrepancy < 1e-14
+
+
+P11 = IGParams(1.0, 1.0)
+# each grid check and the numeric transform check, with the table function
+# of `residuals` that it calls
+TABLED_CHECKS = {
+    "hitting": ("hit_pdf_table", lambda: residual_hitting_pde(P11, PDE_BOXES["hitting"])),
+    "ig": ("ig_pdf", lambda: residual_ig_pde(P11, PDE_BOXES["ig"])),
+    "ts2": ("hit_pdf_table", lambda: residual_ts_pde(2, 1.0, PDE_BOXES["ts2"])),
+    "ts3": ("ts_hit_pdf_table", lambda: residual_ts_pde(3, 1.0, PDE_BOXES["ts3"])),
+    "subordinated": ("sub_pdf_table",
+                     lambda: residual_subordinated(P11, PDE_BOXES["subordinated"])),
+    "frac-hitting": ("hit_pdf_table", lambda: residual_frac_hitting(PDE_BOXES["frac-hitting"])),
+    "frac-ig": ("ig_pdf", lambda: residual_frac_ig(PDE_BOXES["frac-ig"])),
+    "frac-subordinated": ("sub_pdf_table",
+                          lambda: residual_subordinated_frac(PDE_BOXES["frac-subordinated"])),
+    "pseudo-lt": ("_numeric_lt", lambda: residual_pseudo_lt(
+        P11, [0.5, 1.0], [0.5, 0.9], source="numeric")),
+}
+
+
+def _pde_per_level(table, box, terms, perturb, label, extra, signs=(1.0,)):
+    """`residuals._pde` with each level tabulated on its own grid, from 0 on a
+    Caputo axis and with the level's own margin on the others."""
+    frac = next((a for _, a, k in terms if k == residuals._HALF), None)
+    margin = [max((residuals._STENCILS[k][1] for _, a, k in terms if a == axis), default=0)
+              for axis in (0, 1)]
+    lo, hi = (box.x0, box.t0), (box.x1, box.t1)
+
+    def run(steps):
+        grids = [_grid(0.0 if a == frac else lo[a], hi[a], steps[a], margin[a])
+                 for a in (0, 1)]
+        F = table(*(g[1:] if a == frac else g for a, g in enumerate(grids)))
+        if frac is not None:
+            F = np.insert(F, 0, 0.0, axis=frac)
+        F = residuals._perturbed(perturb, *grids, F)
+        keep = [(int(np.searchsorted(g, lo[a] - 1e-12)), g.size) if a == frac
+                else (margin[a], g.size - margin[a]) for a, g in enumerate(grids)]
+        scaled = []
+        for c, axis, k in terms:
+            stencil, half = residuals._STENCILS[k]
+            cut = tuple(slice(b - half * (a == axis), e - half * (a == axis))
+                        for a, (b, e) in enumerate(keep))
+            scaled.append((axis, c * stencil(F, steps[axis], axis)[cut]))
+        xs, ts = (g[b:e] for g, (b, e) in zip(grids, keep))
+        signed = ([sign * P if axis == 1 else P for axis, P in scaled] for sign in signs)
+        return [residuals._level(xs, ts, sum(parts[1:], parts[0]), parts, steps)
+                for parts in signed]
+
+    coarse = (box.dx, box.dt)
+    fine = tuple(h / 2 if frac in (None, a) else h for a, h in enumerate(coarse))
+    return tuple(residuals._report(pair, label, extra) for pair in zip(run(coarse), run(fine)))
+
+
+def _reports(check):
+    out = check()
+    return out if isinstance(out, tuple) else (out,)
+
+
+class TestOneTabulation:
+    """Each check tabulates once; its coarse level is a slice of the fine table."""
+
+    @pytest.mark.parametrize("name", list(TABLED_CHECKS))
+    def test_one_table_call_per_check(self, name, monkeypatch):
+        function, check = TABLED_CHECKS[name]
+        calls = []
+        table = getattr(residuals, function)
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(residuals, function, counted)
+        reports = _reports(check)
+        assert len(calls) == 1
+        assert len(reports) == (2 if name in ("ts2", "ts3") else 1)
+
+    # the closed-form checks on their record boxes, the literal control, and
+    # boxes whose fine step count is below twice the coarse one (6.6 coarse
+    # steps: 7 coarse, 13 fine), on an integer-order and on a Caputo axis
+    CLOSED_FORM = {
+        "hitting": lambda: residual_hitting_pde(P11, PDE_BOXES["hitting"]),
+        "hitting_literal": lambda: residual_hitting_pde(
+            P11, PDE_BOXES["hitting"],
+            perturb=lambda x, t, h: h * printed_prefactor_ratio(t, P11)),
+        "ig": lambda: residual_ig_pde(P11, PDE_BOXES["ig"]),
+        "ts2": lambda: residual_ts_pde(2, 1.0, PDE_BOXES["ts2"]),
+        "frac-hitting": lambda: residual_frac_hitting(PDE_BOXES["frac-hitting"]),
+        "frac-ig": lambda: residual_frac_ig(PDE_BOXES["frac-ig"]),
+        "hitting_short_edge": lambda: residual_hitting_pde(
+            P11, GridBox(0.4, 1.06, 0.5, 1.16, 0.1, 0.1)),
+        "frac-hitting_short_edge": lambda: residual_frac_hitting(
+            GridBox(0.25, 1.0, 0.3, 0.66, 1 / 64, 0.1)),
+    }
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM))
+    def test_closed_form_reports_equal_a_table_per_level(self, name, monkeypatch):
+        check = self.CLOSED_FORM[name]
+        sliced = _reports(check)
+        monkeypatch.setattr(residuals, "_pde", _pde_per_level)
+        for got, ref in zip(sliced, _reports(check), strict=True):
+            assert np.array_equal(got.x, ref.x) and np.array_equal(got.t, ref.t)
+            assert np.array_equal(got.residuals, ref.residuals)
+            assert got.norms == ref.norms and got.steps == ref.steps
+            assert got.refinement_ratio == ref.refinement_ratio
+            assert got.label == ref.label and got.extra == ref.extra
+
+    @pytest.mark.parametrize("name", ["ts3", "subordinated", "frac-subordinated"])
+    def test_shared_rule_reports_near_a_table_per_level(self, name, monkeypatch):
+        # these tables share one quadrature rule over their grid, which the
+        # union of both levels' points moves: by 1.2e-7 of the ratio at most
+        check = TABLED_CHECKS[name][1]
+        sliced = _reports(check)
+        monkeypatch.setattr(residuals, "_pde", _pde_per_level)
+        for got, ref in zip(sliced, _reports(check), strict=True):
+            assert np.array_equal(got.x, ref.x) and np.array_equal(got.t, ref.t)
+            assert got.refinement_ratio == pytest.approx(ref.refinement_ratio, rel=1e-6)
+            for key in ("max_abs", "rms", "scale"):
+                assert got.norms[key] == pytest.approx(ref.norms[key], rel=1e-6)
 
 
 class TestNegativeControlsAndDeterminism:

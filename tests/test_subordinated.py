@@ -12,7 +12,6 @@ from ighit.hitting import (
     hitting_path,
 )
 from ighit.numerics import composite_gauss, integrate_interval
-from ighit.residuals import _grid
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinated import (
     sub_cdf_interpolant,
@@ -90,12 +89,13 @@ class TestDensity:
         assert np.max(np.abs(tab - scal)) < 1e-10
 
     @pytest.mark.parametrize("gamma,xs,ts", [
-        # both levels of the pde_frac_subordinated and pde_subordinated records'
-        # grids: 96 and 48 times on 4 cutoffs, 27 times on 25 and 15 on 13
-        (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128),
-        (1.0, _grid(0.3, 1.5, 1 / 48, 2), _grid(0.5, 1.0, 1 / 48, 1)),
-        (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 49) / 64),
-        (1.0, _grid(0.3, 1.5, 1 / 24, 2), _grid(0.5, 1.0, 1 / 24, 1)),
+        # the tables of the pde_frac_subordinated and pde_subordinated records,
+        # 96 times on 4 cutoffs and 29 on 26, and grids at twice their steps,
+        # 48 times on 4 cutoffs and 15 on 13
+        (0.0, 0.25 + (1 / 128) * np.arange(-1, 130), np.arange(1, 97) / 128),
+        (1.0, 0.3 + np.arange(-4, 63) * (1 / 48), 0.5 + np.arange(-2, 27) * (1 / 48)),
+        (0.0, 0.25 + (1 / 128) * np.arange(-1, 130), np.arange(1, 49) / 64),
+        (1.0, 0.3 + (1 / 24) * np.arange(-2, 32), 0.5 + (1 / 24) * np.arange(-1, 14)),
         # several batches of x, repeated times
         (0.5, np.linspace(-6.0, 6.0, 600), np.array([2.0, 0.3, 1.0, 0.3])),
     ], ids=["frac_box", "pde_box", "frac_box_coarse", "pde_box_coarse", "batches"])
@@ -110,22 +110,22 @@ class TestDensity:
                                   _table_at_one_time(xs, float(t), params))
 
     @pytest.mark.parametrize("gamma,xs,ts,points", [
-        # the fine levels of the pde_subordinated and pde_frac_subordinated
+        # the tables of the pde_subordinated and pde_frac_subordinated
         # records; reference values from mpmath at 30 digits: the mixture
         # sqrt(2/pi) * integral over v of e^(-x^2/2v^2) h(v^2, t), h in closed
         # form with erfcx = e^(z^2) erfc(z), by tanh-sinh quadrature on
         # [0, x/8, x/4, x/2, x, 2x, 1, 2, 3, 4, 6, inf], which Gauss-Legendre
         # quadrature on the same cells matched to all 30 digits
-        (1.0, _grid(0.3, 1.5, 1 / 48, 2), _grid(0.5, 1.0, 1 / 48, 1), [
-            (0, 0, 0.476017981152261636596949798239),
-            (0, 23, 0.381403045336335123569491087199),
-            (62, 26, 0.120081125194907781399426065733),
-            (31, 13, 0.232045403711055827949491705797),
-            (10, 20, 0.338580656334290782066098630502),
-            (20, 2, 0.301305352810904935164274956179),
-            (50, 5, 0.136077540789269094124362554316),
+        (1.0, 0.3 + np.arange(-4, 63) * (1 / 48), 0.5 + np.arange(-2, 27) * (1 / 48), [
+            (2, 1, 0.476017981152261636596949798239),
+            (2, 24, 0.381403045336335123569491087199),
+            (64, 27, 0.120081125194907781399426065733),
+            (33, 14, 0.232045403711055827949491705797),
+            (12, 21, 0.338580656334290782066098630502),
+            (22, 3, 0.301305352810904935164274956179),
+            (52, 6, 0.136077540789269094124362554316),
         ]),
-        (0.0, _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128, [
+        (0.0, 0.25 + (1 / 128) * np.arange(-1, 130), np.arange(1, 97) / 128, [
             (0, 0, 0.79621688944694951560498262394),
             (0, 10, 0.726006139902271189761722068882),
             (0, 43, 0.608808504660384559413759321492),
@@ -143,7 +143,7 @@ class TestDensity:
     def test_weight_blocks_hold_peak_memory(self):
         # the pde_frac_subordinated record's fine grid, 131 x by 96 t: blocked
         # weights keep the table under the battery's peak (pde_frac_hitting)
-        xs, ts = _grid(0.25, 1.25, 1 / 128, 1), np.arange(1, 97) / 128
+        xs, ts = 0.25 + (1 / 128) * np.arange(-1, 130), np.arange(1, 97) / 128
         params = IGParams(1.0, 0.0)
         tracemalloc.start()
         try:
