@@ -77,6 +77,18 @@ def convolution_tables(ig, np) -> list:
     return [ig.hit_pdf_convolution(np.array(xs), t, model) for model, t, xs in sets]
 
 
+def pde_grids(np) -> dict:
+    """The x and t points of the one table that `residuals._pde` makes for the
+    pde_ts_n3_sign (PDE_BOXES["ts3"], 17 x 11) and pde_subordinated
+    (PDE_BOXES["subordinated"], 67 x 29) records: both refinement levels at
+    the fine step, half the box's, with the stencil margins, bit for bit as
+    start + step * index there.
+    """
+    ts3, sub = (1.0 / 8.0) / 2.0, (1.0 / 24.0) / 2.0
+    return {"ts3": (0.5 + ts3 * np.arange(-4, 13), 0.6 + ts3 * np.arange(-2, 9)),
+            "subordinated": (0.3 + sub * np.arange(-4, 63), 0.5 + sub * np.arange(-2, 27))}
+
+
 # name, items per call, call(ig, np, rng, n).  The density layers pass their
 # IGParams through HittingDensityEval/SubordinatedEval because --baseline runs
 # these calls against older checkouts too, whose density functions take only
@@ -162,13 +174,12 @@ LAYERS = (
     ("sub_pdf_table", 256,
      lambda ig, np, rng, n: ig.sub_pdf_table(np.linspace(-4.0, 4.0, n), 1.0,
                                              ig.SubordinatedEval(ig.IGParams(1.0, 1.0)))),
-    # the fine levels of the pde_subordinated (63 x 27, gamma 1) and
-    # pde_frac_subordinated (131 x 96, gamma 0) grids, whose times span
-    # several cutoffs, and the driftless hitting table on pde_frac_hitting's
-    # fine grid (323 x 128)
-    ("sub_pdf_table_pde_grid", 63 * 27,
-     lambda ig, np, rng, n: ig.sub_pdf_table(0.3 + np.arange(-2, 61) / 48.0,
-                                             0.5 + np.arange(-1, 26) / 48.0,
+    # the one table of the pde_subordinated record (67 x 29, gamma 1), the
+    # fine level of pde_frac_subordinated (131 x 96, gamma 0), whose times
+    # span several cutoffs, and the driftless hitting table on
+    # pde_frac_hitting's fine grid (323 x 128)
+    ("sub_pdf_table_subordinated_record", 67 * 29,
+     lambda ig, np, rng, n: ig.sub_pdf_table(*pde_grids(np)["subordinated"],
                                              ig.SubordinatedEval(ig.IGParams(1.0, 1.0)))),
     ("sub_pdf_table_frac_grid", 131 * 96,
      lambda ig, np, rng, n: ig.sub_pdf_table(0.25 + np.arange(-1, 130) / 128.0,
@@ -179,18 +190,16 @@ LAYERS = (
                                              np.arange(1, 129)[None, :] / 128.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 0.0)))),
     # the tempered-stable hitting table at indices 0.7 and 0.2 (the widest
-    # unit-law ladder) on an 80 x 30 grid, and at index 1/3 on both
-    # refinement levels of the pde_ts_n3_sign record's grid
+    # unit-law ladder) on an 80 x 30 grid, and at index 1/3 the one table of
+    # the pde_ts_n3_sign record (17 x 11)
     ("ts_hit_table_0.7", 80 * 30,
      lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
                                                 np.linspace(0.1, 3.0, 30), 0.7, 1.0)),
     ("ts_hit_table_0.2", 80 * 30,
      lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
                                                 np.linspace(0.1, 3.0, 30), 0.2, 1.0)),
-    ("ts_hit_table_third_ts3", 9 * 6 + 13 * 9,
-     lambda ig, np, rng, n: [ig.ts_hit_pdf_table(0.5 + h * np.arange(-2, nx + 3),
-                                                 0.6 + h * np.arange(-1, nt + 2), 1.0 / 3.0, 1.0)
-                             for h, nx, nt in ((1.0 / 8.0, 4, 3), (1.0 / 16.0, 8, 6))]),
+    ("ts_hit_table_ts3_record", 17 * 11,
+     lambda ig, np, rng, n: ig.ts_hit_pdf_table(*pde_grids(np)["ts3"], 1.0 / 3.0, 1.0)),
     # the grids of the pde_ts_n3_sign (PDE_BOXES["ts3"], both signs),
     # pde_subordinated, pde_frac_hitting, pde_frac_ig, pde_frac_subordinated
     # and (numeric transform) pde_pseudo_lt records of `ighit verify`: one

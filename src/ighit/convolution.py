@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import NumericalInstability
-from .numerics import _N_HIGH, _N_LOW, _gauss_rule, geomspace
+from .numerics import _kronrod_rule, geomspace
 
 # The convolution's fixed rules, (Gauss panels per decade of its two geometric
 # ladders, where the ladder at the tail's singular end stops as a share of
@@ -23,7 +23,7 @@ from .numerics import _N_HIGH, _N_LOW, _gauss_rule, geomspace
 # at most about e^-L, L = _CONV_DEPTH; e^-750 is 0 in float64.
 _CONV_RULES = ((2, 1e-2), (6, 1e-8))
 _CONV_DEPTH = 750.0
-# the self-check's bound on the summed 15/31-node difference, relative to
+# the self-check's bound on the summed |K31 - G15| difference, relative to
 # |q|; below the floor the products are subnormal and hold no relative digits
 _CONV_REL_TOL = 1e-10
 _CONV_FLOOR = 1e-300
@@ -44,42 +44,41 @@ def _convolution_table(xs: np.ndarray, t: float, model, y_lo: float) -> np.ndarr
     A rule: [0, y_lo] and a geometric ladder in y up to t/2; then, over the
     singular end, v = (t - y)^(1-p) on [0, v_lo] and a geometric ladder in
     t - y from its bottom to t/2 (uniform cells in v would each span
-    decades of t - y near index 1, where the marginal peaks).  Every cell takes both of
-    `integrate_interval`'s Gauss rules (15 and 31 nodes); the levy tail is
-    evaluated once, the marginal once per x.  The 31-node sum passes where
-    the summed 15/31 difference is at most max(_CONV_REL_TOL |q|, _CONV_FLOOR)
-    at every x; NumericalInstability is raised where no rule passes.
+    decades of t - y near index 1, where the marginal peaks).  Every cell takes
+    `integrate_interval`'s Gauss-Kronrod 15/31 pair on its 31 nodes; the levy
+    tail is evaluated once, the marginal once per x.  The Kronrod sum passes
+    where the summed |K31 - G15| difference is at most
+    max(_CONV_REL_TOL |q|, _CONV_FLOOR) at every x; NumericalInstability is
+    raised where no rule passes.
     """
     p = model.tail_exponent
     k = 1.0 / (1.0 - p)
     half_t = 0.5 * t
-    (zl, wl), (zh, wh) = _gauss_rule(_N_LOW), _gauss_rule(_N_HIGH)
-    z, w = np.concatenate([zl, zh]), np.concatenate([wl, wh])
+    z, wk, wg = _kronrod_rule()
     for panels, end in _CONV_RULES:
         y_edges = _conv_ladder(y_lo, half_t, panels)
         v_edges = _conv_ladder(half_t * end, half_t, panels) ** (1.0 - p)
-        lo = np.concatenate([y_edges[:-1], v_edges[:-1]])[:, None]
-        hi = np.concatenate([y_edges[1:], v_edges[1:]])[:, None]
-        # one row per cell: its 15 nodes, then its 31; y itself on the
-        # ladder, as t - (t - y) loses y's digits as y -> 0
-        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * z
-        weights = 0.5 * (hi - lo) * w
+        lo = np.concatenate([y_edges[:-1], v_edges[:-1]])
+        hi = np.concatenate([y_edges[1:], v_edges[1:]])
+        half = 0.5 * (hi - lo)
+        # one row per cell, its 31 nodes; y itself on the ladder, as
+        # t - (t - y) loses y's digits as y -> 0
+        nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * z
         ny = y_edges.size - 1
         y, v = nodes[:ny], nodes[ny:]
         d = v ** k
-        weights[ny:] *= k * v ** (k - 1.0)
-        tail = model.levy_tail(np.concatenate([t - y, d])) * weights
+        tail = model.levy_tail(np.concatenate([t - y, d]))
+        tail[ny:] *= k * v ** (k - 1.0)
         terms = model.marginal_pdf(np.concatenate([y, t - d]), xs[:, None, None]) * tail
-        low = terms[..., :_N_LOW].sum(axis=-1)
-        high = terms[..., _N_LOW:].sum(axis=-1)
+        high = half * (terms @ wk)
         q = high.sum(axis=-1)
-        err = np.abs(high - low).sum(axis=-1)
+        err = np.abs(high - half * (terms[..., 1::2] @ wg)).sum(axis=-1)
         if np.all(err <= np.maximum(_CONV_REL_TOL * np.abs(q), _CONV_FLOOR)):
             return q
     i = int(np.argmax(err / np.maximum(np.abs(q), _CONV_FLOOR)))
     raise NumericalInstability(
         f"the convolution rules at t = {t} miss their self-check: at x = {xs[i]} "
-        f"the 15/31-node difference is {err[i]:.3e} against q = {q[i]:.3e}")
+        f"the summed |K31 - G15| difference is {err[i]:.3e} against q = {q[i]:.3e}")
 
 
 def _lower_end(model, x_min: float, t: float) -> float:

@@ -130,11 +130,15 @@ def hit_pdf_integral(x: float, t: float, params: IGParams) -> float:
     floor = 5e-17 * max(1.0, omega_max)
     inner_abs = max(_PDF_ABS_TOL * math.exp(min(0.0, -log_pref)) * math.pi / d, floor)
     # one cell per oscillation half-period, plus a geometric ladder resolving
-    # the width-gamma/sqrt(2) peak of 1/(w^2 + gamma^2/2) for small gamma
-    edges = _period_edges(0.0, omega_max, math.pi / kappa)
+    # the width-gamma/sqrt(2) peak of 1/(w^2 + gamma^2/2) for small gamma.
+    # Only its rungs below the first half-period edge pi/kappa: the cells above
+    # are at most pi/kappa <= omega wide, where 1/(w^2 + gamma^2/2) is smooth
+    half_period = math.pi / kappa
+    edges = _period_edges(0.0, omega_max, half_period)
     if g > 0:
         peak = g / SQRT2
-        edges = np.concatenate([edges, peak * geomspace(0.1, min(1e4, omega_max / peak), 11)])
+        ladder = peak * geomspace(0.1, min(1e4, omega_max / peak), 11)
+        edges = np.concatenate([edges, ladder[ladder < half_period]])
     val = integrate_interval(integrand, 0.0, omega_max, edges=edges, abs_tol=inner_abs)
     h = d / math.pi * math.exp(log_pref) * val
     if h < 0 and abs(h) <= 10.0 * max(_PDF_ABS_TOL, floor * math.exp(log_pref)):
@@ -680,10 +684,11 @@ def _tail_grid(t, x_grid, what: str) -> np.ndarray:
 def _fit_envelope(xs, surv, shape, stretch, t, label, extra) -> TailBoundReport:
     if not np.all(np.isfinite(shape) & (shape > 0)):
         raise NumericalInstability(f"{label}: the envelope over- or underflows on the grid")
+    # a survival below the smallest normal float holds no digits of its log to fit
+    if not np.all(surv >= np.finfo(float).tiny):
+        raise NumericalInstability(f"{label}: the survival underflows on the grid")
     c = float(np.max(surv / shape))
-    with np.errstate(divide="ignore"):
-        log_surv = -np.log(np.maximum(surv, 1e-300))
-    rate = float(np.polyfit(stretch, log_surv, 1)[0])
+    rate = float(np.polyfit(stretch, -np.log(surv), 1)[0])
     return TailBoundReport(xs, surv, c * shape, c, rate, t, label=label, extra=extra)
 
 

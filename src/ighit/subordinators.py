@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, _finite_nonnegative, _finite_positive
+from .errors import (
+    BudgetExceeded,
+    DomainError,
+    NumericalInstability,
+    _finite_nonnegative,
+    _finite_positive,
+)
 from .numerics import _gauss_rule, bessel_k, erfc, erfcx, norm_cdf, upper_gamma
 
 
@@ -399,8 +405,15 @@ def ts_pdf(u, t, beta: float, mu: float):
     t_arr = _finite_positive(np.asarray(t, dtype=float), "ts_pdf: t")
     _check_beta(beta)
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
-    tilt = np.exp(-mu * u_arr + mu ** beta * t)
-    out = tilt * _stable_pdf(u_arr, t_arr, beta)
+    # the tilt overflows where mu^beta t passes about 709 + mu u, and the
+    # product is then inf or inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-mu * u_arr + mu ** beta * t) * _stable_pdf(u_arr, t_arr, beta)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        at = np.broadcast_to(mu ** beta * t_arr, bad.shape)[bad]
+        raise NumericalInstability(
+            f"ts_pdf: the tilt e^(-mu u + mu^beta t) overflows at mu^beta t = {at[0]:.6g}")
     return float(out) if np.ndim(out) == 0 else out
 
 

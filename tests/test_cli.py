@@ -225,6 +225,15 @@ class TestExitCodes:
         assert "envelope" in capsys.readouterr().err
         assert not (tmp_path / "tail.csv").exists()
 
+    def test_tail_with_an_underflowing_survival_is_numeric_failure(self, tmp_path):
+        # delta = 1000: every survival on the grid is 0, which wrote a fit of 0s
+        out = run_module(tmp_path, ["tail", "--delta", "1000", "--gamma", "0.001", "--t", "1"])
+        assert out.returncode == 3
+        assert out.stderr.splitlines() == [
+            "ighit: numeric failure: NumericalInstability: ig_hitting: the survival "
+            "underflows on the grid"]
+        assert not (tmp_path / "tail.csv").exists()
+
     def test_overflowing_envelope_prints_only_the_failure(self, tmp_path):
         # numpy's overflow warning came before the exit-3 message
         out = run_module(tmp_path, ["tail", "--t", "1", "--gamma", "1e300"])

@@ -27,7 +27,8 @@ from ighit.numerics import (
 )
 from ighit.numerics import (
     _ERF_A, _ERF_B, _ERF_C, _ERF_D, _ERF_P, _ERF_Q, INV_SQRT_PI,
-    _cell_estimates, _cells, _eval_transform, _exp_nsq, _gauss_rule, _period_edges,
+    _cell_estimates, _cells, _eval_transform, _exp_nsq, _gauss_rule, _kronrod_rule,
+    _period_edges,
 )
 
 
@@ -349,6 +350,21 @@ class TestQuadrature:
             0.0, math.sqrt(cut), math.pi / (kappa * math.sqrt(2.0))))
         assert v1 == pytest.approx(v2, abs=1e-9)
 
+    def test_one_integrand_call_per_pass_on_31_nodes_a_cell(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.sin(40.0 * x) * np.exp(-x)
+
+        val = integrate_interval(f, 0.0, 3.0, edges=[1.0, 2.0])
+        assert val == pytest.approx((40.0 - math.exp(-3.0) * (math.sin(120.0) + 40.0
+                                                              * math.cos(120.0))) / 1601.0,
+                                    abs=1e-10)
+        # three seed cells, then both halves of each bisected cell
+        assert len(sizes) > 1 and sizes[0] == 3 * 31
+        assert all(size % (2 * 31) == 0 for size in sizes[1:])
+
     def test_nonconvergence_on_tiny_budget(self):
         # tolerances no quadrature meets: the subdivision budget runs out
         with pytest.raises(NonConvergence, match="subdivisions"):
@@ -369,18 +385,17 @@ class TestQuadrature:
 
 
 def _ref_cell_estimates(f, lo, hi):
-    # the one-integrand rule before the batch axis, as integrate_interval ran it
-    xl, wl = _gauss_rule(15)
-    xh, wh = _gauss_rule(31)
+    # the one-integrand Gauss-Kronrod pair: the 31-node Kronrod sum, and the
+    # 15-node Gauss sum on its odd nodes, where f takes the values it takes at
+    # the Gauss rule's own nodes
+    xk, wk = _kronrod_rule()[:2]
+    xg, wg = _gauss_rule(15)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts_l = (mid[:, None] + half[:, None] * xl[None, :]).ravel()
-    pts_h = (mid[:, None] + half[:, None] * xh[None, :]).ravel()
-    vals = np.asarray(f(np.concatenate([pts_l, pts_h]))).astype(float)
-    vl = vals[:pts_l.size].reshape(lo.size, 15)
-    vh = vals[pts_l.size:].reshape(lo.size, 31)
-    est_h = half * (vh @ wh)
-    return est_h, np.abs(est_h - half * (vl @ wl))
+    vk = np.asarray(f(mid[:, None] + half[:, None] * xk)).astype(float)
+    assert np.array_equal(vk[:, 1::2], f(mid[:, None] + half[:, None] * xg))
+    est_k = half * (vk @ wk)
+    return est_k, np.abs(est_k - half * (vk[:, 1::2] @ wg))
 
 
 class TestFixedLadder:
@@ -432,20 +447,35 @@ class TestFixedLadder:
 
 
 class TestTabulatedConstants:
-    """The Gauss-Legendre rules and Stehfest weights are constants: exactly what
-    numpy.polynomial and exact rational arithmetic give."""
+    """The Gauss-Legendre rules, the Gauss-Kronrod rule and the Stehfest weights
+    are constants: exactly what numpy.polynomial, Gauss-Kronrod's defining
+    properties and exact rational arithmetic give."""
 
-    @pytest.mark.parametrize("n", [12, 15, 16, 31, 32, 40])
+    @pytest.mark.parametrize("n", [12, 15, 16, 40])
     def test_gauss_rule_is_leggauss_bit_for_bit(self, n):
         nodes, weights = _gauss_rule(n)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 20, 64])
+    @pytest.mark.parametrize("n", [0, 1, 2, 20, 31, 32, 64])
     def test_untabulated_rule_raises(self, n):
         with pytest.raises(DomainError):
             _gauss_rule(n)
+
+    def test_kronrod_rule_extends_the_gauss_rule(self):
+        nodes, wk, wg = _kronrod_rule()
+        assert nodes.size == wk.size == 31 and np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(wk, wk[::-1])
+        assert np.all(wk > 0) and abs(wk.sum() - 2.0) <= 4 * np.finfo(float).eps
+        xg, ref_wg = _gauss_rule(15)
+        assert nodes[1::2].tobytes() == xg.tobytes() and wg.tobytes() == ref_wg.tobytes()
+        # exact through degree 3 * 15 + 1 = 46; the odd moments vanish by symmetry
+        for k in range(0, 47, 2):
+            assert abs(wk @ nodes ** k - 2.0 / (k + 1)) <= 1e-14
+        # QUADPACK's qk31 (Piessens et al. 1983): its outermost node and middle weight
+        assert nodes[-1] == 0.998002298693397060285172840152
+        assert wk[15] == 0.101330007014791549017374792767
 
     @pytest.mark.parametrize("n_terms", range(2, 41, 2))
     def test_stehfest_weights_are_the_rounded_fraction_sums(self, n_terms):

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +390,21 @@ class TestOneTabulation:
         reports = _reports(check)
         assert len(calls) == 1
         assert len(reports) == (2 if name in ("ts2", "ts3") else 1)
+
+    @pytest.mark.parametrize("name", ["ts3", "subordinated"])
+    def test_layer_grids_are_the_record_tables(self, name, monkeypatch):
+        # scripts/bench_layers.py times these two tables as the records make them
+        spec = importlib.util.spec_from_file_location(
+            "bench_layers", Path(__file__).resolve().parents[1] / "scripts/bench_layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        function, check = TABLED_CHECKS[name]
+        calls = []
+        table = getattr(residuals, function)
+        monkeypatch.setattr(residuals, function, lambda *args: calls.append(args) or table(*args))
+        check()
+        xs, ts = layers.pde_grids(np)[name]
+        assert np.array_equal(calls[0][0], xs) and np.array_equal(calls[0][1], ts)
 
     # the closed-form checks on their record boxes, the literal control, and
     # boxes whose fine step count is below twice the coarse one (6.6 coarse

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ighit import hitting, subordinators
-from ighit.errors import BudgetExceeded, DomainError
+from ighit.errors import BudgetExceeded, DomainError, NumericalInstability
 from ighit.numerics import (
     erfcx,
     integrate_interval,
@@ -531,6 +531,16 @@ class TestStableFamily:
             assert np.allclose(table, rows, rtol=1e-13, atol=0.0)
         assert ts_pdf(0.7, np.array([1.3]), beta, 0.8) == pytest.approx(
             ts_pdf(0.7, 1.3, beta, 0.8), rel=1e-15)
+
+    @pytest.mark.parametrize("u, t, beta", [(600.0, 2000.0, 0.3), (3500.0, 5000.0, 0.7)])
+    def test_ts_pdf_raises_where_its_tilt_overflows(self, u, t, beta):
+        # e^(-u + t) overflows at mu = 1; the product was NaN, with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInstability, match=f"mu\\^beta t = {t:g}$"):
+                ts_pdf(u, t, beta, 1.0)
+            with pytest.raises(NumericalInstability):
+                ts_pdf(np.array([1.0, u]), t, beta, 1.0)
 
 
 NAN = math.nan
