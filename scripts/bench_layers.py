@@ -190,14 +190,17 @@ LAYERS = (
                                              np.arange(1, 129)[None, :] / 128.0,
                                              ig.HittingDensityEval(ig.IGParams(1.0, 0.0)))),
     # the tempered-stable hitting table at indices 0.7 and 0.2 (the widest
-    # unit-law ladder) on an 80 x 30 grid, and at index 1/3 the one table of
-    # the pde_ts_n3_sign record (17 x 11)
+    # unit-law ladder) and 1/2 (the IG closed form) on an 80 x 30 grid, and at
+    # index 1/3 the one table of the pde_ts_n3_sign record (17 x 11)
     ("ts_hit_table_0.7", 80 * 30,
      lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
                                                 np.linspace(0.1, 3.0, 30), 0.7, 1.0)),
     ("ts_hit_table_0.2", 80 * 30,
      lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
                                                 np.linspace(0.1, 3.0, 30), 0.2, 1.0)),
+    ("ts_hit_table_half", 80 * 30,
+     lambda ig, np, rng, n: ig.ts_hit_pdf_table(np.linspace(0.05, 4.0, 80),
+                                                np.linspace(0.1, 3.0, 30), 0.5, 1.0)),
     ("ts_hit_table_ts3_record", 17 * 11,
      lambda ig, np, rng, n: ig.ts_hit_pdf_table(*pde_grids(np)["ts3"], 1.0 / 3.0, 1.0)),
     # the grids of the pde_ts_n3_sign (PDE_BOXES["ts3"], both signs),

@@ -59,6 +59,7 @@ from .subordinators import (
     ig_psi,
     stable_cdf,
     stable_pdf,
+    ts_half_ig_params,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -242,14 +243,21 @@ def ts_hit_pdf_table(xs, ts, beta: float, mu: float) -> np.ndarray:
     returned 16-node one by more than 1e-8 of a column's peak: the 12-node
     rule is the less accurate, so a pass bounds the 16-node table's error
     at least as tightly as a pass against 32 nodes would.
+
+    mu = 0 is `stable_hit_pdf` alone, and beta = 1/2 the IG hitting density
+    `hit_pdf_table` of `ts_half_ig_params(mu)`, the same law in closed form.
     """
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     if xs.ndim != 1 or ts.ndim != 1:
         raise DomainError("xs and ts must be 1-d arrays")
     mu = _finite_nonnegative(float(mu), "ts_hit_pdf_table: mu")
+    if mu == 0.0:
+        return stable_hit_pdf(xs[:, None], ts, beta)
+    if beta == 0.5:
+        return hit_pdf_table(xs[:, None], ts, ts_half_ig_params(mu))
     lam = xs[:, None] * mu ** beta
     table = np.exp(lam - mu * ts) * stable_hit_pdf(xs[:, None], ts, beta)
-    if mu == 0.0 or table.size == 0:
+    if table.size == 0:
         return table
     mean, scale = beta * lam / mu, xs[:, None, None] ** (1.0 / beta)
     w0 = beta * ((1.0 - beta) / (50.0 + lam.max())) ** (1.0 / beta - 1.0)

@@ -27,7 +27,7 @@ from .errors import DomainError, _finite, _finite_nonnegative, _finite_positive
 from .numerics import integrate_ladder
 from .hitting import hit_lt_time, hit_pdf_table, ts_hit_pdf_table
 from .subordinated import sub_pdf_table
-from .subordinators import IGParams, ig_pdf, ig_psi, ts_half_ig_params
+from .subordinators import IGParams, ig_pdf, ig_psi
 
 
 # The most coarse steps from 0 to a box's far edge on either axis (the
@@ -320,24 +320,20 @@ def residual_ts_pde(n: int, mu: float, box: GridBox, *,
     n = 3 are supported.  The flipped report is the negative control for the
     sign-convention check; both come from one tabulation per level.
 
-    At n = 2 the subordinator is the IG process of `ts_half_ig_params(mu)`, so
-    its hitting density is the closed form `hit_pdf_table`.  At n = 3 it is
-    `ts_hit_pdf_table`, from the x-derivative of the duality.  The Levy-tail
-    convolution `hit_pdf_convolution`, one fixed-rule table per time, stays
-    the oracle of both.
+    The hitting density is `ts_hit_pdf_table`: at n = 2 the IG closed form
+    `hit_pdf_table` of `ts_half_ig_params(mu)`, the same process, and at
+    n = 3 the x-derivative of the duality.  The Levy-tail convolution
+    `hit_pdf_convolution`, one fixed-rule table per time, stays the oracle of
+    both.
     """
     if n not in (2, 3):
         raise DomainError("n must be 2 or 3")
-    params = ts_half_ig_params(mu)
-
-    def table(xs, ts):
-        return (hit_pdf_table(xs[:, None], ts[None, :], params) if n == 2
-                else ts_hit_pdf_table(xs, ts, 1.0 / n, mu))
-
-    space = ([(1.0, _X, 2), (-2.0 * math.sqrt(mu), _X, 1)] if n == 2 else
+    # max(mu, 0.0): a negative mu reaches the table's check, not math.sqrt's
+    space = ([(1.0, _X, 2), (-2.0 * math.sqrt(max(mu, 0.0)), _X, 1)] if n == 2 else
              [(-1.0, _X, 3), (3.0 * mu ** (1.0 / 3.0), _X, 2),
               (-3.0 * mu ** (2.0 / 3.0), _X, 1)])
-    reports = _pde(table, box, space + [(-1.0, _T, 1)], perturb, f"ts_pde_n{n}",
+    reports = _pde(lambda xs, ts: ts_hit_pdf_table(xs, ts, 1.0 / n, mu), box,
+                   space + [(-1.0, _T, 1)], perturb, f"ts_pde_n{n}",
                    {"beta": 1.0 / n, "mu": mu}, signs=(1.0, -1.0))
     return tuple(replace(rep, extra={**rep.extra, "sign": sign})
                  for rep, sign in zip(reports, ("as_printed", "flipped")))

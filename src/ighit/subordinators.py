@@ -117,30 +117,15 @@ def ig_pdf(x, t, p: IGParams):
 def _ig_cdf(x, a, b: float):
     """IG(a, b) distribution function at x > 0, broadcast over x and a.
 
-    Plain form Phi(b sqrt(x) - a/sqrt(x)) + e^(2ab) Phi(-b sqrt(x) - a/sqrt(x))
-    where 2ab <= 30; elsewhere the second term is evaluated through erfcx so
-    the e^(2ab) factor never materialises.
+    Phi(u) + e^(2ab) Phi(-v), with u, v = b sqrt(x) -/+ a/sqrt(x), taken as
+    Phi(u) + e^(-u^2/2) erfcx(v/sqrt(2)) / 2: the two are equal at every ab,
+    because v^2 - u^2 = 4ab, and the second never forms e^(2ab).
     """
     with np.errstate(over="ignore"):
         sq = np.sqrt(x)
         u = b * sq - a / sq
         v = b * sq + a / sq
-        two_ab = 2.0 * a * b
-
-        # each point evaluates one form of the second term
-        def plain(i):
-            return np.exp(two_ab[i]) * norm_cdf(-v[i])
-
-        def scaled(i):
-            return 0.5 * np.exp(-0.5 * u[i] * u[i]) * erfcx(v[i] / math.sqrt(2.0))
-
-        if np.ndim(two_ab) == 0:
-            second = plain(...) if two_ab <= 30.0 else scaled(...)
-        else:
-            small = two_ab <= 30.0
-            second = np.empty_like(u)
-            second[small] = plain(small)
-            second[~small] = scaled(~small)
+        second = 0.5 * np.exp(-0.5 * u * u) * erfcx(v / math.sqrt(2.0))
         return np.clip(norm_cdf(u) + second, 0.0, 1.0)
 
 
@@ -158,7 +143,7 @@ def ig_cdf(x, t, p: IGParams):
     out = np.where(x_arr == math.inf, 1.0, 0.0)
     pos = (x_arr > 0) & (x_arr < math.inf)
     if pos.any():
-        # a single t keeps a scalar, which spares a gather and an exp per point
+        # a single t keeps a scalar, which spares a gather per point
         out[pos] = _ig_cdf(x_arr[pos], a[pos] if a.ndim else a, p.gamma)
     return float(out) if out.ndim == 0 else out
 
@@ -399,11 +384,19 @@ def stable_cdf(x, t, beta: float):
 
 
 def ts_pdf(u, t, beta: float, mu: float):
-    """Tempered stable density e^(-mu u + mu^beta t) * stable density; u and t broadcast."""
+    """Tempered stable density e^(-mu u + mu^beta t) * stable density; u and t broadcast.
+
+    mu = 0 is the stable density, and beta = 1/2 the IG density of
+    `ts_half_ig_params(mu)`, the same law, which needs no tilt to overflow.
+    """
     mu = _finite_nonnegative(float(mu), "ts_pdf: mu")
     u_arr = _finite_positive(np.asarray(u, dtype=float), "ts_pdf: u")
     t_arr = _finite_positive(np.asarray(t, dtype=float), "ts_pdf: t")
     _check_beta(beta)
+    if mu == 0.0:
+        return _stable_pdf(u_arr, t_arr, beta)
+    if beta == 0.5:
+        return ig_pdf(u_arr, t_arr, ts_half_ig_params(mu))
     t = float(t_arr) if t_arr.ndim == 0 else t_arr
     # the tilt overflows where mu^beta t passes about 709 + mu u, and the
     # product is then inf or inf * 0
@@ -439,11 +432,21 @@ def ts_levy_tail(u, beta: float, mu: float):
 
 
 def ts_psi(s, beta: float, mu: float):
-    """Laplace exponent (s + mu)^beta - mu^beta of the tempered stable process."""
+    """Laplace exponent (s + mu)^beta - mu^beta of the tempered stable process.
+
+    At beta = 1/2 and mu > 0 it is s / (sqrt(s + mu) + sqrt(mu)), `ig_psi`'s
+    non-cancelling form of the IG exponent of `ts_half_ig_params(mu)`, written
+    in mu itself: the IG parameters round gamma^2 = 2 mu, which moves the
+    branch point s = -mu by an ulp and the exponent beside it by its square
+    root.
+    """
     mu = _finite_nonnegative(float(mu), "ts_psi: mu")
     # 0.0 - mu, not -mu: at mu = 0 the bound prints as 0, not -0
     s_arr = _laplace_arg(s, 0.0 - mu, "ts_psi")
-    out = (s_arr + mu) ** beta - mu ** beta
+    if beta == 0.5 and mu > 0.0:
+        out = s_arr / (np.sqrt(s_arr + mu) + math.sqrt(mu))
+    else:
+        out = (s_arr + mu) ** beta - mu ** beta
     return out.item() if np.ndim(s) == 0 else out
 
 

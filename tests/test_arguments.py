@@ -113,7 +113,8 @@ CASES = [
     ("ts_levy_tail: mu", lambda v: ts_levy_tail(1.0, 0.4, v), -0.5),
     ("ts_psi: mu", lambda v: ts_psi(1.0, 0.4, v), -0.5),
     ("ts_half_ig_params: mu", ts_half_ig_params, -0.5),
-    ("ts_half_ig_params: mu", lambda v: residual_ts_pde(2, v, PDE_BOXES["ts2"]), -0.5),
+    ("ts_hit_pdf_table: mu", lambda v: residual_ts_pde(2, v, PDE_BOXES["ts2"]), -0.5),
+    ("ts_hit_pdf_table: mu", lambda v: residual_ts_pde(3, v, PDE_BOXES["ts3"]), -0.5),
     ("ts_sample: t", lambda v: ts_sample(v, 0.4, 1.0, _rng()), 0.0),
     ("ts_sample: mu", lambda v: ts_sample(1.0, 0.4, v, _rng()), -0.5),
     ("hit_pdf_integral: x", lambda v: hit_pdf_integral(v, 1.0, P), -0.5),

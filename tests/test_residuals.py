@@ -322,7 +322,7 @@ P11 = IGParams(1.0, 1.0)
 TABLED_CHECKS = {
     "hitting": ("hit_pdf_table", lambda: residual_hitting_pde(P11, PDE_BOXES["hitting"])),
     "ig": ("ig_pdf", lambda: residual_ig_pde(P11, PDE_BOXES["ig"])),
-    "ts2": ("hit_pdf_table", lambda: residual_ts_pde(2, 1.0, PDE_BOXES["ts2"])),
+    "ts2": ("ts_hit_pdf_table", lambda: residual_ts_pde(2, 1.0, PDE_BOXES["ts2"])),
     "ts3": ("ts_hit_pdf_table", lambda: residual_ts_pde(3, 1.0, PDE_BOXES["ts3"])),
     "subordinated": ("sub_pdf_table",
                      lambda: residual_subordinated(P11, PDE_BOXES["subordinated"])),

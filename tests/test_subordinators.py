@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from ighit import hitting, subordinators
 from ighit.errors import BudgetExceeded, DomainError, NumericalInstability
-from ighit.numerics import (
-    erfcx,
-    integrate_interval,
-    integrate_semi_infinite,
-    invert_laplace,
-    norm_cdf,
-)
+from ighit.numerics import integrate_interval, integrate_semi_infinite, invert_laplace
 from ighit.hitting import hitting_path
 from ighit.montecarlo import ecdf_ks, ks_critical_1pct
 from ighit.subordinators import (
@@ -24,7 +18,6 @@ from ighit.subordinators import (
     IGParams,
     SamplePath,
     TemperedStableSubordinator,
-    _ig_cdf,
     _kanter_draws,
     _kanter_floor,
     _unit_stable_cdf_pdf,
@@ -235,7 +228,7 @@ class TestLevyTailAndExponent:
         p = IGParams(1.0, 1.0)
         exact = 2.0 * p.delta * s / (np.sqrt(p.gamma ** 2 + 2.0 * s) + p.gamma)
         assert np.array_equal(ig_psi(s, p), exact)
-        assert np.array_equal(ts_psi(s, 0.5, 1.0), (s + 1.0) ** 0.5 - 1.0)
+        assert np.array_equal(ts_psi(s, 0.5, 1.0), s / (np.sqrt(s + 1.0) + 1.0))
         assert np.array_equal(TemperedStableSubordinator(1.0 / 3.0, 0.0).psi(s), s ** (1.0 / 3.0))
         assert ig_psi(complex(0.3, -2.0), p) == (2.0 * p.delta * complex(0.3, -2.0)
                                                  / (np.sqrt(complex(1.6, -4.0)) + 1.0))
@@ -543,6 +536,76 @@ class TestStableFamily:
                 ts_pdf(np.array([1.0, u]), t, beta, 1.0)
 
 
+class TestHalfIndexIsIG:
+    """At index 1/2 and mu > 0 the tempered stable model is the IG process of
+    ts_half_ig_params(mu), and its functions return the IG ones."""
+
+    @pytest.mark.parametrize("lam", [10.0, 2000.0, 1e5])
+    @pytest.mark.parametrize("mu", [1.0, 0.25])
+    def test_density_is_ig_pdf(self, lam, mu):
+        # lam = t mu^(1/2); at 2000 and 1e5 the tilt e^(-mu u + lam) overflowed
+        # at the mean u = t / (2 mu^(1/2)), and ts_pdf raised
+        t = lam / math.sqrt(mu)
+        u = t / (2.0 * math.sqrt(mu)) * np.array([0.5, 1.0, 2.0])
+        params = ts_half_ig_params(mu)
+        model = TemperedStableSubordinator(0.5, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ts_pdf(u, t, 0.5, mu)
+            point = ts_pdf(u[1], t, 0.5, mu)
+            assert np.array_equal(table, ig_pdf(u, t, params))
+            assert point == ig_pdf(u[1], t, params)
+            assert np.array_equal(model.marginal_pdf(u, t), table)
+        assert np.all(np.isfinite(table)) and point > 0.0
+
+    def test_hitting_table_is_the_closed_form(self):
+        # the 80 x 30 duality grid of scripts/bench_layers.py
+        xs, ts = np.linspace(0.05, 4.0, 80), np.linspace(0.1, 3.0, 30)
+        for mu in (1.0, 0.25):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = hitting.ts_hit_pdf_table(xs, ts, 0.5, mu)
+            assert np.array_equal(table, hitting.hit_pdf_table(xs[:, None], ts,
+                                                               ts_half_ig_params(mu)))
+
+    def test_tail_and_sampler_are_the_ig_ones(self):
+        model, params = TemperedStableSubordinator(0.5, 1.0), ts_half_ig_params(1.0)
+        u = np.geomspace(1e-3, 40.0, 9)
+        assert np.array_equal(model.levy_tail(u), ig_levy_tail(u, params))
+        draws = model.sample_increment(0.7, np.random.default_rng(3), 5)
+        assert np.array_equal(draws, ig_sample(0.7, params, np.random.default_rng(3), 5))
+
+    # (mu, s, sqrt(s + mu) - sqrt(mu)): mpmath 1.3.0 at 60 digits, at the
+    # binary values of s and mu.  s = -mu is the branch point
+    @pytest.mark.parametrize("mu, s, value", [
+        (1.0, 1e-10, 4.999999999875000182167e-11),
+        (1.0, 0.3, 0.1401754250991379742674),
+        (1.0, 7.5, 1.915475947422650235437),
+        (1.0, 1e6, 999.0004999998750000625),
+        (1.0, -1.0, -1.0),
+        (0.1, 1e-10, 1.581138829688904972395e-10),
+        (0.1, 7.5, 2.440581984401206412621),
+        (0.1, -0.1, -0.316227766016837941977),
+    ])
+    def test_exponent_against_mpmath(self, mu, s, value):
+        # (s + mu)^(1/2) - mu^(1/2) lost 8.3e-8 of its value at s = 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ts_psi(s, 0.5, mu)
+            model = TemperedStableSubordinator(0.5, mu).psi(np.array([s]))
+        assert got == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert model[0] == got
+
+    def test_exponent_is_the_ig_one_off_the_branch_point(self):
+        # ig_psi of ts_half_ig_params(mu) rounds gamma^2 = 2 mu: at s = -mu it
+        # reads -0.99999998509 at mu = 1 and raises at mu = 0.1, where -mu is
+        # below its domain.  Elsewhere the two agree to rounding
+        s = np.geomspace(1e-12, 1e12, 2001)
+        for mu in (1.0, 0.1, 3.0, 1e-6, 1e6):
+            ig = ig_psi(s, ts_half_ig_params(mu))
+            assert np.allclose(ts_psi(s, 0.5, mu), ig, rtol=1e-15, atol=0.0)
+
+
 NAN = math.nan
 
 
@@ -781,25 +844,44 @@ def test_kanter_near_index_one_raises_no_warning(beta):
     assert np.all(np.isfinite(dens)) and np.all((cdf >= 0.0) & (cdf <= 1.0))
 
 
-def _ig_cdf_both_forms(x, a, b):
-    """`_ig_cdf` with the plain and the erfcx form evaluated at every point."""
-    sq = np.sqrt(x)
-    u = b * sq - a / sq
-    v = b * sq + a / sq
-    with np.errstate(over="ignore"):
-        small = 2.0 * a * b <= 30.0
-        plain = norm_cdf(u) + np.where(small, np.exp(2.0 * a * b), 0.0) * norm_cdf(-v)
-        scaled = norm_cdf(u) + 0.5 * np.exp(-0.5 * u * u) * erfcx(v / math.sqrt(2.0))
-    return np.clip(np.where(small, plain, scaled), 0.0, 1.0)
+# (a, x, P(G <= x)) for G ~ IG(a, 1), so 2ab = 2a: 0.02, 29.9 and 30.1 on
+# either side of the old two-form switch, 300 and 3000.  Per a, x where the
+# distribution function is about 1e-10, at the mean a and where it is about
+# 1 - 1e-10, then x where it is about 1e-100.  References: mpmath 1.3.0 at 60
+# digits, Phi(u) + e^(2ab) Phi(-v) with u, v = b sqrt(x) -/+ a/sqrt(x) at the
+# binary values of a and x
+IG_CDF_REFERENCE = [
+    (0.01, 2.39e-06, 1.0000013251379616669e-10),
+    (0.01, 0.01, 0.92923980823347369418),
+    (0.01, 26.4, 0.9999999999006535647),
+    (14.95, 3.28, 9.6123973721499902096e-11),
+    (14.95, 14.95, 0.55076661381320185808),
+    (14.95, 65.0, 0.99999999990207355435),
+    (15.05, 3.32, 9.9907795121876434769e-11),
+    (15.05, 15.05, 0.55060287669911835743),
+    (15.05, 65.1, 0.99999999989863124242),
+    (150.0, 89.5, 1.0096126962620853078e-10),
+    (150.0, 150.0, 0.51625974041766593727),
+    (150.0, 250.0, 0.99999999990547154335),
+    (1500.0, 1270.0, 5.9110956032450048813e-11),
+    (1500.0, 1500.0, 0.5051494647353632338),
+    (1500.0, 1770.0, 0.99999999993665502071),
+    (0.01, 2.2e-07, 7.468832304327699758e-101),
+    (14.95, 0.462, 7.9770066343838447664e-101),
+    (15.05, 0.468, 7.9195397095273483859e-101),
+    (150.0, 31.1, 6.0446897278857110501e-101),
+    (1500.0, 872.0, 1.4592443262834330282e-100),
+]
 
 
-@pytest.mark.parametrize("a, b", [(1.0, 1.0), (20.0, 2.0), (0.3, 0.01), (5.0, 3.0)])
-def test_ig_cdf_takes_one_form_per_point(a, b):
-    # each point evaluates only the form it keeps, to the same bits
-    x = np.geomspace(1e-4, 1e4, 10 ** 5)
-    assert np.array_equal(_ig_cdf(x, np.asarray(a), b), _ig_cdf_both_forms(x, np.asarray(a), b))
-    shapes = np.geomspace(0.01, 50.0, x.size)
-    assert np.array_equal(_ig_cdf(x, shapes, b), _ig_cdf_both_forms(x, shapes, b))
+@pytest.mark.parametrize("a, x, value", IG_CDF_REFERENCE)
+def test_ig_cdf_reference_values(a, x, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ig_cdf(x, a, IGParams(1.0, 1.0))
+        table = ig_cdf(np.array([x, 2.0 * x]), np.array([a, a]), IGParams(1.0, 1.0))
+    assert got == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert table[0] == got
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.7], ids=["half", "third", "inverted"])
